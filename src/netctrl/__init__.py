@@ -7,9 +7,8 @@ from .design import (DesignResult, InfeasibleDesignError, brute_force_min_topolo
                      greedy_color, greedy_link_rows)
 from .exactla import Poly, frac, mat
 from .matroid import (CommonIndependentSet, GenericPattern, NumericColumns,
-                      exhaustive_union_rank, generic_independent,
-                      matroid_intersection_rank, matroid_union_rank,
-                      numeric_independent)
+                      exhaustive_union_rank, matroid_intersection_rank,
+                      matroid_union_rank)
 from .model import (AugmentedSubsystem, LumpedPlant, ModelError, NdsModel,
                     StructuredPattern, SubsystemModel, analysis_form,
                     assemble_lumped, augment_subsystem, check_well_posedness,

@@ -272,86 +272,76 @@ def _emit(report: dict, fmt: str, out: Optional[str], wall_ms: float) -> None:
         sys.stdout.write(text)
 
 
-def _tols(options: dict, args) -> tuple[float, float]:
-    rank_tol = args.tol if args.tol is not None else options["rank_tol"]
-    eig_tol = args.eig_tol if args.eig_tol is not None else options["eig_tol"]
-    return rank_tol, eig_tol
+def _load(args) -> tuple[NdsModel, dict, str]:
+    """Load the document, print its warnings, and let flags override its options.
 
-
-def cmd_check(args) -> int:
+    Returns (model, options, digest); options holds rank_tol, eig_tol and
+    seed, each from the command's flag when the command has one and it is set.
+    """
     model, options, warnings, digest = load_document(args.file)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    rank_tol, eig_tol = _tols(options, args)
-    seed = args.seed if args.seed is not None else options["seed"]
+    for key, flag in (("rank_tol", "tol"), ("eig_tol", "eig_tol"), ("seed", "seed")):
+        value = getattr(args, flag, None)
+        if value is not None:
+            options[key] = value
+    return model, options, digest
+
+
+def cmd_check(args) -> int:
+    model, options, digest = _load(args)
+    settings = {k: options[k] for k in ("seed", "rank_tol", "eig_tol")}
     t0 = time.perf_counter()
-    verdict = verify.check_structural_controllability(
-        model, seed=seed, rank_tol=rank_tol, eig_tol=eig_tol, jobs=args.jobs)
+    verdict = verify.check_structural_controllability(model, **settings)
     wall = (time.perf_counter() - t0) * 1e3
-    payload = verdict.to_dict()
-    report = _report("check", digest,
-                     {"seed": seed, "rank_tol": rank_tol, "eig_tol": eig_tol},
-                     payload)
-    _emit(report, args.format, args.out, wall)
+    _emit(_report("check", digest, settings, verdict.to_dict()), args.format, args.out, wall)
     return 0 if verdict.structurally_controllable else 1
 
 
 def cmd_feasible(args) -> int:
-    model, options, warnings, digest = load_document(args.file)
-    rank_tol, eig_tol = _tols(options, args)
+    model, options, digest = _load(args)
+    settings = {k: options[k] for k in ("rank_tol", "eig_tol")}
     t0 = time.perf_counter()
-    rep = verify.check_feasibility(model.subsystems, args.modes, rank_tol, eig_tol)
+    rep = verify.check_feasibility(model.subsystems, args.modes, **settings)
     wall = (time.perf_counter() - t0) * 1e3
-    report = _report("feasible", digest,
-                     {"modes": args.modes, "rank_tol": rank_tol, "eig_tol": eig_tol},
-                     rep.to_dict())
-    _emit(report, args.format, args.out, wall)
+    _emit(_report("feasible", digest, dict(settings, modes=args.modes), rep.to_dict()),
+          args.format, args.out, wall)
     return 0 if rep.feasible else 1
 
 
 def cmd_design(args) -> int:
-    model, options, warnings, digest = load_document(args.file)
-    rank_tol, eig_tol = _tols(options, args)
-    seed = args.seed if args.seed is not None else options["seed"]
+    model, options, digest = _load(args)
+    settings = {k: options[k] for k in ("seed", "rank_tol", "eig_tol")}
     t0 = time.perf_counter()
     try:
-        result = design_mod.design_topology(model.subsystems, args.modes,
-                                            rank_tol, eig_tol, seed=seed)
+        result = design_mod.design_topology(model.subsystems, args.modes, **settings)
+        payload, code = result.to_dict(), 0
     except design_mod.InfeasibleDesignError as e:
         payload = {"infeasible": True, "reason": str(e),
                    "feasibility": e.report.to_dict() if e.report else None}
-        report = _report("design", digest,
-                         {"modes": args.modes, "seed": seed,
-                          "rank_tol": rank_tol, "eig_tol": eig_tol}, payload)
-        _emit(report, args.format, args.out, (time.perf_counter() - t0) * 1e3)
-        return 1
+        code = 1
     wall = (time.perf_counter() - t0) * 1e3
-    report = _report("design", digest,
-                     {"modes": args.modes, "seed": seed,
-                      "rank_tol": rank_tol, "eig_tol": eig_tol},
-                     result.to_dict())
-    _emit(report, args.format, args.out, wall)
-    return 0
+    _emit(_report("design", digest, dict(settings, modes=args.modes), payload),
+          args.format, args.out, wall)
+    return code
 
 
 def cmd_realize(args) -> int:
-    model, options, warnings, digest = load_document(args.file)
-    rank_tol, eig_tol = _tols(options, args)
-    seed = args.seed if args.seed is not None else options["seed"]
+    model, options, digest = _load(args)
+    seed = options["seed"]
     t0 = time.perf_counter()
     res = verify.randomized_realization_check(model, seed=seed, trials=args.trials,
                                               method=args.method)
     wall = (time.perf_counter() - t0) * 1e3
-    report = _report("realize", digest,
-                     {"seed": seed, "trials": args.trials, "method": args.method,
-                      "rank_tol": rank_tol, "eig_tol": eig_tol},
-                     res.to_dict())
-    _emit(report, args.format, args.out, wall)
+    _emit(_report("realize", digest,
+                  {"seed": seed, "trials": args.trials, "method": args.method},
+                  res.to_dict()),
+          args.format, args.out, wall)
     return 0 if res.controllable_witness else 1
 
 
 def cmd_graph(args) -> int:
-    model, options, warnings, digest = load_document(args.file)
+    model, _, _ = _load(args)
     tfms = ratfun.nds_tfms(model)
     graph = structgraph.build_nacg(model, tfms)
     dot = structgraph.to_dot(graph)
@@ -363,6 +353,19 @@ def cmd_graph(args) -> int:
     return 0
 
 
+# Optional flags by name; each subcommand takes only the ones it reads.
+_FLAGS = {
+    "seed": ("--seed", dict(type=int, default=None)),
+    "tol": ("--tol", dict(type=float, default=None, help="rank tolerance (relative)")),
+    "eig-tol": ("--eig-tol", dict(type=float, default=None,
+                                  help="eigenvalue clustering tolerance")),
+    "modes": ("--modes", dict(choices=("all", "unstable"), default="all")),
+    "trials": ("--trials", dict(type=int, default=5)),
+    "method": ("--method", dict(choices=("pbh", "stacked"), default="pbh")),
+    "format": ("--format", dict(choices=("json", "text"), default="json")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="netctrl",
@@ -370,30 +373,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "for networked LTI systems")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, modes=False, trials=False, method=False):
+    def command(name: str, help: str, *flags: str) -> None:
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("file", help="system document (JSON)")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=None,
-                        help="rank tolerance (relative)")
-        sp.add_argument("--eig-tol", type=float, default=None,
-                        help="eigenvalue clustering tolerance")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for independent per-mode work")
+        for flag in flags:
+            option, kwargs = _FLAGS[flag]
+            sp.add_argument(option, **kwargs)
         sp.add_argument("--out", default=None, help="write output to a file")
-        sp.add_argument("--format", choices=("json", "text"), default="json")
-        if modes:
-            sp.add_argument("--modes", choices=("all", "unstable"), default="all")
-        if trials:
-            sp.add_argument("--trials", type=int, default=5)
-        if method:
-            sp.add_argument("--method", choices=("pbh", "stacked"), default="pbh")
 
-    common(sub.add_parser("check", help="structural controllability verdict"))
-    common(sub.add_parser("design", help="two-stage minimal-link design"), modes=True)
-    common(sub.add_parser("realize", help="randomized realization witness"),
-           trials=True, method=True)
-    common(sub.add_parser("feasible", help="design feasibility conditions"), modes=True)
-    common(sub.add_parser("graph", help="export the networked connection graph as DOT"))
+    command("check", "structural controllability verdict", "seed", "tol", "eig-tol", "format")
+    command("design", "two-stage minimal-link design",
+            "modes", "seed", "tol", "eig-tol", "format")
+    command("realize", "randomized realization witness", "seed", "trials", "method", "format")
+    command("feasible", "design feasibility conditions", "modes", "tol", "eig-tol", "format")
+    command("graph", "export the networked connection graph as DOT")
     return p
 
 

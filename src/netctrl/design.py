@@ -21,10 +21,11 @@ from typing import Optional
 import numpy as np
 
 from . import ratfun, structgraph, verify
+from .exactla import float_rank
 from .matroid import GenericPattern, NumericColumns, matroid_intersection_rank
 from .model import NdsModel, StructuredPattern, SubsystemModel
 from .ratfun import ModeData
-from .verify import FeasibilityReport, UNSTABLE_MARGIN
+from .verify import FeasibilityReport
 
 
 class InfeasibleDesignError(RuntimeError):
@@ -37,17 +38,13 @@ def _q2_matrix(md: ModeData) -> np.ndarray:
     return np.hstack([md.y_all, md.z_all])
 
 
-def _rank(m: np.ndarray, tol: float) -> int:
-    return ratfun._float_rank(m, tol)
-
-
 def g_value(j_set, modes: list[ModeData], rank_tol: float = ratfun.RANK_TOL) -> int:
     """Sum over modes of rank([Y restricted to the chosen rows | Z])."""
     cols = sorted(j_set)
     total = 0
     for md in modes:
         sub = np.hstack([md.y_all[:, cols], md.z_all]) if cols else md.z_all
-        total += _rank(sub, rank_tol)
+        total += float_rank(sub, rank_tol)
     return total
 
 
@@ -98,7 +95,7 @@ def extract_cover_sets(j_grd: list[int], modes: list[ModeData], M_v: int, M_z: i
         cover: list[int] = []
         rank_now = 0
         for s in range(M_v, M_v + M_z):
-            r = _rank(q2[:, sorted(cover + [s])], rank_tol)
+            r = float_rank(q2[:, sorted(cover + [s])], rank_tol)
             if r > rank_now:
                 cover.append(s)
                 rank_now = r
@@ -106,7 +103,7 @@ def extract_cover_sets(j_grd: list[int], modes: list[ModeData], M_v: int, M_z: i
             if rank_now == md.M_r:
                 cover.append(s)
                 continue
-            r = _rank(q2[:, sorted(cover + [s])], rank_tol)
+            r = float_rank(q2[:, sorted(cover + [s])], rank_tol)
             if r > rank_now:
                 cover.append(s)
                 rank_now = r
@@ -213,8 +210,8 @@ def eliminate_pdums(nds: NdsModel, tfms: Optional[list] = None) -> list[dict]:
             raise InfeasibleDesignError(
                 "component without internal-input vertex cannot be wired")
         z_l, v_j = z_cands[0], v_cands[0]
-        row = nds.v_offset(v_j[1] - 1) + (v_j[2] - 1)
-        col = nds.z_offset(z_l[1] - 1) + (z_l[2] - 1)
+        row = nds.offsets["v"][v_j[1] - 1] + (v_j[2] - 1)
+        col = nds.offsets["z"][z_l[1] - 1] + (z_l[2] - 1)
         added.append({"position": (row, col),
                       "from": structgraph.vertex_name(z_l),
                       "to": structgraph.vertex_name(v_j),
@@ -304,8 +301,7 @@ def design_topology(subsystems: list[SubsystemModel], mode_filter: str = "all",
                               sum(s.m_z0 for s in subsystems), {})
     nds0 = NdsModel(subsystems, empty)
     spec = ratfun.spectrum(nds0, eig_tol)
-    lams = [l for l in spec.values
-            if mode_filter == "all" or l.real >= -UNSTABLE_MARGIN]
+    lams = spec.values if mode_filter == "all" else spec.unstable()
     modes = [ratfun.mode_data(nds0, lam, rank_tol) for lam in lams]
     M_v, M_z = nds0.M_v, nds0.M_z
     j_grd, trace = greedy_link_rows(modes, M_v, rank_tol)
@@ -325,8 +321,7 @@ def design_topology(subsystems: list[SubsystemModel], mode_filter: str = "all",
     if mode_filter == "all":
         verified = verdict.structurally_controllable
     else:
-        unstable_fums = [mc for mc in verdict.fums
-                         if complex(mc.lam).real >= -UNSTABLE_MARGIN]
+        unstable_fums = [mc for mc in verdict.fums if ratfun.is_unstable(mc.lam)]
         verified = not unstable_fums and verdict.pdum is None
     m_rmax = max((md.M_r for md in modes), default=0)
     m_def = sum(md.pbh_deficiency for md in modes)
@@ -364,16 +359,7 @@ def minimal_rows_exhaustive(modes: list[ModeData], M_v: int,
 def _structurally_controllable_fixed(positions, base_graph, nds0, modes, q2_oracles,
                                      rank_tol) -> bool:
     """Candidate test shared by the exhaustive search; positions are 0-based."""
-    link_edges = []
-    v_off = [nds0.v_offset(i) for i in range(nds0.n_sub)]
-    v_w = [a.m_v for a in nds0.analysis]
-    z_off = [nds0.z_offset(i) for i in range(nds0.n_sub)]
-    z_w = [a.m_z for a in nds0.analysis]
-    for (r, c) in positions:
-        j, qv = structgraph._locate(v_off, v_w, r)
-        i, pz = structgraph._locate(z_off, z_w, c)
-        link_edges.append((("z", i + 1, pz + 1), ("v", j + 1, qv + 1), "link"))
-    graph = base_graph.with_edges(link_edges)
+    graph = base_graph.with_edges(structgraph.link_edges(nds0, positions))
     if structgraph.find_input_unreachable_lambda_edge(graph) is not None:
         return False
     # design instances carry no free subsystem blocks, so the routing
@@ -411,8 +397,7 @@ def brute_force_min_topology(subsystems: list[SubsystemModel],
     spec = ratfun.spectrum(nds0, eig_tol)
     modes = [ratfun.mode_data(nds0, lam, rank_tol) for lam in spec.values]
     # hardest modes first: larger outstanding deficiency fails faster
-    base_rank = [
-        _rank(md.z_all, rank_tol) for md in modes]
+    base_rank = [float_rank(md.z_all, rank_tol) for md in modes]
     mode_order = sorted(range(len(modes)),
                         key=lambda i: (base_rank[i] - modes[i].M_r, i))
     modes = [modes[i] for i in mode_order]

@@ -3,7 +3,8 @@
 Matrices are plain lists of rows holding `fractions.Fraction` entries; all
 routines in this module are exact. Floats enter the picture only through
 `to_float`, which is the hand-off point to numpy for eigenvalue and
-singular-value work.
+singular-value work, and `float_rank`/`singular_value_rank` hold the one
+numeric-rank rule applied to what numpy returns.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ Mat = list  # list[list[Fraction]]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Default singular-value cutoff of every numeric rank.
+RANK_TOL = 1e-9
 
 
 def frac(x) -> Fraction:
@@ -71,10 +75,6 @@ def msub(a: Mat, b: Mat) -> Mat:
     if shape(a) != shape(b):
         raise ValueError(f"shape mismatch {shape(a)} - {shape(b)}")
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mscale(a: Mat, s: Fraction) -> Mat:
-    return [[x * s for x in row] for row in a]
 
 
 def mmul(a: Mat, b: Mat) -> Mat:
@@ -148,6 +148,24 @@ def to_float(m: Mat) -> np.ndarray:
         for j in range(c):
             out[i, j] = float(m[i][j])
     return out
+
+
+def singular_value_rank(s: np.ndarray, tol: float = RANK_TOL) -> int:
+    """Count of singular values (descending) above the rank cutoff.
+
+    The cutoff is tol, absolute below unit scale and relative to the largest
+    singular value above it: tol * max(1, s[0]).
+    """
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > tol * max(1.0, s[0])))
+
+
+def float_rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
+    """Numeric rank of a float or complex matrix under `singular_value_rank`."""
+    if m.size == 0:
+        return 0
+    return singular_value_rank(np.linalg.svd(m, compute_uv=False), tol)
 
 
 def _eliminate(m: Mat) -> tuple[Mat, list[int], int]:

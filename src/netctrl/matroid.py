@@ -17,9 +17,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from . import exactla as ex
+from .exactla import RANK_TOL
 from .model import StructuredPattern
-
-RANK_TOL = 1e-9
 
 
 class NumericColumns:
@@ -48,10 +47,7 @@ class NumericColumns:
         elif self.exact:
             rank = ex.exact_rank(ex.submatrix(self.matrix, None, cols))
         else:
-            sub = self.matrix[:, cols]
-            s = np.linalg.svd(sub, compute_uv=False) if sub.size else np.array([])
-            rank = (int(np.sum(s > self.tol * max(1.0, s[0])))
-                    if s.size and s[0] > 0 else 0)
+            rank = ex.float_rank(self.matrix[:, cols], self.tol)
         self._rank_cache[key] = rank
         return rank
 
@@ -140,14 +136,6 @@ def _hopcroft_karp(adj: dict) -> int:
     return size
 
 
-def numeric_independent(matrix, subset: Iterable[int], tol: float = RANK_TOL) -> bool:
-    return NumericColumns(matrix, tol).independent(subset)
-
-
-def generic_independent(pattern: StructuredPattern, subset: Iterable[int]) -> bool:
-    return GenericPattern(pattern).independent(subset)
-
-
 @dataclass(frozen=True)
 class CommonIndependentSet:
     indices: frozenset
@@ -209,7 +197,7 @@ def substitute_pattern(pattern: StructuredPattern, rng: random.Random,
 
 
 def matroid_union_rank(numeric_part, generic_pattern: StructuredPattern,
-                       seed: int = 0, trials: int = 3) -> int:
+                       seed: int = 0, trials: int = 3, tol: float = RANK_TOL) -> int:
     """Union rank by randomized stacked rank.
 
     Stacking the numeric rows over a random realization of the generic rows
@@ -237,10 +225,7 @@ def matroid_union_rank(numeric_part, generic_pattern: StructuredPattern,
             ranks.append(ex.exact_rank(stacked))
         else:
             sub_f = ex.to_float(sub) if generic_pattern.rows else np.zeros((0, n_cols))
-            stacked = np.vstack([numeric_part, sub_f])
-            s = np.linalg.svd(stacked, compute_uv=False) if stacked.size else np.array([])
-            ranks.append(int(np.sum(s > RANK_TOL * max(1.0, s[0])))
-                         if s.size and s[0] > 0 else 0)
+            ranks.append(ex.float_rank(np.vstack([numeric_part, sub_f]), tol))
     return max(ranks)
 
 

@@ -17,8 +17,10 @@ free entries are the design variables of the topology problem.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from . import exactla as ex
@@ -281,38 +283,25 @@ class NdsModel:
                 ids.extend(s.param_block.entries.values())
         if len(set(ids)) != len(ids):
             raise ModelError("parameter ids must be globally distinct")
+        # Port map: offsets[kind][i] is the first global index of subsystem
+        # i's ports of that kind (x states, u/v inputs, z outputs); the last
+        # entry is the port total.
+        self.offsets = {
+            kind: list(accumulate((getattr(a, f"m_{kind}") for a in self.analysis), initial=0))
+            for kind in "xuvz"}
+        self.M_x, self.M_u, self.M_v, self.M_z = (self.offsets[k][-1] for k in "xuvz")
 
     @property
     def n_sub(self) -> int:
         return len(self.subsystems)
 
-    @property
-    def M_x(self) -> int:
-        return sum(a.m_x for a in self.analysis)
-
-    @property
-    def M_u(self) -> int:
-        return sum(a.m_u for a in self.analysis)
-
-    @property
-    def M_v(self) -> int:
-        return sum(a.m_v for a in self.analysis)
-
-    @property
-    def M_z(self) -> int:
-        return sum(a.m_z for a in self.analysis)
-
-    def v_offset(self, i: int) -> int:
-        return sum(a.m_v for a in self.analysis[:i])
-
-    def z_offset(self, i: int) -> int:
-        return sum(a.m_z for a in self.analysis[:i])
-
-    def u_offset(self, i: int) -> int:
-        return sum(a.m_u for a in self.analysis[:i])
-
-    def with_scm(self, scm: StructuredPattern) -> "NdsModel":
-        return NdsModel(self.subsystems, scm)
+    def locate(self, kind: str, idx: int) -> tuple[int, int]:
+        """(subsystem, local port), both 0-based, of global port `idx` of a kind."""
+        offs = self.offsets[kind]
+        if not 0 <= idx < offs[-1]:
+            raise IndexError(idx)
+        i = bisect_right(offs, idx) - 1
+        return i, idx - offs[i]
 
 
 @dataclass(frozen=True)
@@ -333,25 +322,21 @@ def assemble_lumped(nds: NdsModel) -> LumpedPlant:
     routing pattern: interconnection entries in the original port rows/columns,
     per-subsystem parameter patterns on the auxiliary diagonal blocks."""
     augs = nds.analysis
+    v_off, z_off = nds.offsets["v"], nds.offsets["z"]
     entries: dict[tuple[int, int], str] = {}
     # interconnection entries, mapped from original port indices to analysis ones
-    v_orig_to_aug: list[int] = []
-    for i, (sub, aug) in enumerate(zip(nds.subsystems, augs)):
-        base = nds.v_offset(i)
-        v_orig_to_aug.extend(base + p for p in range(sub.m_v0))
-    z_orig_to_aug: list[int] = []
-    for i, (sub, aug) in enumerate(zip(nds.subsystems, augs)):
-        base = nds.z_offset(i)
-        z_orig_to_aug.extend(base + p for p in range(sub.m_z0))
+    v_orig_to_aug = [v_off[i] + p for i, sub in enumerate(nds.subsystems)
+                     for p in range(sub.m_v0)]
+    z_orig_to_aug = [z_off[i] + p for i, sub in enumerate(nds.subsystems)
+                     for p in range(sub.m_z0)]
     for (r, c), pid in nds.scm.entries.items():
         entries[(v_orig_to_aug[r], z_orig_to_aug[c])] = pid
     for i, sub in enumerate(nds.subsystems):
         if not sub.has_free_params:
             continue
-        pat = sub.param_block
-        r0 = nds.v_offset(i) + sub.m_v0
-        c0 = nds.z_offset(i) + sub.m_z0
-        for (r, c), pid in pat.entries.items():
+        r0 = v_off[i] + sub.m_v0
+        c0 = z_off[i] + sub.m_z0
+        for (r, c), pid in sub.param_block.entries.items():
             entries[(r0 + r, c0 + c)] = pid
     pattern = StructuredPattern(nds.M_v, nds.M_z, entries)
     return LumpedPlant(

@@ -17,11 +17,10 @@ from typing import Optional
 import numpy as np
 
 from . import exactla as ex
-from .exactla import Mat, Poly
+from .exactla import RANK_TOL, Mat, Poly
 from .model import AugmentedSubsystem, NdsModel
 
 EIG_TOL = 1e-6
-RANK_TOL = 1e-9
 
 
 def resolvent(a: Mat) -> tuple[list[list[Poly]], Poly]:
@@ -191,8 +190,13 @@ class Spectrum:
     def m(self) -> int:
         return len(self.values)
 
-    def unstable(self, margin: float = 1e-9) -> list:
-        return [v for v in self.values if v.real >= -margin]
+    def unstable(self) -> list:
+        return [v for v in self.values if is_unstable(v)]
+
+
+def is_unstable(lam: complex) -> bool:
+    """A mode a stabilizing design must clear: real part >= -1e-9."""
+    return complex(lam).real >= -1e-9
 
 
 def _cluster_key(v: complex) -> tuple[float, float]:
@@ -247,23 +251,13 @@ def spectrum(nds: NdsModel, tol: float = EIG_TOL) -> Spectrum:
     return Spectrum([values[i] for i in order], [members[i] for i in order], tol)
 
 
-def _float_rank(m: np.ndarray, tol: float) -> int:
-    """Singular-value rank: tolerance is absolute below unit scale, relative above."""
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * max(1.0, s[0])))
-
-
 def left_null_basis(m: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
     """Orthonormal rows spanning {w : w m = 0}; returns (basis, rank(m))."""
     rows = m.shape[0]
     if m.size == 0:
         return np.eye(rows, dtype=m.dtype if m.dtype.kind == "c" else float), 0
     u, s, _ = np.linalg.svd(m)
-    rank = int(np.sum(s > tol * max(1.0, s[0]))) if s.size and s[0] > 0 else 0
+    rank = ex.singular_value_rank(s, tol)
     return u[:, rank:].conj().T, rank
 
 
@@ -282,7 +276,6 @@ class SubsystemModeData:
 class ModeData:
     lam: complex
     per_sub: list  # list[SubsystemModeData]
-    t_all: np.ndarray
     z_all: np.ndarray
     y_all: np.ndarray
     M_r: int
@@ -317,14 +310,13 @@ def mode_data(nds: NdsModel, lam: complex, tol: float = RANK_TOL) -> ModeData:
         a_xv = ex.to_float(aug.A_xv).reshape(aug.m_x, aug.m_v)
         a_zv = ex.to_float(aug.A_zv).reshape(aug.m_z, aug.m_v)
         y = t @ a_xv + z @ a_zv
-        pbh_rank = _float_rank(top, tol)
+        pbh_rank = ex.float_rank(top, tol)
         per.append(SubsystemModeData(t=t, z=z, y=y, m_r=m_r,
                                      pbh_deficiency=aug.m_x - pbh_rank))
     M_r = sum(s.m_r for s in per)
-    t_all = _block_diag_np([s.t for s in per], [a.m_x for a in nds.analysis], dtype)
     z_all = _block_diag_np([s.z for s in per], [a.m_z for a in nds.analysis], dtype)
     y_all = _block_diag_np([s.y for s in per], [a.m_v for a in nds.analysis], dtype)
-    return ModeData(lam=lam, per_sub=per, t_all=t_all, z_all=z_all, y_all=y_all, M_r=M_r)
+    return ModeData(lam=lam, per_sub=per, z_all=z_all, y_all=y_all, M_r=M_r)
 
 
 def _block_diag_np(blocks: list, col_widths: list[int], dtype) -> np.ndarray:
@@ -337,9 +329,3 @@ def _block_diag_np(blocks: list, col_widths: list[int], dtype) -> np.ndarray:
         r0 += b.shape[0]
         c0 += w
     return out
-
-
-def all_mode_data(nds: NdsModel, spec: Optional[Spectrum] = None,
-                  tol: float = RANK_TOL) -> list[ModeData]:
-    spec = spec if spec is not None else spectrum(nds)
-    return [mode_data(nds, lam, tol) for lam in spec.values]

@@ -42,14 +42,8 @@ class StructureGraph:
             adj[v].sort()
         return adj
 
-    def lambda_edges(self) -> list[Edge]:
-        return [e for e in self.edges if e[2] == "lambda"]
-
     def with_edges(self, extra: Iterable[Edge]) -> "StructureGraph":
         return StructureGraph(self.vertices, tuple(sorted(set(self.edges) | set(extra))))
-
-    def input_vertices(self) -> list[Vertex]:
-        return [v for v in self.vertices if v[0] == "u"]
 
 
 def _graph(vertices: Iterable[Vertex], edges: Iterable[Edge]) -> StructureGraph:
@@ -103,11 +97,14 @@ def build_acg(gzv_classes: list, gzu_classes: list) -> StructureGraph:
     return _graph(verts, edges)
 
 
-def _locate(offsets: list[int], widths: list[int], idx: int) -> tuple[int, int]:
-    for i, (off, w) in enumerate(zip(offsets, widths)):
-        if off <= idx < off + w:
-            return i, idx - off
-    raise IndexError(idx)
+def link_edges(nds: NdsModel, positions: Iterable[tuple[int, int]]) -> list[Edge]:
+    """One routing-link edge z -> v per (input row, output column) position."""
+    edges = []
+    for r, c in positions:
+        j, q = nds.locate("v", r)
+        i, p = nds.locate("z", c)
+        edges.append((("z", i + 1, p + 1), ("v", j + 1, q + 1), "link"))
+    return edges
 
 
 def build_nacg(nds: NdsModel, tfms: list) -> StructureGraph:
@@ -119,15 +116,7 @@ def build_nacg(nds: NdsModel, tfms: list) -> StructureGraph:
     for g in graphs:
         verts.extend(g.vertices)
         edges.extend(g.edges)
-    pat = assemble_lumped(nds).P_pattern
-    v_off = [nds.v_offset(i) for i in range(nds.n_sub)]
-    v_w = [a.m_v for a in nds.analysis]
-    z_off = [nds.z_offset(i) for i in range(nds.n_sub)]
-    z_w = [a.m_z for a in nds.analysis]
-    for (r, c) in pat.positions():
-        j, q = _locate(v_off, v_w, r)
-        i, p = _locate(z_off, z_w, c)
-        edges.append((("z", i + 1, p + 1), ("v", j + 1, q + 1), "link"))
+    edges.extend(link_edges(nds, assemble_lumped(nds).P_pattern.positions()))
     return _graph(verts, edges)
 
 
@@ -139,31 +128,15 @@ def build_lumped_acg(nds: NdsModel, tfms: list) -> StructureGraph:
     block-diagonal internal transfer matrix, so edge existence and frequency
     dependence come straight from the per-subsystem entry classes.
     """
-    pat = assemble_lumped(nds).P_pattern
-    positions = pat.positions()
+    positions = assemble_lumped(nds).P_pattern.positions()
     k = len(positions)
-    z_off = [nds.z_offset(i) for i in range(nds.n_sub)]
-    z_w = [a.m_z for a in nds.analysis]
-    v_off = [nds.v_offset(i) for i in range(nds.n_sub)]
-    v_w = [a.m_v for a in nds.analysis]
-    u_off = [nds.u_offset(i) for i in range(nds.n_sub)]
-
-    def zv_class(c_glob: int, r_glob: int):
-        iz, pz = _locate(z_off, z_w, c_glob)
-        iv, pv = _locate(v_off, v_w, r_glob)
-        if iz != iv:
-            return None
-        return tfms[iz].gzv_classes[pz][pv]
-
-    gzv_cls = [[None] * k for _ in range(k)]
-    for a, (_, c_a) in enumerate(positions):
-        for b, (r_b, _) in enumerate(positions):
-            cls = zv_class(c_a, r_b)
-            gzv_cls[a][b] = cls if cls is not None else _ZERO_CLASS
-    m_u = nds.M_u
-    gzu_cls = [[_ZERO_CLASS] * m_u for _ in range(k)]
-    for a, (_, c_a) in enumerate(positions):
-        iz, pz = _locate(z_off, z_w, c_a)
+    outputs = [nds.locate("z", c) for _, c in positions]
+    inputs = [nds.locate("v", r) for r, _ in positions]
+    gzv_cls = [[tfms[iz].gzv_classes[pz][pv] if iz == iv else _ZERO_CLASS
+                for iv, pv in inputs] for iz, pz in outputs]
+    u_off = nds.offsets["u"]
+    gzu_cls = [[_ZERO_CLASS] * nds.M_u for _ in range(k)]
+    for a, (iz, pz) in enumerate(outputs):
         for pu in range(nds.analysis[iz].m_u):
             gzu_cls[a][u_off[iz] + pu] = tfms[iz].gzu_classes[pz][pu]
     return build_acg(gzv_cls, gzu_cls)

@@ -23,8 +23,6 @@ from .matroid import (GenericPattern, NumericColumns, matroid_intersection_rank,
 from .model import (NdsModel, StructuredPattern, SubsystemModel,
                     assemble_lumped, check_well_posedness, diagonalize_parameters)
 
-UNSTABLE_MARGIN = 1e-9
-
 
 class IllPosedError(RuntimeError):
     """The model failed its well-posedness check."""
@@ -119,27 +117,25 @@ def check_fum_lumped(nds: NdsModel, modes: Optional[list] = None,
         bot = np.hstack([np.zeros((k, n + q)), np.eye(k)]).astype(dtype)
         big = np.vstack([top, mid, bot])
         numeric = big.T  # ground elements are the plant rows
-        rank = matroid_union_rank(numeric, gen, seed=seed)
+        rank = matroid_union_rank(numeric, gen, seed=seed, tol=rank_tol)
         out.append(ModeCheck(lam, n + 2 * k, rank))
     return out
 
 
-def check_pdum(nds: NdsModel, tfms: Optional[list] = None,
-               cross_check: bool = True) -> Optional[list]:
+def check_pdum(nds: NdsModel, tfms: Optional[list] = None) -> Optional[list]:
     """Witness cycle for a parameter-dependent uncontrollable mode, if any.
 
-    The networked graph answers the question; optionally the square lumped
-    graph is consulted as well, and the two are required to agree.
+    The networked graph answers the question; the square lumped graph is
+    consulted as well, and the two are required to agree.
     """
     tfms = tfms if tfms is not None else ratfun.nds_tfms(nds)
     nacg = structgraph.build_nacg(nds, tfms)
     witness = structgraph.find_input_unreachable_lambda_cycle(nacg)
-    if cross_check:
-        lumped = structgraph.build_lumped_acg(nds, tfms)
-        lumped_witness = structgraph.find_input_unreachable_lambda_cycle(lumped)
-        if (witness is None) != (lumped_witness is None):
-            raise AssertionError("networked and lumped cycle tests disagree "
-                                 "(internal error)")
+    lumped = structgraph.build_lumped_acg(nds, tfms)
+    lumped_witness = structgraph.find_input_unreachable_lambda_cycle(lumped)
+    if (witness is None) != (lumped_witness is None):
+        raise AssertionError("networked and lumped cycle tests disagree "
+                             "(internal error)")
     return witness
 
 
@@ -184,13 +180,8 @@ def _fmt_c(lam: complex) -> str:
 def check_structural_controllability(nds: NdsModel, seed: int = 0,
                                      rank_tol: float = ratfun.RANK_TOL,
                                      eig_tol: float = ratfun.EIG_TOL,
-                                     wellposed_trials: int = 3,
-                                     jobs: int = 1) -> Verdict:
-    """Full verdict: unreachable frequency-dependent edge plus per-mode ranks.
-
-    jobs > 1 computes the independent per-mode null-space payloads on a
-    thread pool; everything here is pure, so the result is unchanged.
-    """
+                                     wellposed_trials: int = 3) -> Verdict:
+    """Full verdict: unreachable frequency-dependent edge plus per-mode ranks."""
     wp = check_well_posedness(nds, trials=wellposed_trials, seed=seed)
     if not wp.well_posed:
         raise IllPosedError(f"model is ill-posed: {wp.detail}")
@@ -200,13 +191,7 @@ def check_structural_controllability(nds: NdsModel, seed: int = 0,
     lam_edge = structgraph.find_input_unreachable_lambda_edge(nacg, scc)
     cycle = structgraph.find_input_unreachable_lambda_cycle(nacg, scc)
     spec = ratfun.spectrum(nds, eig_tol)
-    if jobs > 1 and len(spec.values) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            modes = list(pool.map(lambda l: ratfun.mode_data(nds, l, rank_tol),
-                                  spec.values))
-    else:
-        modes = [ratfun.mode_data(nds, lam, rank_tol) for lam in spec.values]
+    modes = [ratfun.mode_data(nds, lam, rank_tol) for lam in spec.values]
     checks = check_fum_networked(nds, modes, rank_tol)
     fums = fums_of(checks)
     ok = lam_edge is None and not fums
@@ -261,14 +246,13 @@ def check_feasibility(subsystems: list[SubsystemModel], mode_filter: str = "all"
         if aug.m_x:
             for lam in _filtered(np.linalg.eigvals(a), mode_filter):
                 pbh = np.hstack([lam * np.eye(aug.m_x) - a, wide.astype(complex)])
-                if ratfun._float_rank(pbh, rank_tol) < aug.m_x:
+                if ex.float_rank(pbh, rank_tol) < aug.m_x:
                     ok = False
                     detail.append(f"subsystem {idx + 1} uncontrollable at {lam:.6g}")
                     break
         cond_i.append((idx, ok))
     spec = ratfun.spectrum(nds, eig_tol)
-    lams = [l for l in spec.values
-            if mode_filter == "all" or l.real >= -UNSTABLE_MARGIN]
+    lams = spec.values if mode_filter == "all" else spec.unstable()
     targets = [ratfun.mode_data(nds, lam, rank_tol).M_r for lam in lams]
     max_target = max(targets, default=0)
     cond_ii = nds.M_z >= max_target
@@ -288,7 +272,7 @@ def check_feasibility(subsystems: list[SubsystemModel], mode_filter: str = "all"
 def _filtered(lams, mode_filter: str):
     if mode_filter == "all":
         return lams
-    return [l for l in lams if complex(l).real >= -UNSTABLE_MARGIN]
+    return [l for l in lams if ratfun.is_unstable(l)]
 
 
 def realize_numeric(nds: NdsModel, values: dict[str, Fraction]) -> tuple[ex.Mat, ex.Mat]:
@@ -328,7 +312,7 @@ def _equilibrated_rank(m: np.ndarray, tol: float) -> int:
         cn = np.max(np.abs(m), axis=0, keepdims=True)
         cn[cn == 0] = 1.0
         m = m / cn
-    return ratfun._float_rank(m, tol)
+    return ex.float_rank(m, tol)
 
 
 def uncontrollable_modes(a: np.ndarray, b: np.ndarray, tol: float = 1e-7) -> list:

@@ -142,7 +142,7 @@ def test_criterion_5b_intersection_equals_product_rank(instances, instance_check
                         for pid in pat.entries.values()}
                 pv = ex.to_float(pat.substitute(vals))
                 prod = md.y_all @ pv + md.z_all
-                best = max(best, ratfun._float_rank(prod, 1e-9))
+                best = max(best, ex.float_rank(prod, 1e-9))
                 if best == mc.achieved:
                     break
             assert best == mc.achieved, f"instance {i}, mode {lam}"

@@ -181,3 +181,33 @@ def test_text_format(sec7_doc, tmp_path, capsys):
 
 def test_missing_file_errors(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "--seed", "1"], ["graph", "--tol", "1e-9"], ["graph", "--format", "text"],
+    ["feasible", "--seed", "1"], ["realize", "--tol", "1e-9"],
+    ["realize", "--eig-tol", "1e-6"], ["check", "--jobs", "2"],
+])
+def test_unread_flags_are_usage_errors(sec7_doc, tmp_path, capsys, argv):
+    path = _write(tmp_path, sec7_doc)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], path] + argv[1:])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_realize_echoes_only_used_settings(sec7_doc, tmp_path):
+    path = _write(tmp_path, sec7_doc)
+    out = tmp_path / "r.json"
+    main(["realize", path, "--trials", "1", "--out", str(out)])
+    args = json.loads(out.read_text())["arguments"]
+    assert sorted(args) == ["method", "seed", "trials"]
+
+
+@pytest.mark.parametrize("command", ["design", "feasible", "realize", "graph"])
+def test_float_warning_on_every_command(sec7_doc, tmp_path, capsys, command):
+    doc = json.loads(json.dumps(sec7_doc))
+    doc["subsystems"][0]["A_xx"][0][0] = 0.5
+    path = _write(tmp_path, doc)
+    main([command, path, "--out", str(tmp_path / "out")])
+    assert "warning:" in capsys.readouterr().err

@@ -93,3 +93,26 @@ def test_poly_trim_and_degree():
     p = Poly([1, 1])  # 1 + x
     assert p.shift(2).c == [Fraction(0)] * 2 + [Fraction(1), Fraction(1)]
     assert Poly([0, 0, 1]).monic()
+
+
+def test_rank_rule_empty_and_zero():
+    assert ex.singular_value_rank(np.array([])) == 0
+    assert ex.float_rank(np.zeros((0, 3))) == 0
+    assert ex.float_rank(np.zeros((3, 0))) == 0
+    assert ex.float_rank(np.zeros((3, 3))) == 0
+    assert ex.singular_value_rank(np.zeros(3)) == 0
+
+
+def test_rank_rule_absolute_below_unit_scale():
+    # largest value 1e-3 < 1: the cutoff stays at tol itself
+    assert ex.singular_value_rank(np.array([1e-3, 5e-10])) == 1
+    assert ex.singular_value_rank(np.array([1e-3, 2e-9])) == 2
+    assert ex.float_rank(np.diag([1e-3, 5e-10])) == 1
+
+
+def test_rank_rule_relative_above_unit_scale():
+    # largest value 1e4: the cutoff scales to tol * 1e4 = 1e-5
+    assert ex.singular_value_rank(np.array([1e4, 5e-6])) == 1
+    assert ex.singular_value_rank(np.array([1e4, 2e-5])) == 2
+    assert ex.float_rank(np.diag([1e4, 5e-6]), tol=1e-9) == 1
+    assert ex.float_rank(np.diag([1e4, 5e-6]), tol=1e-12) == 2

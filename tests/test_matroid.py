@@ -2,13 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from netctrl import exactla as ex
 from netctrl.matroid import (GenericPattern, NumericColumns,
-                             exhaustive_union_rank, generic_independent,
-                             matroid_intersection_rank, matroid_union_rank,
-                             numeric_independent)
+                             exhaustive_union_rank, matroid_intersection_rank,
+                             matroid_union_rank)
 from netctrl.model import StructuredPattern
 
 
@@ -19,10 +19,10 @@ def _pattern(rows, cols, positions, prefix="g"):
 
 def test_numeric_independent_basics():
     eye = ex.eye(3)
-    assert numeric_independent(eye, {0, 1})
-    dup = ex.mat([[1, 1], [2, 2]])
-    assert not numeric_independent(dup, {0, 1})
-    assert numeric_independent(dup, {0})
+    assert NumericColumns(eye).independent({0, 1})
+    dup = NumericColumns(ex.mat([[1, 1], [2, 2]]))
+    assert not dup.independent({0, 1})
+    assert dup.independent({0})
 
 
 def test_numeric_exact_and_float_agree():
@@ -40,12 +40,13 @@ def test_numeric_exact_and_float_agree():
 def test_generic_independent_identity_block():
     # routing pattern [P^T I]: identity columns are always independent
     pat = _pattern(3, 7, [(j, 4 + j) for j in range(3)] + [(0, 0), (1, 0)])
-    assert generic_independent(pat, {4, 5, 6})
-    assert generic_independent(pat, {0, 5, 6})
+    oracle = GenericPattern(pat)
+    assert oracle.independent({4, 5, 6})
+    assert oracle.independent({0, 5, 6})
     # two columns whose only free entries share one row are dependent
-    pat2 = _pattern(2, 2, [(0, 0), (0, 1)])
-    assert not generic_independent(pat2, {0, 1})
-    assert generic_independent(pat2, {0})
+    oracle2 = GenericPattern(_pattern(2, 2, [(0, 0), (0, 1)]))
+    assert not oracle2.independent({0, 1})
+    assert oracle2.independent({0})
 
 
 def test_generic_matches_substitution_oracle():
@@ -65,7 +66,7 @@ def test_generic_matches_substitution_oracle():
         k = rng.randint(0, cols)
         subset = frozenset(rng.sample(range(cols), k))
         want = ex.exact_rank(ex.submatrix(numeric, None, sorted(subset))) == len(subset)
-        assert generic_independent(pat, subset) == want
+        assert GenericPattern(pat).independent(subset) == want
 
 
 class _PartitionOracle:
@@ -176,6 +177,15 @@ def test_union_randomized_matches_exhaustive():
         pat = _pattern(rows, n, positions)
         assert matroid_union_rank(numeric, pat, seed=trial) == \
             exhaustive_union_rank(numeric, pat)
+
+
+def test_union_rank_honours_tolerance():
+    # one singular value of 1e-6: counted at tol 1e-9, cut at tol 1e-3
+    numeric = np.diag([1.0, 1e-6])
+    empty = _pattern(0, 2, [])
+    assert matroid_union_rank(numeric, empty, tol=1e-9) == 2
+    assert matroid_union_rank(numeric, empty, tol=1e-3) == 1
+    assert exhaustive_union_rank(numeric, empty, tol=1e-3) == 1
 
 
 def test_union_rank_mismatched_ground():

@@ -212,3 +212,24 @@ def test_well_posedness_single_subsystem(sec7):
 def test_well_posedness_requires_positive_trials(sec7):
     with pytest.raises(ValueError):
         check_well_posedness(sec7, trials=0)
+
+
+def test_port_map_matches_brute_force():
+    from randgen import random_nds
+    with_blocks = 0
+    for seed in range(40):
+        nds = random_nds(seed, max_sub=5, lft_prob=0.6)
+        with_blocks += any(s.has_free_params for s in nds.subsystems)
+        for kind in "xuvz":
+            widths = [getattr(a, f"m_{kind}") for a in nds.analysis]
+            offsets = nds.offsets[kind]
+            assert offsets == [sum(widths[:i]) for i in range(nds.n_sub + 1)]
+            assert getattr(nds, f"M_{kind}") == sum(widths)
+            ports = [(i, p) for i, w in enumerate(widths) for p in range(w)]
+            assert [nds.locate(kind, g) for g in range(sum(widths))] == ports
+            for g, (i, p) in enumerate(ports):
+                assert offsets[i] + p == g
+            for bad in (-1, sum(widths)):
+                with pytest.raises(IndexError):
+                    nds.locate(kind, bad)
+    assert with_blocks >= 10

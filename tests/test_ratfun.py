@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from netctrl import exactla as ex
 from netctrl.exactla import Poly
 from netctrl.model import NdsModel, StructuredPattern, SubsystemModel
-from netctrl.ratfun import (_float_rank, mode_data, nds_tfms, resolvent,
-                            spectrum, subsystem_tfms)
+from netctrl.ratfun import mode_data, nds_tfms, resolvent, spectrum, subsystem_tfms
 
 
 def test_resolvent_scalar_zero():
@@ -198,5 +197,5 @@ def test_mode_data_rank_identity_sec7(sec7):
     for lam in spectrum(sec7).values:
         md = mode_data(sec7, lam)
         for aug, sd in zip(sec7.analysis, md.per_sub):
-            z_rank = _float_rank(sd.z, 1e-9)
+            z_rank = ex.float_rank(sd.z, 1e-9)
             assert sd.m_r - z_rank == sd.pbh_deficiency
