@@ -5,7 +5,7 @@ parameter dependence: analysis verdicts and minimal interconnection design.
 from .design import (DesignResult, InfeasibleDesignError, brute_force_min_topology,
                      design_topology, eliminate_pdums, extract_cover_sets, g_value,
                      greedy_color, greedy_link_rows)
-from .exactla import Poly, frac, mat
+from .exactla import frac, mat
 from .matroid import (CommonIndependentSet, GenericPattern, NumericColumns,
                       exhaustive_union_rank, matroid_intersection_rank,
                       matroid_union_rank)
@@ -13,8 +13,8 @@ from .model import (AugmentedSubsystem, LumpedPlant, ModelError, NdsModel,
                     StructuredPattern, SubsystemModel, analysis_form,
                     assemble_lumped, augment_subsystem, check_well_posedness,
                     close_parameter_block, diagonalize_parameters)
-from .ratfun import (EntryClass, ModeData, RatFunMatrix, Spectrum, mode_data,
-                     nds_tfms, resolvent, spectrum, subsystem_tfms)
+from .ratfun import (EntryClass, ModeData, Spectrum, entry_classes, mode_data,
+                     nds_tfms, spectrum, subsystem_tfms)
 from .structgraph import (SccDecomposition, StructureGraph, build_acg, build_nacg,
                           build_subsystem_acg, find_input_unreachable_lambda_cycle,
                           find_input_unreachable_lambda_edge, scc_decompose, to_dot,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -58,6 +59,8 @@ def _parse_matrix(obj, where: str, warnings: list[str]) -> ex.Mat:
 
 
 def _parse_positions(obj, rows: int, cols: int, where: str) -> list[tuple[int, int]]:
+    if not isinstance(obj, list):
+        raise DocumentError(f"{where}: expected a list of [row, col] pairs")
     out = []
     for item in obj:
         if (not isinstance(item, list) or len(item) != 2
@@ -70,6 +73,14 @@ def _parse_positions(obj, rows: int, cols: int, where: str) -> list[tuple[int, i
     if len(set(out)) != len(out):
         raise DocumentError(f"{where}: duplicate positions")
     return out
+
+
+def _tolerance(x) -> float:
+    """A tolerance from a document or a flag: a finite number >= 0."""
+    value = float(x)
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"expected a finite number >= 0, got {x!r}")
+    return value
 
 
 def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
@@ -157,11 +168,12 @@ def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
     oraw = data.get("options", {})
     if not isinstance(oraw, dict):
         raise DocumentError("options: expected an object")
-    for key in ("eig_tol", "rank_tol"):
+    for key, kind in (("eig_tol", _tolerance), ("rank_tol", _tolerance), ("seed", int)):
         if key in oraw:
-            options[key] = float(oraw[key])
-    if "seed" in oraw:
-        options["seed"] = int(oraw["seed"])
+            try:
+                options[key] = kind(oraw[key])
+            except (TypeError, ValueError, OverflowError) as e:
+                raise DocumentError(f"options.{key}: bad value {oraw[key]!r} ({e})") from None
     try:
         model = NdsModel(subsystems, scm)
     except ModelError as e:
@@ -353,14 +365,21 @@ def cmd_graph(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 # Optional flags by name; each subcommand takes only the ones it reads.
 _FLAGS = {
     "seed": ("--seed", dict(type=int, default=None)),
-    "tol": ("--tol", dict(type=float, default=None, help="rank tolerance (relative)")),
-    "eig-tol": ("--eig-tol", dict(type=float, default=None,
+    "tol": ("--tol", dict(type=_tolerance, default=None, help="rank tolerance (relative)")),
+    "eig-tol": ("--eig-tol", dict(type=_tolerance, default=None,
                                   help="eigenvalue clustering tolerance")),
     "modes": ("--modes", dict(choices=("all", "unstable"), default="all")),
-    "trials": ("--trials", dict(type=int, default=5)),
+    "trials": ("--trials", dict(type=_positive_int, default=5)),
     "method": ("--method", dict(choices=("pbh", "stacked"), default="pbh")),
     "format": ("--format", dict(choices=("json", "text"), default="json")),
 }

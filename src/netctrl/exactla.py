@@ -5,6 +5,10 @@ routines in this module are exact. Floats enter the picture only through
 `to_float`, which is the hand-off point to numpy for eigenvalue and
 singular-value work, and `float_rank`/`singular_value_rank` hold the one
 numeric-rank rule applied to what numpy returns.
+
+No polynomial arithmetic is needed: `ratfun` classifies each transfer entry
+of C (lambda*I - A)^-1 B + D from the exact Markov parameters C A^k B,
+k < n (Cayley-Hamilton), which are plain `mmul` products.
 """
 
 from __future__ import annotations
@@ -243,87 +247,3 @@ def exact_solve(a: Mat, b: Mat) -> Mat:
             f = aug[i][col]
             aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
     return [row[n:] for row in aug]
-
-
-class Poly:
-    """Univariate polynomial with Fraction coefficients, ascending degree.
-
-    The zero polynomial has an empty coefficient list.
-    """
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: Sequence = ()):
-        c = [frac(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.c = c
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.c) - 1
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def __bool__(self) -> bool:
-        return bool(self.c)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.c == other.c
-
-    def __hash__(self):
-        return hash(tuple(self.c))
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.c), len(other.c))
-        a = self.c + [ZERO] * (n - len(self.c))
-        b = other.c + [ZERO] * (n - len(other.c))
-        return Poly([x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.c), len(other.c))
-        a = self.c + [ZERO] * (n - len(self.c))
-        b = other.c + [ZERO] * (n - len(other.c))
-        return Poly([x - y for x, y in zip(a, b)])
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if not self.c or not other.c:
-            return Poly()
-        out = [ZERO] * (len(self.c) + len(other.c) - 1)
-        for i, x in enumerate(self.c):
-            if x == 0:
-                continue
-            for j, y in enumerate(other.c):
-                out[i + j] += x * y
-        return Poly(out)
-
-    def scale(self, s: Fraction) -> "Poly":
-        return Poly([x * frac(s) for x in self.c])
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by lambda**k."""
-        if not self.c:
-            return Poly()
-        return Poly([ZERO] * k + self.c)
-
-    def __call__(self, x):
-        """Evaluate with Horner's rule; x may be Fraction, float or complex."""
-        acc = 0 * x if not isinstance(x, Fraction) else ZERO
-        for coeff in reversed(self.c):
-            acc = acc * x + (coeff if isinstance(x, Fraction) else float(coeff))
-        return acc
-
-    def monic(self) -> bool:
-        return bool(self.c) and self.c[-1] == 1
-
-    def __repr__(self) -> str:
-        if not self.c:
-            return "Poly(0)"
-        terms = []
-        for i, x in enumerate(self.c):
-            if x == 0:
-                continue
-            terms.append(f"{x}*L^{i}" if i else f"{x}")
-        return "Poly(" + " + ".join(terms) + ")"

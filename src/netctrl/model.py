@@ -367,11 +367,6 @@ def diagonalize_parameters(p: StructuredPattern) -> tuple[Mat, int, Mat]:
     return u, k, v
 
 
-def pattern_parameter_order(p: StructuredPattern) -> list[str]:
-    """Parameter ids in the order used by diagonalize_parameters."""
-    return [p.entries[pos] for pos in p.positions()]
-
-
 @dataclass(frozen=True)
 class WellPosednessVerdict:
     well_posed: bool

@@ -1,9 +1,9 @@
-"""Exact transfer matrices, eigenvalue pooling, and per-mode null-space data.
+"""Exact transfer-entry classes, eigenvalue pooling, and per-mode null-space data.
 
-The resolvent of a rational matrix is computed exactly with the
-Faddeev-LeVerrier recursion, so the zero/nonzero and frequency-dependence
-structure of every transfer entry is a statement about integer polynomial
-coefficients, not about floating-point residues. Eigenvalues and null-space
+Each entry of C (lambda*I - A)^-1 B + D is classified as zero, constant or
+frequency dependent from the Markov parameters C A^k B, k < n, and from D,
+all in exact rational arithmetic: the class is a statement about exact
+numbers, not about floating-point residues. Eigenvalues and null-space
 bases, which are generally irrational, are the only floating-point objects
 here.
 """
@@ -17,83 +17,10 @@ from typing import Optional
 import numpy as np
 
 from . import exactla as ex
-from .exactla import RANK_TOL, Mat, Poly
+from .exactla import RANK_TOL, Mat
 from .model import AugmentedSubsystem, NdsModel
 
 EIG_TOL = 1e-6
-
-
-def resolvent(a: Mat) -> tuple[list[list[Poly]], Poly]:
-    """Adjugate/charpoly pair of (lambda*I - a) by Faddeev-LeVerrier.
-
-    Returns (N, d) with N a matrix of polynomials and d the monic
-    characteristic polynomial, satisfying N(lambda) (lambda*I - a) =
-    d(lambda) * I exactly; every entry of N has degree < deg d.
-    """
-    n = len(a)
-    if n == 0:
-        return [], Poly([1])
-    b = ex.eye(n)
-    bs = [b]
-    coeffs = [ex.ONE]  # descending: lambda^n, lambda^(n-1), ...
-    for k in range(1, n + 1):
-        ab = ex.mmul(a, b)
-        trace = sum((ab[i][i] for i in range(n)), ex.ZERO)
-        ak = -trace / k
-        coeffs.append(ak)
-        b = [row[:] for row in ab]
-        for i in range(n):
-            b[i][i] += ak
-        if k < n:
-            bs.append(b)
-    if any(x != 0 for row in b for x in row):
-        raise AssertionError("Faddeev-LeVerrier failed to annihilate (internal error)")
-    d = Poly(list(reversed(coeffs)))
-    nmat = [[Poly([bs[n - 1 - t][i][j] for t in range(n)]) for j in range(n)]
-            for i in range(n)]
-    return nmat, d
-
-
-def _frac_times_polymat(f: Mat, p: list[list[Poly]]) -> list[list[Poly]]:
-    rf, cf = ex.shape(f)
-    rp = len(p)
-    cp = len(p[0]) if p else 0
-    if cf != rp:
-        if cf == 0 and rp == 0:
-            return [[Poly() for _ in range(cp)] for _ in range(rf)]
-        raise ValueError("shape mismatch in polynomial product")
-    out = []
-    for i in range(rf):
-        row = []
-        for j in range(cp):
-            acc = Poly()
-            for k in range(cf):
-                if f[i][k] != 0 and p[k][j]:
-                    acc = acc + p[k][j].scale(f[i][k])
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _polymat_times_frac(p: list[list[Poly]], f: Mat) -> list[list[Poly]]:
-    rp = len(p)
-    cp = len(p[0]) if p else 0
-    rf, cf = ex.shape(f)
-    if cp != rf:
-        if cp == 0 and rf == 0:
-            return [[Poly() for _ in range(cf)] for _ in range(rp)]
-        raise ValueError("shape mismatch in polynomial product")
-    out = []
-    for i in range(rp):
-        row = []
-        for j in range(cf):
-            acc = Poly()
-            for k in range(cp):
-                if p[i][k] and f[k][j] != 0:
-                    acc = acc + p[i][k].scale(f[k][j])
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 @dataclass(frozen=True)
@@ -118,60 +45,41 @@ class EntryClass:
         return self.kind == "lambda"
 
 
-@dataclass(frozen=True)
-class RatFunMatrix:
-    """Strictly proper part (shared denominator) plus a constant addend."""
+def entry_classes(c: Mat, a: Mat, b: Mat, d: Mat) -> list[list[EntryClass]]:
+    """Class of every entry of C (lambda*I - A)^-1 B + D.
 
-    numerators: list  # list[list[Poly]]
-    denominator: Poly
-    affine: Mat
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return ex.shape(self.affine)
-
-    def entry_class(self, q: int, p: int) -> EntryClass:
-        if self.numerators and self.numerators[q][p]:
-            return EntryClass("lambda")
-        c = self.affine[q][p]
-        if c != 0:
-            return EntryClass("constant", c)
-        return EntryClass("zero")
-
-    def class_matrix(self) -> list[list[EntryClass]]:
-        r, c = self.shape
-        return [[self.entry_class(q, p) for p in range(c)] for q in range(r)]
-
-    def eval(self, lam: complex) -> np.ndarray:
-        """Numeric value at one frequency (no pole check)."""
-        r, c = self.shape
-        den = complex(self.denominator(complex(lam)))
-        out = np.zeros((r, c), dtype=complex)
-        for q in range(r):
-            for p in range(c):
-                num = complex(self.numerators[q][p](complex(lam))) if self.numerators else 0.0
-                out[q, p] = num / den + float(self.affine[q][p])
-        return out
+    The strictly proper part expands as sum_k C A^k B / lambda^(k+1), and by
+    Cayley-Hamilton it vanishes identically iff the n Markov parameters
+    C A^k B with k < n do. An entry is "lambda" when one of those is nonzero
+    there, otherwise "constant" when D is nonzero there, otherwise "zero".
+    """
+    rows, cols = ex.shape(d)
+    dynamic = [[False] * cols for _ in range(rows)]
+    cak = c
+    for k in range(len(a)):
+        if k:
+            cak = ex.mmul(cak, a)
+        for q, row in enumerate(ex.mmul(cak, b)):
+            for p, x in enumerate(row):
+                if x != 0:
+                    dynamic[q][p] = True
+    return [[EntryClass("lambda") if dynamic[q][p]
+             else EntryClass("constant", d[q][p]) if d[q][p] != 0
+             else EntryClass("zero") for p in range(cols)] for q in range(rows)]
 
 
 @dataclass(frozen=True)
 class SubsystemTfms:
-    """Internal- and external-input transfer matrices of one subsystem."""
+    """Entry classes of one subsystem's internal- and external-input transfers."""
 
-    gzv: RatFunMatrix
-    gzu: RatFunMatrix
     gzv_classes: list
     gzu_classes: list
 
 
 def subsystem_tfms(aug: AugmentedSubsystem) -> SubsystemTfms:
-    """Exact transfer matrices from internal/external inputs to internal outputs."""
-    nmat, d = resolvent(aug.A_xx)
-    strict_v = _polymat_times_frac(_frac_times_polymat(aug.A_zx, nmat), aug.A_xv)
-    strict_u = _polymat_times_frac(_frac_times_polymat(aug.A_zx, nmat), aug.B_xu)
-    gzv = RatFunMatrix(strict_v, d, ex.copy(aug.A_zv))
-    gzu = RatFunMatrix(strict_u, d, ex.copy(aug.B_zu))
-    return SubsystemTfms(gzv, gzu, gzv.class_matrix(), gzu.class_matrix())
+    """Entry classes of the transfers from internal/external inputs to internal outputs."""
+    return SubsystemTfms(entry_classes(aug.A_zx, aug.A_xx, aug.A_xv, aug.A_zv),
+                         entry_classes(aug.A_zx, aug.A_xx, aug.B_xu, aug.B_zu))
 
 
 def nds_tfms(nds: NdsModel) -> list[SubsystemTfms]:

@@ -19,9 +19,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .model import NdsModel, assemble_lumped
+from .ratfun import EntryClass
 
 Vertex = tuple[str, int, int]
 Edge = tuple[Vertex, Vertex, str]
+
+_ZERO = EntryClass("zero")
 
 
 def vertex_name(v: Vertex) -> str:
@@ -132,22 +135,14 @@ def build_lumped_acg(nds: NdsModel, tfms: list) -> StructureGraph:
     k = len(positions)
     outputs = [nds.locate("z", c) for _, c in positions]
     inputs = [nds.locate("v", r) for r, _ in positions]
-    gzv_cls = [[tfms[iz].gzv_classes[pz][pv] if iz == iv else _ZERO_CLASS
+    gzv_cls = [[tfms[iz].gzv_classes[pz][pv] if iz == iv else _ZERO
                 for iv, pv in inputs] for iz, pz in outputs]
     u_off = nds.offsets["u"]
-    gzu_cls = [[_ZERO_CLASS] * nds.M_u for _ in range(k)]
+    gzu_cls = [[_ZERO] * nds.M_u for _ in range(k)]
     for a, (iz, pz) in enumerate(outputs):
         for pu in range(nds.analysis[iz].m_u):
             gzu_cls[a][u_off[iz] + pu] = tfms[iz].gzu_classes[pz][pu]
     return build_acg(gzv_cls, gzu_cls)
-
-
-class _Zero:
-    is_zero = True
-    is_lambda = False
-
-
-_ZERO_CLASS = _Zero()
 
 
 @dataclass(frozen=True)

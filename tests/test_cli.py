@@ -83,6 +83,25 @@ def test_parse_errors(sec7_doc):
         parse_document(bad4)
 
 
+@pytest.mark.parametrize("field, value, where", [
+    ("options", {"rank_tol": "abc"}, "options.rank_tol"),
+    ("options", {"seed": "x"}, "options.seed"),
+    ("options", {"eig_tol": "nan"}, "options.eig_tol"),
+    ("scm", {"free": 5}, "scm.free"),
+    ("lft", {"E1": [[1], [0]], "E2": [[0], [0]], "F1": [[1, 0]], "F2": [[0, 0]],
+             "F3": [[0]], "H": [[0]], "param": {"free": 5}},
+     "subsystems[1].lft.param.free"),
+])
+def test_malformed_values_exit_2(sec7_doc, tmp_path, capsys, field, value, where):
+    doc = json.loads(json.dumps(sec7_doc))
+    if field == "lft":
+        doc["subsystems"][0]["lft"] = value
+    else:
+        doc[field] = value
+    assert main(["check", _write(tmp_path, doc)]) == 2
+    assert f"error: {where}:" in capsys.readouterr().err
+
+
 def test_cmd_check_exit_codes(sec7_doc, tmp_path, capsys):
     given = _write(tmp_path, sec7_doc, "given.json")
     assert main(["check", given, "--out", str(tmp_path / "r1.json")]) == 1
@@ -194,6 +213,18 @@ def test_unread_flags_are_usage_errors(sec7_doc, tmp_path, capsys, argv):
         main([argv[0], path] + argv[1:])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["realize", "--trials", "0"], ["realize", "--trials", "-3"],
+    ["check", "--tol", "nan"], ["design", "--eig-tol", "-1"],
+])
+def test_bad_flag_values_are_usage_errors(sec7_doc, tmp_path, capsys, argv):
+    path = _write(tmp_path, sec7_doc)
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], path] + argv[1:])
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}:" in capsys.readouterr().err
 
 
 def test_realize_echoes_only_used_settings(sec7_doc, tmp_path):

@@ -3,11 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from netctrl import exactla as ex
-from netctrl.exactla import Poly
 
 
 def _random_int_matrix(rng, rows, cols, span=5):
@@ -71,28 +68,6 @@ def test_block_helpers():
     assert ex.shape(ex.zeros(3, 0)) == (3, 0)
     # zero-width blocks lose their column count; the product stays empty
     assert ex.mmul(ex.zeros(3, 0), ex.zeros(0, 2)) == ex.zeros(3, 0)
-
-
-coeff_lists = st.lists(st.integers(-5, 5), max_size=6)
-
-
-@settings(max_examples=60, deadline=None)
-@given(coeff_lists, coeff_lists, st.integers(-4, 4))
-def test_poly_ring_laws(a, b, x):
-    pa, pb = Poly(a), Poly(b)
-    xf = Fraction(x)
-    assert (pa + pb)(xf) == pa(xf) + pb(xf)
-    assert (pa * pb)(xf) == pa(xf) * pb(xf)
-    assert (pa - pa).is_zero()
-
-
-def test_poly_trim_and_degree():
-    assert Poly([0, 0]).is_zero()
-    assert Poly([1, 2, 0]).degree == 1
-    assert Poly([]).degree == -1
-    p = Poly([1, 1])  # 1 + x
-    assert p.shift(2).c == [Fraction(0)] * 2 + [Fraction(1), Fraction(1)]
-    assert Poly([0, 0, 1]).monic()
 
 
 def test_rank_rule_empty_and_zero():
