@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from netctrl import exactla as ex
 from netctrl.model import NdsModel, StructuredPattern, SubsystemModel
-from netctrl.ratfun import entry_classes, mode_data, spectrum, subsystem_tfms
+from netctrl.ratfun import entry_classes, mode_data, nds_tfms, spectrum, subsystem_tfms
 
 
 def _classes_kinds(classes):
@@ -77,6 +77,53 @@ def test_entry_classes_match_numeric_evaluation(n, m_in, m_out, data):
             if not varies:
                 assert (abs(samples[0]) < 1e-9) == classes[q][p].is_zero
                 assert classes[q][p].is_zero == (d[q][p] == 0)
+
+
+def test_resolvent_matches_numeric_inverse():
+    # C = B = I, D = 0: the classes are those of the resolvent (lambda*I - A)^-1,
+    # which is strictly proper, so every entry is "zero" or "lambda"
+    rng = random.Random(3)
+    a = [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
+    classes = entry_classes(ex.eye(4), a, ex.eye(4), ex.zeros(4, 4))
+    af = ex.to_float(a)
+    eigs = np.linalg.eigvals(af)
+    points = []
+    while len(points) < 5:
+        x = rng.uniform(4.0, 8.0)
+        if all(abs(x - e) > 1e-3 for e in eigs):
+            points.append(x)
+    invs = [np.linalg.inv(x * np.eye(4) - af) for x in points]
+    for i in range(4):
+        for j in range(4):
+            samples = [inv[i, j] for inv in invs]
+            assert classes[i][j].kind in ("zero", "lambda")
+            if classes[i][j].is_zero:
+                assert all(abs(s) < 1e-9 for s in samples)
+            else:
+                assert max(abs(s - samples[0]) for s in samples) > 1e-9
+
+
+def test_entry_class_stable_under_evaluation(sec7):
+    rng = random.Random(9)
+    for aug, t in zip(sec7.analysis, nds_tfms(sec7)):
+        af = ex.to_float(aug.A_xx)
+        n = af.shape[0]
+        eigs = np.linalg.eigvals(af)
+        points = []
+        while len(points) < 3:
+            x = rng.uniform(2.5, 9.0)
+            if all(abs(x - e) > 1e-3 for e in eigs):
+                points.append(x)
+        czx = ex.to_float(aug.A_zx).reshape(-1, n)
+        bxv = ex.to_float(aug.A_xv).reshape(n, -1)
+        dzv = ex.to_float(aug.A_zv)
+        vals = [czx @ np.linalg.solve(x * np.eye(n) - af, bxv) + dzv for x in points]
+        r, c = dzv.shape
+        for q in range(r):
+            for p in range(c):
+                samples = [v[q, p] for v in vals]
+                constantish = max(abs(s - samples[0]) for s in samples) < 1e-9
+                assert constantish == (not t.gzv_classes[q][p].is_lambda)
 
 
 def test_spectrum_sec7(sec7):
