@@ -6,7 +6,7 @@ read as decimal literals), an optional LFT block per subsystem, the routing
 pattern as 1-based free positions (or "full"), and options. Reports are
 JSON with sorted keys so identical inputs, flags and seeds produce
 byte-identical output; exit codes are 0 for a positive verdict, 1 for a
-negative one, 2 for usage or model errors.
+negative one, 2 for usage or model errors and for an unwritable --out file.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ DEFAULT_OPTIONS = {"eig_tol": ratfun.EIG_TOL, "rank_tol": ratfun.RANK_TOL, "seed
 
 class DocumentError(ValueError):
     """Malformed system document."""
+
+
+class OutputError(RuntimeError):
+    """The --out file could not be written."""
 
 
 def _parse_entry(x, where: str, warnings: list[str]) -> Fraction:
@@ -77,10 +81,21 @@ def _parse_positions(obj, rows: int, cols: int, where: str) -> list[tuple[int, i
 
 def _tolerance(x) -> float:
     """A tolerance from a document or a flag: a finite number >= 0."""
+    if isinstance(x, bool):
+        raise TypeError("a boolean is not a tolerance")
     value = float(x)
     if not math.isfinite(value) or value < 0:
         raise ValueError(f"expected a finite number >= 0, got {x!r}")
     return value
+
+
+def _seed(x) -> int:
+    """A seed from a document: an integer, an integral number or a numeric string."""
+    if isinstance(x, bool):
+        raise TypeError("a boolean is not a seed")
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
 
 
 def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
@@ -168,7 +183,7 @@ def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
     oraw = data.get("options", {})
     if not isinstance(oraw, dict):
         raise DocumentError("options: expected an object")
-    for key, kind in (("eig_tol", _tolerance), ("rank_tol", _tolerance), ("seed", int)):
+    for key, kind in (("eig_tol", _tolerance), ("rank_tol", _tolerance), ("seed", _seed)):
         if key in oraw:
             try:
                 options[key] = kind(oraw[key])
@@ -277,11 +292,19 @@ def _emit(report: dict, fmt: str, out: Optional[str], wall_ms: float) -> None:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         text = "\n".join(_render_text(report)) + f"\n# wall time: {wall_ms:.1f} ms\n"
-    if out:
+    _write_output(text, out)
+
+
+def _write_output(text: str, out: Optional[str]) -> None:
+    """Write to the --out file when one is given, else to stdout."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise OutputError(f"cannot write {out}: {e.strerror or e}") from None
 
 
 def _load(args) -> tuple[NdsModel, dict, str]:
@@ -356,12 +379,7 @@ def cmd_graph(args) -> int:
     model, _, _ = _load(args)
     tfms = ratfun.nds_tfms(model)
     graph = structgraph.build_nacg(model, tfms)
-    dot = structgraph.to_dot(graph)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(dot)
-    else:
-        sys.stdout.write(dot)
+    _write_output(structgraph.to_dot(graph), args.out)
     return 0
 
 
@@ -423,7 +441,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (DocumentError, ModelError, verify.IllPosedError) as e:
+    except (DocumentError, ModelError, OutputError, verify.IllPosedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

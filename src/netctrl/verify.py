@@ -2,9 +2,13 @@
 controllability, design feasibility, and the randomized realization check.
 
 Two independent routes exist for the fixed-mode question: the networked
-per-mode matroid intersection and the lumped matroid-union test on the
-diagonalized plant. They must agree; the test suite exercises that
-agreement, and `check_structural_controllability` uses the networked route.
+per-mode test and the lumped matroid-union test on the diagonalized plant.
+They must agree; the test suite exercises that agreement, and
+`check_structural_controllability` uses the networked route. The networked
+route settles each mode with one product rank rank(Y P + Z) at a routing
+matrix P whose free entries are unit-scale Gaussians from a fixed-seed
+generator; only a mode that draw leaves short of its target runs the exact
+matroid intersection of [P^T I] with [Y Z].
 """
 
 from __future__ import annotations
@@ -53,25 +57,51 @@ def routing_pattern_q1(pattern: StructuredPattern) -> StructuredPattern:
     return StructuredPattern(pattern.cols, pattern.rows + pattern.cols, entries)
 
 
+# Seed of the generator behind the per-mode product-rank draws. The draw
+# can only send a mode to the exact intersection, never change an answer.
+_PRODUCT_RANK_SEED = 0
+
+
+def mode_rank(md: ratfun.ModeData, pattern: StructuredPattern, q1: GenericPattern,
+              rng: np.random.Generator, rank_tol: float = ratfun.RANK_TOL) -> int:
+    """Largest common independent set of [P^T I] and [Y Z] at one mode.
+
+    By Cauchy-Binet, rank(Y P + Z) at any real P is at most the generic rank,
+    which equals the intersection rank. So one draw of P reaching the target
+    M_r settles the mode; a shortfall runs the exact intersection. The draw
+    is unit-scale Gaussian: large integer draws make the float rank read low.
+    """
+    p = np.zeros((pattern.rows, pattern.cols))
+    if pattern.entries:
+        rows, cols = zip(*pattern.entries)
+        p[rows, cols] = rng.standard_normal(len(rows))
+    if ex.float_rank(md.y_all @ p + md.z_all, rank_tol) == md.M_r:
+        return md.M_r
+    q2 = NumericColumns(np.hstack([md.y_all, md.z_all]), rank_tol)
+    return matroid_intersection_rank(q1, q2).certified_rank
+
+
 def check_fum_networked(nds: NdsModel, modes: Optional[list] = None,
                         rank_tol: float = ratfun.RANK_TOL) -> list[ModeCheck]:
     """Per-mode intersection ranks against their null-space targets.
 
     A mode is fixed-uncontrollable exactly when the intersection rank falls
     short of the total per-subsystem null-space dimension at that eigenvalue.
+    Each mode draws one random routing matrix (`mode_rank`); the exact
+    intersection runs only on the modes that draw leaves short.
     """
     if modes is None:
         spec = ratfun.spectrum(nds)
         modes = [ratfun.mode_data(nds, lam, rank_tol) for lam in spec.values]
-    q1 = GenericPattern(routing_pattern_q1(assemble_lumped(nds).P_pattern))
+    pattern = assemble_lumped(nds).P_pattern
+    q1 = GenericPattern(routing_pattern_q1(pattern))
+    rng = np.random.default_rng(_PRODUCT_RANK_SEED)
     out = []
     for md in modes:
         if md.M_r == 0:
             out.append(ModeCheck(md.lam, 0, 0))
             continue
-        q2 = NumericColumns(np.hstack([md.y_all, md.z_all]), rank_tol)
-        best = matroid_intersection_rank(q1, q2)
-        out.append(ModeCheck(md.lam, md.M_r, best.certified_rank))
+        out.append(ModeCheck(md.lam, md.M_r, mode_rank(md, pattern, q1, rng, rank_tol)))
     return out
 
 

@@ -2,6 +2,8 @@
 
 Each test appends a PASS line to the terminal summary (a failure raises, so
 a printed line certifies the criterion ran green at its stated tolerance).
+`test_product_rank_matches_intersection` is a cross-check on the same
+instances and prints no line.
 """
 
 import json
@@ -10,6 +12,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from netctrl import exactla as ex
@@ -19,7 +22,8 @@ from netctrl.data import sec7_path
 from netctrl.design import (InfeasibleDesignError, brute_force_min_topology,
                             design_topology, g_value, greedy_link_rows,
                             minimal_rows_exhaustive)
-from netctrl.matroid import exhaustive_union_rank, matroid_union_rank
+from netctrl.matroid import (GenericPattern, NumericColumns, exhaustive_union_rank,
+                             matroid_intersection_rank, matroid_union_rank)
 from netctrl.model import NdsModel, StructuredPattern, assemble_lumped
 from netctrl.verify import (check_fum_lumped, check_fum_networked,
                             check_structural_controllability,
@@ -148,6 +152,25 @@ def test_criterion_5b_intersection_equals_product_rank(instances, instance_check
             assert best == mc.achieved, f"instance {i}, mode {lam}"
     _pass(5, f"(b) intersection rank equals randomized product rank on every "
              f"mode of {len(instances)} instances")
+
+
+def test_product_rank_matches_intersection(instances, instance_checks):
+    # criterion 5b compares against check_fum_networked, which settles most
+    # modes by a product rank itself; this keeps the exact intersection as an
+    # independent reference on every mode, including larger networks
+    ladder = [random_nds(seed, max_sub=max_sub)
+              for max_sub, seed in ((8, 7), (8, 12), (8, 24), (16, 9), (16, 12))]
+    cases = list(zip(instances, instance_checks))
+    cases += [(nds, check_fum_networked(nds)) for nds in ladder]
+    for i, (nds, checks) in enumerate(cases):
+        q1 = GenericPattern(verify.routing_pattern_q1(assemble_lumped(nds).P_pattern))
+        spec = ratfun.spectrum(nds)
+        assert [mc.lam for mc in checks] == spec.values
+        for mc in checks:
+            md = ratfun.mode_data(nds, mc.lam)
+            q2 = NumericColumns(np.hstack([md.y_all, md.z_all]))
+            want = matroid_intersection_rank(q1, q2).certified_rank if md.M_r else 0
+            assert mc.achieved == want, f"case {i}, mode {mc.lam}"
 
 
 def test_criterion_5c_union_randomized_equals_exhaustive():

@@ -91,6 +91,10 @@ def test_parse_errors(sec7_doc):
     ("lft", {"E1": [[1], [0]], "E2": [[0], [0]], "F1": [[1, 0]], "F2": [[0, 0]],
              "F3": [[0]], "H": [[0]], "param": {"free": 5}},
      "subsystems[1].lft.param.free"),
+    ("options", {"seed": 1.7}, "options.seed"),
+    ("options", {"seed": True}, "options.seed"),
+    ("options", {"rank_tol": True}, "options.rank_tol"),
+    ("options", {"eig_tol": False}, "options.eig_tol"),
 ])
 def test_malformed_values_exit_2(sec7_doc, tmp_path, capsys, field, value, where):
     doc = json.loads(json.dumps(sec7_doc))
@@ -100,6 +104,17 @@ def test_malformed_values_exit_2(sec7_doc, tmp_path, capsys, field, value, where
         doc[field] = value
     assert main(["check", _write(tmp_path, doc)]) == 2
     assert f"error: {where}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options, seed, rank_tol", [
+    ({"seed": 3.0}, 3, 1e-9), ({"seed": "4"}, 4, 1e-9),
+    ({"rank_tol": 1}, 0, 1.0), ({"rank_tol": "1e-8"}, 0, 1e-8),
+])
+def test_numeric_option_forms_accepted(sec7_doc, options, seed, rank_tol):
+    doc = json.loads(json.dumps(sec7_doc))
+    doc["options"] = options
+    _, parsed, _ = parse_document(doc)
+    assert parsed["seed"] == seed and parsed["rank_tol"] == rank_tol
 
 
 def test_cmd_check_exit_codes(sec7_doc, tmp_path, capsys):
@@ -242,3 +257,11 @@ def test_float_warning_on_every_command(sec7_doc, tmp_path, capsys, command):
     path = _write(tmp_path, doc)
     main([command, path, "--out", str(tmp_path / "out")])
     assert "warning:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "design", "realize", "feasible", "graph"])
+def test_unwritable_out_exits_2(sec7_doc, tmp_path, capsys, command):
+    path = _write(tmp_path, sec7_doc)
+    out = tmp_path / "no" / "such" / "dir" / "x.json"
+    assert main([command, path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
