@@ -21,8 +21,7 @@ from .structgraph import (SccDecomposition, StructureGraph, build_acg, build_nac
                           unreachable_source_sccs_with_lambda_edge, vertex_name)
 from .verify import (FeasibilityReport, IllPosedError, ModeCheck, RealizationResult,
                      Verdict, check_feasibility, check_fum_lumped,
-                     check_fum_networked, check_pdum,
-                     check_structural_controllability, randomized_realization_check,
-                     realize_numeric, uncontrollable_modes)
+                     check_fum_networked, check_structural_controllability,
+                     randomized_realization_check, realize_numeric, uncontrollable_modes)
 
 __version__ = "0.1.0"

@@ -98,6 +98,13 @@ def _seed(x) -> int:
     return int(x)
 
 
+def _reject_output_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:
+    for key in keys:
+        if key in obj:
+            raise DocumentError(f"{where}.{key}: external outputs do not enter "
+                                "controllability; remove the key")
+
+
 def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
     """Build the model from a parsed JSON document.
 
@@ -121,8 +128,7 @@ def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
             if key not in sraw:
                 raise DocumentError(f"{where}: missing matrix {key}")
             mats[key] = _parse_matrix(sraw[key], f"{where}.{key}", warnings)
-        opt = {key: _parse_matrix(sraw[key], f"{where}.{key}", warnings)
-               for key in ("C_yx", "C_yv", "D_yu") if key in sraw}
+        _reject_output_keys(sraw, ("C_yx", "C_yv", "D_yu"), where)
         lft = sraw.get("lft")
         lft_mats = {}
         param = None
@@ -133,8 +139,7 @@ def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
                 if key not in lft:
                     raise DocumentError(f"{where}.lft: missing matrix {key}")
                 lft_mats[key] = _parse_matrix(lft[key], f"{where}.lft.{key}", warnings)
-            if "E3" in lft:
-                lft_mats["E3"] = _parse_matrix(lft["E3"], f"{where}.lft.E3", warnings)
+            _reject_output_keys(lft, ("E3",), f"{where}.lft")
             praw = lft.get("param")
             if not isinstance(praw, dict):
                 raise DocumentError(f"{where}.lft.param: required object")
@@ -152,10 +157,7 @@ def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
             subsystems.append(SubsystemModel(
                 A_xx0=mats["A_xx"], A_xv0=mats["A_xv"], B_xu0=mats["B_xu"],
                 A_zx0=mats["A_zx"], A_zv0=mats["A_zv"], B_zu0=mats["B_zu"],
-                C_yx0=opt.get("C_yx", []), C_yv0=opt.get("C_yv", []),
-                D_yu0=opt.get("D_yu", []),
                 E1=lft_mats.get("E1", []), E2=lft_mats.get("E2", []),
-                E3=lft_mats.get("E3", []),
                 F1=lft_mats.get("F1", []), F2=lft_mats.get("F2", []),
                 F3=lft_mats.get("F3", []), H=lft_mats.get("H", []),
                 param_block=param,
@@ -214,16 +216,8 @@ def serialize_document(model: NdsModel, options: dict) -> dict:
             "B_xu": _mat_obj(s.B_xu0), "A_zx": _mat_obj(s.A_zx0),
             "A_zv": _mat_obj(s.A_zv0), "B_zu": _mat_obj(s.B_zu0),
         }
-        if s.C_yx0:
-            obj["C_yx"] = _mat_obj(s.C_yx0)
-        if s.C_yv0:
-            obj["C_yv"] = _mat_obj(s.C_yv0)
-        if s.D_yu0:
-            obj["D_yu"] = _mat_obj(s.D_yu0)
         if s.param_block is not None:
             lft = {k: _mat_obj(getattr(s, k)) for k in ("E1", "E2", "F1", "F2", "F3", "H")}
-            if s.E3:
-                lft["E3"] = _mat_obj(s.E3)
             if s.has_free_params:
                 lft["param"] = {"free": [[r + 1, c + 1]
                                          for r, c in s.param_block.positions()]}
@@ -365,12 +359,9 @@ def cmd_realize(args) -> int:
     model, options, digest = _load(args)
     seed = options["seed"]
     t0 = time.perf_counter()
-    res = verify.randomized_realization_check(model, seed=seed, trials=args.trials,
-                                              method=args.method)
+    res = verify.randomized_realization_check(model, seed=seed, trials=args.trials)
     wall = (time.perf_counter() - t0) * 1e3
-    _emit(_report("realize", digest,
-                  {"seed": seed, "trials": args.trials, "method": args.method},
-                  res.to_dict()),
+    _emit(_report("realize", digest, {"seed": seed, "trials": args.trials}, res.to_dict()),
           args.format, args.out, wall)
     return 0 if res.controllable_witness else 1
 
@@ -398,7 +389,6 @@ _FLAGS = {
                                   help="eigenvalue clustering tolerance")),
     "modes": ("--modes", dict(choices=("all", "unstable"), default="all")),
     "trials": ("--trials", dict(type=_positive_int, default=5)),
-    "method": ("--method", dict(choices=("pbh", "stacked"), default="pbh")),
     "format": ("--format", dict(choices=("json", "text"), default="json")),
 }
 
@@ -421,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("check", "structural controllability verdict", "seed", "tol", "eig-tol", "format")
     command("design", "two-stage minimal-link design",
             "modes", "seed", "tol", "eig-tol", "format")
-    command("realize", "randomized realization witness", "seed", "trials", "method", "format")
+    command("realize", "randomized realization witness", "seed", "trials", "format")
     command("feasible", "design feasibility conditions", "modes", "tol", "eig-tol", "format")
     command("graph", "export the networked connection graph as DOT")
     return p

@@ -188,9 +188,11 @@ def eliminate_pdums(nds: NdsModel, tfms: Optional[list] = None) -> list[dict]:
 
     Each qualifying source component receives one link from the smallest
     currently input-reachable output vertex to its smallest internal-input
-    vertex; reachability is refreshed after every addition. A follow-up scan
-    guards against leftover unreachable cycles (never triggered when the
-    source components cover them, which the two-stage theory guarantees).
+    vertex; reachability is refreshed after every addition. A residual sweep
+    then wires each input-unreachable lambda cycle still left, with provenance
+    "residual-cycle". It fires when a lambda-cycle component lies downstream
+    only of unreachable source components that hold no lambda edge: the
+    source scan skips those, and the links it adds elsewhere do not reach it.
     """
     tfms = tfms if tfms is not None else ratfun.nds_tfms(nds)
     graph = structgraph.build_nacg(nds, tfms)
@@ -220,7 +222,6 @@ def eliminate_pdums(nds: NdsModel, tfms: Optional[list] = None) -> list[dict]:
 
     for idx, comp in enumerate(sorted(targets, key=lambda c: c[0])):
         graph = add_link(comp, graph, f"source-component-{idx + 1}")
-    # defensive sweep: only reachable when the source components missed a cycle
     for _ in range(len(graph.vertices)):
         cycle = structgraph.find_input_unreachable_lambda_cycle(graph)
         if cycle is None:
@@ -360,7 +361,7 @@ def _structurally_controllable_fixed(positions, base_graph, nds0, modes, q2_orac
                                      rank_tol) -> bool:
     """Candidate test shared by the exhaustive search; positions are 0-based."""
     graph = base_graph.with_edges(structgraph.link_edges(nds0, positions))
-    if structgraph.find_input_unreachable_lambda_edge(graph) is not None:
+    if structgraph.find_input_unreachable_lambda_cycle(graph) is not None:
         return False
     # design instances carry no free subsystem blocks, so the routing
     # pattern is the whole parameter pattern

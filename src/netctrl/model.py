@@ -83,9 +83,10 @@ def _shape_ok(m: Mat, want: tuple[int, int]) -> bool:
 class SubsystemModel:
     """One subsystem: parameter-independent matrices plus an optional LFT block.
 
-    The nine base matrices follow the block layout (state, internal output,
-    external output) x (state, internal input, external input). E/F/H describe
-    how the parameter block enters; they must be present together.
+    The six base matrices follow the block layout (state, internal output)
+    x (state, internal input, external input); external outputs do not enter
+    controllability and are not modelled. E/F/H describe how the parameter
+    block enters; they must be present together.
     """
 
     A_xx0: Mat
@@ -94,12 +95,8 @@ class SubsystemModel:
     A_zx0: Mat
     A_zv0: Mat
     B_zu0: Mat
-    C_yx0: Mat = field(default_factory=list)
-    C_yv0: Mat = field(default_factory=list)
-    D_yu0: Mat = field(default_factory=list)
     E1: Mat = field(default_factory=list)
     E2: Mat = field(default_factory=list)
-    E3: Mat = field(default_factory=list)
     F1: Mat = field(default_factory=list)
     F2: Mat = field(default_factory=list)
     F3: Mat = field(default_factory=list)

@@ -257,29 +257,40 @@ def _canonical_cycle(cycle: list) -> list:
     return cycle[k:] + cycle[:k]
 
 
+def _lambda_cycle_components(g: StructureGraph, scc: SccDecomposition) -> dict:
+    """Input-unreachable components that hold an internal lambda edge.
+
+    This is the one moving-mode criterion. Maps each such component index to
+    its first internal lambda edge in sorted edge order. Both endpoints of
+    an internal edge share a component, so the edge closes into a cycle.
+    """
+    marked: dict[int, Edge] = {}
+    for s, d, kind in sorted(g.edges):
+        if kind != "lambda":
+            continue
+        c = scc.comp_of[s]
+        if c == scc.comp_of[d] and c not in marked and not scc.component_reachable(c):
+            marked[c] = (s, d, kind)
+    return marked
+
+
 def find_input_unreachable_lambda_cycle(g: StructureGraph,
                                         scc: Optional[SccDecomposition] = None) -> Optional[list]:
     """Witness cycle through a frequency-dependent edge no input can reach.
 
-    All vertices of a cycle share a component, so it suffices to scan
-    input-unreachable components for an internal lambda edge and walk back
-    from its head to its tail inside that component.
+    The first marked component (by component order) supplies the witness:
+    its first internal lambda edge, closed by the shortest path back from the
+    edge's head to its tail inside the component, rotated to start at the
+    smallest vertex.
     """
     scc = scc if scc is not None else scc_decompose(g)
-    adj = g.successors()
-    for idx, comp in enumerate(scc.components):
-        if scc.component_reachable(idx):
-            continue
-        comp_set = set(comp)
-        for s, d, kind in sorted(g.edges):
-            if kind != "lambda" or s not in comp_set or d not in comp_set:
-                continue
-            back = _path_in_subset(adj, comp_set, d, s)
-            if back is None:
-                continue  # lambda self-structure without a closing path (not in this SCC)
-            cycle = back if back[-1] != back[0] or len(back) == 1 else back[:-1]
-            return _canonical_cycle(cycle)
-    return None
+    marked = _lambda_cycle_components(g, scc)
+    if not marked:
+        return None
+    idx = min(marked)
+    s, d, _ = marked[idx]
+    back = _path_in_subset(g.successors(), set(scc.components[idx]), d, s)
+    return _canonical_cycle(back)
 
 
 def find_input_unreachable_lambda_edge(g: StructureGraph,
@@ -297,15 +308,8 @@ def unreachable_source_sccs_with_lambda_edge(g: StructureGraph,
     """Input-unreachable components with no incoming edge and an internal lambda edge."""
     scc = scc if scc is not None else scc_decompose(g)
     has_incoming = {d for _, d in scc.condensation}
-    out = []
-    for idx, comp in enumerate(scc.components):
-        if idx in has_incoming or scc.component_reachable(idx):
-            continue
-        comp_set = set(comp)
-        if any(kind == "lambda" and s in comp_set and d in comp_set
-               for s, d, kind in g.edges):
-            out.append(comp)
-    return out
+    marked = _lambda_cycle_components(g, scc)
+    return [scc.components[idx] for idx in sorted(marked) if idx not in has_incoming]
 
 
 _SHAPES = {"u": "box", "v": "ellipse", "z": "diamond"}

@@ -152,28 +152,10 @@ def check_fum_lumped(nds: NdsModel, modes: Optional[list] = None,
     return out
 
 
-def check_pdum(nds: NdsModel, tfms: Optional[list] = None) -> Optional[list]:
-    """Witness cycle for a parameter-dependent uncontrollable mode, if any.
-
-    The networked graph answers the question; the square lumped graph is
-    consulted as well, and the two are required to agree.
-    """
-    tfms = tfms if tfms is not None else ratfun.nds_tfms(nds)
-    nacg = structgraph.build_nacg(nds, tfms)
-    witness = structgraph.find_input_unreachable_lambda_cycle(nacg)
-    lumped = structgraph.build_lumped_acg(nds, tfms)
-    lumped_witness = structgraph.find_input_unreachable_lambda_cycle(lumped)
-    if (witness is None) != (lumped_witness is None):
-        raise AssertionError("networked and lumped cycle tests disagree "
-                             "(internal error)")
-    return witness
-
-
 @dataclass(frozen=True)
 class Verdict:
     structurally_controllable: bool
     pdum: Optional[list]                 # witness cycle (vertex tuples) or None
-    lambda_edge: Optional[tuple]         # unreachable frequency-dependent edge
     fums: list                           # ModeChecks with shortfall > 0
     per_mode: list                       # every ModeCheck
     rank_tol: float
@@ -185,9 +167,6 @@ class Verdict:
             "structurally_controllable": self.structurally_controllable,
             "pdum_witness": ([structgraph.vertex_name(v) for v in self.pdum]
                              if self.pdum else None),
-            "unreachable_lambda_edge": ([structgraph.vertex_name(self.lambda_edge[0]),
-                                         structgraph.vertex_name(self.lambda_edge[1])]
-                                        if self.lambda_edge else None),
             "fixed_uncontrollable_modes": [
                 {"lambda": _fmt_c(mc.lam), "target": mc.target,
                  "achieved": mc.achieved, "shortfall": mc.shortfall}
@@ -211,21 +190,22 @@ def check_structural_controllability(nds: NdsModel, seed: int = 0,
                                      rank_tol: float = ratfun.RANK_TOL,
                                      eig_tol: float = ratfun.EIG_TOL,
                                      wellposed_trials: int = 3) -> Verdict:
-    """Full verdict: unreachable frequency-dependent edge plus per-mode ranks."""
+    """Full verdict: input-unreachable lambda cycle plus per-mode ranks.
+
+    A moving uncontrollable mode exists exactly when some input-unreachable
+    strongly connected component holds an internal frequency-dependent edge;
+    the cycle through it is the witness.
+    """
     wp = check_well_posedness(nds, trials=wellposed_trials, seed=seed)
     if not wp.well_posed:
         raise IllPosedError(f"model is ill-posed: {wp.detail}")
-    tfms = ratfun.nds_tfms(nds)
-    nacg = structgraph.build_nacg(nds, tfms)
-    scc = structgraph.scc_decompose(nacg)
-    lam_edge = structgraph.find_input_unreachable_lambda_edge(nacg, scc)
-    cycle = structgraph.find_input_unreachable_lambda_cycle(nacg, scc)
+    nacg = structgraph.build_nacg(nds, ratfun.nds_tfms(nds))
+    cycle = structgraph.find_input_unreachable_lambda_cycle(nacg)
     spec = ratfun.spectrum(nds, eig_tol)
     modes = [ratfun.mode_data(nds, lam, rank_tol) for lam in spec.values]
     checks = check_fum_networked(nds, modes, rank_tol)
     fums = fums_of(checks)
-    ok = lam_edge is None and not fums
-    return Verdict(structurally_controllable=ok, pdum=cycle, lambda_edge=lam_edge,
+    return Verdict(structurally_controllable=cycle is None and not fums, pdum=cycle,
                    fums=fums, per_mode=checks, rank_tol=rank_tol, eig_tol=eig_tol,
                    seed=seed)
 
@@ -356,34 +336,6 @@ def uncontrollable_modes(a: np.ndarray, b: np.ndarray, tol: float = 1e-7) -> lis
     return out
 
 
-def _stacked_controllable(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """Full-row-rank test of the constant staircase matrix; no eigensolve."""
-    n = a.shape[0]
-    q = b.shape[1]
-    if n == 0:
-        return True
-    width = n * (n + q - 1) if n > 1 else q
-    c = np.zeros((n * n, width))
-    col = 0
-    slots = []
-    for i in range(n):
-        slots.append(("B", col))
-        col += q
-        if i < n - 1:
-            slots.append(("I", col))
-            col += n
-    bcol = [c for k, c in slots if k == "B"]
-    icol = [c for k, c in slots if k == "I"]
-    for i in range(n):
-        r0 = i * n
-        c[r0:r0 + n, bcol[i]:bcol[i] + q] = b
-        if i < n - 1:
-            c[r0:r0 + n, icol[i]:icol[i] + n] = np.eye(n)
-        if i >= 1:
-            c[r0:r0 + n, icol[i - 1]:icol[i - 1] + n] = -a
-    return _equilibrated_rank(c, tol) == n * n
-
-
 @dataclass(frozen=True)
 class RealizationResult:
     controllable_witness: bool
@@ -408,7 +360,7 @@ class RealizationResult:
 
 
 def randomized_realization_check(nds: NdsModel, seed: int = 0, trials: int = 5,
-                                 method: str = "pbh", tol: float = 1e-7) -> RealizationResult:
+                                 tol: float = 1e-7) -> RealizationResult:
     """One-sided randomized controllability certificate.
 
     Each trial substitutes parameter values drawn from an integer set whose
@@ -451,12 +403,7 @@ def randomized_realization_check(nds: NdsModel, seed: int = 0, trials: int = 5,
             raise RuntimeError("could not draw a well-posed realization")
         a = ex.to_float(a_m)
         b = ex.to_float(b_m).reshape(nds.M_x, nds.M_u)
-        if method == "stacked":
-            ok = _stacked_controllable(a, b, tol)
-            last_modes = [] if ok else uncontrollable_modes(a, b, tol)
-        else:
-            last_modes = uncontrollable_modes(a, b, tol)
-            ok = not last_modes
-        if ok:
+        last_modes = uncontrollable_modes(a, b, tol)
+        if not last_modes:
             return RealizationResult(True, t, redraws, seed, vsize, values, [])
     return RealizationResult(False, trials, redraws, seed, vsize, None, last_modes)

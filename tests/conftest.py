@@ -18,6 +18,8 @@ from netctrl.cli import load_document
 from netctrl.data import sec7_path
 from netctrl.model import NdsModel, StructuredPattern
 
+from randgen import random_nds
+
 
 def _with_positions(model, positions):
     """Model with the routing pattern replaced by the given 1-based positions."""
@@ -51,3 +53,11 @@ def sec7_designed2(sec7):
 def sec7_empty(sec7):
     """Same subsystems fully disconnected."""
     return _with_positions(sec7, [])
+
+
+@pytest.fixture(scope="session")
+def random_networks():
+    """(label, model) for random_nds seeds 0-599 at max_sub 3 and 1000-1149 at max_sub 8."""
+    cases = [(seed, 3) for seed in range(600)] + [(seed, 8) for seed in range(1000, 1150)]
+    return [(f"seed {seed} max_sub {max_sub}", random_nds(seed, max_sub))
+            for seed, max_sub in cases]

@@ -95,11 +95,17 @@ def test_parse_errors(sec7_doc):
     ("options", {"seed": True}, "options.seed"),
     ("options", {"rank_tol": True}, "options.rank_tol"),
     ("options", {"eig_tol": False}, "options.eig_tol"),
+    ("C_yx", [[1, 0]], "subsystems[1].C_yx"),
+    ("C_yv", [[0, 0]], "subsystems[1].C_yv"),
+    ("D_yu", [[1]], "subsystems[1].D_yu"),
+    ("lft", {"E1": [[1], [0]], "E2": [[0], [0]], "E3": [[1]], "F1": [[1, 0]],
+             "F2": [[0, 0]], "F3": [[0]], "H": [[0]], "param": {"free": [[1, 1]]}},
+     "subsystems[1].lft.E3"),
 ])
 def test_malformed_values_exit_2(sec7_doc, tmp_path, capsys, field, value, where):
     doc = json.loads(json.dumps(sec7_doc))
-    if field == "lft":
-        doc["subsystems"][0]["lft"] = value
+    if where.startswith("subsystems[1]"):
+        doc["subsystems"][0][field] = value
     else:
         doc[field] = value
     assert main(["check", _write(tmp_path, doc)]) == 2
@@ -221,6 +227,7 @@ def test_missing_file_errors(tmp_path, capsys):
     ["graph", "--seed", "1"], ["graph", "--tol", "1e-9"], ["graph", "--format", "text"],
     ["feasible", "--seed", "1"], ["realize", "--tol", "1e-9"],
     ["realize", "--eig-tol", "1e-6"], ["check", "--jobs", "2"],
+    ["realize", "--method", "pbh"],
 ])
 def test_unread_flags_are_usage_errors(sec7_doc, tmp_path, capsys, argv):
     path = _write(tmp_path, sec7_doc)
@@ -247,7 +254,7 @@ def test_realize_echoes_only_used_settings(sec7_doc, tmp_path):
     out = tmp_path / "r.json"
     main(["realize", path, "--trials", "1", "--out", str(out)])
     args = json.loads(out.read_text())["arguments"]
-    assert sorted(args) == ["method", "seed", "trials"]
+    assert sorted(args) == ["seed", "trials"]
 
 
 @pytest.mark.parametrize("command", ["design", "feasible", "realize", "graph"])

@@ -9,6 +9,8 @@ from netctrl.design import (InfeasibleDesignError, brute_force_min_topology,
                             g_value, greedy_color, greedy_link_rows,
                             minimal_rows_exhaustive)
 from netctrl.model import NdsModel, StructuredPattern, SubsystemModel
+from netctrl.structgraph import (build_nacg, find_input_unreachable_lambda_cycle,
+                                 unreachable_source_sccs_with_lambda_edge)
 
 from randgen import random_fixed_subsystems
 
@@ -139,7 +141,23 @@ def test_eliminate_pdums_two_cycles():
     positions = {d["position"] for d in added}
     phi = StructuredPattern(3, 3, {(0, 0): "phi_0_0", (1, 1): "phi_1_1",
                                    **{p: f"fix_{p[0]}_{p[1]}" for p in positions}})
-    assert verify.check_pdum(NdsModel(subs, phi)) is None
+    assert verify.check_structural_controllability(NdsModel(subs, phi)).pdum is None
+
+
+def test_residual_sweep_wires_cycle_below_lambda_free_source():
+    # the lambda cycle left after stage 1 sits below an unreachable source
+    # component without a lambda edge, so only the residual sweep wires it
+    subs = random_fixed_subsystems(179, 8, max_state=3, max_port=2)
+    result = design_topology(subs, "unstable")
+    assert result.verified
+    assert result.stage2_links == [{"position": (1, 2), "from": "z21", "to": "v12",
+                                    "provenance": "residual-cycle"}]
+    phi1 = StructuredPattern.from_positions(
+        result.phi.rows, result.phi.cols, [d["position"] for d in result.stage1_links], "phi")
+    nds1 = NdsModel(subs, phi1)
+    graph = build_nacg(nds1, ratfun.nds_tfms(nds1))
+    assert find_input_unreachable_lambda_cycle(graph) is not None
+    assert unreachable_source_sccs_with_lambda_edge(graph) == []
 
 
 def test_eliminate_pdums_ignores_constant_cycles():

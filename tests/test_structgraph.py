@@ -175,6 +175,8 @@ def test_source_components_two_disjoint_cycles():
              (V(2, 1), Z(2, 1), "lambda"), (Z(2, 1), V(2, 1), "link")])
     comps = unreachable_source_sccs_with_lambda_edge(g)
     assert len(comps) == 2
+    # the witness comes from the first component in component order
+    assert find_input_unreachable_lambda_cycle(g) == [V(1, 1), Z(1, 1)]
 
 
 def test_source_components_skip_lambda_free():
@@ -204,14 +206,16 @@ def test_adding_edges_grows_reachability():
 
 
 def test_lumped_and_networked_cycle_tests_agree(sec7, sec7_designed3, sec7_designed2,
-                                                sec7_empty):
-    for model in (sec7, sec7_designed3, sec7_designed2, sec7_empty):
+                                                sec7_empty, random_networks):
+    sec7_models = [("sec7", sec7), ("sec7_designed3", sec7_designed3),
+                   ("sec7_designed2", sec7_designed2), ("sec7_empty", sec7_empty)]
+    for label, model in sec7_models + random_networks:
         tfms = ratfun.nds_tfms(model)
         nacg = build_nacg(model, tfms)
         lumped = build_lumped_acg(model, tfms)
         a = find_input_unreachable_lambda_cycle(nacg) is not None
         b = find_input_unreachable_lambda_cycle(lumped) is not None
-        assert a == b
+        assert a == b, label
 
 
 def test_dot_export_styles(sec7):
