@@ -361,7 +361,9 @@ def _structurally_controllable_fixed(positions, base_graph, nds0, modes, q2_orac
                                      rank_tol) -> bool:
     """Candidate test shared by the exhaustive search; positions are 0-based."""
     graph = base_graph.with_edges(structgraph.link_edges(nds0, positions))
-    if structgraph.find_input_unreachable_lambda_cycle(graph) is not None:
+    # An unreachable lambda edge is a moving mode on a cycle and comes with a
+    # fixed mode off every cycle, so it rejects before any intersection.
+    if structgraph.find_input_unreachable_lambda_edge(graph) is not None:
         return False
     # design instances carry no free subsystem blocks, so the routing
     # pattern is the whole parameter pattern

@@ -9,6 +9,13 @@ numeric-rank rule applied to what numpy returns.
 No polynomial arithmetic is needed: `ratfun` classifies each transfer entry
 of C (lambda*I - A)^-1 B + D from the exact Markov parameters C A^k B,
 k < n (Cayley-Hamilton), which are plain `mmul` products.
+
+The exact kernels skip zero operands: `mmul` multiplies only nonzero pairs,
+and `_eliminate` (behind `exact_rank` and `exact_det`) and `exact_solve`
+update only the pivot row's nonzero columns. The matrices met here are
+mostly zeros (block-diagonal lumped plants, one nonzero per free routing
+entry), and an exact sum of the same nonzero terms is the same number, so
+every result equals the dense loop's.
 """
 
 from __future__ import annotations
@@ -87,14 +94,19 @@ def mmul(a: Mat, b: Mat) -> Mat:
     if ra == 0:
         return []
     if ca != rb:
-        # zero-dimension blocks degrade to (0, 0); treat them as conformable
-        if ca == 0 and rb == 0:
-            return zeros(ra, cb)
         raise ValueError(f"shape mismatch {shape(a)} @ {shape(b)}")
     if cb == 0:
         return zeros(ra, 0)
-    bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in bt] for row in a]
+    b_nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [ZERO] * cb
+        for x, b_row in zip(row, b_nonzeros):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def hstack(blocks: Sequence[Mat]) -> Mat:
@@ -186,15 +198,17 @@ def _eliminate(m: Mat) -> tuple[Mat, list[int], int]:
         if piv != row:
             a[row], a[piv] = a[piv], a[row]
             swaps += 1
-        pv = a[row][col]
+        ar = a[row]
+        pv = ar[col]
+        pivot_nonzeros = [(j, ar[j]) for j in range(col, c) if ar[j]]
         for i in range(row + 1, r):
-            f = a[i][col]
+            ai = a[i]
+            f = ai[col]
             if f == 0:
                 continue
             ratio = f / pv
-            ai, ar = a[i], a[row]
-            for j in range(col, c):
-                ai[j] -= ratio * ar[j]
+            for j, y in pivot_nonzeros:
+                ai[j] -= ratio * y
         pivots.append(col)
         row += 1
         if row == r:
@@ -240,10 +254,13 @@ def exact_solve(a: Mat, b: Mat) -> Mat:
             raise ZeroDivisionError("singular system in exact_solve")
         aug[col], aug[piv] = aug[piv], aug[col]
         pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
+        prow = aug[col] = [x / pv if x else x for x in aug[col]]
+        pivot_nonzeros = [(j, y) for j, y in enumerate(prow) if y]
         for i in range(n):
-            if i == col or aug[i][col] == 0:
+            ai = aug[i]
+            f = ai[col]
+            if i == col or f == 0:
                 continue
-            f = aug[i][col]
-            aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+            for j, y in pivot_nonzeros:
+                ai[j] -= f * y
     return [row[n:] for row in aug]

@@ -388,6 +388,8 @@ def randomized_realization_check(nds: NdsModel, seed: int = 0, trials: int = 5,
     else:
         vsize = 2 * (n * n * (1 + d_loop) + d_loop)
     vsize = max(vsize, 2)
+    # With nothing free to draw, every trial would realize the same system.
+    trials = trials if k else 1
     redraws = 0
     last_modes: list = []
     for t in range(1, trials + 1):

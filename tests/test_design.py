@@ -3,7 +3,7 @@ import random
 import pytest
 
 from netctrl import exactla as ex
-from netctrl import ratfun, verify
+from netctrl import design, ratfun, verify
 from netctrl.design import (InfeasibleDesignError, brute_force_min_topology,
                             design_topology, eliminate_pdums, extract_cover_sets,
                             g_value, greedy_color, greedy_link_rows,
@@ -226,6 +226,22 @@ def test_brute_force_sec7_minimum(sec7):
     assert best.num_free == 3
     nds = NdsModel(sec7.subsystems, best)
     assert verify.check_structural_controllability(nds).structurally_controllable
+
+
+def test_brute_force_rejects_unreachable_lambda_edge_first(monkeypatch, sec7):
+    # an unreachable lambda edge off every cycle comes with a fixed mode, so
+    # the search rejects it before any intersection
+    exact = design.matroid_intersection_rank
+    calls = []
+
+    def counting(o1, o2):
+        calls.append(1)
+        return exact(o1, o2)
+
+    monkeypatch.setattr(design, "matroid_intersection_rank", counting)
+    best = brute_force_min_topology(sec7.subsystems, max_links=3)
+    assert sorted(best.entries) == [(0, 1), (2, 1), (4, 3)]
+    assert len(calls) <= 173
 
 
 def test_brute_force_zero_links():

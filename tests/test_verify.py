@@ -191,6 +191,18 @@ def test_realization_without_parameters_immediate():
     assert res.controllable_witness and res.trials_used == 1
 
 
+def test_realization_without_free_parameters_runs_one_trial(sec7_empty):
+    # nothing is drawn, so a second trial would realize the same system
+    res = randomized_realization_check(sec7_empty, seed=0, trials=5)
+    assert not res.controllable_witness
+    assert res.trials_used == 1 and res.redraws == 0
+    a_m, b_m = realize_numeric(sec7_empty, {})
+    once = uncontrollable_modes(ex.to_float(a_m),
+                                ex.to_float(b_m).reshape(sec7_empty.M_x, sec7_empty.M_u))
+    assert res.last_uncontrollable_modes == once
+    assert [round(l.real, 6) for l in once] == [1, 0, 0, -1, 1, -1]
+
+
 def test_pbh_matches_exact_kalman_rank():
     # the exact rank of [B AB ... A^(n-1) B] is an independent reference
     rng = random.Random(37)
