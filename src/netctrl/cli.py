@@ -62,13 +62,18 @@ def _parse_matrix(obj, where: str, warnings: list[str]) -> ex.Mat:
              for j, x in enumerate(row)] for i, row in enumerate(obj)]
 
 
+def _is_int(x) -> bool:
+    """An integer that is not a boolean (JSON true/false read as 1/0)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_positions(obj, rows: int, cols: int, where: str) -> list[tuple[int, int]]:
     if not isinstance(obj, list):
         raise DocumentError(f"{where}: expected a list of [row, col] pairs")
     out = []
     for item in obj:
         if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(v, int) for v in item)):
+                or not all(_is_int(v) for v in item)):
             raise DocumentError(f"{where}: positions must be [row, col] integer pairs")
         r, c = item
         if not (1 <= r <= rows and 1 <= c <= cols):
@@ -172,6 +177,9 @@ def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
     elif isinstance(scm_raw, dict):
         rows = scm_raw.get("rows", mv)
         cols = scm_raw.get("cols", mz)
+        for key, value in (("rows", rows), ("cols", cols)):
+            if not _is_int(value):
+                raise DocumentError(f"scm.{key}: expected an integer, got {value!r}")
         if (rows, cols) != (mv, mz):
             raise DocumentError(f"scm: declared {rows}x{cols}, ports give {mv}x{mz}")
         if "fixed" in scm_raw:

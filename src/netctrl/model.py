@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Optional
 
@@ -166,10 +167,20 @@ class SubsystemModel:
     def has_free_params(self) -> bool:
         return isinstance(self.param_block, StructuredPattern)
 
+    @cached_property
+    def analysis(self) -> AugmentedSubsystem:
+        """The analysis form (`analysis_form`), built once per subsystem object,
+        so every NdsModel made from this object shares it and its record."""
+        return analysis_form(self)
 
-@dataclass(frozen=True)
+
+@dataclass
 class AugmentedSubsystem:
-    """Parameter-free analysis form of a subsystem (extra channels absorbed)."""
+    """Parameter-free analysis form of a subsystem (extra channels absorbed).
+
+    `record` is the form's analysis record (`ratfun.SubsystemAnalysis`),
+    made on first use and kept as long as the form.
+    """
 
     A_xx: Mat
     A_xv: Mat
@@ -179,6 +190,7 @@ class AugmentedSubsystem:
     B_zu: Mat
     param_pattern: Optional[StructuredPattern] = None  # block moved into the routing layer
     name: str = ""
+    record: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def m_x(self) -> int:
@@ -267,7 +279,7 @@ class NdsModel:
         if not subsystems:
             raise ModelError("at least one subsystem required")
         self.subsystems = list(subsystems)
-        self.analysis = [analysis_form(s) for s in self.subsystems]
+        self.analysis = [s.analysis for s in self.subsystems]
         self.scm = scm
         mv0 = sum(s.m_v0 for s in self.subsystems)
         mz0 = sum(s.m_z0 for s in self.subsystems)

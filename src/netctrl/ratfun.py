@@ -6,12 +6,17 @@ all in exact rational arithmetic: the class is a statement about exact
 numbers, not about floating-point residues. Eigenvalues and null-space
 bases, which are generally irrational, are the only floating-point objects
 here.
+
+Everything here is computed per subsystem and kept in one analysis record
+per analysis form (`SubsystemAnalysis`): `subsystem_tfms`, `nds_tfms`,
+`spectrum` and `mode_data` only assemble their results from the records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -78,12 +83,11 @@ class SubsystemTfms:
 
 def subsystem_tfms(aug: AugmentedSubsystem) -> SubsystemTfms:
     """Entry classes of the transfers from internal/external inputs to internal outputs."""
-    return SubsystemTfms(entry_classes(aug.A_zx, aug.A_xx, aug.A_xv, aug.A_zv),
-                         entry_classes(aug.A_zx, aug.A_xx, aug.B_xu, aug.B_zu))
+    return analysis_records([aug])[0].tfms
 
 
 def nds_tfms(nds: NdsModel) -> list[SubsystemTfms]:
-    return [subsystem_tfms(a) for a in nds.analysis]
+    return [r.tfms for r in analysis_records(nds.analysis)]
 
 
 @dataclass(frozen=True)
@@ -123,10 +127,8 @@ def spectrum(nds: NdsModel, tol: float = EIG_TOL) -> Spectrum:
     the imaginary part is below tolerance.
     """
     raw: list[tuple[complex, int]] = []
-    for j, aug in enumerate(nds.analysis):
-        if aug.m_x == 0:
-            continue
-        for lam in np.linalg.eigvals(ex.to_float(aug.A_xx)):
+    for j, rec in enumerate(analysis_records(nds.analysis)):
+        for lam in rec.eigvals:
             lam = complex(lam)
             if abs(lam.imag) <= tol * max(1.0, abs(lam)):
                 lam = complex(lam.real, 0.0)
@@ -201,26 +203,7 @@ def mode_data(nds: NdsModel, lam: complex, tol: float = RANK_TOL) -> ModeData:
     block-diagonal assembly, keeping global column indices aligned.
     """
     dtype = complex if abs(complex(lam).imag) > 0 else float
-    per = []
-    for aug in nds.analysis:
-        a_xx = ex.to_float(aug.A_xx)
-        b_xu = ex.to_float(aug.B_xu)
-        a_zx = ex.to_float(aug.A_zx).reshape(aug.m_z, aug.m_x)
-        b_zu = ex.to_float(aug.B_zu).reshape(aug.m_z, aug.m_u)
-        lam_c = complex(lam) if dtype is complex else float(complex(lam).real)
-        top = np.hstack([lam_c * np.eye(aug.m_x) - a_xx, b_xu])
-        bot = np.hstack([-a_zx, b_zu])
-        m = np.vstack([top, bot]).astype(dtype)
-        basis, rank = left_null_basis(m, tol)
-        m_r = (aug.m_x + aug.m_z) - rank
-        t = basis[:, :aug.m_x]
-        z = basis[:, aug.m_x:]
-        a_xv = ex.to_float(aug.A_xv).reshape(aug.m_x, aug.m_v)
-        a_zv = ex.to_float(aug.A_zv).reshape(aug.m_z, aug.m_v)
-        y = t @ a_xv + z @ a_zv
-        pbh_rank = ex.float_rank(top, tol)
-        per.append(SubsystemModeData(t=t, z=z, y=y, m_r=m_r,
-                                     pbh_deficiency=aug.m_x - pbh_rank))
+    per = [rec.mode_block(lam, tol) for rec in analysis_records(nds.analysis)]
     M_r = sum(s.m_r for s in per)
     z_all = _block_diag_np([s.z for s in per], [a.m_z for a in nds.analysis], dtype)
     y_all = _block_diag_np([s.y for s in per], [a.m_v for a in nds.analysis], dtype)
@@ -237,3 +220,78 @@ def _block_diag_np(blocks: list, col_widths: list[int], dtype) -> np.ndarray:
         r0 += b.shape[0]
         c0 += w
     return out
+
+
+class SubsystemAnalysis:
+    """One analysis form's own results, each computed once.
+
+    The float blocks are converted when the record is made; the eigenvalues,
+    the entry classes and each (eigenvalue, rank tolerance) null-space block
+    on first use. The record hangs on the form, and each SubsystemModel
+    builds its form once, so every NdsModel made from the same subsystem
+    objects reads the same record, and the record lives as long as they do.
+    It keeps the form's matrices rather than the form, so the two make no
+    reference cycle and are freed as soon as the command drops its model.
+    """
+
+    def __init__(self, aug: AugmentedSubsystem, content: tuple):
+        self.content = content
+        self.exact = (aug.A_xx, aug.A_xv, aug.B_xu, aug.A_zx, aug.A_zv, aug.B_zu)
+        self.m_x, self.m_z = mx, mz = aug.m_x, aug.m_z
+        mv, mu = aug.m_v, aug.m_u
+        self.a_xx = ex.to_float(aug.A_xx)
+        self.a_xv = ex.to_float(aug.A_xv).reshape(mx, mv)
+        self.b_xu = ex.to_float(aug.B_xu).reshape(mx, mu)
+        self.a_zx = ex.to_float(aug.A_zx).reshape(mz, mx)
+        self.a_zv = ex.to_float(aug.A_zv).reshape(mz, mv)
+        self.b_zu = ex.to_float(aug.B_zu).reshape(mz, mu)
+        self.blocks: dict[tuple[complex, float], SubsystemModeData] = {}
+
+    @cached_property
+    def eigvals(self) -> np.ndarray:
+        return np.linalg.eigvals(self.a_xx)
+
+    @cached_property
+    def tfms(self) -> SubsystemTfms:
+        a_xx, a_xv, b_xu, a_zx, a_zv, b_zu = self.exact
+        return SubsystemTfms(entry_classes(a_zx, a_xx, a_xv, a_zv),
+                             entry_classes(a_zx, a_xx, b_xu, b_zu))
+
+    def mode_block(self, lam: complex, tol: float) -> SubsystemModeData:
+        """Left null space of [lam I - A_xx, B_xu; -A_zx, B_zu] and its payload."""
+        key = (complex(lam), tol)
+        if key not in self.blocks:
+            mx, mz = self.m_x, self.m_z
+            dtype = complex if abs(complex(lam).imag) > 0 else float
+            lam_c = complex(lam) if dtype is complex else float(complex(lam).real)
+            top = np.hstack([lam_c * np.eye(mx) - self.a_xx, self.b_xu])
+            bot = np.hstack([-self.a_zx, self.b_zu])
+            basis, rank = left_null_basis(np.vstack([top, bot]).astype(dtype), tol)
+            t = basis[:, :mx]
+            z = basis[:, mx:]
+            y = t @ self.a_xv + z @ self.a_zv
+            for shared in (t, z, y):  # every ModeData at this mode holds them
+                shared.flags.writeable = False
+            self.blocks[key] = SubsystemModeData(
+                t=t, z=z, y=y, m_r=mx + mz - rank,
+                pbh_deficiency=mx - ex.float_rank(top, tol))
+        return self.blocks[key]
+
+
+def analysis_records(augs: list[AugmentedSubsystem]) -> list[SubsystemAnalysis]:
+    """The analysis record of each form, made on first use.
+
+    A form without a record takes the one of a form with equal matrices in
+    the same list, so identical agents in one network share one record.
+    """
+    if any(a.record is None for a in augs):
+        shared = {a.record.content: a.record for a in augs if a.record is not None}
+        for a in augs:
+            if a.record is None:
+                content = (a.m_x, a.m_v, a.m_u, a.m_z) + tuple(
+                    tuple(map(tuple, m)) for m in (a.A_xx, a.A_xv, a.B_xu,
+                                                   a.A_zx, a.A_zv, a.B_zu))
+                if content not in shared:
+                    shared[content] = SubsystemAnalysis(a, content)
+                a.record = shared[content]
+    return [a.record for a in augs]

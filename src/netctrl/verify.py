@@ -248,18 +248,15 @@ def check_feasibility(subsystems: list[SubsystemModel], mode_filter: str = "all"
     nds = NdsModel(subsystems, empty)
     cond_i = []
     detail = []
-    for idx, aug in enumerate(nds.analysis):
-        a = ex.to_float(aug.A_xx)
-        wide = np.hstack([ex.to_float(aug.B_xu).reshape(aug.m_x, aug.m_u),
-                          ex.to_float(aug.A_xv).reshape(aug.m_x, aug.m_v)])
+    for idx, rec in enumerate(ratfun.analysis_records(nds.analysis)):
+        wide = np.hstack([rec.b_xu, rec.a_xv]).astype(complex)
         ok = True
-        if aug.m_x:
-            for lam in _filtered(np.linalg.eigvals(a), mode_filter):
-                pbh = np.hstack([lam * np.eye(aug.m_x) - a, wide.astype(complex)])
-                if ex.float_rank(pbh, rank_tol) < aug.m_x:
-                    ok = False
-                    detail.append(f"subsystem {idx + 1} uncontrollable at {lam:.6g}")
-                    break
+        for lam in _filtered(rec.eigvals, mode_filter):
+            pbh = np.hstack([lam * np.eye(rec.m_x) - rec.a_xx, wide])
+            if ex.float_rank(pbh, rank_tol) < rec.m_x:
+                ok = False
+                detail.append(f"subsystem {idx + 1} uncontrollable at {lam:.6g}")
+                break
         cond_i.append((idx, ok))
     spec = ratfun.spectrum(nds, eig_tol)
     lams = spec.values if mode_filter == "all" else spec.unstable()

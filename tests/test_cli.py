@@ -101,6 +101,13 @@ def test_parse_errors(sec7_doc):
     ("lft", {"E1": [[1], [0]], "E2": [[0], [0]], "E3": [[1]], "F1": [[1, 0]],
              "F2": [[0, 0]], "F3": [[0]], "H": [[0]], "param": {"free": [[1, 1]]}},
      "subsystems[1].lft.E3"),
+    ("scm", {"free": [[True, 1]]}, "scm.free"),
+    ("scm", {"free": [[1, False]]}, "scm.free"),
+    ("scm", {"rows": True, "free": []}, "scm.rows"),
+    ("scm", {"cols": False, "free": []}, "scm.cols"),
+    ("lft", {"E1": [[1], [0]], "E2": [[0], [0]], "F1": [[1, 0]], "F2": [[0, 0]],
+             "F3": [[0]], "H": [[0]], "param": {"free": [[True, True]]}},
+     "subsystems[1].lft.param.free"),
 ])
 def test_malformed_values_exit_2(sec7_doc, tmp_path, capsys, field, value, where):
     doc = json.loads(json.dumps(sec7_doc))
@@ -144,11 +151,14 @@ def test_cmd_check_malformed_exits_2(sec7_doc, tmp_path, capsys):
 
 
 def test_reports_byte_identical(sec7_doc, tmp_path):
+    # two calls in one process: nothing the first computes may change the second
     path = _write(tmp_path, sec7_doc)
-    out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-    assert main(["check", path, "--seed", "5", "--out", out1]) == 1
-    assert main(["check", path, "--seed", "5", "--out", out2]) == 1
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    for argv, code in ((["check", "--seed", "5"], 1), (["design", "--modes", "all"], 0),
+                       (["feasible"], 0)):
+        out1, out2 = tmp_path / f"{argv[0]}1.json", tmp_path / f"{argv[0]}2.json"
+        assert main([argv[0], path, *argv[1:], "--out", str(out1)]) == code
+        assert main([argv[0], path, *argv[1:], "--out", str(out2)]) == code
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_cmd_design_reports(sec7_doc, tmp_path):

@@ -4,6 +4,8 @@ import pytest
 
 from netctrl import exactla as ex
 from netctrl import design, ratfun, verify
+from netctrl.cli import load_document, main
+from netctrl.data import sec7_path
 from netctrl.design import (InfeasibleDesignError, brute_force_min_topology,
                             design_topology, eliminate_pdums, extract_cover_sets,
                             g_value, greedy_color, greedy_link_rows,
@@ -288,3 +290,45 @@ def test_greedy_bound_against_exhaustive_rows(sec7_empty):
     best = minimal_rows_exhaustive(modes, 6)
     assert best is not None
     assert len(rows) <= (1 + math.log(6)) * max(1, len(best))
+
+
+def _count_null_space_builds(monkeypatch) -> list:
+    calls = []
+    original = ratfun.left_null_basis
+
+    def counting(m, tol):
+        calls.append(m.shape)
+        return original(m, tol)
+
+    monkeypatch.setattr(ratfun, "left_null_basis", counting)
+    return calls
+
+
+@pytest.mark.parametrize("instance", ["sec7", "random seed 12"])
+def test_each_block_built_once_per_command(monkeypatch, instance):
+    # Feasibility, nds0, nds1 and the final verdict all read the subsystems'
+    # analysis records, so each (record, pooled eigenvalue) block is built once.
+    if instance == "sec7":
+        subs = load_document(sec7_path())[0].subsystems
+    else:
+        subs = random_fixed_subsystems(12, max_sub=4)
+    calls = _count_null_space_builds(monkeypatch)
+    result = design_topology(subs, "all")
+    assert result.verified
+    records = {id(s.analysis.record): s.analysis.record for s in subs}.values()
+    empty = StructuredPattern(sum(s.m_v0 for s in subs), sum(s.m_z0 for s in subs), {})
+    pooled = ratfun.spectrum(NdsModel(subs, empty)).m
+    assert len(calls) == len(records) * pooled
+    assert all(len(r.blocks) == pooled for r in records)
+
+
+def test_each_command_builds_its_own_blocks(monkeypatch, tmp_path):
+    # A second call on the same file builds as much as the first: nothing
+    # computed for one command outlives it.
+    calls = _count_null_space_builds(monkeypatch)
+    counts = []
+    for k in range(2):
+        before = len(calls)
+        assert main(["design", sec7_path(), "--out", str(tmp_path / f"d{k}.json")]) == 0
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1] > 0

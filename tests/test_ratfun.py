@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netctrl import exactla as ex
+from netctrl.cli import load_document
+from netctrl.data import sec7_path
 from netctrl.model import NdsModel, StructuredPattern, SubsystemModel
-from netctrl.ratfun import entry_classes, mode_data, nds_tfms, spectrum, subsystem_tfms
+from netctrl.ratfun import (entry_classes, left_null_basis, mode_data, nds_tfms, spectrum,
+                            subsystem_tfms)
+
+from randgen import random_nds, random_subsystem
 
 
 def _classes_kinds(classes):
@@ -215,3 +223,89 @@ def test_mode_data_rank_identity_sec7(sec7):
         for aug, sd in zip(sec7.analysis, md.per_sub):
             z_rank = ex.float_rank(sd.z, 1e-9)
             assert sd.m_r - z_rank == sd.pbh_deficiency
+
+
+def _reference_block(aug, lam, tol):
+    """One subsystem's mode data computed from its exact matrices alone."""
+    mx, mv, mu, mz = aug.m_x, aug.m_v, aug.m_u, aug.m_z
+    dtype = complex if abs(complex(lam).imag) > 0 else float
+    lam_c = complex(lam) if dtype is complex else float(complex(lam).real)
+    top = np.hstack([lam_c * np.eye(mx) - ex.to_float(aug.A_xx),
+                     ex.to_float(aug.B_xu).reshape(mx, mu)])
+    bot = np.hstack([-ex.to_float(aug.A_zx).reshape(mz, mx),
+                     ex.to_float(aug.B_zu).reshape(mz, mu)])
+    basis, rank = left_null_basis(np.vstack([top, bot]).astype(dtype), tol)
+    t, z = basis[:, :mx], basis[:, mx:]
+    y = (t @ ex.to_float(aug.A_xv).reshape(mx, mv)
+         + z @ ex.to_float(aug.A_zv).reshape(mz, mv))
+    return t, z, y, mx + mz - rank, mx - ex.float_rank(top, tol)
+
+
+def _reference_block_diag(blocks, widths, dtype):
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(widths)), dtype=dtype)
+    r0 = c0 = 0
+    for b, w in zip(blocks, widths):
+        out[r0:r0 + b.shape[0], c0:c0 + w] = b
+        r0, c0 = r0 + b.shape[0], c0 + w
+    return out
+
+
+def _identical_agents(seed, agents):
+    subs = [random_subsystem(random.Random(seed), i + 1, lft_prob=0.5)
+            for i in range(agents)]
+    return NdsModel(subs, StructuredPattern(sum(s.m_v0 for s in subs),
+                                            sum(s.m_z0 for s in subs), {}))
+
+
+def test_analysis_table_matches_reference():
+    cases = [random_nds(seed) for seed in range(40)]
+    cases += [_identical_agents(seed, 4) for seed in range(3)]
+    rot = SubsystemModel(
+        A_xx0=ex.mat([[0, -1], [1, 0]]), A_xv0=ex.mat([[1], [0]]),
+        B_xu0=ex.mat([[0], [0]]), A_zx0=ex.mat([[0, 1]]), A_zv0=ex.mat([[0]]),
+        B_zu0=ex.mat([[0]]))
+    cases.append(NdsModel([rot, dataclasses.replace(rot)],
+                          StructuredPattern(2, 2, {(0, 1): "a", (1, 0): "b"})))
+    saw_complex = saw_shared = False
+    for nds in cases:
+        spec = spectrum(nds)
+        for aug in nds.analysis:
+            assert np.array_equal(aug.record.eigvals,
+                                  np.linalg.eigvals(ex.to_float(aug.A_xx)))
+        for lam in spec.values:
+            saw_complex |= complex(lam).imag != 0
+            dtype = complex if complex(lam).imag != 0 else float
+            ref = [_reference_block(aug, lam, 1e-9) for aug in nds.analysis]
+            for md in (mode_data(nds, lam), mode_data(nds, lam)):
+                for sd, (t, z, y, m_r, deficiency) in zip(md.per_sub, ref):
+                    assert np.array_equal(sd.t, t) and np.array_equal(sd.z, z)
+                    assert np.array_equal(sd.y, y)
+                    assert (sd.m_r, sd.pbh_deficiency) == (m_r, deficiency)
+                assert md.M_r == sum(r[3] for r in ref)
+                assert np.array_equal(md.z_all, _reference_block_diag(
+                    [r[1] for r in ref], [a.m_z for a in nds.analysis], dtype))
+                assert np.array_equal(md.y_all, _reference_block_diag(
+                    [r[2] for r in ref], [a.m_v for a in nds.analysis], dtype))
+        # the pooled spectrum read from the records is the one fresh
+        # subsystem objects give
+        fresh = NdsModel([dataclasses.replace(s) for s in nds.subsystems], nds.scm)
+        again = spectrum(fresh)
+        assert again.values == spec.values and again.members == spec.members
+        records = {id(a.record) for a in nds.analysis}
+        saw_shared |= len(nds.analysis) > 1 and len(records) == 1
+    assert saw_complex and saw_shared
+
+
+def test_records_freed_with_their_model():
+    # Records hold no reference back to their forms, so dropping a parsed
+    # model frees them by reference counting alone, without the cycle collector.
+    gc.disable()
+    try:
+        model = load_document(sec7_path())[0]
+        mode_data(model, spectrum(model).values[0])
+        nds_tfms(model)
+        refs = [weakref.ref(a.record) for a in model.analysis]
+        del model
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
