@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import ratfun, structgraph, verify
-from .exactla import float_rank
+from .exactla import float_rank, singular_value_rank
 from .matroid import GenericPattern, NumericColumns, matroid_intersection_rank
 from .model import NdsModel, StructuredPattern, SubsystemModel
 from .ratfun import ModeData
@@ -54,27 +54,31 @@ def greedy_link_rows(modes: list[ModeData], M_v: int,
 
     Returns the selected rows in insertion order together with the trace of
     coverage values (one entry per iteration, starting at the empty set);
-    ties go to the smallest row index.
+    ties go to the smallest row index. Each step ranks every candidate's
+    matrix [Y restricted to the chosen rows plus the candidate | Z] of one
+    mode with one stacked singular-value call.
     """
     target = sum(md.M_r for md in modes)
     chosen: list[int] = []
     trace = [g_value(chosen, modes, rank_tol)]
     current = trace[0]
     while current < target:
-        best_gain = 0
-        best_row = None
-        for a in range(M_v):
-            if a in chosen:
-                continue
-            gain = g_value(chosen + [a], modes, rank_tol) - current
-            if gain > best_gain:
-                best_gain = gain
-                best_row = a
-        if best_row is None:
+        cands = [a for a in range(M_v) if a not in chosen]
+        totals = np.zeros(len(cands), dtype=int)
+        if cands:
+            cols = np.array([sorted(chosen + [a]) for a in cands])
+            for md in modes:
+                ys = np.moveaxis(md.y_all[:, cols], 1, 0)
+                zs = np.broadcast_to(md.z_all, (len(cands),) + md.z_all.shape)
+                s = np.linalg.svd(np.concatenate([ys, zs], axis=2), compute_uv=False)
+                totals += singular_value_rank(s, rank_tol)
+        if not cands or totals.max() <= current:
             raise InfeasibleDesignError(
                 "coverage cannot reach its ceiling; the feasibility conditions fail")
-        chosen.append(best_row)
-        current += best_gain
+        # argmax takes the first largest total: ties go to the smallest row
+        best = int(np.argmax(totals))
+        chosen.append(cands[best])
+        current = int(totals[best])
         trace.append(current)
     return chosen, trace
 
@@ -303,7 +307,7 @@ def design_topology(subsystems: list[SubsystemModel], mode_filter: str = "all",
     nds0 = NdsModel(subsystems, empty)
     spec = ratfun.spectrum(nds0, eig_tol)
     lams = spec.values if mode_filter == "all" else spec.unstable()
-    modes = [ratfun.mode_data(nds0, lam, rank_tol) for lam in lams]
+    modes = ratfun.modes(nds0, lams, rank_tol)
     M_v, M_z = nds0.M_v, nds0.M_z
     j_grd, trace = greedy_link_rows(modes, M_v, rank_tol)
     covers = extract_cover_sets(j_grd, modes, M_v, M_z, rank_tol)
@@ -325,7 +329,8 @@ def design_topology(subsystems: list[SubsystemModel], mode_filter: str = "all",
         unstable_fums = [mc for mc in verdict.fums if ratfun.is_unstable(mc.lam)]
         verified = not unstable_fums and verdict.pdum is None
     m_rmax = max((md.M_r for md in modes), default=0)
-    m_def = sum(md.pbh_deficiency for md in modes)
+    m_def = sum(int(rec.pbh_deficiencies(lams, rank_tol).sum())
+                for rec in ratfun.analysis_records(nds0.analysis))
     p_ius = sum(1 for d in stage2_links if d["provenance"].startswith("source"))
     links_total = len(all_pos)
     rhs = (2 * max(m_rmax, 1) * (1 + math.log(max(m_def, 1)))
@@ -398,7 +403,7 @@ def brute_force_min_topology(subsystems: list[SubsystemModel],
             f"search space has {n_pos} positions (> 36); pass max_links to cap it")
     cap = min(max_links if max_links is not None else n_pos, n_pos)
     spec = ratfun.spectrum(nds0, eig_tol)
-    modes = [ratfun.mode_data(nds0, lam, rank_tol) for lam in spec.values]
+    modes = ratfun.modes(nds0, spec.values, rank_tol)
     # hardest modes first: larger outstanding deficiency fails faster
     base_rank = [float_rank(md.z_all, rank_tol) for md in modes]
     mode_order = sorted(range(len(modes)),

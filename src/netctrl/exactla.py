@@ -166,15 +166,18 @@ def to_float(m: Mat) -> np.ndarray:
     return out
 
 
-def singular_value_rank(s: np.ndarray, tol: float = RANK_TOL) -> int:
+def singular_value_rank(s: np.ndarray, tol: float = RANK_TOL):
     """Count of singular values (descending) above the rank cutoff.
 
     The cutoff is tol, absolute below unit scale and relative to the largest
-    singular value above it: tol * max(1, s[0]).
+    singular value above it: tol * max(1, s[0]). `s` may carry leading stack
+    axes, as `np.linalg.svd` returns them for a stack of matrices; the
+    result is then an integer array with one rank per matrix, else an int.
     """
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * max(1.0, s[0])))
+    above = s > tol * np.maximum(1.0, s[..., :1])
+    if s.ndim == 1:
+        return int(np.count_nonzero(above))
+    return np.count_nonzero(above, axis=-1)
 
 
 def float_rank(m: np.ndarray, tol: float = RANK_TOL) -> int:

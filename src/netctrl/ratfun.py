@@ -9,7 +9,11 @@ here.
 
 Everything here is computed per subsystem and kept in one analysis record
 per analysis form (`SubsystemAnalysis`): `subsystem_tfms`, `nds_tfms`,
-`spectrum` and `mode_data` only assemble their results from the records.
+`spectrum`, `mode_data` and `modes` only assemble their results from the
+records. A record builds its null-space blocks in stacks, one SVD for all
+its missing real eigenvalues and one for the complex ones; LAPACK factors
+each matrix of a stack as it would alone, so a block does not depend on
+which others it was built with.
 """
 
 from __future__ import annotations
@@ -161,14 +165,17 @@ def spectrum(nds: NdsModel, tol: float = EIG_TOL) -> Spectrum:
     return Spectrum([values[i] for i in order], [members[i] for i in order], tol)
 
 
-def left_null_basis(m: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
-    """Orthonormal rows spanning {w : w m = 0}; returns (basis, rank(m))."""
-    rows = m.shape[0]
-    if m.size == 0:
-        return np.eye(rows, dtype=m.dtype if m.dtype.kind == "c" else float), 0
-    u, s, _ = np.linalg.svd(m)
-    rank = ex.singular_value_rank(s, tol)
-    return u[:, rank:].conj().T, rank
+def left_null_bases(stack: np.ndarray, tol: float) -> list[tuple[np.ndarray, int]]:
+    """(orthonormal rows spanning {w : w m = 0}, rank(m)) for each matrix m of a stack.
+
+    One `np.linalg.svd` serves the whole stack; LAPACK factors each matrix
+    of it as it would factor that matrix alone, so every basis and rank is
+    the one a per-matrix call gives. A matrix with a zero dimension has rank
+    0, and numpy returns the identity as its left singular vectors.
+    """
+    u, s, _ = np.linalg.svd(stack)
+    return [(u_i[:, rank:].conj().T, int(rank))
+            for u_i, rank in zip(u, ex.singular_value_rank(s, tol))]
 
 
 @dataclass(frozen=True)
@@ -179,7 +186,6 @@ class SubsystemModeData:
     z: np.ndarray
     y: np.ndarray
     m_r: int
-    pbh_deficiency: int  # state rows lost by [lam I - A_xx, B_xu]
 
 
 @dataclass(frozen=True)
@@ -190,10 +196,6 @@ class ModeData:
     y_all: np.ndarray
     M_r: int
 
-    @property
-    def pbh_deficiency(self) -> int:
-        return sum(s.pbh_deficiency for s in self.per_sub)
-
 
 def mode_data(nds: NdsModel, lam: complex, tol: float = RANK_TOL) -> ModeData:
     """Per-subsystem left null spaces of the mode matrices at one eigenvalue.
@@ -202,12 +204,35 @@ def mode_data(nds: NdsModel, lam: complex, tol: float = RANK_TOL) -> ModeData:
     state/output column slots still appear (as zero-width blocks) in the
     block-diagonal assembly, keeping global column indices aligned.
     """
-    dtype = complex if abs(complex(lam).imag) > 0 else float
-    per = [rec.mode_block(lam, tol) for rec in analysis_records(nds.analysis)]
+    dtype = _dtype(lam)
+    per = [rec.mode_blocks([lam], tol)[0] for rec in analysis_records(nds.analysis)]
     M_r = sum(s.m_r for s in per)
     z_all = _block_diag_np([s.z for s in per], [a.m_z for a in nds.analysis], dtype)
     y_all = _block_diag_np([s.y for s in per], [a.m_v for a in nds.analysis], dtype)
     return ModeData(lam=lam, per_sub=per, z_all=z_all, y_all=y_all, M_r=M_r)
+
+
+def modes(nds: NdsModel, lams: list, tol: float = RANK_TOL) -> list[ModeData]:
+    """`mode_data` at each eigenvalue, after each subsystem record has built
+    all its missing blocks at once (one stacked SVD per dtype)."""
+    for rec in analysis_records(nds.analysis):
+        rec.mode_blocks(lams, tol)
+    return [mode_data(nds, lam, tol) for lam in lams]
+
+
+def _dtype(lam: complex) -> type:
+    """Working dtype at one eigenvalue: float on the real axis, else complex."""
+    return complex if abs(complex(lam).imag) > 0 else float
+
+
+def _by_dtype(lams: list) -> dict[type, list[tuple[int, complex | float]]]:
+    """(position, value in its dtype) of each eigenvalue, grouped by `_dtype`."""
+    groups: dict[type, list] = {}
+    for i, lam in enumerate(lams):
+        dtype = _dtype(lam)
+        value = complex(lam) if dtype is complex else float(complex(lam).real)
+        groups.setdefault(dtype, []).append((i, value))
+    return groups
 
 
 def _block_diag_np(blocks: list, col_widths: list[int], dtype) -> np.ndarray:
@@ -257,25 +282,46 @@ class SubsystemAnalysis:
         return SubsystemTfms(entry_classes(a_zx, a_xx, a_xv, a_zv),
                              entry_classes(a_zx, a_xx, b_xu, b_zu))
 
-    def mode_block(self, lam: complex, tol: float) -> SubsystemModeData:
-        """Left null space of [lam I - A_xx, B_xu; -A_zx, B_zu] and its payload."""
-        key = (complex(lam), tol)
-        if key not in self.blocks:
-            mx, mz = self.m_x, self.m_z
-            dtype = complex if abs(complex(lam).imag) > 0 else float
-            lam_c = complex(lam) if dtype is complex else float(complex(lam).real)
-            top = np.hstack([lam_c * np.eye(mx) - self.a_xx, self.b_xu])
-            bot = np.hstack([-self.a_zx, self.b_zu])
-            basis, rank = left_null_basis(np.vstack([top, bot]).astype(dtype), tol)
-            t = basis[:, :mx]
-            z = basis[:, mx:]
-            y = t @ self.a_xv + z @ self.a_zv
-            for shared in (t, z, y):  # every ModeData at this mode holds them
-                shared.flags.writeable = False
-            self.blocks[key] = SubsystemModeData(
-                t=t, z=z, y=y, m_r=mx + mz - rank,
-                pbh_deficiency=mx - ex.float_rank(top, tol))
-        return self.blocks[key]
+    def mode_matrices(self, values: list, dtype: type) -> np.ndarray:
+        """Stack of [lam I - A_xx, B_xu; -A_zx, B_zu], one per value, in dtype."""
+        mx = self.m_x
+        stack = np.empty((len(values), mx + self.m_z, mx + self.b_xu.shape[1]), dtype)
+        stack[:, :mx, mx:] = self.b_xu
+        stack[:, mx:, :mx] = -self.a_zx
+        stack[:, mx:, mx:] = self.b_zu
+        eye = np.eye(mx)
+        for out, lam in zip(stack, values):
+            out[:mx, :mx] = lam * eye - self.a_xx
+        return stack
+
+    def mode_blocks(self, lams: list, tol: float) -> list[SubsystemModeData]:
+        """Left null space of [lam I - A_xx, B_xu; -A_zx, B_zu] and its payload
+        at each eigenvalue; the missing ones are built with one stacked SVD
+        per dtype."""
+        keys = [(complex(lam), tol) for lam in lams]
+        missing = list({k[0]: None for k in keys if k not in self.blocks})
+        mx = self.m_x
+        for dtype, group in _by_dtype(missing).items():
+            stack = self.mode_matrices([v for _, v in group], dtype)
+            for (i, _), (basis, rank) in zip(group, left_null_bases(stack, tol)):
+                t = basis[:, :mx]
+                z = basis[:, mx:]
+                y = t @ self.a_xv + z @ self.a_zv
+                for shared in (t, z, y):  # every ModeData at this mode holds them
+                    shared.flags.writeable = False
+                self.blocks[(missing[i], tol)] = SubsystemModeData(
+                    t=t, z=z, y=y, m_r=mx + self.m_z - rank)
+        return [self.blocks[k] for k in keys]
+
+    def pbh_deficiencies(self, lams: list, tol: float) -> np.ndarray:
+        """State rows lost by [lam I - A_xx, B_xu] at each eigenvalue, with one
+        stacked singular-value call per dtype."""
+        out = np.zeros(len(lams), dtype=int)
+        for dtype, group in _by_dtype(lams).items():
+            top = self.mode_matrices([v for _, v in group], dtype)[:, :self.m_x]
+            ranks = ex.singular_value_rank(np.linalg.svd(top, compute_uv=False), tol)
+            out[[i for i, _ in group]] = self.m_x - ranks
+        return out
 
 
 def analysis_records(augs: list[AugmentedSubsystem]) -> list[SubsystemAnalysis]:

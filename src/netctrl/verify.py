@@ -92,7 +92,7 @@ def check_fum_networked(nds: NdsModel, modes: Optional[list] = None,
     """
     if modes is None:
         spec = ratfun.spectrum(nds)
-        modes = [ratfun.mode_data(nds, lam, rank_tol) for lam in spec.values]
+        modes = ratfun.modes(nds, spec.values, rank_tol)
     pattern = assemble_lumped(nds).P_pattern
     q1 = GenericPattern(routing_pattern_q1(pattern))
     rng = np.random.default_rng(_PRODUCT_RANK_SEED)
@@ -202,7 +202,7 @@ def check_structural_controllability(nds: NdsModel, seed: int = 0,
     nacg = structgraph.build_nacg(nds, ratfun.nds_tfms(nds))
     cycle = structgraph.find_input_unreachable_lambda_cycle(nacg)
     spec = ratfun.spectrum(nds, eig_tol)
-    modes = [ratfun.mode_data(nds, lam, rank_tol) for lam in spec.values]
+    modes = ratfun.modes(nds, spec.values, rank_tol)
     checks = check_fum_networked(nds, modes, rank_tol)
     fums = fums_of(checks)
     return Verdict(structurally_controllable=cycle is None and not fums, pdum=cycle,
@@ -249,18 +249,17 @@ def check_feasibility(subsystems: list[SubsystemModel], mode_filter: str = "all"
     cond_i = []
     detail = []
     for idx, rec in enumerate(ratfun.analysis_records(nds.analysis)):
-        wide = np.hstack([rec.b_xu, rec.a_xv]).astype(complex)
-        ok = True
-        for lam in _filtered(rec.eigvals, mode_filter):
-            pbh = np.hstack([lam * np.eye(rec.m_x) - rec.a_xx, wide])
-            if ex.float_rank(pbh, rank_tol) < rec.m_x:
-                ok = False
-                detail.append(f"subsystem {idx + 1} uncontrollable at {lam:.6g}")
-                break
-        cond_i.append((idx, ok))
+        lams = _filtered(rec.eigvals, mode_filter)
+        ranks = ex.singular_value_rank(
+            np.linalg.svd(_pbh_stack(rec, lams), compute_uv=False), rank_tol)
+        failing = np.flatnonzero(ranks < rec.m_x)
+        if failing.size:
+            # the eigenvalue as the spectrum holds it: a real one prints as a float
+            detail.append(f"subsystem {idx + 1} uncontrollable at {lams[failing[0]]:.6g}")
+        cond_i.append((idx, not failing.size))
     spec = ratfun.spectrum(nds, eig_tol)
     lams = spec.values if mode_filter == "all" else spec.unstable()
-    targets = [ratfun.mode_data(nds, lam, rank_tol).M_r for lam in lams]
+    targets = [md.M_r for md in ratfun.modes(nds, lams, rank_tol)]
     max_target = max(targets, default=0)
     cond_ii = nds.M_z >= max_target
     if not cond_ii:
@@ -280,6 +279,17 @@ def _filtered(lams, mode_filter: str):
     if mode_filter == "all":
         return lams
     return [l for l in lams if ratfun.is_unstable(l)]
+
+
+def _pbh_stack(rec: ratfun.SubsystemAnalysis, lams) -> np.ndarray:
+    """[lam I - A_xx, B_xu, A_xv] at each eigenvalue, stacked, in complex."""
+    mx = rec.m_x
+    stack = np.empty((len(lams), mx, mx + rec.b_xu.shape[1] + rec.a_xv.shape[1]), complex)
+    stack[:, :, mx:] = np.hstack([rec.b_xu, rec.a_xv])
+    eye = np.eye(mx)
+    for out, lam in zip(stack, lams):
+        out[:, :mx] = lam * eye - rec.a_xx
+    return stack
 
 
 def realize_numeric(nds: NdsModel, values: dict[str, Fraction]) -> tuple[ex.Mat, ex.Mat]:

@@ -55,6 +55,40 @@ def test_greedy_rows_trivial_when_covered():
     assert rows == []
 
 
+def _greedy_per_candidate(modes, M_v):
+    """Reference greedy: one g_value per candidate row, first strict gain wins."""
+    target = sum(md.M_r for md in modes)
+    chosen, trace = [], [g_value([], modes)]
+    while trace[-1] < target:
+        gains = [(g_value(chosen + [a], modes) - trace[-1], a)
+                 for a in range(M_v) if a not in chosen]
+        best_gain, best_row = max(gains, key=lambda g: (g[0], -g[1]), default=(0, None))
+        if best_gain <= 0:
+            return None
+        chosen.append(best_row)
+        trace.append(trace[-1] + best_gain)
+    return chosen, trace
+
+
+def test_greedy_rows_match_per_candidate_reference():
+    compared = raised = 0
+    for seed in range(120):
+        subs = random_fixed_subsystems(seed, max_sub=4)
+        nds = NdsModel(subs, StructuredPattern(sum(s.m_v0 for s in subs),
+                                               sum(s.m_z0 for s in subs), {}))
+        for mode_filter in ("all", "unstable"):
+            modes = _modes(nds, mode_filter)
+            want = _greedy_per_candidate(modes, nds.M_v)
+            if want is None:
+                with pytest.raises(InfeasibleDesignError):
+                    greedy_link_rows(modes, nds.M_v)
+                raised += 1
+            else:
+                assert greedy_link_rows(modes, nds.M_v) == want, f"seed {seed}"
+                compared += 1
+    assert compared >= 100 and raised > 0
+
+
 def test_cover_sets_sec7(sec7_empty):
     modes_u = _modes(sec7_empty, "unstable")
     rows_u, _ = greedy_link_rows(modes_u, 6)
@@ -293,14 +327,16 @@ def test_greedy_bound_against_exhaustive_rows(sec7_empty):
 
 
 def _count_null_space_builds(monkeypatch) -> list:
+    """Record the shape of every mode matrix whose null space is built; the
+    blocks are built in stacks, so each stack counts its matrices."""
     calls = []
-    original = ratfun.left_null_basis
+    original = ratfun.left_null_bases
 
-    def counting(m, tol):
-        calls.append(m.shape)
-        return original(m, tol)
+    def counting(stack, tol):
+        calls.extend([stack.shape[1:]] * stack.shape[0])
+        return original(stack, tol)
 
-    monkeypatch.setattr(ratfun, "left_null_basis", counting)
+    monkeypatch.setattr(ratfun, "left_null_bases", counting)
     return calls
 
 

@@ -165,6 +165,41 @@ def test_rank_rule_relative_above_unit_scale():
     assert ex.float_rank(np.diag([1e4, 5e-6]), tol=1e-12) == 2
 
 
+def _deficient_stack(rng, count, rows, cols, dtype):
+    """`count` matrices of random rank 0..min(rows, cols) and scale 1e-3..1e3."""
+    out = np.zeros((count, rows, cols), dtype)
+    for m in out:
+        k = rng.integers(0, min(rows, cols) + 1)
+        left, right = rng.standard_normal((rows, k)), rng.standard_normal((k, cols))
+        if dtype is complex:
+            left = left + 1j * rng.standard_normal((rows, k))
+        m[...] = 10.0 ** rng.integers(-3, 4) * (left @ right)
+    return out
+
+
+def test_stacked_svd_matches_per_matrix():
+    # The null-space blocks, the feasibility test and the greedy step hand
+    # LAPACK stacks of same-shape matrices and rely on getting, bit for bit,
+    # what one call per matrix gives.
+    rng = np.random.default_rng(5)
+    shapes = [(r, c) for r in range(1, 8) for c in range(1, 8)]
+    shapes += [(0, 3), (3, 0), (0, 0)]
+    for dtype in (float, complex):
+        for rows, cols in shapes:
+            stack = _deficient_stack(rng, 4, rows, cols, dtype)
+            u_all, s_all, _ = np.linalg.svd(stack)
+            s_only = np.linalg.svd(stack, compute_uv=False)
+            ranks = ex.singular_value_rank(s_all)
+            assert ranks.shape == (4,)
+            assert ex.singular_value_rank(s_only).tolist() == ranks.tolist()
+            for m, u_i, s_i, s_only_i, rank in zip(stack, u_all, s_all, s_only, ranks):
+                u, s, _ = np.linalg.svd(m)
+                assert u_i.tobytes() == u.tobytes() and u_i.dtype == u.dtype
+                assert s_i.tobytes() == s.tobytes()
+                assert s_only_i.tobytes() == np.linalg.svd(m, compute_uv=False).tobytes()
+                assert rank == ex.float_rank(m) == ex.singular_value_rank(s)
+
+
 def test_mmul_matches_dense_reference():
     rng = random.Random(3)
     for density in DENSITIES:

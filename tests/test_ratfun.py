@@ -12,8 +12,8 @@ from netctrl import exactla as ex
 from netctrl.cli import load_document
 from netctrl.data import sec7_path
 from netctrl.model import NdsModel, StructuredPattern, SubsystemModel
-from netctrl.ratfun import (entry_classes, left_null_basis, mode_data, nds_tfms, spectrum,
-                            subsystem_tfms)
+from netctrl.ratfun import (analysis_records, entry_classes, mode_data, modes, nds_tfms,
+                            spectrum, subsystem_tfms)
 
 from randgen import random_nds, random_subsystem
 
@@ -173,7 +173,9 @@ def test_mode_data_sec7_targets(sec7):
     assert md0.M_r == 4
     mdm1 = mode_data(sec7, -1.0)
     assert mdm1.M_r == 5
-    assert md1.pbh_deficiency == 2 and md0.pbh_deficiency == 1
+    deficiency = sum(rec.pbh_deficiencies([1.0, 0.0], 1e-9)
+                     for rec in analysis_records(sec7.analysis))
+    assert deficiency.tolist() == [2, 1]
 
 
 def test_mode_data_full_row_rank_contributes_nothing():
@@ -218,11 +220,23 @@ def test_mode_data_residuals_random():
 
 def test_mode_data_rank_identity_sec7(sec7):
     # per-subsystem: m_r - rank(Z block) equals the state-rows deficiency
-    for lam in spectrum(sec7).values:
+    lams = spectrum(sec7).values
+    deficiencies = [aug.record.pbh_deficiencies(lams, 1e-9) for aug in sec7.analysis]
+    for k, lam in enumerate(lams):
         md = mode_data(sec7, lam)
-        for aug, sd in zip(sec7.analysis, md.per_sub):
+        for sd, deficiency in zip(md.per_sub, deficiencies):
             z_rank = ex.float_rank(sd.z, 1e-9)
-            assert sd.m_r - z_rank == sd.pbh_deficiency
+            assert sd.m_r - z_rank == deficiency[k]
+
+
+def _left_null_basis(m, tol):
+    """Per-matrix reference: orthonormal rows spanning {w : w m = 0}, and rank(m)."""
+    rows = m.shape[0]
+    if m.size == 0:
+        return np.eye(rows, dtype=m.dtype if m.dtype.kind == "c" else float), 0
+    u, s, _ = np.linalg.svd(m)
+    rank = ex.singular_value_rank(s, tol)
+    return u[:, rank:].conj().T, rank
 
 
 def _reference_block(aug, lam, tol):
@@ -234,7 +248,7 @@ def _reference_block(aug, lam, tol):
                      ex.to_float(aug.B_xu).reshape(mx, mu)])
     bot = np.hstack([-ex.to_float(aug.A_zx).reshape(mz, mx),
                      ex.to_float(aug.B_zu).reshape(mz, mu)])
-    basis, rank = left_null_basis(np.vstack([top, bot]).astype(dtype), tol)
+    basis, rank = _left_null_basis(np.vstack([top, bot]).astype(dtype), tol)
     t, z = basis[:, :mx], basis[:, mx:]
     y = (t @ ex.to_float(aug.A_xv).reshape(mx, mv)
          + z @ ex.to_float(aug.A_zv).reshape(mz, mv))
@@ -257,6 +271,22 @@ def _identical_agents(seed, agents):
                                             sum(s.m_z0 for s in subs), {}))
 
 
+def _zero_width_blocks():
+    """Forms with zero-width blocks: no external input (m_u = 0), no output
+    (m_z = 0), and a static one whose mode matrix is 1 x 0 at every eigenvalue."""
+    no_input = SubsystemModel(
+        A_xx0=ex.mat([[1, 1], [0, 2]]), A_xv0=ex.mat([[1], [0]]), B_xu0=[[], []],
+        A_zx0=ex.mat([[0, 1]]), A_zv0=ex.mat([[0]]), B_zu0=[[]])
+    no_output = SubsystemModel(
+        A_xx0=ex.mat([[0, -1], [1, 0]]), A_xv0=ex.mat([[1], [1]]),
+        B_xu0=ex.mat([[1], [0]]), A_zx0=[], A_zv0=[], B_zu0=[])
+    static = SubsystemModel(A_xx0=[], A_xv0=[], B_xu0=[], A_zx0=[[]], A_zv0=[[]],
+                            B_zu0=[[]])
+    subs = [no_input, no_output, static]
+    return NdsModel(subs, StructuredPattern(sum(s.m_v0 for s in subs),
+                                            sum(s.m_z0 for s in subs), {}))
+
+
 def test_analysis_table_matches_reference():
     cases = [random_nds(seed) for seed in range(40)]
     cases += [_identical_agents(seed, 4) for seed in range(3)]
@@ -266,26 +296,34 @@ def test_analysis_table_matches_reference():
         B_zu0=ex.mat([[0]]))
     cases.append(NdsModel([rot, dataclasses.replace(rot)],
                           StructuredPattern(2, 2, {(0, 1): "a", (1, 0): "b"})))
-    saw_complex = saw_shared = False
+    cases.append(_zero_width_blocks())
+    saw_mixed = saw_shared = saw_empty = False
     for nds in cases:
         spec = spectrum(nds)
         for aug in nds.analysis:
             assert np.array_equal(aug.record.eigvals,
                                   np.linalg.eigvals(ex.to_float(aug.A_xx)))
-        for lam in spec.values:
-            saw_complex |= complex(lam).imag != 0
+        # One call builds every block of a record with one stacked SVD per
+        # dtype: real and complex eigenvalues together, some of them twice.
+        lams = spec.values + spec.values[::2]
+        saw_mixed |= len({complex(lam).imag != 0 for lam in lams}) == 2
+        mds = modes(nds, lams)
+        assert all(len(aug.record.blocks) == spec.m for aug in nds.analysis)
+        deficiencies = [aug.record.pbh_deficiencies(lams, 1e-9) for aug in nds.analysis]
+        for k, lam in enumerate(lams):
             dtype = complex if complex(lam).imag != 0 else float
             ref = [_reference_block(aug, lam, 1e-9) for aug in nds.analysis]
-            for md in (mode_data(nds, lam), mode_data(nds, lam)):
-                for sd, (t, z, y, m_r, deficiency) in zip(md.per_sub, ref):
-                    assert np.array_equal(sd.t, t) and np.array_equal(sd.z, z)
-                    assert np.array_equal(sd.y, y)
-                    assert (sd.m_r, sd.pbh_deficiency) == (m_r, deficiency)
+            for md in (mds[k], mode_data(nds, lam)):
+                for sd, d, (t, z, y, m_r, deficiency) in zip(md.per_sub, deficiencies, ref):
+                    for got, want in ((sd.t, t), (sd.z, z), (sd.y, y)):
+                        assert got.dtype == want.dtype and np.array_equal(got, want)
+                    assert (sd.m_r, d[k]) == (m_r, deficiency)
                 assert md.M_r == sum(r[3] for r in ref)
                 assert np.array_equal(md.z_all, _reference_block_diag(
                     [r[1] for r in ref], [a.m_z for a in nds.analysis], dtype))
                 assert np.array_equal(md.y_all, _reference_block_diag(
                     [r[2] for r in ref], [a.m_v for a in nds.analysis], dtype))
+        saw_empty |= any(aug.m_x == 0 for aug in nds.analysis)
         # the pooled spectrum read from the records is the one fresh
         # subsystem objects give
         fresh = NdsModel([dataclasses.replace(s) for s in nds.subsystems], nds.scm)
@@ -293,7 +331,7 @@ def test_analysis_table_matches_reference():
         assert again.values == spec.values and again.members == spec.members
         records = {id(a.record) for a in nds.analysis}
         saw_shared |= len(nds.analysis) > 1 and len(records) == 1
-    assert saw_complex and saw_shared
+    assert saw_mixed and saw_shared and saw_empty
 
 
 def test_records_freed_with_their_model():

@@ -144,6 +144,31 @@ def test_feasibility_fails_on_uncontrollable_pair():
     assert rep.augmented_controllable == [(0, False)]
 
 
+def test_feasibility_detail_names_the_first_failing_eigenvalue():
+    # The detail prints the eigenvalue as the subsystem's spectrum holds it:
+    # a real one as a float (-1), not as a complex number ((-1+0j)).
+    ok = SubsystemModel(
+        A_xx0=ex.mat([[0]]), A_xv0=ex.mat([[1]]), B_xu0=ex.mat([[1]]),
+        A_zx0=ex.mat([[1]]), A_zv0=ex.mat([[0]]), B_zu0=ex.mat([[1]]))
+    real = SubsystemModel(  # controllable at 1, not at -1
+        A_xx0=ex.mat([[1, 0], [0, -1]]), A_xv0=ex.mat([[1], [0]]),
+        B_xu0=ex.mat([[0], [0]]), A_zx0=ex.mat([[1, 1]]), A_zv0=ex.mat([[0]]),
+        B_zu0=ex.mat([[1]]))
+    pair = SubsystemModel(  # uncontrollable at 1 +- 2i, controllable at 3
+        A_xx0=ex.mat([[1, -2, 0], [2, 1, 0], [0, 0, 3]]), A_xv0=ex.mat([[0], [0], [1]]),
+        B_xu0=ex.mat([[0], [0], [1]]), A_zx0=ex.mat([[1, 0, 0]]), A_zv0=ex.mat([[0]]),
+        B_zu0=ex.mat([[1]]))
+    rep = check_feasibility([ok, real])
+    assert rep.augmented_controllable == [(0, True), (1, False)]
+    assert rep.detail == "subsystem 2 uncontrollable at -1"
+    assert check_feasibility([ok, real], "unstable").detail == ""
+    rep = check_feasibility([pair, ok], "unstable")
+    assert rep.augmented_controllable == [(0, False), (1, True)]
+    assert rep.detail == "subsystem 1 uncontrollable at 1+2j"
+    assert check_feasibility([real, pair]).detail == (
+        "subsystem 1 uncontrollable at -1; subsystem 2 uncontrollable at 1+2j")
+
+
 def test_feasibility_fails_without_external_route():
     # frequency-dependent internal transfer but no path from external inputs
     sub = SubsystemModel(
