@@ -121,7 +121,6 @@ def extract_cover_sets(j_grd: list[int], modes: list[ModeData], M_v: int, M_z: i
 @dataclass(frozen=True)
 class ColoringGraph:
     vertices: tuple
-    cliques: tuple                  # the cover sets that induced the edges
     colors: dict                    # vertex -> frozenset of colors (0-based)
     order: tuple                    # vertices in coloring order (pre-colored excluded)
     removed_edges: frozenset        # edges dropped by the multi-color rule
@@ -180,8 +179,7 @@ def greedy_color(cover_sets: list[list[int]], M_v: int, M_z: int,
             colors[v_star] = {pick}
         order.append(v_star)
         uncolored.remove(v_star)
-    graph = ColoringGraph(tuple(vertices), tuple(tuple(c) for c in cover_sets),
-                          {v: frozenset(c) for v, c in colors.items()},
+    graph = ColoringGraph(tuple(vertices), {v: frozenset(c) for v, c in colors.items()},
                           tuple(order), frozenset(removed))
     positions = sorted((v, c) for v, cs in colors.items() if v < M_v for c in cs)
     return graph, positions
@@ -249,7 +247,6 @@ class DesignResult:
     bound_report: dict
     verified: bool
     verdict: Optional[verify.Verdict]
-    g_trace: list
 
     @property
     def positions(self) -> list[tuple[int, int]]:
@@ -302,14 +299,11 @@ def design_topology(subsystems: list[SubsystemModel], mode_filter: str = "all",
     feas = verify.check_feasibility(subsystems, mode_filter, rank_tol, eig_tol)
     if not feas.feasible:
         raise InfeasibleDesignError(f"infeasible: {feas.detail}", feas)
-    empty = StructuredPattern(sum(s.m_v0 for s in subsystems),
-                              sum(s.m_z0 for s in subsystems), {})
-    nds0 = NdsModel(subsystems, empty)
-    spec = ratfun.spectrum(nds0, eig_tol)
-    lams = spec.values if mode_filter == "all" else spec.unstable()
+    nds0 = NdsModel.unrouted(subsystems)
+    lams = ratfun.filter_modes(ratfun.spectrum(nds0, eig_tol).values, mode_filter)
     modes = ratfun.modes(nds0, lams, rank_tol)
     M_v, M_z = nds0.M_v, nds0.M_z
-    j_grd, trace = greedy_link_rows(modes, M_v, rank_tol)
+    j_grd, _ = greedy_link_rows(modes, M_v, rank_tol)
     covers = extract_cover_sets(j_grd, modes, M_v, M_z, rank_tol)
     coloring, stage1_pos = greedy_color(covers, M_v, M_z, [md.M_r for md in modes])
     stage1_links = [{"position": pos, "provenance": "coloring"} for pos in stage1_pos]
@@ -348,7 +342,7 @@ def design_topology(subsystems: list[SubsystemModel], mode_filter: str = "all",
                         j_grd=j_grd, cover_sets=covers, coloring=coloring,
                         mode_lams=lams, mode_filter=mode_filter,
                         bound_report=bound_report, verified=verified,
-                        verdict=verdict, g_trace=trace)
+                        verdict=verdict)
 
 
 def minimal_rows_exhaustive(modes: list[ModeData], M_v: int,
@@ -394,9 +388,7 @@ def brute_force_min_topology(subsystems: list[SubsystemModel],
     """
     if any(s.has_free_params for s in subsystems):
         raise InfeasibleDesignError("exhaustive search expects fixed parameter blocks")
-    empty = StructuredPattern(sum(s.m_v0 for s in subsystems),
-                              sum(s.m_z0 for s in subsystems), {})
-    nds0 = NdsModel(subsystems, empty)
+    nds0 = NdsModel.unrouted(subsystems)
     n_pos = nds0.M_v * nds0.M_z
     if max_links is None and n_pos > 36:
         raise InfeasibleDesignError(

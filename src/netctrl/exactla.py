@@ -136,16 +136,17 @@ def vstack(blocks: Sequence[Mat]) -> Mat:
     return out
 
 
-def block_diag(blocks: Sequence[Mat]) -> Mat:
-    rtot = sum(shape(b)[0] for b in blocks)
-    ctot = sum(shape(b)[1] for b in blocks)
-    out = zeros(rtot, ctot)
+def block_diag(blocks: Sequence[Mat], widths: Sequence[int] | None = None) -> Mat:
+    """Block-diagonal matrix; `widths` gives each block's column count, which
+    a zero-row block cannot carry itself (default: each block's own)."""
+    if widths is None:
+        widths = [shape(b)[1] for b in blocks]
+    out = zeros(sum(len(b) for b in blocks), sum(widths))
     r0 = c0 = 0
-    for b in blocks:
-        r, c = shape(b)
-        for i in range(r):
-            out[r0 + i][c0 : c0 + c] = b[i][:]
-        r0 += r
+    for b, c in zip(blocks, widths):
+        for i, row in enumerate(b):
+            out[r0 + i][c0 : c0 + c] = row[:]
+        r0 += len(b)
         c0 += c
     return out
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
 import numpy as np
@@ -190,12 +189,6 @@ def matroid_intersection_rank(o1, o2) -> CommonIndependentSet:
     return CommonIndependentSet(frozenset(current), len(current))
 
 
-def substitute_pattern(pattern: StructuredPattern, rng: random.Random,
-                       bound: int) -> ex.Mat:
-    values = {pid: Fraction(rng.randint(1, bound)) for pid in pattern.entries.values()}
-    return pattern.substitute(values)
-
-
 def matroid_union_rank(numeric_part, generic_pattern: StructuredPattern,
                        seed: int = 0, trials: int = 3, tol: float = RANK_TOL) -> int:
     """Union rank by randomized stacked rank.
@@ -219,7 +212,7 @@ def matroid_union_rank(numeric_part, generic_pattern: StructuredPattern,
     ranks = []
     budget = trials + 2
     while len(ranks) < trials or (len(set(ranks)) > 1 and len(ranks) < budget):
-        sub = substitute_pattern(generic_pattern, rng, bound)
+        sub = generic_pattern.substitute(generic_pattern.draw(rng, bound))
         if exact:
             stacked = ex.vstack([numeric_part, sub]) if generic_pattern.rows else numeric_part
             ranks.append(ex.exact_rank(stacked))

@@ -17,6 +17,7 @@ free entries are the design variables of the topology problem.
 
 from __future__ import annotations
 
+import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,6 +57,10 @@ class StructuredPattern:
     def positions(self) -> list[tuple[int, int]]:
         return sorted(self.entries)
 
+    def draw(self, rng: random.Random, bound: int) -> dict[str, Fraction]:
+        """An integer value in [1, bound] for each free entry, drawn in entry order."""
+        return {pid: Fraction(rng.randint(1, bound)) for pid in self.entries.values()}
+
     def substitute(self, values: dict[str, Fraction]) -> Mat:
         """Numeric realization: free entries replaced by the given values."""
         m = ex.zeros(self.rows, self.cols)
@@ -78,6 +83,15 @@ def _shape_ok(m: Mat, want: tuple[int, int]) -> bool:
     if want[0] == 0:
         return len(m) == 0
     return _dims(m) == want
+
+
+def _cols(*block_column: Mat) -> int:
+    """Column count of a block column, read off its first matrix with rows
+    (a zero-row matrix has lost its column count)."""
+    for m in block_column:
+        if m:
+            return len(m[0])
+    return 0
 
 
 @dataclass(frozen=True)
@@ -134,10 +148,11 @@ class SubsystemModel:
                     raise ModelError(f"{self.name or 'subsystem'}: {label} has shape "
                                      f"{_dims(m)}, expected {want}")
             if not self.has_free_params:
-                wp = ex.msub(ex.eye(pc), ex.mmul(self.H, self.param_block))
-                if ex.exact_det(wp) == 0:
+                try:  # closing the loop builds the analysis form, or fails
+                    self.analysis
+                except ZeroDivisionError:
                     raise ModelError(f"{self.name or 'subsystem'}: fixed parameter "
-                                     "block makes the local loop ill-posed")
+                                     "block makes the local loop ill-posed") from None
 
     @property
     def m_x(self) -> int:
@@ -145,11 +160,11 @@ class SubsystemModel:
 
     @property
     def m_u(self) -> int:
-        return _dims(self.B_xu0)[1]
+        return _cols(self.B_xu0, self.B_zu0)
 
     @property
     def m_v0(self) -> int:
-        return _dims(self.A_xv0)[1]
+        return _cols(self.A_xv0, self.A_zv0)
 
     @property
     def m_z0(self) -> int:
@@ -188,7 +203,6 @@ class AugmentedSubsystem:
     A_zx: Mat
     A_zv: Mat
     B_zu: Mat
-    param_pattern: Optional[StructuredPattern] = None  # block moved into the routing layer
     name: str = ""
     record: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
@@ -198,11 +212,11 @@ class AugmentedSubsystem:
 
     @property
     def m_u(self) -> int:
-        return _dims(self.B_xu)[1]
+        return _cols(self.B_xu, self.B_zu)
 
     @property
     def m_v(self) -> int:
-        return _dims(self.A_xv)[1]
+        return _cols(self.A_xv, self.A_zv)
 
     @property
     def m_z(self) -> int:
@@ -223,7 +237,7 @@ def augment_subsystem(sub: SubsystemModel) -> AugmentedSubsystem:
         return AugmentedSubsystem(
             A_xx=ex.copy(sub.A_xx0), A_xv=ex.copy(sub.A_xv0), B_xu=ex.copy(sub.B_xu0),
             A_zx=ex.copy(sub.A_zx0), A_zv=ex.copy(sub.A_zv0), B_zu=ex.copy(sub.B_zu0),
-            param_pattern=None, name=sub.name)
+            name=sub.name)
     return AugmentedSubsystem(
         A_xx=ex.copy(sub.A_xx0),
         A_xv=ex.hstack([sub.A_xv0, sub.E1]),
@@ -232,8 +246,19 @@ def augment_subsystem(sub: SubsystemModel) -> AugmentedSubsystem:
         A_zv=ex.vstack([ex.hstack([sub.A_zv0, sub.E2]),
                         ex.hstack([sub.F2, sub.H])]),
         B_zu=ex.vstack([sub.B_zu0, sub.F3]),
-        param_pattern=sub.param_block,
         name=sub.name)
+
+
+def close_loop(m: Mat, e: Mat, h: Mat, f: Mat, p: Mat) -> Mat:
+    """m + e p (I - h p)^-1 f, exactly: the loop through a block p closed.
+
+    Raises ZeroDivisionError when I - h p is singular (the loop is ill-posed).
+    """
+    if not (p and p[0]):
+        # no loop ports; the zero-row factors would lose m's column count
+        return ex.copy(m)
+    loop = ex.msub(ex.eye(len(h)), ex.mmul(h, p))
+    return ex.madd(m, ex.mmul(ex.mmul(e, p), ex.exact_solve(loop, f)))
 
 
 def close_parameter_block(sub: SubsystemModel) -> AugmentedSubsystem:
@@ -242,19 +267,13 @@ def close_parameter_block(sub: SubsystemModel) -> AugmentedSubsystem:
         raise ModelError("close_parameter_block expects fixed parameter values")
     if sub.param_block is None:
         return augment_subsystem(sub)
-    p = sub.param_block
-    pr, pc = _dims(p)
-    w = ex.msub(ex.eye(pc), ex.mmul(sub.H, p))
-    # k = P (I - H P)^{-1}, computed as a solve against the transpose
-    k = ex.transpose(ex.exact_solve(ex.transpose(w), ex.transpose(p)))
-    f_all = ex.hstack([sub.F1, sub.F2, sub.F3])
-    e_top = sub.E1
-    e_mid = sub.E2
-    corr_top = ex.mmul(ex.mmul(e_top, k), f_all)
-    corr_mid = ex.mmul(ex.mmul(e_mid, k), f_all)
+    closed = close_loop(
+        ex.vstack([ex.hstack([sub.A_xx0, sub.A_xv0, sub.B_xu0]),
+                   ex.hstack([sub.A_zx0, sub.A_zv0, sub.B_zu0])]),
+        ex.vstack([sub.E1, sub.E2]), sub.H,
+        ex.hstack([sub.F1, sub.F2, sub.F3]), sub.param_block)
     mx, mv0, mu = sub.m_x, sub.m_v0, sub.m_u
-    top = ex.madd(ex.hstack([sub.A_xx0, sub.A_xv0, sub.B_xu0]), corr_top)
-    mid = ex.madd(ex.hstack([sub.A_zx0, sub.A_zv0, sub.B_zu0]), corr_mid)
+    top, mid = closed[:mx], closed[mx:]
     return AugmentedSubsystem(
         A_xx=ex.submatrix(top, None, range(mx)),
         A_xv=ex.submatrix(top, None, range(mx, mx + mv0)),
@@ -262,7 +281,7 @@ def close_parameter_block(sub: SubsystemModel) -> AugmentedSubsystem:
         A_zx=ex.submatrix(mid, None, range(mx)),
         A_zv=ex.submatrix(mid, None, range(mx, mx + mv0)),
         B_zu=ex.submatrix(mid, None, range(mx + mv0, mx + mv0 + mu)),
-        param_pattern=None, name=sub.name)
+        name=sub.name)
 
 
 def analysis_form(sub: SubsystemModel) -> AugmentedSubsystem:
@@ -299,6 +318,12 @@ class NdsModel:
             kind: list(accumulate((getattr(a, f"m_{kind}") for a in self.analysis), initial=0))
             for kind in "xuvz"}
         self.M_x, self.M_u, self.M_v, self.M_z = (self.offsets[k][-1] for k in "xuvz")
+
+    @classmethod
+    def unrouted(cls, subsystems: list[SubsystemModel]) -> NdsModel:
+        """The network of these subsystems with no routing entries."""
+        return cls(subsystems, StructuredPattern(sum(s.m_v0 for s in subsystems),
+                                                 sum(s.m_z0 for s in subsystems), {}))
 
     @property
     def n_sub(self) -> int:
@@ -348,13 +373,14 @@ def assemble_lumped(nds: NdsModel) -> LumpedPlant:
         for (r, c), pid in sub.param_block.entries.items():
             entries[(r0 + r, c0 + c)] = pid
     pattern = StructuredPattern(nds.M_v, nds.M_z, entries)
+    widths = {kind: [getattr(a, f"m_{kind}") for a in augs] for kind in "xuv"}
     return LumpedPlant(
-        A_xx=ex.block_diag([a.A_xx for a in augs]),
-        A_xv=ex.block_diag([a.A_xv for a in augs]),
-        B_xu=ex.block_diag([a.B_xu for a in augs]),
-        A_zx=ex.block_diag([a.A_zx for a in augs]),
-        A_zv=ex.block_diag([a.A_zv for a in augs]),
-        B_zu=ex.block_diag([a.B_zu for a in augs]),
+        A_xx=ex.block_diag([a.A_xx for a in augs], widths["x"]),
+        A_xv=ex.block_diag([a.A_xv for a in augs], widths["v"]),
+        B_xu=ex.block_diag([a.B_xu for a in augs], widths["u"]),
+        A_zx=ex.block_diag([a.A_zx for a in augs], widths["x"]),
+        A_zv=ex.block_diag([a.A_zv for a in augs], widths["v"]),
+        B_zu=ex.block_diag([a.B_zu for a in augs], widths["u"]),
         P_pattern=pattern)
 
 
@@ -393,8 +419,6 @@ def check_well_posedness(nds: NdsModel, trials: int = 3, seed: int = 0) -> WellP
     integer range exceeding twice a crude total-degree bound so a false
     negative on every trial is overwhelmingly unlikely.
     """
-    import random
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
     plant = assemble_lumped(nds)
@@ -403,7 +427,7 @@ def check_well_posedness(nds: NdsModel, trials: int = 3, seed: int = 0) -> WellP
     bound = 2 * max(1, pat.rows + pat.cols) * max(1, pat.num_free)
     last = ""
     for t in range(trials):
-        values = {pid: Fraction(rng.randint(1, bound)) for pid in pat.entries.values()}
+        values = pat.draw(rng, bound)
         pval = pat.substitute(values)
         glob = ex.exact_det(ex.msub(ex.eye(nds.M_z), ex.mmul(plant.A_zv, pval)))
         if glob == 0:

@@ -106,13 +106,18 @@ class Spectrum:
     def m(self) -> int:
         return len(self.values)
 
-    def unstable(self) -> list:
-        return [v for v in self.values if is_unstable(v)]
-
 
 def is_unstable(lam: complex) -> bool:
     """A mode a stabilizing design must clear: real part >= -1e-9."""
     return complex(lam).real >= -1e-9
+
+
+def filter_modes(lams, mode_filter: str) -> list:
+    """The eigenvalues a mode filter keeps: all of them for "all", else the
+    unstable ones."""
+    if mode_filter == "all":
+        return list(lams)
+    return [lam for lam in lams if is_unstable(lam)]
 
 
 def _cluster_key(v: complex) -> tuple[float, float]:
@@ -163,6 +168,17 @@ def spectrum(nds: NdsModel, tol: float = EIG_TOL) -> Spectrum:
         members.append({raw[i][1] for i in idxs})
     order = sorted(range(len(values)), key=lambda i: _cluster_key(values[i]))
     return Spectrum([values[i] for i in order], [members[i] for i in order], tol)
+
+
+def pbh_stack(a: np.ndarray, b: np.ndarray, values, dtype: type) -> np.ndarray:
+    """Stack of the PBH matrices [lam I - A, B], one per value, in dtype."""
+    n = a.shape[0]
+    stack = np.empty((len(values), n, n + b.shape[1]), dtype)
+    stack[:, :, n:] = b
+    eye = np.eye(n)
+    for out, lam in zip(stack, values):
+        out[:, :n] = lam * eye - a
+    return stack
 
 
 def left_null_bases(stack: np.ndarray, tol: float) -> list[tuple[np.ndarray, int]]:
@@ -286,12 +302,9 @@ class SubsystemAnalysis:
         """Stack of [lam I - A_xx, B_xu; -A_zx, B_zu], one per value, in dtype."""
         mx = self.m_x
         stack = np.empty((len(values), mx + self.m_z, mx + self.b_xu.shape[1]), dtype)
-        stack[:, :mx, mx:] = self.b_xu
+        stack[:, :mx] = pbh_stack(self.a_xx, self.b_xu, values, dtype)
         stack[:, mx:, :mx] = -self.a_zx
         stack[:, mx:, mx:] = self.b_zu
-        eye = np.eye(mx)
-        for out, lam in zip(stack, values):
-            out[:mx, :mx] = lam * eye - self.a_xx
         return stack
 
     def mode_blocks(self, lams: list, tol: float) -> list[SubsystemModeData]:
@@ -318,8 +331,8 @@ class SubsystemAnalysis:
         stacked singular-value call per dtype."""
         out = np.zeros(len(lams), dtype=int)
         for dtype, group in _by_dtype(lams).items():
-            top = self.mode_matrices([v for _, v in group], dtype)[:, :self.m_x]
-            ranks = ex.singular_value_rank(np.linalg.svd(top, compute_uv=False), tol)
+            pbh = pbh_stack(self.a_xx, self.b_xu, [v for _, v in group], dtype)
+            ranks = ex.singular_value_rank(np.linalg.svd(pbh, compute_uv=False), tol)
             out[[i for i, _ in group]] = self.m_x - ranks
         return out
 

@@ -53,6 +53,13 @@ def _graph(vertices: Iterable[Vertex], edges: Iterable[Edge]) -> StructureGraph:
     return StructureGraph(tuple(sorted(set(vertices))), tuple(sorted(set(edges))))
 
 
+def _class_edges(classes: list, src: str, dst: str, index: int) -> list[Edge]:
+    """Edge (src, index, p) -> (dst, index, q), 1-based ports, for each nonzero
+    class classes[q][p]: "lambda" when frequency dependent, else "const"."""
+    return [((src, index, p + 1), (dst, index, q + 1), "lambda" if cls.is_lambda else "const")
+            for q, row in enumerate(classes) for p, cls in enumerate(row) if not cls.is_zero]
+
+
 def build_subsystem_acg(index: int, gzv_classes: list, gzu_classes: list) -> StructureGraph:
     """Connection graph of one subsystem (1-based index) from entry classes."""
     m_z = len(gzv_classes)
@@ -63,18 +70,8 @@ def build_subsystem_acg(index: int, gzv_classes: list, gzu_classes: list) -> Str
     verts = [("v", index, p + 1) for p in range(m_v)]
     verts += [("z", index, q + 1) for q in range(m_z)]
     verts += [("u", index, p + 1) for p in range(m_u)]
-    edges = []
-    for q in range(m_z):
-        for p in range(m_v):
-            cls = gzv_classes[q][p]
-            if not cls.is_zero:
-                kind = "lambda" if cls.is_lambda else "const"
-                edges.append((("v", index, p + 1), ("z", index, q + 1), kind))
-        for p in range(m_u):
-            cls = gzu_classes[q][p]
-            if not cls.is_zero:
-                kind = "lambda" if cls.is_lambda else "const"
-                edges.append((("u", index, p + 1), ("z", index, q + 1), kind))
+    edges = (_class_edges(gzv_classes, "v", "z", index)
+             + _class_edges(gzu_classes, "u", "z", index))
     return _graph(verts, edges)
 
 
@@ -85,18 +82,7 @@ def build_acg(gzv_classes: list, gzu_classes: list) -> StructureGraph:
         raise ValueError("square class matrix required")
     q_in = len(gzu_classes[0]) if gzu_classes else 0
     verts = [("z", 0, a + 1) for a in range(k)] + [("u", 0, j + 1) for j in range(q_in)]
-    edges = []
-    for a in range(k):
-        for b in range(k):
-            cls = gzv_classes[a][b]
-            if not cls.is_zero:
-                kind = "lambda" if cls.is_lambda else "const"
-                edges.append((("z", 0, b + 1), ("z", 0, a + 1), kind))
-        for j in range(q_in):
-            cls = gzu_classes[a][j]
-            if not cls.is_zero:
-                kind = "lambda" if cls.is_lambda else "const"
-                edges.append((("u", 0, j + 1), ("z", 0, a + 1), kind))
+    edges = _class_edges(gzv_classes, "z", "z", 0) + _class_edges(gzu_classes, "u", "z", 0)
     return _graph(verts, edges)
 
 
@@ -111,14 +97,15 @@ def link_edges(nds: NdsModel, positions: Iterable[tuple[int, int]]) -> list[Edge
 
 
 def build_nacg(nds: NdsModel, tfms: list) -> StructureGraph:
-    """Glue per-subsystem graphs with one link edge per routing pattern entry."""
-    graphs = [build_subsystem_acg(i + 1, t.gzv_classes, t.gzu_classes)
-              for i, t in enumerate(tfms)]
-    verts: list[Vertex] = []
-    edges: list[Edge] = []
-    for g in graphs:
-        verts.extend(g.vertices)
-        edges.extend(g.edges)
+    """Glue per-subsystem graphs with one link edge per routing pattern entry.
+
+    The vertices come from the port counts: a subsystem without outputs has
+    no class rows to carry its input count.
+    """
+    verts = [(kind, i + 1, p + 1) for i, a in enumerate(nds.analysis)
+             for kind in "uvz" for p in range(getattr(a, f"m_{kind}"))]
+    edges = [e for i, t in enumerate(tfms)
+             for e in build_subsystem_acg(i + 1, t.gzv_classes, t.gzu_classes).edges]
     edges.extend(link_edges(nds, assemble_lumped(nds).P_pattern.positions()))
     return _graph(verts, edges)
 

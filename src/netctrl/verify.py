@@ -24,8 +24,8 @@ from . import exactla as ex
 from . import ratfun, structgraph
 from .matroid import (GenericPattern, NumericColumns, matroid_intersection_rank,
                       matroid_union_rank)
-from .model import (NdsModel, StructuredPattern, SubsystemModel,
-                    assemble_lumped, check_well_posedness, diagonalize_parameters)
+from .model import (NdsModel, StructuredPattern, SubsystemModel, assemble_lumped,
+                    check_well_posedness, close_loop, diagonalize_parameters)
 
 
 class IllPosedError(RuntimeError):
@@ -243,22 +243,20 @@ def check_feasibility(subsystems: list[SubsystemModel], mode_filter: str = "all"
     target; (iii) some subsystem must expose an external-input route to its
     outputs, unless no transfer entry is frequency dependent.
     """
-    empty = StructuredPattern(sum(s.m_v0 for s in subsystems),
-                              sum(s.m_z0 for s in subsystems), {})
-    nds = NdsModel(subsystems, empty)
+    nds = NdsModel.unrouted(subsystems)
     cond_i = []
     detail = []
     for idx, rec in enumerate(ratfun.analysis_records(nds.analysis)):
-        lams = _filtered(rec.eigvals, mode_filter)
-        ranks = ex.singular_value_rank(
-            np.linalg.svd(_pbh_stack(rec, lams), compute_uv=False), rank_tol)
+        lams = ratfun.filter_modes(rec.eigvals, mode_filter)
+        pbh = ratfun.pbh_stack(rec.a_xx, np.hstack([rec.b_xu, rec.a_xv]), lams, complex)
+        ranks = ex.singular_value_rank(np.linalg.svd(pbh, compute_uv=False), rank_tol)
         failing = np.flatnonzero(ranks < rec.m_x)
         if failing.size:
             # the eigenvalue as the spectrum holds it: a real one prints as a float
             detail.append(f"subsystem {idx + 1} uncontrollable at {lams[failing[0]]:.6g}")
         cond_i.append((idx, not failing.size))
     spec = ratfun.spectrum(nds, eig_tol)
-    lams = spec.values if mode_filter == "all" else spec.unstable()
+    lams = ratfun.filter_modes(spec.values, mode_filter)
     targets = [md.M_r for md in ratfun.modes(nds, lams, rank_tol)]
     max_target = max(targets, default=0)
     cond_ii = nds.M_z >= max_target
@@ -275,72 +273,39 @@ def check_feasibility(subsystems: list[SubsystemModel], mode_filter: str = "all"
                              cond_iii, "; ".join(detail))
 
 
-def _filtered(lams, mode_filter: str):
-    if mode_filter == "all":
-        return lams
-    return [l for l in lams if ratfun.is_unstable(l)]
-
-
-def _pbh_stack(rec: ratfun.SubsystemAnalysis, lams) -> np.ndarray:
-    """[lam I - A_xx, B_xu, A_xv] at each eigenvalue, stacked, in complex."""
-    mx = rec.m_x
-    stack = np.empty((len(lams), mx, mx + rec.b_xu.shape[1] + rec.a_xv.shape[1]), complex)
-    stack[:, :, mx:] = np.hstack([rec.b_xu, rec.a_xv])
-    eye = np.eye(mx)
-    for out, lam in zip(stack, lams):
-        out[:, :mx] = lam * eye - rec.a_xx
-    return stack
-
-
 def realize_numeric(nds: NdsModel, values: dict[str, Fraction]) -> tuple[ex.Mat, ex.Mat]:
     """Exact closed-loop state/input matrices for one parameter assignment.
 
     Raises ZeroDivisionError when the assignment makes the loop singular.
     """
     plant = assemble_lumped(nds)
-    if nds.M_z == 0 or nds.M_v == 0:
-        corr = ex.zeros(nds.M_x, nds.M_x + nds.M_u)
-    else:
-        pval = plant.P_pattern.substitute(values)
-        loop = ex.msub(ex.eye(nds.M_z), ex.mmul(plant.A_zv, pval))
-        rhs = ex.hstack([plant.A_zx, plant.B_zu])
-        sol = ex.exact_solve(loop, rhs)
-        corr = ex.mmul(ex.mmul(plant.A_xv, pval), sol)
-    ab = ex.madd(ex.hstack([plant.A_xx, plant.B_xu]), corr)
+    ab = close_loop(ex.hstack([plant.A_xx, plant.B_xu]), plant.A_xv, plant.A_zv,
+                    ex.hstack([plant.A_zx, plant.B_zu]), plant.P_pattern.substitute(values))
     n = nds.M_x
     return (ex.submatrix(ab, None, range(n)),
             ex.submatrix(ab, None, range(n, n + nds.M_u)))
 
 
-def _equilibrated_rank(m: np.ndarray, tol: float) -> int:
-    """Rank after row/column max-norm scaling.
+def uncontrollable_modes(a: np.ndarray, b: np.ndarray, tol: float = 1e-7) -> list:
+    """Eigenvalues at which [lam I - A, B] loses row rank.
 
     Realized closed loops can mix entry scales over many orders of magnitude
-    (the loop inverse amplifies); scaling rows and columns leaves the rank
-    unchanged while keeping the singular-value cutoff meaningful.
+    (the loop inverse amplifies), so each PBH matrix is ranked after two
+    row/column max-norm scaling passes: they leave the rank unchanged and
+    keep the singular-value cutoff meaningful.
     """
-    if m.size == 0:
-        return 0
-    m = np.array(m, dtype=complex)
-    for _ in range(2):
-        rn = np.max(np.abs(m), axis=1, keepdims=True)
-        rn[rn == 0] = 1.0
-        m = m / rn
-        cn = np.max(np.abs(m), axis=0, keepdims=True)
-        cn[cn == 0] = 1.0
-        m = m / cn
-    return ex.float_rank(m, tol)
-
-
-def uncontrollable_modes(a: np.ndarray, b: np.ndarray, tol: float = 1e-7) -> list:
-    """Eigenvalues at which [A - lam I, B] loses row rank."""
     n = a.shape[0]
-    out = []
-    for lam in np.linalg.eigvals(a) if n else []:
-        pbh = np.hstack([a - lam * np.eye(n), b]).astype(complex)
-        if _equilibrated_rank(pbh, tol) < n:
-            out.append(complex(lam))
-    return out
+    if n == 0:
+        return []
+    lams = np.linalg.eigvals(a)
+    pbh = ratfun.pbh_stack(a, b, lams, complex)
+    for _ in range(2):
+        for axis in (2, 1):  # rows, then columns, of each matrix
+            norms = np.max(np.abs(pbh), axis=axis, keepdims=True)
+            norms[norms == 0] = 1.0
+            pbh /= norms
+    ranks = ex.singular_value_rank(np.linalg.svd(pbh, compute_uv=False), tol)
+    return [complex(lam) for lam, rank in zip(lams, ranks) if rank < n]
 
 
 @dataclass(frozen=True)
@@ -401,8 +366,7 @@ def randomized_realization_check(nds: NdsModel, seed: int = 0, trials: int = 5,
     last_modes: list = []
     for t in range(1, trials + 1):
         for _ in range(50):
-            values = {pid: Fraction(rng.randint(1, vsize))
-                      for pid in plant.P_pattern.entries.values()}
+            values = plant.P_pattern.draw(rng, vsize)
             try:
                 a_m, b_m = realize_numeric(nds, values)
                 break

@@ -154,7 +154,7 @@ def test_reports_byte_identical(sec7_doc, tmp_path):
     # two calls in one process: nothing the first computes may change the second
     path = _write(tmp_path, sec7_doc)
     for argv, code in ((["check", "--seed", "5"], 1), (["design", "--modes", "all"], 0),
-                       (["feasible"], 0)):
+                       (["feasible"], 0), (["realize", "--seed", "3"], 1)):
         out1, out2 = tmp_path / f"{argv[0]}1.json", tmp_path / f"{argv[0]}2.json"
         assert main([argv[0], path, *argv[1:], "--out", str(out1)]) == code
         assert main([argv[0], path, *argv[1:], "--out", str(out2)]) == code
@@ -198,6 +198,24 @@ def test_cmd_realize(sec7_doc, tmp_path):
     given = _write(tmp_path, sec7_doc, "given.json")
     assert main(["realize", given, "--seed", "7", "--trials", "4",
                  "--out", str(tmp_path / "r2.json")]) == 1
+
+
+def test_static_subsystem_drives_an_oscillator(tmp_path, capsys):
+    # a subsystem without states (z = u) still has ports: its input and
+    # internal-input counts come from its output rows
+    doc = {"subsystems": [
+        {"A_xx": [[0, 1], [-1, 0]], "A_xv": [[0], [1]], "B_xu": [[], []],
+         "A_zx": [], "A_zv": [], "B_zu": []},
+        {"A_xx": [], "A_xv": [], "B_xu": [],
+         "A_zx": [[]], "A_zv": [[0]], "B_zu": [[1]]}],
+        "scm": {"free": [[1, 1]]}}
+    path = _write(tmp_path, doc)
+    assert main(["check", path]) == 0
+    capsys.readouterr()
+    assert main(["realize", path]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["controllable_witness"] is True
+    assert main(["graph", path]) == 0
+    assert '"u21" -> "z21";' in capsys.readouterr().out
 
 
 def test_cmd_feasible(sec7_doc, tmp_path):

@@ -137,6 +137,9 @@ def test_block_helpers():
     assert ex.vstack([a, ex.mat([[7, 8]])]) == ex.mat([[1, 2], [3, 4], [7, 8]])
     bd = ex.block_diag([a, ex.mat([[9]])])
     assert bd == ex.mat([[1, 2, 0], [3, 4, 0], [0, 0, 9]])
+    # a zero-row block keeps the width it is given
+    assert ex.block_diag([a, [], ex.mat([[9]])], [2, 1, 1]) == ex.mat(
+        [[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 0, 9]])
     assert ex.shape(ex.zeros(3, 0)) == (3, 0)
     # zero-width blocks lose their column count; the product stays empty
     assert ex.mmul(ex.zeros(3, 0), ex.zeros(0, 2)) == ex.zeros(3, 0)

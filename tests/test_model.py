@@ -78,6 +78,37 @@ def test_augment_rejects_fixed_block():
     assert closed.m_v == 1 and closed.m_z == 1
 
 
+def _reference_closed_blocks(sub):
+    """The six closed blocks from K = P (I - H P)^-1, solved against the
+    transpose, with one correction per block row."""
+    p = sub.param_block
+    w = ex.msub(ex.eye(len(p[0])), ex.mmul(sub.H, p))
+    k = ex.transpose(ex.exact_solve(ex.transpose(w), ex.transpose(p)))
+    f_all = ex.hstack([sub.F1, sub.F2, sub.F3])
+    top = ex.madd(ex.hstack([sub.A_xx0, sub.A_xv0, sub.B_xu0]),
+                  ex.mmul(ex.mmul(sub.E1, k), f_all))
+    mid = ex.madd(ex.hstack([sub.A_zx0, sub.A_zv0, sub.B_zu0]),
+                  ex.mmul(ex.mmul(sub.E2, k), f_all))
+    mx, mv = sub.m_x, sub.m_v0
+    cuts = [range(mx), range(mx, mx + mv), range(mx + mv, len(f_all[0]))]
+    return [ex.submatrix(m, None, cols) for m in (top, mid) for cols in cuts]
+
+
+def _random_fixed_block_sub(rng, pr, pc):
+    mx, mv, mu, mz = 2, 2, 1, 2
+
+    def rand(r, c):
+        return ex.mat([[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)])
+
+    return SubsystemModel(
+        A_xx0=rand(mx, mx), A_xv0=rand(mx, mv), B_xu0=rand(mx, mu),
+        A_zx0=rand(mz, mx), A_zv0=rand(mz, mv), B_zu0=rand(mz, mu),
+        E1=rand(mx, pr), E2=rand(mz, pr), F1=rand(pc, mx), F2=rand(pc, mv),
+        F3=rand(pc, mu), H=rand(pc, pr),
+        param_block=ex.mat([[f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}"
+                             for _ in range(pc)] for _ in range(pr)]))
+
+
 def test_closed_block_matches_scalar_formula():
     rng = random.Random(5)
     for _ in range(20):
@@ -89,6 +120,18 @@ def test_closed_block_matches_scalar_formula():
         fixed = dataclasses.replace(sub, param_block=[[p]])
         closed = close_parameter_block(fixed)
         assert closed.A_xx[0][0] == 2 + e1 * p / (1 - h * p) * f1
+    # matrix blocks against the transposed-solve formula
+    checked = 0
+    for pr, pc in [(2, 2), (3, 2)] * 15:
+        try:
+            sub = _random_fixed_block_sub(rng, pr, pc)
+        except ModelError:  # I - H P singular
+            continue
+        closed = close_parameter_block(sub)
+        assert [closed.A_xx, closed.A_xv, closed.B_xu, closed.A_zx, closed.A_zv,
+                closed.B_zu] == _reference_closed_blocks(sub)
+        checked += 1
+    assert checked >= 20
 
 
 def test_ill_posed_fixed_block_rejected():

@@ -12,8 +12,8 @@ from netctrl import exactla as ex
 from netctrl.cli import load_document
 from netctrl.data import sec7_path
 from netctrl.model import NdsModel, StructuredPattern, SubsystemModel
-from netctrl.ratfun import (analysis_records, entry_classes, mode_data, modes, nds_tfms,
-                            spectrum, subsystem_tfms)
+from netctrl.ratfun import (analysis_records, entry_classes, filter_modes, mode_data, modes,
+                            nds_tfms, spectrum, subsystem_tfms)
 
 from randgen import random_nds, random_subsystem
 
@@ -138,7 +138,7 @@ def test_spectrum_sec7(sec7):
     spec = spectrum(sec7)
     assert spec.m == 3
     assert [complex(v) for v in spec.values] == [1 + 0j, 0j, -1 + 0j]
-    assert spec.unstable() == [1 + 0j, 0j]
+    assert filter_modes(spec.values, "unstable") == [1 + 0j, 0j]
     # membership: 1 belongs to subsystems 2 and 3, 0 to 1 and 2, -1 to 1 and 3
     assert spec.members[0] == {1, 2}
     assert spec.members[1] == {0, 1}

@@ -5,7 +5,7 @@ import numpy as np
 
 from netctrl import exactla as ex
 from netctrl import ratfun, structgraph, verify
-from netctrl.model import NdsModel, StructuredPattern, SubsystemModel
+from netctrl.model import NdsModel, StructuredPattern, SubsystemModel, assemble_lumped
 from netctrl.structgraph import vertex_name
 from netctrl.verify import (check_feasibility, check_fum_lumped,
                             check_fum_networked, check_structural_controllability,
@@ -228,7 +228,26 @@ def test_realization_without_free_parameters_runs_one_trial(sec7_empty):
     assert [round(l.real, 6) for l in once] == [1, 0, 0, -1, 1, -1]
 
 
-def test_pbh_matches_exact_kalman_rank():
+def _reference_uncontrollable_modes(a, b, tol=1e-7):
+    """One PBH matrix [A - lam I, B] per eigenvalue, each equilibrated and
+    ranked on its own."""
+    n = a.shape[0]
+    out = []
+    for lam in np.linalg.eigvals(a) if n else []:
+        m = np.hstack([a - lam * np.eye(n), b]).astype(complex)
+        for _ in range(2):
+            rn = np.max(np.abs(m), axis=1, keepdims=True)
+            rn[rn == 0] = 1.0
+            m = m / rn
+            cn = np.max(np.abs(m), axis=0, keepdims=True)
+            cn[cn == 0] = 1.0
+            m = m / cn
+        if ex.float_rank(m, tol) < n:
+            out.append(complex(lam))
+    return out
+
+
+def test_pbh_matches_exact_kalman_rank(sec7, sec7_designed3):
     # the exact rank of [B AB ... A^(n-1) B] is an independent reference
     rng = random.Random(37)
     for _ in range(40):
@@ -239,8 +258,22 @@ def test_pbh_matches_exact_kalman_rank():
         for _ in range(n - 1):
             blocks.append(ex.mmul(a, blocks[-1]))
         kalman = ex.exact_rank(ex.hstack(blocks)) == n
-        pbh = not uncontrollable_modes(ex.to_float(a), ex.to_float(b).reshape(n, 1))
-        assert pbh == kalman
+        a_f, b_f = ex.to_float(a), ex.to_float(b).reshape(n, 1)
+        modes = uncontrollable_modes(a_f, b_f)
+        assert (not modes) == kalman
+        assert modes == _reference_uncontrollable_modes(a_f, b_f)
+    # realized sec7 loops, where the loop inverse mixes entry scales
+    short = 0
+    for nds in (sec7, sec7_designed3):
+        pattern = assemble_lumped(nds).P_pattern
+        for seed in range(10):
+            a_m, b_m = realize_numeric(nds, pattern.draw(random.Random(seed), 60))
+            a_f = ex.to_float(a_m)
+            b_f = ex.to_float(b_m).reshape(nds.M_x, nds.M_u)
+            modes = uncontrollable_modes(a_f, b_f)
+            assert modes == _reference_uncontrollable_modes(a_f, b_f)
+            short += bool(modes)
+    assert short  # the given routing leaves modes uncontrollable
 
 
 def test_random_instances_lumped_equals_networked():
