@@ -6,8 +6,8 @@ from .design import (DesignResult, InfeasibleDesignError, brute_force_min_topolo
                      design_topology, eliminate_pdums, extract_cover_sets, g_value,
                      greedy_color, greedy_link_rows)
 from .exactla import frac, mat
-from .matroid import (CommonIndependentSet, GenericPattern, NumericColumns,
-                      exhaustive_union_rank, matroid_intersection_rank,
+from .matroid import (CommonIndependentSet, GenericPattern, IndependenceOracle,
+                      NumericColumns, exhaustive_union_rank, matroid_intersection_rank,
                       matroid_union_rank)
 from .model import (AugmentedSubsystem, LumpedPlant, ModelError, NdsModel,
                     StructuredPattern, SubsystemModel, analysis_form,

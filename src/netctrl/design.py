@@ -291,8 +291,6 @@ def design_topology(subsystems: list[SubsystemModel], mode_filter: str = "all",
     real part >= -1e-9 (the goal is then a stabilizable network rather than
     a fully structurally controllable one).
     """
-    if mode_filter not in ("all", "unstable"):
-        raise ValueError("mode_filter must be 'all' or 'unstable'")
     if any(s.has_free_params for s in subsystems):
         raise InfeasibleDesignError(
             "topology design expects fixed or absent parameter blocks")

@@ -5,6 +5,12 @@ either exactly (rational matrices) or through singular values (floating
 inputs produced by null-space routines); which path ran is recorded on the
 oracle. Generic pattern matroids answer independence by maximum bipartite
 matching, which is exact when every free entry is an independent unknown.
+
+The intersection asks each oracle one batched question per step of its
+exchange-graph search (`swaps`): is current - x + y independent, for a list
+of (x, y) pairs. The float column oracle ranks all uncached sets of one size
+with one stacked SVD; the pattern oracle takes one maximum matching of the
+current set and answers every pair of one y from one alternating search.
 """
 
 from __future__ import annotations
@@ -20,7 +26,31 @@ from .exactla import RANK_TOL
 from .model import StructuredPattern
 
 
-class NumericColumns:
+def _swap(current: set, x: Optional[int], y: int) -> set:
+    """current - x + y, or current + y when x is None."""
+    return current | {y} if x is None else current - {x} | {y}
+
+
+class IndependenceOracle:
+    """An independence oracle over the ground set range(ground_size).
+
+    Subclasses define `independent`; `swaps` asks it once per pair unless a
+    subclass answers a whole batch at once.
+    """
+
+    ground_size: int
+
+    def independent(self, subset: Iterable[int]) -> bool:
+        raise NotImplementedError
+
+    def swaps(self, current: set, pairs: list) -> list[bool]:
+        """Whether current - x + y is independent, for each (x, y) of pairs;
+        x None asks for current + y. The intersection passes an independent
+        current, x inside it and y outside it."""
+        return [self.independent(_swap(current, x, y)) for x, y in pairs]
+
+
+class NumericColumns(IndependenceOracle):
     """Independence = the chosen columns have full column rank."""
 
     def __init__(self, matrix, tol: float = RANK_TOL):
@@ -54,8 +84,26 @@ class NumericColumns:
         key = frozenset(subset)
         return self.rank_of(key) == len(key)
 
+    def swaps(self, current: set, pairs: list) -> list[bool]:
+        """Float path: the uncached sets of one size, columns sorted as in
+        `rank_of`, go to one stacked SVD; LAPACK factors each matrix of the
+        stack as it would alone, so every rank is the one `rank_of` gives."""
+        if self.exact:
+            return super().swaps(current, pairs)
+        keys = [frozenset(_swap(current, x, y)) for x, y in pairs]
+        by_size: dict[int, list[frozenset]] = {}
+        for key in dict.fromkeys(keys):
+            if key not in self._rank_cache:
+                by_size.setdefault(len(key), []).append(key)
+        for group in by_size.values():
+            # a 0-row stack has no singular values, so each of its ranks is 0
+            stack = np.moveaxis(self.matrix[:, [sorted(k) for k in group]], 1, 0)
+            ranks = ex.singular_value_rank(np.linalg.svd(stack, compute_uv=False), self.tol)
+            self._rank_cache.update(zip(group, ranks.tolist()))
+        return [self._rank_cache[k] == len(k) for k in keys]
 
-class GenericPattern:
+
+class GenericPattern(IndependenceOracle):
     """Independence of structured columns via bipartite matching.
 
     Valid when the free entries are algebraically independent: a column
@@ -75,17 +123,56 @@ class GenericPattern:
             self._col_rows[c] = tuple(sorted(rows))
         self.path = "matching"
 
+    def _matching(self, subset: Iterable[int]) -> dict:
+        return _hopcroft_karp({c: self._col_rows[c] for c in sorted(set(subset))})
+
     def rank_of(self, subset: Iterable[int]) -> int:
-        cols = sorted(set(subset))
-        return _hopcroft_karp({c: self._col_rows[c] for c in cols})
+        return len(self._matching(subset))
 
     def independent(self, subset: Iterable[int]) -> bool:
-        cols = sorted(set(subset))
-        return _hopcroft_karp({c: self._col_rows[c] for c in cols}) == len(cols)
+        cols = set(subset)
+        return len(self._matching(cols)) == len(cols)
+
+    def swaps(self, current: set, pairs: list) -> list[bool]:
+        """Transversal exchange arcs from one maximum matching M of current.
+
+        An alternating search from y (y to its rows, a matched row to its
+        column's rows) reaches the rows R(y). current + y is independent iff
+        R(y) holds a free row; current - x + y iff R(y) holds a free row or
+        x's matched row, since a path into x's column passes that row first.
+        """
+        if not pairs:
+            return []
+        row_of = self._matching(current)
+        if len(row_of) != len(current):
+            raise ValueError("swaps needs an independent current set")
+        col_of = {r: c for c, r in row_of.items()}
+        reach: dict[int, Optional[set]] = {}
+        out = []
+        for x, y in pairs:
+            if y not in reach:
+                reach[y] = self._alternating_rows(y, col_of)
+            rows = reach[y]
+            out.append(rows is None or (x is not None and row_of[x] in rows))
+        return out
+
+    def _alternating_rows(self, y: int, col_of: dict) -> Optional[set]:
+        """Rows an alternating search from column y reaches under the
+        matching col_of (row -> column), or None once it reaches a free row."""
+        seen: set[int] = set()
+        stack = [y]
+        while stack:
+            for r in self._col_rows[stack.pop()]:
+                if r not in seen:
+                    if r not in col_of:
+                        return None
+                    seen.add(r)
+                    stack.append(col_of[r])
+        return seen
 
 
-def _hopcroft_karp(adj: dict) -> int:
-    """Maximum matching size of a bipartite graph given as left -> rights."""
+def _hopcroft_karp(adj: dict) -> dict:
+    """Maximum matching (left -> right) of a bipartite graph given as left -> rights."""
     INF = float("inf")
     match_l: dict = {}
     match_r: dict = {}
@@ -127,27 +214,38 @@ def _hopcroft_karp(adj: dict) -> int:
         bfs.dist[l] = float("inf")
         return False
 
-    size = 0
     while bfs():
         for l in lefts:
-            if l not in match_l and dfs(l):
-                size += 1
-    return size
+            if l not in match_l:
+                dfs(l)
+    return match_l
 
 
 @dataclass(frozen=True)
 class CommonIndependentSet:
+    """A largest common independent set and its dual certificate.
+
+    reach is the set R of elements the last exchange-graph search reached
+    from its sources (empty without a source, the whole ground set without a
+    sink). Edmonds' min-max identity r1(E - R) + r2(R) = |indices| certifies
+    that no larger common independent set exists.
+    """
+
     indices: frozenset
     certified_rank: int
+    reach: frozenset
 
 
-def matroid_intersection_rank(o1, o2) -> CommonIndependentSet:
+def matroid_intersection_rank(o1: IndependenceOracle,
+                              o2: IndependenceOracle) -> CommonIndependentSet:
     """Largest common independent set by shortest augmenting paths.
 
     The exchange digraph has arcs x->y (x inside, y outside, swap keeps the
     first matroid independent) and y->x (swap keeps the second independent);
     augmenting along a shortest path from the first-matroid-free elements to
     the second-matroid-free elements grows the set by one until optimal.
+    Each search step asks its oracle one `swaps` batch: the source test, the
+    sink test, and each frontier vertex's unvisited candidates.
     """
     n = o1.ground_size
     if o2.ground_size != n:
@@ -155,9 +253,14 @@ def matroid_intersection_rank(o1, o2) -> CommonIndependentSet:
     current: set[int] = set()
     while True:
         outside = [y for y in range(n) if y not in current]
-        sources = [y for y in outside if o1.independent(current | {y})]
-        sinks = {y for y in outside if o2.independent(current | {y})}
-        if not sources or not sinks:
+        adds = [(None, y) for y in outside]
+        sources = [y for y, ok in zip(outside, o1.swaps(current, adds)) if ok]
+        if not sources:
+            reach = frozenset()
+            break
+        sinks = {y for y, ok in zip(outside, o2.swaps(current, adds)) if ok}
+        if not sinks:
+            reach = frozenset(range(n))
             break
         prev: dict[int, Optional[int]] = {y: None for y in sources}
         found = next((y for y in sources if y in sinks), None)
@@ -166,11 +269,11 @@ def matroid_intersection_rank(o1, o2) -> CommonIndependentSet:
             nxt = []
             for v in frontier:
                 if v in current:
-                    cands = [y for y in outside
-                             if y not in prev and o1.independent(current - {v} | {y})]
+                    pairs = [(v, y) for y in outside if y not in prev]
+                    cands = [y for (_, y), ok in zip(pairs, o1.swaps(current, pairs)) if ok]
                 else:
-                    cands = [x for x in sorted(current)
-                             if x not in prev and o2.independent(current - {x} | {v})]
+                    pairs = [(x, v) for x in sorted(current) if x not in prev]
+                    cands = [x for (x, _), ok in zip(pairs, o2.swaps(current, pairs)) if ok]
                 for w in cands:
                     prev[w] = v
                     if w not in current and w in sinks:
@@ -181,12 +284,13 @@ def matroid_intersection_rank(o1, o2) -> CommonIndependentSet:
                     break
             frontier = nxt
         if found is None:
+            reach = frozenset(prev)
             break
         path = [found]
         while prev[path[-1]] is not None:
             path.append(prev[path[-1]])
         current ^= set(path)
-    return CommonIndependentSet(frozenset(current), len(current))
+    return CommonIndependentSet(frozenset(current), len(current), reach)
 
 
 def matroid_union_rank(numeric_part, generic_pattern: StructuredPattern,

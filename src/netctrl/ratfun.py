@@ -113,11 +113,13 @@ def is_unstable(lam: complex) -> bool:
 
 
 def filter_modes(lams, mode_filter: str) -> list:
-    """The eigenvalues a mode filter keeps: all of them for "all", else the
-    unstable ones."""
+    """The eigenvalues a mode filter keeps: all of them for "all", the
+    unstable ones for "unstable"."""
     if mode_filter == "all":
         return list(lams)
-    return [lam for lam in lams if is_unstable(lam)]
+    if mode_filter == "unstable":
+        return [lam for lam in lams if is_unstable(lam)]
+    raise ValueError("mode_filter must be 'all' or 'unstable'")
 
 
 def _cluster_key(v: complex) -> tuple[float, float]:

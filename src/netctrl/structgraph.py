@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .model import NdsModel, assemble_lumped
-from .ratfun import EntryClass
+from .model import AugmentedSubsystem, NdsModel, assemble_lumped
+from .ratfun import EntryClass, SubsystemTfms
 
 Vertex = tuple[str, int, int]
 Edge = tuple[Vertex, Vertex, str]
@@ -60,18 +60,17 @@ def _class_edges(classes: list, src: str, dst: str, index: int) -> list[Edge]:
             for q, row in enumerate(classes) for p, cls in enumerate(row) if not cls.is_zero]
 
 
-def build_subsystem_acg(index: int, gzv_classes: list, gzu_classes: list) -> StructureGraph:
-    """Connection graph of one subsystem (1-based index) from entry classes."""
-    m_z = len(gzv_classes)
-    m_v = len(gzv_classes[0]) if m_z else 0
-    m_u = len(gzu_classes[0]) if gzu_classes else 0
-    if gzu_classes and len(gzu_classes) != m_z:
-        raise ValueError("class matrices disagree on the output count")
-    verts = [("v", index, p + 1) for p in range(m_v)]
-    verts += [("z", index, q + 1) for q in range(m_z)]
-    verts += [("u", index, p + 1) for p in range(m_u)]
-    edges = (_class_edges(gzv_classes, "v", "z", index)
-             + _class_edges(gzu_classes, "u", "z", index))
+def build_subsystem_acg(index: int, aug: AugmentedSubsystem,
+                        tfms: SubsystemTfms) -> StructureGraph:
+    """Connection graph of one subsystem (1-based index) from its entry classes.
+
+    The vertices come from the form's port counts: a subsystem without
+    outputs has no class rows to carry its input count.
+    """
+    verts = [(kind, index, p + 1) for kind in "uvz"
+             for p in range(getattr(aug, f"m_{kind}"))]
+    edges = (_class_edges(tfms.gzv_classes, "v", "z", index)
+             + _class_edges(tfms.gzu_classes, "u", "z", index))
     return _graph(verts, edges)
 
 
@@ -97,17 +96,12 @@ def link_edges(nds: NdsModel, positions: Iterable[tuple[int, int]]) -> list[Edge
 
 
 def build_nacg(nds: NdsModel, tfms: list) -> StructureGraph:
-    """Glue per-subsystem graphs with one link edge per routing pattern entry.
-
-    The vertices come from the port counts: a subsystem without outputs has
-    no class rows to carry its input count.
-    """
-    verts = [(kind, i + 1, p + 1) for i, a in enumerate(nds.analysis)
-             for kind in "uvz" for p in range(getattr(a, f"m_{kind}"))]
-    edges = [e for i, t in enumerate(tfms)
-             for e in build_subsystem_acg(i + 1, t.gzv_classes, t.gzu_classes).edges]
+    """Glue per-subsystem graphs with one link edge per routing pattern entry."""
+    parts = [build_subsystem_acg(i + 1, a, t)
+             for i, (a, t) in enumerate(zip(nds.analysis, tfms))]
+    edges = [e for g in parts for e in g.edges]
     edges.extend(link_edges(nds, assemble_lumped(nds).P_pattern.positions()))
-    return _graph(verts, edges)
+    return _graph([v for g in parts for v in g.vertices], edges)
 
 
 def build_lumped_acg(nds: NdsModel, tfms: list) -> StructureGraph:

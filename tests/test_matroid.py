@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from netctrl import exactla as ex
-from netctrl.matroid import (GenericPattern, NumericColumns,
-                             exhaustive_union_rank, matroid_intersection_rank,
-                             matroid_union_rank)
-from netctrl.model import StructuredPattern
+from netctrl import ratfun, verify
+from netctrl.matroid import (GenericPattern, IndependenceOracle, NumericColumns,
+                             _hopcroft_karp, exhaustive_union_rank,
+                             matroid_intersection_rank, matroid_union_rank)
+from netctrl.model import (ModelError, NdsModel, StructuredPattern, assemble_lumped,
+                           check_well_posedness)
+
+from randgen import random_nds, random_subsystem
 
 
 def _pattern(rows, cols, positions, prefix="g"):
@@ -69,7 +73,7 @@ def test_generic_matches_substitution_oracle():
         assert GenericPattern(pat).independent(subset) == want
 
 
-class _PartitionOracle:
+class _PartitionOracle(IndependenceOracle):
     """At most one element from the guarded prefix; everything else free."""
 
     def __init__(self, ground_size, guarded):
@@ -80,7 +84,7 @@ class _PartitionOracle:
         return len(set(subset) & self.guarded) <= 1
 
 
-class _FreeOracle:
+class _FreeOracle(IndependenceOracle):
     def __init__(self, ground_size):
         self.ground_size = ground_size
 
@@ -123,7 +127,9 @@ def test_intersection_matches_exhaustive():
         m1 = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rows)]
         m2 = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rows)]
         o1, o2 = NumericColumns(m1), NumericColumns(m2)
-        got = matroid_intersection_rank(o1, o2).certified_rank
+        best = matroid_intersection_rank(o1, o2)
+        _assert_dual_certificate(o1, o2, best)
+        got = best.certified_rank
         want = 0
         for k in range(n, -1, -1):
             if any(o1.independent(c) and o2.independent(c)
@@ -131,6 +137,133 @@ def test_intersection_matches_exhaustive():
                 want = k
                 break
         assert got == want
+
+
+def _assert_dual_certificate(o1, o2, best):
+    # Edmonds: r1(E - R) + r2(R) = |I| for the last search's reach set R
+    outside = [e for e in range(o1.ground_size) if e not in best.reach]
+    assert o1.rank_of(outside) + o2.rank_of(best.reach) == best.certified_rank
+    assert o1.independent(best.indices) and o2.independent(best.indices)
+
+
+def _homogeneous_nds(seed, agents):
+    """`agents` identical random subsystems under a random well-posed routing."""
+    subs = [random_subsystem(random.Random(seed), i + 1, lft_prob=0.5)
+            for i in range(agents)]
+    mv, mz = sum(s.m_v0 for s in subs), sum(s.m_z0 for s in subs)
+    rng = random.Random(seed)
+    for _ in range(64):
+        free = [(r, c) for r in range(mv) for c in range(mz) if rng.random() < 0.35]
+        try:
+            nds = NdsModel(subs, StructuredPattern(
+                mv, mz, {(r, c): f"phi_{r}_{c}" for r, c in free}))
+        except ModelError:
+            continue
+        if check_well_posedness(nds, trials=3, seed=seed).well_posed:
+            return nds
+    raise RuntimeError(f"no well-posed homogeneous network for seed {seed}")
+
+
+def test_dual_certificate_on_every_mode(sec7):
+    # [P^T I] against [Y Z] at every mode with a target: sec7, heterogeneous
+    # networks and identical agents (few modes of high multiplicity)
+    networks = [sec7]
+    networks += [random_nds(seed, 8, max_state=4, max_port=3) for seed in (1, 5, 9, 13)]
+    networks += [_homogeneous_nds(seed, agents) for seed, agents in ((2, 4), (3, 8), (4, 12))]
+    shortfalls = 0
+    for nds in networks:
+        q1 = GenericPattern(verify.routing_pattern_q1(assemble_lumped(nds).P_pattern))
+        for md in ratfun.modes(nds, ratfun.spectrum(nds).values):
+            if md.M_r == 0:
+                continue
+            q2 = NumericColumns(np.hstack([md.y_all, md.z_all]))
+            best = matroid_intersection_rank(q1, q2)
+            _assert_dual_certificate(q1, q2, best)
+            shortfalls += best.certified_rank < md.M_r
+    assert shortfalls > 0
+
+
+def test_dual_certificate_edge_cases():
+    # no source: R is empty; no sink: R is the whole ground set
+    n = 4
+    no_source = matroid_intersection_rank(NumericColumns(np.zeros((2, n))),
+                                          NumericColumns(np.eye(n)))
+    assert no_source.certified_rank == 0 and no_source.reach == frozenset()
+    no_sink = matroid_intersection_rank(NumericColumns(np.eye(n)),
+                                        NumericColumns(np.zeros((0, n))))
+    assert no_sink.certified_rank == 0 and no_sink.reach == frozenset(range(n))
+
+
+def _independent_subset(rng, ground, independent):
+    """A random independent set, grown greedily in a random order."""
+    current = set()
+    for e in rng.sample(range(ground), ground):
+        if rng.random() < 0.7 and independent(current | {e}):
+            current.add(e)
+    return current
+
+
+def _pairs(rng, current, ground):
+    outside = [y for y in range(ground) if y not in current]
+    pairs = [(None, y) for y in outside] + [(x, y) for x in current for y in outside]
+    pairs += rng.choices(pairs, k=len(pairs) // 2)  # repeated questions
+    rng.shuffle(pairs)
+    return pairs
+
+
+def _swapped(current, x, y):
+    return current | {y} if x is None else current - {x} | {y}
+
+
+def test_generic_swaps_match_per_set_matching():
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(200):
+        rows, cols = rng.randint(0, 6), rng.randint(1, 8)
+        positions = [(r, c) for r in range(rows) for c in range(cols)
+                     if rng.random() < rng.choice((0.2, 0.4, 0.7))]
+        oracle = GenericPattern(_pattern(rows, cols, positions))
+        col_rows = {c: [r for r, cc in positions if cc == c] for c in range(cols)}
+
+        def matched(subset):
+            return len(_hopcroft_karp({c: col_rows[c] for c in subset})) == len(subset)
+
+        current = _independent_subset(rng, cols, matched)
+        pairs = _pairs(rng, current, cols)
+        assert oracle.swaps(current, pairs) == [matched(_swapped(current, x, y))
+                                                for x, y in pairs]
+        checked += len(pairs)
+    assert checked > 1000
+    # the batched answer is read off one matching, so the set must be independent
+    with pytest.raises(ValueError):
+        GenericPattern(_pattern(1, 3, [(0, 0), (0, 1)])).swaps({0, 1}, [(None, 2)])
+
+
+def test_numeric_swaps_match_float_rank():
+    rng = random.Random(43)
+    nrng = np.random.default_rng(43)
+    for trial in range(120):
+        rows, cols = rng.randint(0, 6), rng.randint(1, 8)
+        k = rng.randint(0, min(rows, cols))
+        matrix = nrng.standard_normal((rows, k)) @ nrng.standard_normal((k, cols))
+        if trial % 2:
+            matrix = matrix + 1j * (nrng.standard_normal((rows, k))
+                                    @ nrng.standard_normal((k, cols)))
+        oracle = NumericColumns(matrix)
+        current = set(rng.sample(range(cols), rng.randint(0, cols - 1)))
+        pairs = _pairs(rng, current, cols)
+        for x, y in rng.sample(pairs, len(pairs) // 3):  # cache hits from rank_of
+            oracle.rank_of(_swapped(current, x, y))
+        want = [ex.float_rank(matrix[:, sorted(_swapped(current, x, y))])
+                for x, y in pairs]
+        for _ in range(2):  # the second call is answered from the cache
+            assert oracle.swaps(current, pairs) == [
+                r == len(_swapped(current, x, y)) for r, (x, y) in zip(want, pairs)]
+        assert [oracle.rank_of(_swapped(current, x, y)) for x, y in pairs] == want
+    # a 0-row matrix ranks 0: no column is independent
+    empty = NumericColumns(np.zeros((0, 3)))
+    assert empty.swaps(set(), [(None, 1), (None, 2), (None, 1)]) == [False] * 3
+    assert empty.rank_of({1}) == 0
 
 
 def test_intersection_monotone_in_free_entries():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from netctrl import ratfun
+from netctrl.cli import parse_document
 from netctrl.structgraph import (StructureGraph, build_acg, build_nacg,
                                  build_lumped_acg, build_subsystem_acg,
                                  find_input_unreachable_lambda_cycle,
@@ -26,13 +27,28 @@ U = lambda i, p: ("u", i, p)
 
 
 def test_subsystem_graph_sec7_first(sec7):
-    t = ratfun.subsystem_tfms(sec7.analysis[0])
-    g = build_subsystem_acg(1, t.gzv_classes, t.gzu_classes)
+    aug = sec7.analysis[0]
+    g = build_subsystem_acg(1, aug, ratfun.subsystem_tfms(aug))
     assert set(g.edges) == {
         (V(1, 2), Z(1, 1), "const"),
         (V(1, 1), Z(1, 2), "lambda"),
         (U(1, 1), Z(1, 2), "lambda"),
     }
+    # a subsystem without outputs keeps its input vertex: the oscillator
+    # driven by a static subsystem (z = u) has no class rows to count v11
+    oscillator, _, _ = parse_document({"subsystems": [
+        {"A_xx": [[0, 1], [-1, 0]], "A_xv": [[0], [1]], "B_xu": [[], []],
+         "A_zx": [], "A_zv": [], "B_zu": []},
+        {"A_xx": [], "A_xv": [], "B_xu": [],
+         "A_zx": [[]], "A_zv": [[0]], "B_zu": [[1]]}],
+        "scm": {"free": [[1, 1]]}})
+    parts = [build_subsystem_acg(i + 1, aug, ratfun.subsystem_tfms(aug))
+             for i, aug in enumerate(oscillator.analysis)]
+    assert parts[0].vertices == (V(1, 1),) and parts[0].edges == ()
+    assert set(parts[1].vertices) == {V(2, 1), Z(2, 1), U(2, 1)}
+    assert parts[1].edges == ((U(2, 1), Z(2, 1), "const"),)
+    nacg = build_nacg(oscillator, ratfun.nds_tfms(oscillator))
+    assert set(nacg.vertices) == set(parts[0].vertices) | set(parts[1].vertices)
 
 
 def test_build_acg_rejects_nonsquare():

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from netctrl import exactla as ex
 from netctrl import ratfun, structgraph, verify
+from netctrl.design import design_topology
 from netctrl.model import NdsModel, StructuredPattern, SubsystemModel, assemble_lumped
 from netctrl.structgraph import vertex_name
 from netctrl.verify import (check_feasibility, check_fum_lumped,
@@ -133,6 +135,17 @@ def test_feasibility_sec7(sec7):
     rep_u = check_feasibility(sec7.subsystems, "unstable")
     assert rep_u.feasible
     assert rep_u.max_target == 4
+
+
+def test_unknown_mode_filter_is_rejected(sec7):
+    # one rule for the mode filter: "stable" is neither "all" nor "unstable"
+    with pytest.raises(ValueError, match="mode_filter"):
+        ratfun.filter_modes([1.0, -1.0], "stable")
+    with pytest.raises(ValueError, match="mode_filter"):
+        check_feasibility(sec7.subsystems, "stable")
+    with pytest.raises(ValueError, match="mode_filter"):
+        design_topology(sec7.subsystems, "stable")
+    assert ratfun.filter_modes([1.0, -1.0, 0j], "unstable") == [1.0, 0j]
 
 
 def test_feasibility_fails_on_uncontrollable_pair():
