@@ -11,8 +11,7 @@ from .matroid import (CommonIndependentSet, GenericPattern, IndependenceOracle,
                       matroid_union_rank)
 from .model import (AugmentedSubsystem, LumpedPlant, ModelError, NdsModel,
                     StructuredPattern, SubsystemModel, analysis_form,
-                    assemble_lumped, augment_subsystem, check_well_posedness,
-                    close_parameter_block, diagonalize_parameters)
+                    assemble_lumped, check_well_posedness, diagonalize_parameters)
 from .ratfun import (EntryClass, ModeData, Spectrum, entry_classes, mode_data,
                      nds_tfms, spectrum, subsystem_tfms)
 from .structgraph import (SccDecomposition, StructureGraph, build_acg, build_nacg,

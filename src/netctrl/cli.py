@@ -17,8 +17,9 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import design as design_mod
 from . import exactla as ex
@@ -26,6 +27,11 @@ from . import ratfun, structgraph, verify
 from .model import (ModelError, NdsModel, StructuredPattern, SubsystemModel)
 
 DEFAULT_OPTIONS = {"eig_tol": ratfun.EIG_TOL, "rank_tol": ratfun.RANK_TOL, "seed": 0}
+
+# Matrix keys of a subsystem object (SubsystemModel field: key + "0") and of
+# its "lft" object (field: key), in document order.
+MATRIX_KEYS = ("A_xx", "A_xv", "B_xu", "A_zx", "A_zv", "B_zu")
+LFT_KEYS = ("E1", "E2", "F1", "F2", "F3", "H")
 
 
 class DocumentError(ValueError):
@@ -127,12 +133,11 @@ def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
         where = f"subsystems[{i + 1}]"
         if not isinstance(sraw, dict):
             raise DocumentError(f"{where}: expected an object")
-        need = ["A_xx", "A_xv", "B_xu", "A_zx", "A_zv", "B_zu"]
         mats = {}
-        for key in need:
+        for key in MATRIX_KEYS:
             if key not in sraw:
                 raise DocumentError(f"{where}: missing matrix {key}")
-            mats[key] = _parse_matrix(sraw[key], f"{where}.{key}", warnings)
+            mats[f"{key}0"] = _parse_matrix(sraw[key], f"{where}.{key}", warnings)
         _reject_output_keys(sraw, ("C_yx", "C_yv", "D_yu"), where)
         lft = sraw.get("lft")
         lft_mats = {}
@@ -140,7 +145,7 @@ def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
         if lft is not None:
             if not isinstance(lft, dict):
                 raise DocumentError(f"{where}.lft: expected an object")
-            for key in ("E1", "E2", "F1", "F2", "F3", "H"):
+            for key in LFT_KEYS:
                 if key not in lft:
                     raise DocumentError(f"{where}.lft: missing matrix {key}")
                 lft_mats[key] = _parse_matrix(lft[key], f"{where}.lft.{key}", warnings)
@@ -160,12 +165,7 @@ def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
                 raise DocumentError(f"{where}.lft.param: needs 'fixed' or 'free'")
         try:
             subsystems.append(SubsystemModel(
-                A_xx0=mats["A_xx"], A_xv0=mats["A_xv"], B_xu0=mats["B_xu"],
-                A_zx0=mats["A_zx"], A_zv0=mats["A_zv"], B_zu0=mats["B_zu"],
-                E1=lft_mats.get("E1", []), E2=lft_mats.get("E2", []),
-                F1=lft_mats.get("F1", []), F2=lft_mats.get("F2", []),
-                F3=lft_mats.get("F3", []), H=lft_mats.get("H", []),
-                param_block=param,
+                **mats, **lft_mats, param_block=param,
                 name=str(sraw.get("name", f"subsystem{i + 1}"))))
         except ModelError as e:
             raise DocumentError(f"{where}: {e}") from None
@@ -218,14 +218,10 @@ def serialize_document(model: NdsModel, options: dict) -> dict:
     """Canonical document for the model; parse(serialize(.)) is the identity."""
     subs = []
     for i, s in enumerate(model.subsystems):
-        obj = {
-            "name": s.name or f"subsystem{i + 1}",
-            "A_xx": _mat_obj(s.A_xx0), "A_xv": _mat_obj(s.A_xv0),
-            "B_xu": _mat_obj(s.B_xu0), "A_zx": _mat_obj(s.A_zx0),
-            "A_zv": _mat_obj(s.A_zv0), "B_zu": _mat_obj(s.B_zu0),
-        }
+        obj = {"name": s.name or f"subsystem{i + 1}"}
+        obj.update((k, _mat_obj(getattr(s, f"{k}0"))) for k in MATRIX_KEYS)
         if s.param_block is not None:
-            lft = {k: _mat_obj(getattr(s, k)) for k in ("E1", "E2", "F1", "F2", "F3", "H")}
+            lft = {k: _mat_obj(getattr(s, k)) for k in LFT_KEYS}
             if s.has_free_params:
                 lft["param"] = {"free": [[r + 1, c + 1]
                                          for r, c in s.param_block.positions()]}
@@ -309,77 +305,20 @@ def _write_output(text: str, out: Optional[str]) -> None:
         raise OutputError(f"cannot write {out}: {e.strerror or e}") from None
 
 
-def _load(args) -> tuple[NdsModel, dict, str]:
-    """Load the document, print its warnings, and let flags override its options.
-
-    Returns (model, options, digest); options holds rank_tol, eig_tol and
-    seed, each from the command's flag when the command has one and it is set.
-    """
-    model, options, warnings, digest = load_document(args.file)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    for key, flag in (("rank_tol", "tol"), ("eig_tol", "eig_tol"), ("seed", "seed")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            options[key] = value
-    return model, options, digest
+def _reported(result, verdict: str) -> tuple[dict, bool]:
+    """A library result's report payload and its positive-verdict field."""
+    return result.to_dict(), getattr(result, verdict)
 
 
-def cmd_check(args) -> int:
-    model, options, digest = _load(args)
-    settings = {k: options[k] for k in ("seed", "rank_tol", "eig_tol")}
-    t0 = time.perf_counter()
-    verdict = verify.check_structural_controllability(model, **settings)
-    wall = (time.perf_counter() - t0) * 1e3
-    _emit(_report("check", digest, settings, verdict.to_dict()), args.format, args.out, wall)
-    return 0 if verdict.structurally_controllable else 1
-
-
-def cmd_feasible(args) -> int:
-    model, options, digest = _load(args)
-    settings = {k: options[k] for k in ("rank_tol", "eig_tol")}
-    t0 = time.perf_counter()
-    rep = verify.check_feasibility(model.subsystems, args.modes, **settings)
-    wall = (time.perf_counter() - t0) * 1e3
-    _emit(_report("feasible", digest, dict(settings, modes=args.modes), rep.to_dict()),
-          args.format, args.out, wall)
-    return 0 if rep.feasible else 1
-
-
-def cmd_design(args) -> int:
-    model, options, digest = _load(args)
-    settings = {k: options[k] for k in ("seed", "rank_tol", "eig_tol")}
-    t0 = time.perf_counter()
+def _design(model: NdsModel, settings: dict) -> tuple[dict, bool]:
     try:
-        result = design_mod.design_topology(model.subsystems, args.modes, **settings)
-        payload, code = result.to_dict(), 0
+        result = design_mod.design_topology(
+            model.subsystems, mode_filter=settings["modes"], rank_tol=settings["rank_tol"],
+            eig_tol=settings["eig_tol"], seed=settings["seed"])
     except design_mod.InfeasibleDesignError as e:
-        payload = {"infeasible": True, "reason": str(e),
-                   "feasibility": e.report.to_dict() if e.report else None}
-        code = 1
-    wall = (time.perf_counter() - t0) * 1e3
-    _emit(_report("design", digest, dict(settings, modes=args.modes), payload),
-          args.format, args.out, wall)
-    return code
-
-
-def cmd_realize(args) -> int:
-    model, options, digest = _load(args)
-    seed = options["seed"]
-    t0 = time.perf_counter()
-    res = verify.randomized_realization_check(model, seed=seed, trials=args.trials)
-    wall = (time.perf_counter() - t0) * 1e3
-    _emit(_report("realize", digest, {"seed": seed, "trials": args.trials}, res.to_dict()),
-          args.format, args.out, wall)
-    return 0 if res.controllable_witness else 1
-
-
-def cmd_graph(args) -> int:
-    model, _, _ = _load(args)
-    tfms = ratfun.nds_tfms(model)
-    graph = structgraph.build_nacg(model, tfms)
-    _write_output(structgraph.to_dot(graph), args.out)
-    return 0
+        return {"infeasible": True, "reason": str(e),
+                "feasibility": e.report.to_dict() if e.report else None}, False
+    return result.to_dict(), True
 
 
 def _positive_int(text: str) -> int:
@@ -389,15 +328,54 @@ def _positive_int(text: str) -> int:
     return value
 
 
-# Optional flags by name; each subcommand takes only the ones it reads.
+# Optional flags by destination. --seed, --tol and --eig-tol default to the
+# document's options; a report echoes every flag its command reads.
 _FLAGS = {
-    "seed": ("--seed", dict(type=int, default=None)),
-    "tol": ("--tol", dict(type=_tolerance, default=None, help="rank tolerance (relative)")),
-    "eig-tol": ("--eig-tol", dict(type=_tolerance, default=None,
-                                  help="eigenvalue clustering tolerance")),
     "modes": ("--modes", dict(choices=("all", "unstable"), default="all")),
+    "seed": ("--seed", dict(type=int, default=None)),
+    "rank_tol": ("--tol", dict(type=_tolerance, default=None, metavar="TOL",
+                               help="rank tolerance (relative)")),
+    "eig_tol": ("--eig-tol", dict(type=_tolerance, default=None,
+                                  help="eigenvalue clustering tolerance")),
     "trials": ("--trials", dict(type=_positive_int, default=5)),
-    "format": ("--format", dict(choices=("json", "text"), default="json")),
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its help line, the flags it reads (keys of `_FLAGS`,
+    in usage order) and its library call, run(model, settings) ->
+    (payload, positive verdict). A reporting command takes --format and
+    wraps its payload in a report; any other writes its text payload as is.
+    """
+
+    help: str
+    flags: tuple[str, ...]
+    run: Callable[[NdsModel, dict], tuple[object, bool]]
+    report: bool = True
+
+
+COMMANDS = {
+    "check": Command(
+        "structural controllability verdict", ("seed", "rank_tol", "eig_tol"),
+        lambda model, s: _reported(verify.check_structural_controllability(model, **s),
+                                   "structurally_controllable")),
+    "design": Command("two-stage minimal-link design",
+                      ("modes", "seed", "rank_tol", "eig_tol"), _design),
+    "realize": Command(
+        "randomized realization witness", ("seed", "trials"),
+        lambda model, s: _reported(verify.randomized_realization_check(model, **s),
+                                   "controllable_witness")),
+    "feasible": Command(
+        "design feasibility conditions", ("modes", "rank_tol", "eig_tol"),
+        lambda model, s: _reported(verify.check_feasibility(
+            model.subsystems, mode_filter=s["modes"], rank_tol=s["rank_tol"],
+            eig_tol=s["eig_tol"]), "feasible")),
+    "graph": Command(
+        "export the networked connection graph as DOT", (),
+        lambda model, s: (structgraph.to_dot(
+            structgraph.build_nacg(model, ratfun.nds_tfms(model))), True),
+        report=False),
 }
 
 
@@ -407,41 +385,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Structural controllability analysis and interconnection design "
                     "for networked LTI systems")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help: str, *flags: str) -> None:
-        sp = sub.add_parser(name, help=help)
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
         sp.add_argument("file", help="system document (JSON)")
-        for flag in flags:
-            option, kwargs = _FLAGS[flag]
-            sp.add_argument(option, **kwargs)
+        for dest in command.flags:
+            option, kwargs = _FLAGS[dest]
+            sp.add_argument(option, dest=dest, **kwargs)
+        if command.report:
+            sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.add_argument("--out", default=None, help="write output to a file")
-
-    command("check", "structural controllability verdict", "seed", "tol", "eig-tol", "format")
-    command("design", "two-stage minimal-link design",
-            "modes", "seed", "tol", "eig-tol", "format")
-    command("realize", "randomized realization witness", "seed", "trials", "format")
-    command("feasible", "design feasibility conditions", "modes", "tol", "eig-tol", "format")
-    command("graph", "export the networked connection graph as DOT")
     return p
 
 
-_HANDLERS = {
-    "check": cmd_check,
-    "design": cmd_design,
-    "realize": cmd_realize,
-    "feasible": cmd_feasible,
-    "graph": cmd_graph,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        return _HANDLERS[args.command](args)
+        model, options, warnings, digest = load_document(args.file)
+        for w in warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        settings = {dest: getattr(args, dest) for dest in command.flags}
+        for dest, value in settings.items():
+            if value is None:
+                settings[dest] = options[dest]
+        t0 = time.perf_counter()
+        payload, ok = command.run(model, settings)
+        wall = (time.perf_counter() - t0) * 1e3
+        if command.report:
+            _emit(_report(args.command, digest, settings, payload), args.format, args.out,
+                  wall)
+        else:
+            _write_output(payload, args.out)
     except (DocumentError, ModelError, OutputError, verify.IllPosedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

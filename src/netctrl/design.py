@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import ratfun, structgraph, verify
-from .exactla import float_rank, singular_value_rank
+from .exactla import float_rank
 from .matroid import GenericPattern, NumericColumns, matroid_intersection_rank
 from .model import NdsModel, StructuredPattern, SubsystemModel
 from .ratfun import ModeData
@@ -70,8 +70,7 @@ def greedy_link_rows(modes: list[ModeData], M_v: int,
             for md in modes:
                 ys = np.moveaxis(md.y_all[:, cols], 1, 0)
                 zs = np.broadcast_to(md.z_all, (len(cands),) + md.z_all.shape)
-                s = np.linalg.svd(np.concatenate([ys, zs], axis=2), compute_uv=False)
-                totals += singular_value_rank(s, rank_tol)
+                totals += float_rank(np.concatenate([ys, zs], axis=2), rank_tol)
         if not cands or totals.max() <= current:
             raise InfeasibleDesignError(
                 "coverage cannot reach its ceiling; the feasibility conditions fail")

@@ -4,18 +4,19 @@ Matrices are plain lists of rows holding `fractions.Fraction` entries; all
 routines in this module are exact. Floats enter the picture only through
 `to_float`, which is the hand-off point to numpy for eigenvalue and
 singular-value work, and `float_rank`/`singular_value_rank` hold the one
-numeric-rank rule applied to what numpy returns.
+numeric-rank rule applied to what numpy returns; `float_rank` is the one
+call that asks numpy for singular values alone.
 
 No polynomial arithmetic is needed: `ratfun` classifies each transfer entry
 of C (lambda*I - A)^-1 B + D from the exact Markov parameters C A^k B,
 k < n (Cayley-Hamilton), which are plain `mmul` products.
 
 The exact kernels skip zero operands: `mmul` multiplies only nonzero pairs,
-and `_eliminate` (behind `exact_rank` and `exact_det`) and `exact_solve`
-update only the pivot row's nonzero columns. The matrices met here are
-mostly zeros (block-diagonal lumped plants, one nonzero per free routing
-entry), and an exact sum of the same nonzero terms is the same number, so
-every result equals the dense loop's.
+and `_eliminate`, the one elimination behind `exact_rank`, `exact_det` and
+`exact_solve`, updates only the pivot row's nonzero columns. The matrices
+met here are mostly zeros (block-diagonal lumped plants, one nonzero per
+free routing entry), and an exact sum of the same nonzero terms is the same
+number, so every result equals the dense loop's.
 """
 
 from __future__ import annotations
@@ -181,10 +182,14 @@ def singular_value_rank(s: np.ndarray, tol: float = RANK_TOL):
     return np.count_nonzero(above, axis=-1)
 
 
-def float_rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Numeric rank of a float or complex matrix under `singular_value_rank`."""
-    if m.size == 0:
-        return 0
+def float_rank(m: np.ndarray, tol: float = RANK_TOL):
+    """Numeric rank of a float or complex matrix under `singular_value_rank`.
+
+    `m` may be a stack of same-shape matrices (leading stack axes); LAPACK
+    then factors each matrix as it would alone, and the result is an integer
+    array with one rank per matrix. A matrix with a zero dimension, like an
+    empty stack, has no singular values and so rank 0.
+    """
     return singular_value_rank(np.linalg.svd(m, compute_uv=False), tol)
 
 
@@ -242,7 +247,12 @@ def exact_det(m: Mat) -> Fraction:
 
 
 def exact_solve(a: Mat, b: Mat) -> Mat:
-    """Solve a @ X = b exactly; a must be square and invertible."""
+    """Solve a @ X = b exactly; a must be square and invertible.
+
+    [a | b] is reduced by `_eliminate`; a is invertible exactly when the
+    pivot columns are 0..n-1, and X then follows by back-substitution over
+    the nonzero entries of each echelon row.
+    """
     n, m = shape(a)
     if n != m:
         raise ValueError("solve needs a square system")
@@ -251,20 +261,20 @@ def exact_solve(a: Mat, b: Mat) -> Mat:
         raise ValueError("right-hand side row mismatch")
     if n == 0:
         return zeros(0, cb)
-    aug = [a[i][:] + b[i][:] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular system in exact_solve")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        prow = aug[col] = [x / pv if x else x for x in aug[col]]
-        pivot_nonzeros = [(j, y) for j, y in enumerate(prow) if y]
-        for i in range(n):
-            ai = aug[i]
-            f = ai[col]
-            if i == col or f == 0:
-                continue
-            for j, y in pivot_nonzeros:
-                ai[j] -= f * y
-    return [row[n:] for row in aug]
+    ech, pivots, _ = _eliminate([ra + rb for ra, rb in zip(a, b)])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular system in exact_solve")
+    x: Mat = [[]] * n
+    x_nonzeros: list = [[]] * n
+    for i in reversed(range(n)):
+        row = ech[i]
+        acc = row[n:]
+        for j in range(i + 1, n):
+            f = row[j]
+            if f:
+                for k, y in x_nonzeros[j]:
+                    acc[k] -= f * y
+        pv = row[i]
+        x[i] = [y / pv if y else y for y in acc]
+        x_nonzeros[i] = [(k, y) for k, y in enumerate(x[i]) if y]
+    return x

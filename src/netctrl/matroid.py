@@ -96,10 +96,8 @@ class NumericColumns(IndependenceOracle):
             if key not in self._rank_cache:
                 by_size.setdefault(len(key), []).append(key)
         for group in by_size.values():
-            # a 0-row stack has no singular values, so each of its ranks is 0
             stack = np.moveaxis(self.matrix[:, [sorted(k) for k in group]], 1, 0)
-            ranks = ex.singular_value_rank(np.linalg.svd(stack, compute_uv=False), self.tol)
-            self._rank_cache.update(zip(group, ranks.tolist()))
+            self._rank_cache.update(zip(group, ex.float_rank(stack, self.tol).tolist()))
         return [self._rank_cache[k] == len(k) for k in keys]
 
 

@@ -7,9 +7,11 @@ parameter block can be
 * absent            -- the six analysis matrices are used as given,
 * a free pattern    -- unknown entries; the block is absorbed by adding one
                        auxiliary internal input/output channel pair per row/
-                       column of the block (`augment_subsystem`),
+                       column of the block,
 * a fixed matrix    -- known values; the feedback loop is closed in exact
-                       arithmetic (`close_parameter_block`).
+                       arithmetic.
+
+`analysis_form` is the one builder of the parameter-free form for all three.
 
 The interconnection pattern routes internal outputs to internal inputs; its
 free entries are the design variables of the topology problem.
@@ -223,32 +225,6 @@ class AugmentedSubsystem:
         return len(self.A_zx)
 
 
-def augment_subsystem(sub: SubsystemModel) -> AugmentedSubsystem:
-    """Absorb a free parameter block into one extra internal channel pair.
-
-    The block's rows become auxiliary internal inputs and its columns become
-    auxiliary internal outputs, so the parameter entries reappear as routing
-    entries; the bordered matrices are parameter-free.
-    """
-    if sub.param_block is not None and not sub.has_free_params:
-        raise ModelError("augment_subsystem expects a free (pattern) block; "
-                         "use close_parameter_block for fixed values")
-    if sub.param_block is None:
-        return AugmentedSubsystem(
-            A_xx=ex.copy(sub.A_xx0), A_xv=ex.copy(sub.A_xv0), B_xu=ex.copy(sub.B_xu0),
-            A_zx=ex.copy(sub.A_zx0), A_zv=ex.copy(sub.A_zv0), B_zu=ex.copy(sub.B_zu0),
-            name=sub.name)
-    return AugmentedSubsystem(
-        A_xx=ex.copy(sub.A_xx0),
-        A_xv=ex.hstack([sub.A_xv0, sub.E1]),
-        B_xu=ex.copy(sub.B_xu0),
-        A_zx=ex.vstack([sub.A_zx0, sub.F1]),
-        A_zv=ex.vstack([ex.hstack([sub.A_zv0, sub.E2]),
-                        ex.hstack([sub.F2, sub.H])]),
-        B_zu=ex.vstack([sub.B_zu0, sub.F3]),
-        name=sub.name)
-
-
 def close_loop(m: Mat, e: Mat, h: Mat, f: Mat, p: Mat) -> Mat:
     """m + e p (I - h p)^-1 f, exactly: the loop through a block p closed.
 
@@ -261,17 +237,30 @@ def close_loop(m: Mat, e: Mat, h: Mat, f: Mat, p: Mat) -> Mat:
     return ex.madd(m, ex.mmul(ex.mmul(e, p), ex.exact_solve(loop, f)))
 
 
-def close_parameter_block(sub: SubsystemModel) -> AugmentedSubsystem:
-    """Close the local feedback loop for a fixed parameter block, exactly."""
+def analysis_form(sub: SubsystemModel) -> AugmentedSubsystem:
+    """Parameter-free analysis matrices for any kind of parameter block.
+
+    A free block is bordered: its rows become auxiliary internal inputs and
+    its columns auxiliary internal outputs, so the parameter entries
+    reappear as routing entries. A fixed block is closed into the six
+    matrices with `close_loop`; an absent block is an empty loop, which
+    leaves them as given.
+    """
     if sub.has_free_params:
-        raise ModelError("close_parameter_block expects fixed parameter values")
-    if sub.param_block is None:
-        return augment_subsystem(sub)
+        return AugmentedSubsystem(
+            A_xx=ex.copy(sub.A_xx0),
+            A_xv=ex.hstack([sub.A_xv0, sub.E1]),
+            B_xu=ex.copy(sub.B_xu0),
+            A_zx=ex.vstack([sub.A_zx0, sub.F1]),
+            A_zv=ex.vstack([ex.hstack([sub.A_zv0, sub.E2]),
+                            ex.hstack([sub.F2, sub.H])]),
+            B_zu=ex.vstack([sub.B_zu0, sub.F3]),
+            name=sub.name)
     closed = close_loop(
         ex.vstack([ex.hstack([sub.A_xx0, sub.A_xv0, sub.B_xu0]),
                    ex.hstack([sub.A_zx0, sub.A_zv0, sub.B_zu0])]),
         ex.vstack([sub.E1, sub.E2]), sub.H,
-        ex.hstack([sub.F1, sub.F2, sub.F3]), sub.param_block)
+        ex.hstack([sub.F1, sub.F2, sub.F3]), sub.param_block or [])
     mx, mv0, mu = sub.m_x, sub.m_v0, sub.m_u
     top, mid = closed[:mx], closed[mx:]
     return AugmentedSubsystem(
@@ -282,13 +271,6 @@ def close_parameter_block(sub: SubsystemModel) -> AugmentedSubsystem:
         A_zv=ex.submatrix(mid, None, range(mx, mx + mv0)),
         B_zu=ex.submatrix(mid, None, range(mx + mv0, mx + mv0 + mu)),
         name=sub.name)
-
-
-def analysis_form(sub: SubsystemModel) -> AugmentedSubsystem:
-    """Parameter-free analysis matrices for either kind of parameter block."""
-    if sub.has_free_params:
-        return augment_subsystem(sub)
-    return close_parameter_block(sub)
 
 
 class NdsModel:

@@ -9,11 +9,12 @@ here.
 
 Everything here is computed per subsystem and kept in one analysis record
 per analysis form (`SubsystemAnalysis`): `subsystem_tfms`, `nds_tfms`,
-`spectrum`, `mode_data` and `modes` only assemble their results from the
-records. A record builds its null-space blocks in stacks, one SVD for all
-its missing real eigenvalues and one for the complex ones; LAPACK factors
-each matrix of a stack as it would alone, so a block does not depend on
-which others it was built with.
+`spectrum` and `modes` only assemble their results from the records, and
+`modes` is the one assembler of per-mode data (`mode_data` is `modes` at
+one eigenvalue). A record builds its null-space blocks in stacks, one SVD
+for all its missing real eigenvalues and one for the complex ones; LAPACK
+factors each matrix of a stack as it would alone, so a block does not
+depend on which others it was built with.
 """
 
 from __future__ import annotations
@@ -215,27 +216,31 @@ class ModeData:
     M_r: int
 
 
-def mode_data(nds: NdsModel, lam: complex, tol: float = RANK_TOL) -> ModeData:
-    """Per-subsystem left null spaces of the mode matrices at one eigenvalue.
-
-    A subsystem with full-row-rank mode matrix contributes zero rows; its
-    state/output column slots still appear (as zero-width blocks) in the
-    block-diagonal assembly, keeping global column indices aligned.
-    """
-    dtype = _dtype(lam)
-    per = [rec.mode_blocks([lam], tol)[0] for rec in analysis_records(nds.analysis)]
-    M_r = sum(s.m_r for s in per)
-    z_all = _block_diag_np([s.z for s in per], [a.m_z for a in nds.analysis], dtype)
-    y_all = _block_diag_np([s.y for s in per], [a.m_v for a in nds.analysis], dtype)
-    return ModeData(lam=lam, per_sub=per, z_all=z_all, y_all=y_all, M_r=M_r)
-
-
 def modes(nds: NdsModel, lams: list, tol: float = RANK_TOL) -> list[ModeData]:
-    """`mode_data` at each eigenvalue, after each subsystem record has built
-    all its missing blocks at once (one stacked SVD per dtype)."""
-    for rec in analysis_records(nds.analysis):
-        rec.mode_blocks(lams, tol)
-    return [mode_data(nds, lam, tol) for lam in lams]
+    """Per-subsystem left null spaces of the mode matrices at each eigenvalue.
+
+    Each subsystem record hands over its blocks at all of `lams` in one
+    `mode_blocks` call (building the missing ones with one stacked SVD per
+    dtype). A subsystem with full-row-rank mode matrix contributes zero
+    rows; its state/output column slots still appear (as zero-width blocks)
+    in the block-diagonal assembly, keeping global column indices aligned.
+    """
+    m_z = [a.m_z for a in nds.analysis]
+    m_v = [a.m_v for a in nds.analysis]
+    blocks = [rec.mode_blocks(lams, tol) for rec in analysis_records(nds.analysis)]
+    out = []
+    for lam, per in zip(lams, zip(*blocks)):
+        dtype = _dtype(lam)
+        out.append(ModeData(lam=lam, per_sub=list(per),
+                            z_all=_block_diag_np([s.z for s in per], m_z, dtype),
+                            y_all=_block_diag_np([s.y for s in per], m_v, dtype),
+                            M_r=sum(s.m_r for s in per)))
+    return out
+
+
+def mode_data(nds: NdsModel, lam: complex, tol: float = RANK_TOL) -> ModeData:
+    """`modes` at one eigenvalue."""
+    return modes(nds, [lam], tol)[0]
 
 
 def _dtype(lam: complex) -> type:
@@ -334,8 +339,7 @@ class SubsystemAnalysis:
         out = np.zeros(len(lams), dtype=int)
         for dtype, group in _by_dtype(lams).items():
             pbh = pbh_stack(self.a_xx, self.b_xu, [v for _, v in group], dtype)
-            ranks = ex.singular_value_rank(np.linalg.svd(pbh, compute_uv=False), tol)
-            out[[i for i, _ in group]] = self.m_x - ranks
+            out[[i for i, _ in group]] = self.m_x - ex.float_rank(pbh, tol)
         return out
 
 

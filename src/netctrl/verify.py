@@ -188,15 +188,14 @@ def _fmt_c(lam: complex) -> str:
 
 def check_structural_controllability(nds: NdsModel, seed: int = 0,
                                      rank_tol: float = ratfun.RANK_TOL,
-                                     eig_tol: float = ratfun.EIG_TOL,
-                                     wellposed_trials: int = 3) -> Verdict:
+                                     eig_tol: float = ratfun.EIG_TOL) -> Verdict:
     """Full verdict: input-unreachable lambda cycle plus per-mode ranks.
 
     A moving uncontrollable mode exists exactly when some input-unreachable
     strongly connected component holds an internal frequency-dependent edge;
     the cycle through it is the witness.
     """
-    wp = check_well_posedness(nds, trials=wellposed_trials, seed=seed)
+    wp = check_well_posedness(nds, seed=seed)
     if not wp.well_posed:
         raise IllPosedError(f"model is ill-posed: {wp.detail}")
     nacg = structgraph.build_nacg(nds, ratfun.nds_tfms(nds))
@@ -249,8 +248,7 @@ def check_feasibility(subsystems: list[SubsystemModel], mode_filter: str = "all"
     for idx, rec in enumerate(ratfun.analysis_records(nds.analysis)):
         lams = ratfun.filter_modes(rec.eigvals, mode_filter)
         pbh = ratfun.pbh_stack(rec.a_xx, np.hstack([rec.b_xu, rec.a_xv]), lams, complex)
-        ranks = ex.singular_value_rank(np.linalg.svd(pbh, compute_uv=False), rank_tol)
-        failing = np.flatnonzero(ranks < rec.m_x)
+        failing = np.flatnonzero(ex.float_rank(pbh, rank_tol) < rec.m_x)
         if failing.size:
             # the eigenvalue as the spectrum holds it: a real one prints as a float
             detail.append(f"subsystem {idx + 1} uncontrollable at {lams[failing[0]]:.6g}")
@@ -286,7 +284,11 @@ def realize_numeric(nds: NdsModel, values: dict[str, Fraction]) -> tuple[ex.Mat,
             ex.submatrix(ab, None, range(n, n + nds.M_u)))
 
 
-def uncontrollable_modes(a: np.ndarray, b: np.ndarray, tol: float = 1e-7) -> list:
+# Rank cutoff of the PBH test on realized closed loops.
+_REALIZE_RANK_TOL = 1e-7
+
+
+def uncontrollable_modes(a: np.ndarray, b: np.ndarray) -> list:
     """Eigenvalues at which [lam I - A, B] loses row rank.
 
     Realized closed loops can mix entry scales over many orders of magnitude
@@ -304,7 +306,7 @@ def uncontrollable_modes(a: np.ndarray, b: np.ndarray, tol: float = 1e-7) -> lis
             norms = np.max(np.abs(pbh), axis=axis, keepdims=True)
             norms[norms == 0] = 1.0
             pbh /= norms
-    ranks = ex.singular_value_rank(np.linalg.svd(pbh, compute_uv=False), tol)
+    ranks = ex.float_rank(pbh, _REALIZE_RANK_TOL)
     return [complex(lam) for lam, rank in zip(lams, ranks) if rank < n]
 
 
@@ -331,8 +333,8 @@ class RealizationResult:
         }
 
 
-def randomized_realization_check(nds: NdsModel, seed: int = 0, trials: int = 5,
-                                 tol: float = 1e-7) -> RealizationResult:
+def randomized_realization_check(nds: NdsModel, seed: int = 0,
+                                 trials: int = 5) -> RealizationResult:
     """One-sided randomized controllability certificate.
 
     Each trial substitutes parameter values drawn from an integer set whose
@@ -376,7 +378,7 @@ def randomized_realization_check(nds: NdsModel, seed: int = 0, trials: int = 5,
             raise RuntimeError("could not draw a well-posed realization")
         a = ex.to_float(a_m)
         b = ex.to_float(b_m).reshape(nds.M_x, nds.M_u)
-        last_modes = uncontrollable_modes(a, b, tol)
+        last_modes = uncontrollable_modes(a, b)
         if not last_modes:
             return RealizationResult(True, t, redraws, seed, vsize, values, [])
     return RealizationResult(False, trials, redraws, seed, vsize, None, last_modes)

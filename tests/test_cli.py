@@ -277,6 +277,24 @@ def test_bad_flag_values_are_usage_errors(sec7_doc, tmp_path, capsys, argv):
     assert f"argument {argv[1]}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("check", "[--seed SEED] [--tol TOL] [--eig-tol EIG_TOL] [--format {json,text}]"),
+    ("design", "[--modes {all,unstable}] [--seed SEED] [--tol TOL] [--eig-tol EIG_TOL] "
+               "[--format {json,text}]"),
+    ("realize", "[--seed SEED] [--trials TRIALS] [--format {json,text}]"),
+    ("feasible", "[--modes {all,unstable}] [--tol TOL] [--eig-tol EIG_TOL] "
+                 "[--format {json,text}]"),
+    ("graph", ""),
+], ids=["check", "design", "realize", "feasible", "graph"])
+def test_usage_line_per_command(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    usage = err[:err.index(f"netctrl {command}: error:")]  # wrapped to the terminal
+    assert usage.split() == f"usage: netctrl {command} [-h] {flags} [--out OUT] file".split()
+
+
 def test_realize_echoes_only_used_settings(sec7_doc, tmp_path):
     path = _write(tmp_path, sec7_doc)
     out = tmp_path / "r.json"

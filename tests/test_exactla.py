@@ -128,6 +128,10 @@ def test_exact_solve_roundtrip():
 def test_exact_solve_singular():
     with pytest.raises(ZeroDivisionError):
         ex.exact_solve(ex.mat([[1, 1], [1, 1]]), ex.mat([[1], [0]]))
+    # the missing pivot is column 0, and [a | b] still has two pivots (1 and
+    # 2): the pivot list rejects it before back-substitution divides
+    with pytest.raises(ZeroDivisionError, match="singular system"):
+        ex.exact_solve(ex.mat([[0, 1], [0, 1]]), ex.mat([[1], [0]]))
 
 
 def test_block_helpers():
@@ -195,12 +199,17 @@ def test_stacked_svd_matches_per_matrix():
             ranks = ex.singular_value_rank(s_all)
             assert ranks.shape == (4,)
             assert ex.singular_value_rank(s_only).tolist() == ranks.tolist()
+            assert ex.float_rank(stack).tolist() == ranks.tolist()
             for m, u_i, s_i, s_only_i, rank in zip(stack, u_all, s_all, s_only, ranks):
                 u, s, _ = np.linalg.svd(m)
                 assert u_i.tobytes() == u.tobytes() and u_i.dtype == u.dtype
                 assert s_i.tobytes() == s.tobytes()
                 assert s_only_i.tobytes() == np.linalg.svd(m, compute_uv=False).tobytes()
                 assert rank == ex.float_rank(m) == ex.singular_value_rank(s)
+            # a stack of no matrices (feasibility condition (i) when a mode
+            # filter keeps no eigenvalue of a subsystem) and one of all-zero ones
+            assert ex.float_rank(stack[:0]).shape == (0,)
+            assert ex.float_rank(np.zeros_like(stack)).tolist() == [0] * 4
 
 
 def test_mmul_matches_dense_reference():

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from netctrl import exactla as ex
 from netctrl.model import (ModelError, NdsModel, StructuredPattern, SubsystemModel,
-                           analysis_form, assemble_lumped, augment_subsystem,
-                           check_well_posedness, close_parameter_block,
+                           analysis_form, assemble_lumped, check_well_posedness,
                            diagonalize_parameters)
 
 
@@ -30,7 +29,7 @@ def test_pattern_validation():
 
 def test_augment_without_block_is_identity(sec7):
     sub = sec7.subsystems[0]
-    aug = augment_subsystem(sub)
+    aug = analysis_form(sub)
     assert aug.A_xx == sub.A_xx0
     assert aug.A_xv == sub.A_xv0
     assert aug.B_xu == sub.B_xu0
@@ -51,7 +50,7 @@ def _one_state_sub(e1, f1, h, e2=0, f2=0, f3=0):
 
 
 def test_augment_zero_block_pads_with_zeros():
-    aug = augment_subsystem(_one_state_sub(0, 0, 0))
+    aug = analysis_form(_one_state_sub(0, 0, 0))
     assert aug.A_zv == ex.mat([[4, 0], [0, 0]])
     assert aug.A_xv == ex.mat([[1, 0]])
     assert aug.A_zx == ex.mat([[3], [0]])
@@ -59,7 +58,7 @@ def test_augment_zero_block_pads_with_zeros():
 
 
 def test_augment_hand_expanded_blocks():
-    aug = augment_subsystem(_one_state_sub(1, 1, 0, e2=6, f2=7, f3=8))
+    aug = analysis_form(_one_state_sub(1, 1, 0, e2=6, f2=7, f3=8))
     assert aug.A_xv == ex.mat([[1, 1]])
     assert aug.A_zx == ex.mat([[3], [1]])
     assert aug.A_zv == ex.mat([[4, 6], [7, 0]])
@@ -67,12 +66,10 @@ def test_augment_hand_expanded_blocks():
     assert aug.A_xx == ex.mat([[2]])
 
 
-def test_augment_rejects_fixed_block():
+def test_analysis_form_closes_fixed_block():
     sub = _one_state_sub(1, 1, 0)
     fixed = dataclasses.replace(sub, param_block=ex.mat([["1/3"]]))
-    with pytest.raises(ModelError):
-        augment_subsystem(fixed)
-    closed = close_parameter_block(fixed)
+    closed = analysis_form(fixed)
     # A_xx = 2 + E1 * p/(1 - H p) * F1 with p = 1/3, H = 0
     assert closed.A_xx == ex.mat([["7/3"]])
     assert closed.m_v == 1 and closed.m_z == 1
@@ -118,7 +115,7 @@ def test_closed_block_matches_scalar_formula():
             continue
         sub = _one_state_sub(e1, f1, h)
         fixed = dataclasses.replace(sub, param_block=[[p]])
-        closed = close_parameter_block(fixed)
+        closed = analysis_form(fixed)
         assert closed.A_xx[0][0] == 2 + e1 * p / (1 - h * p) * f1
     # matrix blocks against the transposed-solve formula
     checked = 0
@@ -127,7 +124,7 @@ def test_closed_block_matches_scalar_formula():
             sub = _random_fixed_block_sub(rng, pr, pc)
         except ModelError:  # I - H P singular
             continue
-        closed = close_parameter_block(sub)
+        closed = analysis_form(sub)
         assert [closed.A_xx, closed.A_xv, closed.B_xu, closed.A_zx, closed.A_zv,
                 closed.B_zu] == _reference_closed_blocks(sub)
         checked += 1

@@ -1,7 +1,8 @@
-"""The benchmark's traced names resolve against the library.
+"""The benchmark's traced and imported names resolve against the library.
 
 The span recorder in perfbench/spans.py patches each (owner, attribute)
-pair of its TRACED list; renaming one of those functions would otherwise
+pair of its TRACED list, and perfbench/workloads.py imports the library
+names it builds its documents with; renaming one of those would otherwise
 surface only when the benchmark runs.
 """
 
@@ -10,11 +11,19 @@ from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-TRACED = runpy.run_path(str(SPANS))["TRACED"]
+from netctrl import ratfun
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACED = runpy.run_path(str(PERFBENCH / "spans.py"))["TRACED"]
 
 
 @pytest.mark.parametrize("owner, attr, span", TRACED,
                          ids=[f"{owner.__name__}.{attr}" for owner, attr, _ in TRACED])
 def test_traced_name_resolves_to_callable(owner, attr, span):
     assert callable(getattr(owner, attr, None)), f"{span}: {owner.__name__}.{attr} is gone"
+
+
+def test_workload_imports_resolve():
+    runpy.run_path(str(PERFBENCH / "workloads.py"))
+    # perfbench/record_golden.py takes each design instance's largest target from it
+    assert callable(getattr(ratfun, "mode_data", None))
