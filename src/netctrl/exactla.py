@@ -11,17 +11,31 @@ No polynomial arithmetic is needed: `ratfun` classifies each transfer entry
 of C (lambda*I - A)^-1 B + D from the exact Markov parameters C A^k B,
 k < n (Cayley-Hamilton), which are plain `mmul` products.
 
-The exact kernels skip zero operands: `mmul` multiplies only nonzero pairs,
-and `_eliminate`, the one elimination behind `exact_rank`, `exact_det` and
-`exact_solve`, updates only the pivot row's nonzero columns. The matrices
-met here are mostly zeros (block-diagonal lumped plants, one nonzero per
-free routing entry), and an exact sum of the same nonzero terms is the same
+Eliminations run on Python integers, not Fractions, whose every add and
+multiply normalizes by a gcd. `int_rows` scales each row by the lcm of its
+entries' denominators, which changes no rank and no solution and divides
+a determinant by the scales' product. `_eliminate`, the one elimination
+behind `exact_rank`, `exact_det` (the last pivot, signed by the row swaps,
+over that product) and `exact_solve`, is fraction-free (Bareiss 1968):
+each Sylvester update divides exactly by the previous pivot, so entries
+stay integral minors. `int_solve` back-substitutes on Y = det * X, which
+Cramer's rule keeps integral; a Fraction is made only for each output
+entry (Y / det). `model.close_loop` builds its loop straight into integer
+rows and solves them with `int_solve`.
+
+The exact kernels skip zero operands: `mmul` multiplies only nonzero
+pairs, and the elimination updates a row only where its entry in the
+pivot column is nonzero, and only on the pivot row's nonzero columns
+(a row it passes over is rescaled once, when next used). The matrices met
+here are mostly zeros (block-diagonal lumped plants, one nonzero per free
+routing entry), and an exact sum of the same nonzero terms is the same
 number, so every result equals the dense loop's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 import numpy as np
@@ -75,18 +89,6 @@ def copy(m: Mat) -> Mat:
 def transpose(m: Mat) -> Mat:
     r, c = shape(m)
     return [[m[i][j] for i in range(r)] for j in range(c)]
-
-
-def madd(a: Mat, b: Mat) -> Mat:
-    if shape(a) != shape(b):
-        raise ValueError(f"shape mismatch {shape(a)} + {shape(b)}")
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def msub(a: Mat, b: Mat) -> Mat:
-    if shape(a) != shape(b):
-        raise ValueError(f"shape mismatch {shape(a)} - {shape(b)}")
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mmul(a: Mat, b: Mat) -> Mat:
@@ -160,12 +162,7 @@ def submatrix(m: Mat, rows: Sequence[int] | None, cols: Sequence[int] | None) ->
 
 
 def to_float(m: Mat) -> np.ndarray:
-    r, c = shape(m)
-    out = np.empty((r, c), dtype=float)
-    for i in range(r):
-        for j in range(c):
-            out[i, j] = float(m[i][j])
-    return out
+    return np.array([[float(x) for x in row] for row in m], dtype=float).reshape(shape(m))
 
 
 def singular_value_rank(s: np.ndarray, tol: float = RANK_TOL):
@@ -193,65 +190,149 @@ def float_rank(m: np.ndarray, tol: float = RANK_TOL):
     return singular_value_rank(np.linalg.svd(m, compute_uv=False), tol)
 
 
-def _eliminate(m: Mat) -> tuple[Mat, list[int], int]:
-    """Row-reduce a copy of m; returns (echelon, pivot columns, swap count)."""
-    a = copy(m)
-    r, c = shape(a)
-    pivots: list[int] = []
+class SingularMatrixError(ZeroDivisionError):
+    """An exact solve met a singular matrix (an ill-posed loop)."""
+
+
+def int_rows(m: Mat) -> tuple[list[list[int]], list[int]]:
+    """Each row of m times the lcm of its entries' denominators.
+
+    Returns (integer rows, row scales). Row scaling changes no rank and no
+    solution of a system, and divides a determinant by the scales' product.
+    """
+    rows, scales = [], []
+    for row in m:
+        s = lcm(*[x.denominator for x in row])
+        rows.append([x.numerator for x in row] if s == 1
+                    else [x.numerator * (s // x.denominator) for x in row])
+        scales.append(s)
+    return rows, scales
+
+
+def _eliminate(a: list[list[int]]) -> tuple[list[int], list[int], int]:
+    """Fraction-free (Bareiss) elimination of integer rows, in place.
+
+    Returns (pivot columns, pivots, swap count). Pivot row k ends as the
+    minors of the pivot rows 0..k with its own row over the pivot columns
+    0..k-1 and each column j, so every entry stays an integer and pivot row
+    k's pivot is pivots[k]; the rows below the rank end as zeros. A row
+    meets each step's Sylvester update (pivot * row - f * pivot row) //
+    previous pivot only where f, its entry in the pivot column, is nonzero.
+    With f = 0 the update only rescales the row by pivot / previous pivot,
+    so a row is kept unscaled until a step needs it and then rescaled once,
+    on its nonzeros, by the telescoped ratio of the pivot then to the pivot
+    when it was last updated. Every // divides exactly: its quotient is a
+    minor.
+    """
+    r = len(a)
+    c = len(a[0]) if a else 0
+    cols: list[int] = []
+    pivots = [1]  # pivots[k]: the pivot of step k - 1; the 1 precedes step 0
+    synced = [0] * r  # row i's true values are a[i] * pivots[-1] // pivots[synced[i]]
     swaps = 0
     row = 0
     for col in range(c):
-        piv = next((i for i in range(row, r) if a[i][col] != 0), None)
+        piv = next((i for i in range(row, r) if a[i][col]), None)
         if piv is None:
             continue
         if piv != row:
             a[row], a[piv] = a[piv], a[row]
+            synced[row], synced[piv] = synced[piv], synced[row]
             swaps += 1
-        ar = a[row]
-        pv = ar[col]
-        pivot_nonzeros = [(j, ar[j]) for j in range(col, c) if ar[j]]
-        for i in range(row + 1, r):
+        step = len(pivots) - 1
+        prev = pivots[-1]
+        for i in range(row, r):
             ai = a[i]
             f = ai[col]
-            if f == 0:
+            if not f:
                 continue
-            ratio = f / pv
+            if synced[i] != step:  # rescale once for the steps the row sat out
+                num, den = prev, pivots[synced[i]]
+                for j in range(col, c):
+                    if ai[j]:
+                        ai[j] = ai[j] * num // den
+                f = ai[col]
+            if i == row:
+                pv = f
+                pivot_nonzeros = [(j, ai[j]) for j in range(col + 1, c) if ai[j]]
+                continue
+            ai[col] = 0
+            for j in range(col + 1, c):
+                if ai[j]:
+                    ai[j] *= pv
             for j, y in pivot_nonzeros:
-                ai[j] -= ratio * y
-        pivots.append(col)
+                ai[j] -= f * y
+            if prev != 1:
+                for j in range(col + 1, c):
+                    if ai[j]:
+                        ai[j] //= prev
+            synced[i] = step + 1
+        pivots.append(pv)
+        cols.append(col)
         row += 1
         if row == r:
             break
-    return a, pivots, swaps
+    return cols, pivots[1:], swaps
 
 
 def exact_rank(m: Mat) -> int:
     if not m or not m[0]:
         return 0
-    return len(_eliminate(m)[1])
+    return len(_eliminate(int_rows(m)[0])[0])
+
+
+def int_det(a: list[list[int]]) -> int:
+    """Determinant of square integer rows; reduces the rows in place."""
+    if not a:
+        return 1
+    cols, pivots, swaps = _eliminate(a)
+    if len(cols) < len(a):
+        return 0
+    return -pivots[-1] if swaps % 2 else pivots[-1]
 
 
 def exact_det(m: Mat) -> Fraction:
     r, c = shape(m)
     if r != c:
         raise ValueError("determinant of a non-square matrix")
-    if r == 0:
-        return ONE
-    ech, pivots, swaps = _eliminate(m)
-    if len(pivots) < r:
-        return ZERO
-    det = ONE if swaps % 2 == 0 else -ONE
-    for i in range(r):
-        det *= ech[i][pivots[i]]
-    return det
+    rows, scales = int_rows(m)
+    return Fraction(int_det(rows), prod(scales))
+
+
+def int_solve(a: list[list[int]], n: int) -> tuple[list[list[int]], int]:
+    """Solve integer rows [a | b] (a n x n) without fractions; reduces them in place.
+
+    Returns (Y, d) with a @ (Y / d) = b: d is the last pivot of the
+    elimination (the determinant of a, up to sign), so Y = d X is integral
+    (Cramer's rule) and back-substitution on it divides exactly. Raises
+    SingularMatrixError when a is singular, that is, when the pivot columns
+    are not 0..n-1.
+    """
+    cols, pivots, _ = _eliminate(a)
+    if cols[:n] != list(range(n)):
+        raise SingularMatrixError("singular system in exact_solve")
+    d = pivots[n - 1]
+    y: list[list[int]] = [[]] * n
+    y_nonzeros: list = [[]] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        acc = [x * d for x in row[n:]]
+        for j in range(i + 1, n):
+            f = row[j]
+            if f:
+                for k, v in y_nonzeros[j]:
+                    acc[k] -= f * v
+        pv = pivots[i]
+        y[i] = acc if pv == 1 else [v // pv for v in acc]
+        y_nonzeros[i] = [(k, v) for k, v in enumerate(y[i]) if v]
+    return y, d
 
 
 def exact_solve(a: Mat, b: Mat) -> Mat:
     """Solve a @ X = b exactly; a must be square and invertible.
 
-    [a | b] is reduced by `_eliminate`; a is invertible exactly when the
-    pivot columns are 0..n-1, and X then follows by back-substitution over
-    the nonzero entries of each echelon row.
+    [a | b] is scaled to integer rows and solved by `int_solve`; each entry
+    of X = Y / d is the one Fraction made from the integer result.
     """
     n, m = shape(a)
     if n != m:
@@ -261,20 +342,5 @@ def exact_solve(a: Mat, b: Mat) -> Mat:
         raise ValueError("right-hand side row mismatch")
     if n == 0:
         return zeros(0, cb)
-    ech, pivots, _ = _eliminate([ra + rb for ra, rb in zip(a, b)])
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("singular system in exact_solve")
-    x: Mat = [[]] * n
-    x_nonzeros: list = [[]] * n
-    for i in reversed(range(n)):
-        row = ech[i]
-        acc = row[n:]
-        for j in range(i + 1, n):
-            f = row[j]
-            if f:
-                for k, y in x_nonzeros[j]:
-                    acc[k] -= f * y
-        pv = row[i]
-        x[i] = [y / pv if y else y for y in acc]
-        x_nonzeros[i] = [(k, y) for k, y in enumerate(x[i]) if y]
-    return x
+    y, d = int_solve(int_rows([ra + rb for ra, rb in zip(a, b)])[0], n)
+    return [[Fraction(v, d) if v else ZERO for v in row] for row in y]

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from math import lcm
 from typing import Optional
 
 from . import exactla as ex
@@ -152,7 +153,7 @@ class SubsystemModel:
             if not self.has_free_params:
                 try:  # closing the loop builds the analysis form, or fails
                     self.analysis
-                except ZeroDivisionError:
+                except ex.SingularMatrixError:
                     raise ModelError(f"{self.name or 'subsystem'}: fixed parameter "
                                      "block makes the local loop ill-posed") from None
 
@@ -225,16 +226,78 @@ class AugmentedSubsystem:
         return len(self.A_zx)
 
 
+def _integer_block(p: Mat) -> tuple[list, int]:
+    """p as P / s with P integral: each row's nonzeros of P as (column, value), and s."""
+    s = lcm(*[x.denominator for row in p for x in row])
+    return [[(j, x.numerator * (s // x.denominator)) for j, x in enumerate(row) if x]
+            for row in p], s
+
+
+def _nonzeros(row: list) -> list:
+    return [(k, x) for k, x in enumerate(row) if x]
+
+
+def _times_block(nonzeros: list, t: int, block: tuple[list, int], width: int) -> list[int]:
+    """(t a) P in integers, for a row a given by its nonzeros, t a multiple of
+    their denominators, and the block p = P / s."""
+    p_nonzeros = block[0]
+    acc = [0] * width
+    for k, x in nonzeros:
+        x = x.numerator * (t // x.denominator)
+        for j, y in p_nonzeros[k]:
+            acc[j] += x * y
+    return acc
+
+
+def _loop_rows(h: Mat, block: tuple[list, int], f: Mat) -> list[list[int]]:
+    """[I - h p | f] as integer rows: row r scaled by s t, with t the lcm of
+    the denominators in h's and f's row r."""
+    s = block[1]
+    n = len(h)
+    rows = []
+    for r, h_row in enumerate(h):
+        f_row = f[r] if f else []
+        h_nz, f_nz = _nonzeros(h_row), _nonzeros(f_row)
+        t = lcm(*[x.denominator for _, x in h_nz], *[x.denominator for _, x in f_nz])
+        st = s * t
+        row = [-x for x in _times_block(h_nz, t, block, n)] + [0] * len(f_row)
+        row[r] += st
+        for k, x in f_nz:
+            row[n + k] = x.numerator * (st // x.denominator)
+        rows.append(row)
+    return rows
+
+
 def close_loop(m: Mat, e: Mat, h: Mat, f: Mat, p: Mat) -> Mat:
     """m + e p (I - h p)^-1 f, exactly: the loop through a block p closed.
 
-    Raises ZeroDivisionError when I - h p is singular (the loop is ill-posed).
+    The loop [I - h p | f] is solved in integer rows (`exactla.int_solve`)
+    for Y = d (I - h p)^-1 f. Row r of e p, scaled to integers by `_times_block`,
+    then adds (e p)_r Y / (s t d) to m's row r, one Fraction per output entry
+    it changes. Raises exactla.SingularMatrixError when I - h p is singular
+    (the loop is ill-posed).
     """
     if not (p and p[0]):
         # no loop ports; the zero-row factors would lose m's column count
         return ex.copy(m)
-    loop = ex.msub(ex.eye(len(h)), ex.mmul(h, p))
-    return ex.madd(m, ex.mmul(ex.mmul(e, p), ex.exact_solve(loop, f)))
+    block = _integer_block(p)
+    n = len(h)
+    y, d = ex.int_solve(_loop_rows(h, block, f), n)
+    y_nonzeros = [_nonzeros(row) for row in y]
+    sd = block[1] * d
+    out = []
+    for m_row, e_row in zip(m, e):
+        e_nz = _nonzeros(e_row)
+        t = lcm(*[x.denominator for _, x in e_nz])
+        add = [0] * len(m_row)
+        for j, x in enumerate(_times_block(e_nz, t, block, n)):
+            if x:
+                for k, v in y_nonzeros[j]:
+                    add[k] += x * v
+        den = sd * t
+        out.append([Fraction(x.numerator * den + v * x.denominator, x.denominator * den)
+                    if v else x for x, v in zip(m_row, add)])
+    return out
 
 
 def analysis_form(sub: SubsystemModel) -> AugmentedSubsystem:
@@ -395,11 +458,12 @@ class WellPosednessVerdict:
 def check_well_posedness(nds: NdsModel, trials: int = 3, seed: int = 0) -> WellPosednessVerdict:
     """Probabilistic well-posedness test.
 
-    Substitutes random rational values into every free parameter and checks
+    Substitutes an integer in [1, bound] for every free parameter and checks
     that the global loop determinant and each local one are nonzero; one
-    successful draw certifies the generic property. Values are drawn from an
-    integer range exceeding twice a crude total-degree bound so a false
-    negative on every trial is overwhelmingly unlikely.
+    successful draw certifies the generic property. The bound exceeds twice
+    a crude total-degree bound, so a false negative on every trial is
+    overwhelmingly unlikely. Each loop I - h p is built as integer rows by
+    `_loop_rows`, the builder `close_loop` solves.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -411,17 +475,15 @@ def check_well_posedness(nds: NdsModel, trials: int = 3, seed: int = 0) -> WellP
     for t in range(trials):
         values = pat.draw(rng, bound)
         pval = pat.substitute(values)
-        glob = ex.exact_det(ex.msub(ex.eye(nds.M_z), ex.mmul(plant.A_zv, pval)))
-        if glob == 0:
+        if ex.int_det(_loop_rows(plant.A_zv, _integer_block(pval), [])) == 0:
             last = "global loop determinant vanished"
             continue
         local_ok = True
         for sub in nds.subsystems:
             if not sub.has_free_params:
                 continue
-            pr, pc = sub.param_shape
             pv = sub.param_block.substitute(values)
-            if ex.exact_det(ex.msub(ex.eye(pc), ex.mmul(sub.H, pv))) == 0:
+            if ex.int_det(_loop_rows(sub.H, _integer_block(pv), [])) == 0:
                 local_ok = False
                 last = f"local loop of {sub.name or 'a subsystem'} vanished"
                 break

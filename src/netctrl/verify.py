@@ -274,7 +274,8 @@ def check_feasibility(subsystems: list[SubsystemModel], mode_filter: str = "all"
 def realize_numeric(nds: NdsModel, values: dict[str, Fraction]) -> tuple[ex.Mat, ex.Mat]:
     """Exact closed-loop state/input matrices for one parameter assignment.
 
-    Raises ZeroDivisionError when the assignment makes the loop singular.
+    Raises exactla.SingularMatrixError when the assignment makes the loop
+    singular.
     """
     plant = assemble_lumped(nds)
     ab = close_loop(ex.hstack([plant.A_xx, plant.B_xu]), plant.A_xv, plant.A_zv,
@@ -372,7 +373,7 @@ def randomized_realization_check(nds: NdsModel, seed: int = 0,
             try:
                 a_m, b_m = realize_numeric(nds, values)
                 break
-            except ZeroDivisionError:
+            except ex.SingularMatrixError:
                 redraws += 1
         else:
             raise RuntimeError("could not draw a well-posed realization")

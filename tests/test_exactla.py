@@ -6,6 +6,8 @@ import pytest
 
 from netctrl import exactla as ex
 
+from dense_ref import _dense_mmul, _dense_rank_det, _dense_solve
+
 
 def _random_int_matrix(rng, rows, cols, span=5):
     return [[Fraction(rng.randint(-span, span)) for _ in range(cols)]
@@ -25,51 +27,6 @@ def _random_block_diag(rng, density):
 
 
 DENSITIES = (0.05, 0.1, 0.2, 0.35, 0.5)
-
-
-# Dense reference loops: they touch every entry, zeros included.
-
-def _dense_mmul(a, b):
-    inner = len(b)
-    cols = len(b[0]) if b else 0
-    return [[sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0))
-             for j in range(cols)] for i in range(len(a))]
-
-
-def _dense_rank_det(m):
-    a = [list(row) for row in m]
-    r = len(a)
-    c = len(a[0]) if a else 0
-    rank, det = 0, Fraction(1)
-    for col in range(c):
-        piv = next((i for i in range(rank, r) if a[i][col] != 0), None)
-        if piv is None:
-            det = Fraction(0)
-            continue
-        if piv != rank:
-            a[rank], a[piv] = a[piv], a[rank]
-            det = -det
-        det *= a[rank][col]
-        for i in range(rank + 1, r):
-            ratio = a[i][col] / a[rank][col]
-            a[i] = [x - ratio * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank, det
-
-
-def _dense_solve(a, b):
-    n = len(a)
-    aug = [list(a[i]) + list(b[i]) for i in range(n)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def _random_invertible(rng, n, density):
@@ -126,12 +83,13 @@ def test_exact_solve_roundtrip():
 
 
 def test_exact_solve_singular():
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ex.SingularMatrixError):
         ex.exact_solve(ex.mat([[1, 1], [1, 1]]), ex.mat([[1], [0]]))
     # the missing pivot is column 0, and [a | b] still has two pivots (1 and
     # 2): the pivot list rejects it before back-substitution divides
-    with pytest.raises(ZeroDivisionError, match="singular system"):
+    with pytest.raises(ex.SingularMatrixError, match="singular system"):
         ex.exact_solve(ex.mat([[0, 1], [0, 1]]), ex.mat([[1], [0]]))
+    assert issubclass(ex.SingularMatrixError, ZeroDivisionError)
 
 
 def test_block_helpers():
@@ -309,3 +267,96 @@ def test_mmul_multiplies_only_nonzero_pairs():
     product = ex.mmul(plant, pattern)
     assert len(products) == nonzero_pairs == 18
     assert product == _dense_mmul(plant, pattern)
+
+
+MIXED = [Fraction(1, 7), Fraction(5, 14), Fraction(3, 2), Fraction(-2, 7), Fraction(1),
+         Fraction(-3), Fraction(7, 2)]
+
+
+def _mixed(rng, rows, cols, density):
+    """Entries whose denominators differ within a row: 1/7, 5/14, 3/2, ..."""
+    return [[rng.choice(MIXED) * rng.randint(1, 3) if rng.random() < density else Fraction(0)
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def test_mixed_denominators_match_dense_reference():
+    # every row is scaled by the lcm of its denominators (14 here) before the
+    # integer elimination; rank, det and solve must not see the scaling
+    assert ex.int_rows(ex.mat([["1/7", "5/14", "3/2"]])) == ([[2, 5, 21]], [14])
+    rng = random.Random(11)
+    for n in list(range(1, 17)) * 3:
+        density = rng.choice(DENSITIES + (1.0,))
+        m = _mixed(rng, n, rng.randint(1, 16), density)
+        assert ex.exact_rank(m) == _dense_rank_det(m)[0]
+        sq = _mixed(rng, n, n, density)
+        assert ex.exact_det(sq) == _dense_rank_det(sq)[1]
+        a = [[x + y for x, y in zip(ra, rb)]
+             for ra, rb in zip(_random_invertible(rng, n, density), _mixed(rng, n, n, 0.3))]
+        b = _mixed(rng, n, rng.randint(1, 3), 0.5)
+        if _dense_rank_det(a)[0] == n:
+            assert ex.exact_solve(a, b) == _dense_solve(a, b)
+        else:
+            with pytest.raises(ex.SingularMatrixError):
+                ex.exact_solve(a, b)
+
+
+def test_rank_deficient_rectangular_with_skipped_pivot_columns():
+    # m = left @ right with right of rank <= k: some columns are zero or
+    # copies of earlier ones, so the elimination finds no pivot there and its
+    # exact // division carries over the skipped column
+    rng = random.Random(12)
+    skipped = 0
+    for _ in range(120):
+        r, c = rng.randint(1, 16), rng.randint(1, 16)
+        k = rng.randint(0, min(r, c))
+        left = _mixed(rng, r, k, 0.7)
+        right = _mixed(rng, k, c, 0.7)
+        for j in range(1, c):
+            if rng.random() < 0.3:  # column j repeats a multiple of column j - 1
+                f = rng.choice(MIXED)
+                for row in right:
+                    row[j] = f * row[j - 1]
+        m = _dense_mmul(left, right) if k else ex.zeros(r, c)
+        rank = _dense_rank_det(m)[0]
+        assert ex.exact_rank(m) == rank <= k
+        cols = ex._eliminate(ex.int_rows(m)[0])[0]
+        skipped += cols != list(range(rank))
+        if r == c:
+            assert ex.exact_det(m) == _dense_rank_det(m)[1]
+    assert skipped >= 30
+
+
+def test_det_sign_after_row_swaps():
+    # permuted diagonal matrices: det = sign(perm) * product of the diagonal
+    rng = random.Random(13)
+    for n in range(1, 17):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        diag = [rng.choice(MIXED) for _ in range(n)]
+        m = ex.zeros(n, n)
+        for i, j in enumerate(perm):
+            m[i][j] = diag[i]
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        want = (-1) ** inversions
+        for x in diag:
+            want *= x
+        assert ex.exact_det(m) == want == _dense_rank_det(m)[1]
+    # one swap
+    assert ex.exact_det(ex.mat([[0, 1], [1, 0]])) == -1
+    assert ex.exact_det(ex.mat([[0, "-3/2"], [2, 5]])) == 3
+    # no swap and a negative last pivot (1*4 - 3*2 = -2), unscaled and scaled by 2
+    assert ex.exact_det(ex.mat([[1, 2], [3, 4]])) == -2
+    assert ex.exact_det(ex.mat([["1/2", 1], ["3/2", 2]])) == Fraction(-1, 2)
+    # two swaps (a cyclic shift), and one swap times a negative pivot
+    assert ex.exact_det(ex.mat([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) == 1
+    assert ex.exact_det(ex.mat([[0, 0, -1], [0, 1, 0], [1, 0, 0]])) == 1
+
+
+def test_to_float_values_and_shape():
+    m = _mixed(random.Random(14), 4, 5, 0.6)
+    got = ex.to_float(m)
+    assert got.shape == (4, 5) and got.dtype == float
+    assert got.tolist() == [[float(x) for x in row] for row in m]
+    assert ex.to_float([]).shape == (0, 0)
+    assert ex.to_float(ex.zeros(3, 0)).shape == (3, 0)
+    assert ex.to_float(ex.zeros(0, 3)).shape == (0, 0)

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from netctrl import exactla as ex
 from netctrl.model import (ModelError, NdsModel, StructuredPattern, SubsystemModel,
                            analysis_form, assemble_lumped, check_well_posedness,
-                           diagonalize_parameters)
+                           close_loop, diagonalize_parameters)
+
+from dense_ref import _dense_close_loop, _dense_mmul, _dense_solve
 
 
 def _pattern(rows, cols, positions, prefix="s"):
@@ -76,16 +78,20 @@ def test_analysis_form_closes_fixed_block():
 
 
 def _reference_closed_blocks(sub):
-    """The six closed blocks from K = P (I - H P)^-1, solved against the
-    transpose, with one correction per block row."""
+    """The six closed blocks from K = P (I - H P)^-1, solved densely against
+    the transpose, with one correction per block row."""
     p = sub.param_block
-    w = ex.msub(ex.eye(len(p[0])), ex.mmul(sub.H, p))
-    k = ex.transpose(ex.exact_solve(ex.transpose(w), ex.transpose(p)))
+    hp = _dense_mmul(sub.H, p)
+    w = [[(1 if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(hp)]
+    k = ex.transpose(_dense_solve(ex.transpose(w), ex.transpose(p)))
     f_all = ex.hstack([sub.F1, sub.F2, sub.F3])
-    top = ex.madd(ex.hstack([sub.A_xx0, sub.A_xv0, sub.B_xu0]),
-                  ex.mmul(ex.mmul(sub.E1, k), f_all))
-    mid = ex.madd(ex.hstack([sub.A_zx0, sub.A_zv0, sub.B_zu0]),
-                  ex.mmul(ex.mmul(sub.E2, k), f_all))
+
+    def corrected(m, e):
+        return [[x + y for x, y in zip(rm, ra)]
+                for rm, ra in zip(m, _dense_mmul(_dense_mmul(e, k), f_all))]
+
+    top = corrected(ex.hstack([sub.A_xx0, sub.A_xv0, sub.B_xu0]), sub.E1)
+    mid = corrected(ex.hstack([sub.A_zx0, sub.A_zv0, sub.B_zu0]), sub.E2)
     mx, mv = sub.m_x, sub.m_v0
     cuts = [range(mx), range(mx, mx + mv), range(mx + mv, len(f_all[0]))]
     return [ex.submatrix(m, None, cols) for m in (top, mid) for cols in cuts]
@@ -135,6 +141,73 @@ def test_ill_posed_fixed_block_rejected():
     sub = _one_state_sub(1, 1, 1)
     with pytest.raises(ModelError):
         dataclasses.replace(sub, param_block=ex.mat([[1]]))
+
+
+def test_plain_zero_division_in_the_closure_is_not_ill_posedness(monkeypatch):
+    # only SingularMatrixError means an ill-posed loop; any other
+    # ZeroDivisionError is a fault and must surface
+    def broken(rows, n):
+        raise ZeroDivisionError("integer division by zero")
+
+    monkeypatch.setattr(ex, "int_solve", broken)
+    sub = _one_state_sub(1, 1, 0)
+    with pytest.raises(ZeroDivisionError, match="integer division") as info:
+        dataclasses.replace(sub, param_block=ex.mat([["1/3"]]))
+    assert not isinstance(info.value, ex.SingularMatrixError)
+
+
+def _rational(rng, rows, cols, density=0.6):
+    return [[Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 7, 14]))
+             if rng.random() < density else Fraction(0) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def test_close_loop_matches_dense_formula():
+    rng = random.Random(21)
+    closed = singular = 0
+    for _ in range(300):
+        rows, cols = rng.randint(0, 6), rng.randint(1, 6)
+        pr, pc = rng.randint(1, 6), rng.randint(1, 6)
+        density = rng.choice([0.2, 0.5, 1.0])
+        m, e = _rational(rng, rows, cols, density), _rational(rng, rows, pr, density)
+        h, f = _rational(rng, pc, pr, density), _rational(rng, pc, cols, density)
+        p = _rational(rng, pr, pc, density)  # rational: the fixed-block path
+        if rng.random() < 0.2:  # zero loop row r of I - h p: h_r p = e_r
+            r, k = rng.randrange(pc), rng.randrange(pr)
+            p[k] = [Fraction(0)] * pc
+            p[k][r] = Fraction(rng.choice([1, 2, 3]), rng.choice([1, 7]))
+            h[r] = [Fraction(0)] * pr
+            h[r][k] = 1 / p[k][r]
+            for other in p[:k] + p[k + 1:]:
+                other[r] = Fraction(0)
+        want = _dense_close_loop(m, e, h, f, p)
+        if want is None:
+            singular += 1
+            with pytest.raises(ex.SingularMatrixError):
+                close_loop(m, e, h, f, p)
+        else:
+            closed += 1
+            assert close_loop(m, e, h, f, p) == want
+    assert closed >= 150 and singular >= 40
+
+
+def test_close_loop_singular_loop():
+    one = ex.mat([[1]])
+    with pytest.raises(ex.SingularMatrixError):
+        close_loop(ex.mat([[2, 3]]), one, one, ex.mat([[1, 1]]), one)
+    # h p = [[1/2, 1], [1/4, 1/2]]: I - h p has determinant 0
+    with pytest.raises(ex.SingularMatrixError):
+        close_loop(ex.zeros(1, 1), ex.mat([[1, 0]]), ex.mat([["1/2", 0], [0, "1/4"]]),
+                   ex.mat([[1], [1]]), ex.mat([[1, 2], [1, 2]]))
+
+
+def test_close_loop_without_block_copies_m():
+    m = ex.mat([[1, "2/3", 0], [0, 0, 5]])
+    e, h, f = ex.zeros(2, 0), [], []
+    for p in ([], ex.zeros(2, 0)):
+        out = close_loop(m, e, h, f, p)
+        assert out == m and ex.shape(out) == (2, 3)
+        assert out is not m and all(a is not b for a, b in zip(out, m))
 
 
 def test_assemble_lumped_sec7(sec7):

@@ -14,6 +14,7 @@ from netctrl.verify import (check_feasibility, check_fum_lumped,
                             fums_of, randomized_realization_check, realize_numeric,
                             uncontrollable_modes)
 
+from dense_ref import _dense_close_loop
 from randgen import random_nds
 
 
@@ -206,6 +207,47 @@ def test_realize_numeric_matches_float_loop(sec7_designed3):
     want_a = (ex.to_float(plant.A_xx)
               + ex.to_float(plant.A_xv) @ pv @ loop @ ex.to_float(plant.A_zx))
     assert np.allclose(ex.to_float(a), want_a)
+
+
+@pytest.mark.parametrize("max_sub", [8, 16])
+def test_realize_numeric_matches_dense_closure(max_sub):
+    # seed 0 gives 7 subsystems (M_x 20, M_z 16) at max_sub 8 and 13
+    # (M_x 38, M_z 28) at max_sub 16
+    nds = random_nds(0, max_sub, max_state=4, max_port=3, scm_density=0.35)
+    plant = assemble_lumped(nds)
+    values = plant.P_pattern.draw(random.Random(max_sub), 60)
+    p = plant.P_pattern.substitute(values)
+    m, f = (ex.hstack([plant.A_xx, plant.B_xu]), ex.hstack([plant.A_zx, plant.B_zu]))
+    want = _dense_close_loop(m, plant.A_xv, plant.A_zv, f, p)
+    a, b = realize_numeric(nds, values)
+    n = nds.M_x
+    assert a == [row[:n] for row in want] and b == [row[n:] for row in want]
+    assert ex.to_float(a).tobytes() == ex.to_float([row[:n] for row in want]).tobytes()
+    assert ex.to_float(b).tobytes() == ex.to_float([row[n:] for row in want]).tobytes()
+
+
+def test_realization_redraws_only_singular_loops(monkeypatch, sec7_designed3):
+    real = ex.int_solve
+    calls = []
+
+    def singular_once(rows, n):
+        calls.append(n)
+        if len(calls) == 1:
+            raise ex.SingularMatrixError("singular system in exact_solve")
+        return real(rows, n)
+
+    monkeypatch.setattr(ex, "int_solve", singular_once)
+    res = randomized_realization_check(sec7_designed3, seed=7, trials=5)
+    assert res.redraws == 1 and res.controllable_witness
+
+    def broken(rows, n):
+        raise ZeroDivisionError("integer division by zero")
+
+    # any other ZeroDivisionError is a fault, not a redraw
+    monkeypatch.setattr(ex, "int_solve", broken)
+    with pytest.raises(ZeroDivisionError, match="integer division") as info:
+        randomized_realization_check(sec7_designed3, seed=7, trials=5)
+    assert not isinstance(info.value, ex.SingularMatrixError)
 
 
 def test_realization_sec7(sec7, sec7_designed3, sec7_designed2):
