@@ -379,13 +379,15 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names: tuple[str, ...] = tuple(COMMANDS)) -> argparse.ArgumentParser:
+    """The netctrl parser with the subcommands `names` (default: every command)."""
     p = argparse.ArgumentParser(
         prog="netctrl",
         description="Structural controllability analysis and interconnection design "
                     "for networked LTI systems")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
+    for name in names:
+        command = COMMANDS[name]
         sp = sub.add_parser(name, help=command.help)
         sp.add_argument("file", help="system document (JSON)")
         for dest in command.flags:
@@ -397,8 +399,22 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse a command line with only the named subcommand's parser.
+
+    A subcommand's own errors and help come from its own parser either way.
+    The full parser parses only a line that names no command or leaves
+    arguments unrecognized, so the usage it writes lists every command.
+    """
+    if argv and argv[0] in COMMANDS:
+        args, unrecognized = build_parser((argv[0],)).parse_known_args(argv)
+        if not unrecognized:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     command = COMMANDS[args.command]
     try:
         model, options, warnings, digest = load_document(args.file)

@@ -8,8 +8,10 @@ numeric-rank rule applied to what numpy returns; `float_rank` is the one
 call that asks numpy for singular values alone.
 
 No polynomial arithmetic is needed: `ratfun` classifies each transfer entry
-of C (lambda*I - A)^-1 B + D from the exact Markov parameters C A^k B,
-k < n (Cayley-Hamilton), which are plain `mmul` products.
+of C (lambda*I - A)^-1 B + D by which entries of the Markov parameters
+C A^k B, k < n (Cayley-Hamilton), are zero. Positive scales on the rows of
+C, the columns of B and all of A move no zero, so it takes them as `mmul`
+products of integer rows; `mmul` keeps integer rows integral.
 
 Eliminations run on Python integers, not Fractions, whose every add and
 multiply normalizes by a gcd. `int_rows` scales each row by the lcm of its
@@ -92,6 +94,9 @@ def transpose(m: Mat) -> Mat:
 
 
 def mmul(a: Mat, b: Mat) -> Mat:
+    """a @ b. Each entry starts as the int 0, so integer rows give integer
+    products; in a Fraction product, an entry that no nonzero pair reaches
+    stays the int 0, which equals Fraction(0)."""
     ra, ca = shape(a)
     rb, cb = shape(b)
     if ra == 0:
@@ -103,7 +108,7 @@ def mmul(a: Mat, b: Mat) -> Mat:
     b_nonzeros = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
-        acc = [ZERO] * cb
+        acc = [0] * cb
         for x, b_row in zip(row, b_nonzeros):
             if x:
                 for j, y in b_row:
@@ -162,7 +167,10 @@ def submatrix(m: Mat, rows: Sequence[int] | None, cols: Sequence[int] | None) ->
 
 
 def to_float(m: Mat) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in m], dtype=float).reshape(shape(m))
+    # x.numerator / x.denominator is the correctly rounded double float(x)
+    # computes, without the numbers.Rational.__float__ call
+    return np.array([[x.numerator / x.denominator for x in row] for row in m],
+                    dtype=float).reshape(shape(m))
 
 
 def singular_value_rank(s: np.ndarray, tol: float = RANK_TOL):

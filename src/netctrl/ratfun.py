@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Optional
 
 import numpy as np
@@ -62,14 +63,24 @@ def entry_classes(c: Mat, a: Mat, b: Mat, d: Mat) -> list[list[EntryClass]]:
     Cayley-Hamilton it vanishes identically iff the n Markov parameters
     C A^k B with k < n do. An entry is "lambda" when one of those is nonzero
     there, otherwise "constant" when D is nonzero there, otherwise "zero".
+
+    The products run on Python integers: each row of C and each column of B
+    is scaled by the lcm of its denominators, and A by the lcm of all of
+    its own. Those scales are positive, so they multiply each entry of
+    C A^k B by a positive number and move no zero.
     """
     rows, cols = ex.shape(d)
     dynamic = [[False] * cols for _ in range(rows)]
-    cak = c
+    b_scales = [lcm(*[row[p].denominator for row in b]) for p in range(cols)]
+    b_int = [[x.numerator * (s // x.denominator) for x, s in zip(row, b_scales)]
+             for row in b]
+    a_scale = lcm(*[x.denominator for row in a for x in row])
+    a_int = [[x.numerator * (a_scale // x.denominator) for x in row] for row in a]
+    cak = ex.int_rows(c)[0]
     for k in range(len(a)):
         if k:
-            cak = ex.mmul(cak, a)
-        for q, row in enumerate(ex.mmul(cak, b)):
+            cak = ex.mmul(cak, a_int)
+        for q, row in enumerate(ex.mmul(cak, b_int)):
             for p, x in enumerate(row):
                 if x != 0:
                     dynamic[q][p] = True

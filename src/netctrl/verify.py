@@ -24,8 +24,9 @@ from . import exactla as ex
 from . import ratfun, structgraph
 from .matroid import (GenericPattern, NumericColumns, matroid_intersection_rank,
                       matroid_union_rank)
-from .model import (NdsModel, StructuredPattern, SubsystemModel, assemble_lumped,
-                    check_well_posedness, close_loop, diagonalize_parameters)
+from .model import (LumpedPlant, NdsModel, StructuredPattern, SubsystemModel,
+                    assemble_lumped, check_well_posedness, close_loop,
+                    diagonalize_parameters)
 
 
 class IllPosedError(RuntimeError):
@@ -271,18 +272,18 @@ def check_feasibility(subsystems: list[SubsystemModel], mode_filter: str = "all"
                              cond_iii, "; ".join(detail))
 
 
-def realize_numeric(nds: NdsModel, values: dict[str, Fraction]) -> tuple[ex.Mat, ex.Mat]:
-    """Exact closed-loop state/input matrices for one parameter assignment.
+def realize_numeric(plant: LumpedPlant,
+                    values: dict[str, Fraction]) -> tuple[ex.Mat, ex.Mat]:
+    """Exact closed-loop state/input matrices of a lumped plant for one
+    parameter assignment.
 
     Raises exactla.SingularMatrixError when the assignment makes the loop
     singular.
     """
-    plant = assemble_lumped(nds)
     ab = close_loop(ex.hstack([plant.A_xx, plant.B_xu]), plant.A_xv, plant.A_zv,
                     ex.hstack([plant.A_zx, plant.B_zu]), plant.P_pattern.substitute(values))
-    n = nds.M_x
-    return (ex.submatrix(ab, None, range(n)),
-            ex.submatrix(ab, None, range(n, n + nds.M_u)))
+    n, m = len(plant.A_xx), ex.shape(plant.B_xu)[1]
+    return (ex.submatrix(ab, None, range(n)), ex.submatrix(ab, None, range(n, n + m)))
 
 
 # Rank cutoff of the PBH test on realized closed loops.
@@ -371,7 +372,7 @@ def randomized_realization_check(nds: NdsModel, seed: int = 0,
         for _ in range(50):
             values = plant.P_pattern.draw(rng, vsize)
             try:
-                a_m, b_m = realize_numeric(nds, values)
+                a_m, b_m = realize_numeric(plant, values)
                 break
             except ex.SingularMatrixError:
                 redraws += 1

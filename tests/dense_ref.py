@@ -4,6 +4,8 @@ zero-skipping, fraction-free kernels they check."""
 
 from fractions import Fraction
 
+from netctrl.ratfun import EntryClass
+
 
 def _dense_mmul(a, b):
     inner = len(b)
@@ -56,3 +58,21 @@ def _dense_close_loop(m, e, h, f, p):
         return None
     add = _dense_mmul(_dense_mmul(e, p), _dense_solve(loop, f))
     return [[x + y for x, y in zip(rm, ra)] for rm, ra in zip(m, add)]
+
+
+def _dense_entry_classes(c, a, b, d):
+    """Entry classes of C (lambda*I - A)^-1 B + D from the Fraction Markov
+    parameters C A^k B, k < n."""
+    rows, cols = len(d), len(d[0]) if d else 0
+    dynamic = [[False] * cols for _ in range(rows)]
+    cak = c
+    for k in range(len(a)):
+        if k:
+            cak = _dense_mmul(cak, a)
+        for q, row in enumerate(_dense_mmul(cak, b)):
+            for p, x in enumerate(row):
+                if x != 0:
+                    dynamic[q][p] = True
+    return [[EntryClass("lambda") if dynamic[q][p]
+             else EntryClass("constant", d[q][p]) if d[q][p] != 0
+             else EntryClass("zero") for p in range(cols)] for q in range(rows)]

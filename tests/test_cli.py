@@ -1,9 +1,17 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from netctrl.cli import DocumentError, main, parse_document, serialize_document
+from netctrl.cli import (COMMANDS, DocumentError, build_parser, main, parse_document,
+                         serialize_document)
 from netctrl.data import sec7_path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -318,3 +326,62 @@ def test_unwritable_out_exits_2(sec7_doc, tmp_path, capsys, command):
     out = tmp_path / "no" / "such" / "dir" / "x.json"
     assert main([command, path, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
+def _exit(capsys, parse):
+    """(exit code, stdout, stderr) of a parse that must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+# Help and usage errors: no command, a word that is not a command, and a
+# command whose parser rejects or leaves over an argument. "FILE" is sec7.
+USAGE_CASES = [
+    [], ["-h"], ["--help"],
+    ["bogus", "FILE"], ["chec", "FILE"], ["--", "check", "FILE"],
+    ["check"], ["check", "-h"],
+    ["check", "--bogus", "FILE"], ["design", "--trials", "3", "FILE"],
+    ["realize", "--tol", "1", "FILE"], ["graph", "--format", "text", "FILE"],
+    ["feasible", "--modes", "x", "FILE"],
+]
+
+
+@pytest.mark.parametrize("columns", ["50", "80", "200"])
+@pytest.mark.parametrize("argv", USAGE_CASES, ids=[" ".join(a) or "none" for a in USAGE_CASES])
+def test_usage_and_help_match_full_parser(capsys, monkeypatch, argv, columns):
+    monkeypatch.setenv("COLUMNS", columns)  # argparse wraps help and usage to it
+    argv = [sec7_path() if a == "FILE" else a for a in argv]
+    want = _exit(capsys, lambda: build_parser().parse_args(argv))
+    assert _exit(capsys, lambda: main(argv)) == want
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_well_formed_call_builds_one_subparser(monkeypatch, tmp_path, command):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main([command, sec7_path(), "--out", str(tmp_path / "out")]) in (0, 1)
+    assert built == [command]
+
+
+@pytest.mark.parametrize("args", [["check", sec7_path()], []], ids=["check", "no-args"])
+def test_module_entry_point_matches_main(capsys, monkeypatch, args):
+    # `python -m netctrl.cli` calls main() with no argv, so it reads sys.argv
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "netctrl.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    try:
+        code = main(list(args))
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

@@ -188,6 +188,18 @@ def test_mmul_matches_dense_reference():
                 assert ex.mmul(bd, ex.transpose(bd)) == _dense_mmul(bd, ex.transpose(bd))
 
 
+def test_mmul_keeps_integer_rows_integral():
+    rng = random.Random(5)
+    for density in DENSITIES:
+        for _ in range(30):
+            r, k, c = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+            a = ex.int_rows(_random_sparse(rng, r, k, density))[0]
+            b = ex.int_rows(_random_sparse(rng, k, c, density))[0]
+            product = ex.mmul(a, b)
+            assert all(type(x) is int for row in product for x in row)
+            assert product == _dense_mmul(a, b)
+
+
 def test_mmul_zero_dimensions():
     for r in range(3):
         for c in range(3):

@@ -12,9 +12,10 @@ from netctrl import exactla as ex
 from netctrl.cli import load_document
 from netctrl.data import sec7_path
 from netctrl.model import NdsModel, StructuredPattern, SubsystemModel
-from netctrl.ratfun import (analysis_records, entry_classes, filter_modes, mode_data, modes,
-                            nds_tfms, spectrum, subsystem_tfms)
+from netctrl.ratfun import (EntryClass, analysis_records, entry_classes, filter_modes,
+                            mode_data, modes, nds_tfms, spectrum, subsystem_tfms)
 
+from dense_ref import _dense_entry_classes
 from randgen import random_nds, random_subsystem
 
 
@@ -85,6 +86,48 @@ def test_entry_classes_match_numeric_evaluation(n, m_in, m_out, data):
             if not varies:
                 assert (abs(samples[0]) < 1e-9) == classes[q][p].is_zero
                 assert classes[q][p].is_zero == (d[q][p] == 0)
+
+
+# Mixed denominators: the integer scaling of C's rows, B's columns and A
+# differs from entry to entry.
+_MIXED = st.sampled_from([Fraction(0), Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 7),
+                          Fraction(-5, 14), Fraction(5, 14), Fraction(3, 2), Fraction(-3, 2),
+                          Fraction(2, 21)])
+
+
+def _mixed_matrix(rows, cols):
+    return st.lists(st.lists(_MIXED, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_entry_classes_match_fraction_markov_loop(n, m_in, m_out, data):
+    a = data.draw(_mixed_matrix(n, n))
+    b = data.draw(_mixed_matrix(n, m_in))
+    c = data.draw(_mixed_matrix(m_out, n))
+    d = data.draw(_mixed_matrix(m_out, m_in))
+    assert entry_classes(c, a, b, d) == _dense_entry_classes(c, a, b, d)
+
+
+def test_entry_classes_keep_a_cancelled_zero():
+    # A B = (5/14) B and C B = 0, so every C A^k B cancels to exactly 0, across
+    # denominators that scale each row of A and B by a different factor; a
+    # scaling of A's rows or B's rows would leave C A^k B nonzero
+    a = ex.mat([["29/42", "-1/2"], ["1/2", "-11/28"]])
+    b = ex.mat([["3/14"], ["1/7"]])
+    c = ex.mat([["1/3", "-1/2"]])
+    assert ex.mmul(a, b) == [[x * Fraction(5, 14) for x in row] for row in b]
+    assert ex.mmul(c, b) == [[0]]
+    for d, want in ((ex.mat([[0]]), EntryClass("zero")),
+                    (ex.mat([["5/14"]]), EntryClass("constant", Fraction(5, 14)))):
+        got = entry_classes(c, a, b, d)
+        assert got == _dense_entry_classes(c, a, b, d) == [[want]]
+    # a third state, fed by the first and read by C, breaks the cancellation
+    a3 = ex.mat([["29/42", "-1/2", 0], ["1/2", "-11/28", 0], [1, 0, "3/2"]])
+    b3 = ex.mat([["3/14"], ["1/7"], [0]])
+    c3 = ex.mat([["1/3", "-1/2", "2/21"]])
+    assert entry_classes(c3, a3, b3, ex.mat([[0]])) == [[EntryClass("lambda")]]
 
 
 def test_resolvent_matches_numeric_inverse():

@@ -198,9 +198,8 @@ def test_realize_numeric_matches_float_loop(sec7_designed3):
               for i, pid in enumerate(sorted(
                   __import__("netctrl.model", fromlist=["assemble_lumped"])
                   .assemble_lumped(sec7_designed3).P_pattern.entries.values()))}
-    a, b = realize_numeric(sec7_designed3, values)
-    from netctrl.model import assemble_lumped
     plant = assemble_lumped(sec7_designed3)
+    a, b = realize_numeric(plant, values)
     pv = ex.to_float(plant.P_pattern.substitute(values))
     azv = ex.to_float(plant.A_zv)
     loop = np.linalg.inv(np.eye(5) - azv @ pv)
@@ -219,7 +218,7 @@ def test_realize_numeric_matches_dense_closure(max_sub):
     p = plant.P_pattern.substitute(values)
     m, f = (ex.hstack([plant.A_xx, plant.B_xu]), ex.hstack([plant.A_zx, plant.B_zu]))
     want = _dense_close_loop(m, plant.A_xv, plant.A_zv, f, p)
-    a, b = realize_numeric(nds, values)
+    a, b = realize_numeric(assemble_lumped(nds), values)
     n = nds.M_x
     assert a == [row[:n] for row in want] and b == [row[n:] for row in want]
     assert ex.to_float(a).tobytes() == ex.to_float([row[:n] for row in want]).tobytes()
@@ -276,7 +275,7 @@ def test_realization_without_free_parameters_runs_one_trial(sec7_empty):
     res = randomized_realization_check(sec7_empty, seed=0, trials=5)
     assert not res.controllable_witness
     assert res.trials_used == 1 and res.redraws == 0
-    a_m, b_m = realize_numeric(sec7_empty, {})
+    a_m, b_m = realize_numeric(assemble_lumped(sec7_empty), {})
     once = uncontrollable_modes(ex.to_float(a_m),
                                 ex.to_float(b_m).reshape(sec7_empty.M_x, sec7_empty.M_u))
     assert res.last_uncontrollable_modes == once
@@ -322,7 +321,8 @@ def test_pbh_matches_exact_kalman_rank(sec7, sec7_designed3):
     for nds in (sec7, sec7_designed3):
         pattern = assemble_lumped(nds).P_pattern
         for seed in range(10):
-            a_m, b_m = realize_numeric(nds, pattern.draw(random.Random(seed), 60))
+            a_m, b_m = realize_numeric(assemble_lumped(nds),
+                                       pattern.draw(random.Random(seed), 60))
             a_f = ex.to_float(a_m)
             b_f = ex.to_float(b_m).reshape(nds.M_x, nds.M_u)
             modes = uncontrollable_modes(a_f, b_f)
