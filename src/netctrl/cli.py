@@ -58,12 +58,26 @@ def _parse_entry(x, where: str, warnings: list[str]) -> Fraction:
     raise DocumentError(f"{where}: unsupported entry {x!r}")
 
 
-def _parse_matrix(obj, where: str, warnings: list[str]) -> ex.Mat:
+class _IntFractions(dict):
+    """One document's int -> Fraction table: each distinct int is made a
+    Fraction once, and equal entries share it."""
+
+    def __missing__(self, x: int) -> Fraction:
+        self[x] = value = Fraction(x)
+        return value
+
+
+def _parse_matrix(obj, where: str, warnings: list[str], ints: _IntFractions) -> ex.Mat:
+    """A matrix whose entries are all plain ints (JSON true/false are bools)
+    reads them through the document's table `ints`; any other is read entry
+    by entry, with a warning or an error positioned at the entry."""
     if not isinstance(obj, list) or any(not isinstance(r, list) for r in obj):
         raise DocumentError(f"{where}: expected a list of rows")
     widths = {len(r) for r in obj}
     if len(widths) > 1:
         raise DocumentError(f"{where}: rows have differing lengths {sorted(widths)}")
+    if all(type(x) is int for row in obj for x in row):
+        return [[ints[x] for x in row] for row in obj]
     return [[_parse_entry(x, f"{where}[{i + 1}][{j + 1}]", warnings)
              for j, x in enumerate(row)] for i, row in enumerate(obj)]
 
@@ -123,6 +137,7 @@ def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
     positioned message on any malformed field.
     """
     warnings: list[str] = []
+    ints = _IntFractions()
     if not isinstance(data, dict):
         raise DocumentError("document root must be an object")
     subs_raw = data.get("subsystems")
@@ -137,7 +152,7 @@ def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
         for key in MATRIX_KEYS:
             if key not in sraw:
                 raise DocumentError(f"{where}: missing matrix {key}")
-            mats[f"{key}0"] = _parse_matrix(sraw[key], f"{where}.{key}", warnings)
+            mats[f"{key}0"] = _parse_matrix(sraw[key], f"{where}.{key}", warnings, ints)
         _reject_output_keys(sraw, ("C_yx", "C_yv", "D_yu"), where)
         lft = sraw.get("lft")
         lft_mats = {}
@@ -148,7 +163,8 @@ def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
             for key in LFT_KEYS:
                 if key not in lft:
                     raise DocumentError(f"{where}.lft: missing matrix {key}")
-                lft_mats[key] = _parse_matrix(lft[key], f"{where}.lft.{key}", warnings)
+                lft_mats[key] = _parse_matrix(lft[key], f"{where}.lft.{key}", warnings,
+                                              ints)
             _reject_output_keys(lft, ("E3",), f"{where}.lft")
             praw = lft.get("param")
             if not isinstance(praw, dict):
@@ -156,7 +172,8 @@ def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
             pr = len(lft_mats["H"][0]) if lft_mats["H"] else 0
             pc = len(lft_mats["H"])
             if "fixed" in praw:
-                param = _parse_matrix(praw["fixed"], f"{where}.lft.param.fixed", warnings)
+                param = _parse_matrix(praw["fixed"], f"{where}.lft.param.fixed", warnings,
+                                      ints)
             elif "free" in praw:
                 pos = _parse_positions(praw["free"], pr, pc, f"{where}.lft.param.free")
                 param = StructuredPattern(
@@ -207,7 +224,7 @@ def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
 
 
 def _fmt_frac(x: Fraction):
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _mat_obj(m: ex.Mat):

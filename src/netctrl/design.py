@@ -297,7 +297,8 @@ def design_topology(subsystems: list[SubsystemModel], mode_filter: str = "all",
     if not feas.feasible:
         raise InfeasibleDesignError(f"infeasible: {feas.detail}", feas)
     nds0 = NdsModel.unrouted(subsystems)
-    lams = ratfun.filter_modes(ratfun.spectrum(nds0, eig_tol).values, mode_filter)
+    spec = ratfun.spectrum(nds0, eig_tol)
+    lams = ratfun.filter_modes(spec.values, mode_filter)
     modes = ratfun.modes(nds0, lams, rank_tol)
     M_v, M_z = nds0.M_v, nds0.M_z
     j_grd, _ = greedy_link_rows(modes, M_v, rank_tol)
@@ -320,8 +321,13 @@ def design_topology(subsystems: list[SubsystemModel], mode_filter: str = "all",
         unstable_fums = [mc for mc in verdict.fums if ratfun.is_unstable(mc.lam)]
         verified = not unstable_fums and verdict.pdum is None
     m_rmax = max((md.M_r for md in modes), default=0)
-    m_def = sum(int(rec.pbh_deficiencies(lams, rank_tol).sum())
-                for rec in ratfun.analysis_records(nds0.analysis))
+    # [lam I - A_j, B_j] loses rank only at an eigenvalue of A_j, so
+    # subsystem j is ranked only at the kept pooled values it owns
+    m_def = 0
+    for j, rec in enumerate(ratfun.analysis_records(nds0.analysis)):
+        own = [lam for lam, owners in zip(spec.values, spec.members) if j in owners]
+        m_def += int(rec.pbh_deficiencies(ratfun.filter_modes(own, mode_filter),
+                                          rank_tol).sum())
     p_ius = sum(1 for d in stage2_links if d["provenance"].startswith("source"))
     links_total = len(all_pos)
     rhs = (2 * max(m_rmax, 1) * (1 + math.log(max(m_def, 1)))

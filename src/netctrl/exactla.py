@@ -22,7 +22,7 @@ over that product) and `exact_solve`, is fraction-free (Bareiss 1968):
 each Sylvester update divides exactly by the previous pivot, so entries
 stay integral minors. `int_solve` back-substitutes on Y = det * X, which
 Cramer's rule keeps integral; a Fraction is made only for each output
-entry (Y / det). `model.close_loop` builds its loop straight into integer
+entry (Y / det). `model.OpenLoop` builds its loop straight into integer
 rows and solves them with `int_solve`.
 
 The exact kernels skip zero operands: `mmul` multiplies only nonzero

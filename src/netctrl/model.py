@@ -237,67 +237,83 @@ def _nonzeros(row: list) -> list:
     return [(k, x) for k, x in enumerate(row) if x]
 
 
-def _times_block(nonzeros: list, t: int, block: tuple[list, int], width: int) -> list[int]:
-    """(t a) P in integers, for a row a given by its nonzeros, t a multiple of
-    their denominators, and the block p = P / s."""
+def _scaled_nonzeros(*parts: list) -> tuple[list, int]:
+    """The nonzeros of each part of one row as (column, integer), all scaled
+    by t, the lcm of their denominators; and t."""
+    nonzeros = [_nonzeros(part) for part in parts]
+    t = lcm(*[x.denominator for nz in nonzeros for _, x in nz])
+    return [[(k, x.numerator * (t // x.denominator)) for k, x in nz]
+            for nz in nonzeros], t
+
+
+def _times_block(nonzeros: list, block: tuple[list, int], width: int) -> list[int]:
+    """a P in integers, for an integer row a given by its nonzeros and the
+    block p = P / s."""
     p_nonzeros = block[0]
     acc = [0] * width
     for k, x in nonzeros:
-        x = x.numerator * (t // x.denominator)
         for j, y in p_nonzeros[k]:
             acc[j] += x * y
     return acc
 
 
-def _loop_rows(h: Mat, block: tuple[list, int], f: Mat) -> list[list[int]]:
-    """[I - h p | f] as integer rows: row r scaled by s t, with t the lcm of
-    the denominators in h's and f's row r."""
-    s = block[1]
-    n = len(h)
-    rows = []
-    for r, h_row in enumerate(h):
-        f_row = f[r] if f else []
-        h_nz, f_nz = _nonzeros(h_row), _nonzeros(f_row)
-        t = lcm(*[x.denominator for _, x in h_nz], *[x.denominator for _, x in f_nz])
-        st = s * t
-        row = [-x for x in _times_block(h_nz, t, block, n)] + [0] * len(f_row)
-        row[r] += st
-        for k, x in f_nz:
-            row[n + k] = x.numerator * (st // x.denominator)
-        rows.append(row)
-    return rows
-
-
-def close_loop(m: Mat, e: Mat, h: Mat, f: Mat, p: Mat) -> Mat:
-    """m + e p (I - h p)^-1 f, exactly: the loop through a block p closed.
-
-    The loop [I - h p | f] is solved in integer rows (`exactla.int_solve`)
-    for Y = d (I - h p)^-1 f. Row r of e p, scaled to integers by `_times_block`,
-    then adds (e p)_r Y / (s t d) to m's row r, one Fraction per output entry
-    it changes. Raises exactla.SingularMatrixError when I - h p is singular
-    (the loop is ill-posed).
+class OpenLoop:
+    """m + e p (I - h p)^-1 f before a block p is chosen: the one exact loop
+    closure. The rows of h, f and e are read once into integer nonzeros, so
+    closing the loop at another p rescans none of them.
     """
-    if not (p and p[0]):
-        # no loop ports; the zero-row factors would lose m's column count
-        return ex.copy(m)
-    block = _integer_block(p)
-    n = len(h)
-    y, d = ex.int_solve(_loop_rows(h, block, f), n)
-    y_nonzeros = [_nonzeros(row) for row in y]
-    sd = block[1] * d
-    out = []
-    for m_row, e_row in zip(m, e):
-        e_nz = _nonzeros(e_row)
-        t = lcm(*[x.denominator for _, x in e_nz])
-        add = [0] * len(m_row)
-        for j, x in enumerate(_times_block(e_nz, t, block, n)):
-            if x:
-                for k, v in y_nonzeros[j]:
-                    add[k] += x * v
-        den = sd * t
-        out.append([Fraction(x.numerator * den + v * x.denominator, x.denominator * den)
-                    if v else x for x, v in zip(m_row, add)])
-    return out
+
+    def __init__(self, m: Mat, e: Mat, h: Mat, f: Mat):
+        self.m = m
+        self.n = len(h)
+        self.f_cols = len(f[0]) if f else 0
+        # row r of [h | f], and row r of e, each scaled by its own t
+        self.loop = [_scaled_nonzeros(h_row, f[r] if f else [])
+                     for r, h_row in enumerate(h)]
+        self.out = [_scaled_nonzeros(e_row) for e_row in e]
+
+    def loop_rows(self, block: tuple[list, int]) -> list[list[int]]:
+        """[I - h p | f] as integer rows: row r scaled by s t, with p = P / s
+        and t the lcm of the denominators in h's and f's row r."""
+        s = block[1]
+        n = self.n
+        rows = []
+        for r, ((h_nz, f_nz), t) in enumerate(self.loop):
+            row = [-x for x in _times_block(h_nz, block, n)] + [0] * self.f_cols
+            row[r] += s * t
+            for k, x in f_nz:
+                row[n + k] = s * x
+            rows.append(row)
+        return rows
+
+    def close(self, p: Mat) -> Mat:
+        """m + e p (I - h p)^-1 f, exactly.
+
+        The loop [I - h p | f] is solved in integer rows (`exactla.int_solve`)
+        for Y = d (I - h p)^-1 f. Row r of e p, in integers by `_times_block`,
+        then adds (e p)_r Y / (s t d) to m's row r, one Fraction per output
+        entry it changes. Raises exactla.SingularMatrixError when I - h p is
+        singular (the loop is ill-posed).
+        """
+        if not (p and p[0]):
+            # no loop ports; the zero-row factors would lose m's column count
+            return ex.copy(self.m)
+        block = _integer_block(p)
+        n = self.n
+        y, d = ex.int_solve(self.loop_rows(block), n)
+        y_nonzeros = [_nonzeros(row) for row in y]
+        sd = block[1] * d
+        out = []
+        for m_row, ((e_nz,), t) in zip(self.m, self.out):
+            add = [0] * len(m_row)
+            for j, x in enumerate(_times_block(e_nz, block, n)):
+                if x:
+                    for k, v in y_nonzeros[j]:
+                        add[k] += x * v
+            den = sd * t
+            out.append([Fraction(x.numerator * den + v * x.denominator, x.denominator * den)
+                        if v else x for x, v in zip(m_row, add)])
+        return out
 
 
 def analysis_form(sub: SubsystemModel) -> AugmentedSubsystem:
@@ -306,7 +322,7 @@ def analysis_form(sub: SubsystemModel) -> AugmentedSubsystem:
     A free block is bordered: its rows become auxiliary internal inputs and
     its columns auxiliary internal outputs, so the parameter entries
     reappear as routing entries. A fixed block is closed into the six
-    matrices with `close_loop`; an absent block is an empty loop, which
+    matrices with `OpenLoop.close`; an absent block is an empty loop, which
     leaves them as given.
     """
     if sub.has_free_params:
@@ -319,11 +335,11 @@ def analysis_form(sub: SubsystemModel) -> AugmentedSubsystem:
                             ex.hstack([sub.F2, sub.H])]),
             B_zu=ex.vstack([sub.B_zu0, sub.F3]),
             name=sub.name)
-    closed = close_loop(
+    closed = OpenLoop(
         ex.vstack([ex.hstack([sub.A_xx0, sub.A_xv0, sub.B_xu0]),
                    ex.hstack([sub.A_zx0, sub.A_zv0, sub.B_zu0])]),
         ex.vstack([sub.E1, sub.E2]), sub.H,
-        ex.hstack([sub.F1, sub.F2, sub.F3]), sub.param_block or [])
+        ex.hstack([sub.F1, sub.F2, sub.F3])).close(sub.param_block or [])
     mx, mv0, mu = sub.m_x, sub.m_v0, sub.m_u
     top, mid = closed[:mx], closed[mx:]
     return AugmentedSubsystem(
@@ -395,6 +411,13 @@ class LumpedPlant:
     B_zu: Mat
     P_pattern: StructuredPattern
 
+    @cached_property
+    def loop(self) -> OpenLoop:
+        """[A_xx B_xu] + A_xv P (I - A_zv P)^-1 [A_zx B_zu] before P is
+        chosen, built once per plant; realization closes it at each draw."""
+        return OpenLoop(ex.hstack([self.A_xx, self.B_xu]), self.A_xv, self.A_zv,
+                        ex.hstack([self.A_zx, self.B_zu]))
+
 
 def assemble_lumped(nds: NdsModel) -> LumpedPlant:
     """Stack subsystem analysis matrices block-diagonally and lay out the
@@ -463,7 +486,7 @@ def check_well_posedness(nds: NdsModel, trials: int = 3, seed: int = 0) -> WellP
     successful draw certifies the generic property. The bound exceeds twice
     a crude total-degree bound, so a false negative on every trial is
     overwhelmingly unlikely. Each loop I - h p is built as integer rows by
-    `_loop_rows`, the builder `close_loop` solves.
+    `OpenLoop.loop_rows`, the builder `OpenLoop.close` solves.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -471,19 +494,20 @@ def check_well_posedness(nds: NdsModel, trials: int = 3, seed: int = 0) -> WellP
     pat = plant.P_pattern
     rng = random.Random(seed)
     bound = 2 * max(1, pat.rows + pat.cols) * max(1, pat.num_free)
+    global_loop = OpenLoop([], [], plant.A_zv, [])
+    local_loops = [(sub, OpenLoop([], [], sub.H, []))
+                   for sub in nds.subsystems if sub.has_free_params]
     last = ""
     for t in range(trials):
         values = pat.draw(rng, bound)
         pval = pat.substitute(values)
-        if ex.int_det(_loop_rows(plant.A_zv, _integer_block(pval), [])) == 0:
+        if ex.int_det(global_loop.loop_rows(_integer_block(pval))) == 0:
             last = "global loop determinant vanished"
             continue
         local_ok = True
-        for sub in nds.subsystems:
-            if not sub.has_free_params:
-                continue
+        for sub, loop in local_loops:
             pv = sub.param_block.substitute(values)
-            if ex.int_det(_loop_rows(sub.H, _integer_block(pv), [])) == 0:
+            if ex.int_det(loop.loop_rows(_integer_block(pv))) == 0:
                 local_ok = False
                 last = f"local loop of {sub.name or 'a subsystem'} vanished"
                 break

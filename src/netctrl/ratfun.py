@@ -11,10 +11,13 @@ Everything here is computed per subsystem and kept in one analysis record
 per analysis form (`SubsystemAnalysis`): `subsystem_tfms`, `nds_tfms`,
 `spectrum` and `modes` only assemble their results from the records, and
 `modes` is the one assembler of per-mode data (`mode_data` is `modes` at
-one eigenvalue). A record builds its null-space blocks in stacks, one SVD
-for all its missing real eigenvalues and one for the complex ones; LAPACK
-factors each matrix of a stack as it would alone, so a block does not
-depend on which others it was built with.
+one eigenvalue) and `mode_targets` the one assembler of per-mode targets.
+A record factors its mode matrices in stacks, one SVD for all its missing
+real eigenvalues and one for the complex ones; LAPACK factors each matrix
+of a stack as it would alone, so a factor does not depend on which others
+it was built with. A record keeps each factor (U and the rank): a target
+reads the rank alone, and a null-space block is built from U only when
+`modes` asks for it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -195,17 +199,17 @@ def pbh_stack(a: np.ndarray, b: np.ndarray, values, dtype: type) -> np.ndarray:
     return stack
 
 
-def left_null_bases(stack: np.ndarray, tol: float) -> list[tuple[np.ndarray, int]]:
-    """(orthonormal rows spanning {w : w m = 0}, rank(m)) for each matrix m of a stack.
+def svd_factors(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(U, rank) of each matrix of a stack: U's trailing rows span the left
+    null space {w : w m = 0} of m.
 
     One `np.linalg.svd` serves the whole stack; LAPACK factors each matrix
-    of it as it would factor that matrix alone, so every basis and rank is
-    the one a per-matrix call gives. A matrix with a zero dimension has rank
+    of it as it would factor that matrix alone, so every U and rank is the
+    one a per-matrix call gives. A matrix with a zero dimension has rank
     0, and numpy returns the identity as its left singular vectors.
     """
     u, s, _ = np.linalg.svd(stack)
-    return [(u_i[:, rank:].conj().T, int(rank))
-            for u_i, rank in zip(u, ex.singular_value_rank(s, tol))]
+    return u, ex.singular_value_rank(s, tol)
 
 
 @dataclass(frozen=True)
@@ -231,10 +235,10 @@ def modes(nds: NdsModel, lams: list, tol: float = RANK_TOL) -> list[ModeData]:
     """Per-subsystem left null spaces of the mode matrices at each eigenvalue.
 
     Each subsystem record hands over its blocks at all of `lams` in one
-    `mode_blocks` call (building the missing ones with one stacked SVD per
-    dtype). A subsystem with full-row-rank mode matrix contributes zero
-    rows; its state/output column slots still appear (as zero-width blocks)
-    in the block-diagonal assembly, keeping global column indices aligned.
+    `mode_blocks` call. A subsystem with full-row-rank mode matrix
+    contributes zero rows; its state/output column slots still appear (as
+    zero-width blocks) in the block-diagonal assembly, keeping global column
+    indices aligned.
     """
     m_z = [a.m_z for a in nds.analysis]
     m_v = [a.m_v for a in nds.analysis]
@@ -247,6 +251,13 @@ def modes(nds: NdsModel, lams: list, tol: float = RANK_TOL) -> list[ModeData]:
                             y_all=_block_diag_np([s.y for s in per], m_v, dtype),
                             M_r=sum(s.m_r for s in per)))
     return out
+
+
+def mode_targets(nds: NdsModel, lams: list, tol: float = RANK_TOL) -> list[int]:
+    """M_r at each eigenvalue, the `modes` target, read off the records'
+    ranks without building a null-space basis."""
+    per_sub = [rec.null_dims(lams, tol) for rec in analysis_records(nds.analysis)]
+    return [sum(dims) for dims in zip(*per_sub)]
 
 
 def mode_data(nds: NdsModel, lam: complex, tol: float = RANK_TOL) -> ModeData:
@@ -285,12 +296,13 @@ class SubsystemAnalysis:
     """One analysis form's own results, each computed once.
 
     The float blocks are converted when the record is made; the eigenvalues,
-    the entry classes and each (eigenvalue, rank tolerance) null-space block
-    on first use. The record hangs on the form, and each SubsystemModel
-    builds its form once, so every NdsModel made from the same subsystem
-    objects reads the same record, and the record lives as long as they do.
-    It keeps the form's matrices rather than the form, so the two make no
-    reference cycle and are freed as soon as the command drops its model.
+    the entry classes, each (eigenvalue, rank tolerance) factor of the mode
+    matrix and the null-space block built from it on first use. The record
+    hangs on the form, and each SubsystemModel builds its form once, so
+    every NdsModel made from the same subsystem objects reads the same
+    record, and the record lives as long as they do. It keeps the form's
+    matrices rather than the form, so the two make no reference cycle and
+    are freed as soon as the command drops its model.
     """
 
     def __init__(self, aug: AugmentedSubsystem, content: tuple):
@@ -304,6 +316,7 @@ class SubsystemAnalysis:
         self.a_zx = ex.to_float(aug.A_zx).reshape(mz, mx)
         self.a_zv = ex.to_float(aug.A_zv).reshape(mz, mv)
         self.b_zu = ex.to_float(aug.B_zu).reshape(mz, mu)
+        self.factors: dict[tuple[complex, float], tuple[np.ndarray, int]] = {}
         self.blocks: dict[tuple[complex, float], SubsystemModeData] = {}
 
     @cached_property
@@ -325,24 +338,40 @@ class SubsystemAnalysis:
         stack[:, mx:, mx:] = self.b_zu
         return stack
 
-    def mode_blocks(self, lams: list, tol: float) -> list[SubsystemModeData]:
-        """Left null space of [lam I - A_xx, B_xu; -A_zx, B_zu] and its payload
-        at each eigenvalue; the missing ones are built with one stacked SVD
-        per dtype."""
+    def mode_factors(self, lams: list, tol: float) -> list[tuple[np.ndarray, int]]:
+        """(U, rank) of [lam I - A_xx, B_xu; -A_zx, B_zu] at each eigenvalue;
+        the missing ones are factored with one stacked SVD per dtype."""
         keys = [(complex(lam), tol) for lam in lams]
-        missing = list({k[0]: None for k in keys if k not in self.blocks})
-        mx = self.m_x
+        missing = list({k[0]: None for k in keys if k not in self.factors})
         for dtype, group in _by_dtype(missing).items():
-            stack = self.mode_matrices([v for _, v in group], dtype)
-            for (i, _), (basis, rank) in zip(group, left_null_bases(stack, tol)):
+            u, ranks = svd_factors(self.mode_matrices([v for _, v in group], dtype), tol)
+            for (i, _), u_i, rank in zip(group, u, ranks):
+                self.factors[(missing[i], tol)] = (u_i, int(rank))
+        return [self.factors[k] for k in keys]
+
+    def null_dims(self, lams: list, tol: float) -> list[int]:
+        """m_r, the left null-space dimension of the mode matrix, at each eigenvalue."""
+        return [self.m_x + self.m_z - rank for _, rank in self.mode_factors(lams, tol)]
+
+    def mode_blocks(self, lams: list, tol: float) -> list[SubsystemModeData]:
+        """Left null space of the mode matrix and its payload at each
+        eigenvalue, built from the stored factor on first use."""
+        mx = self.m_x
+        out = []
+        for lam, (u, rank) in zip(lams, self.mode_factors(lams, tol)):
+            key = (complex(lam), tol)
+            block = self.blocks.get(key)
+            if block is None:
+                basis = u[:, rank:].conj().T
                 t = basis[:, :mx]
                 z = basis[:, mx:]
                 y = t @ self.a_xv + z @ self.a_zv
                 for shared in (t, z, y):  # every ModeData at this mode holds them
                     shared.flags.writeable = False
-                self.blocks[(missing[i], tol)] = SubsystemModeData(
+                block = self.blocks[key] = SubsystemModeData(
                     t=t, z=z, y=y, m_r=mx + self.m_z - rank)
-        return [self.blocks[k] for k in keys]
+            out.append(block)
+        return out
 
     def pbh_deficiencies(self, lams: list, tol: float) -> np.ndarray:
         """State rows lost by [lam I - A_xx, B_xu] at each eigenvalue, with one
@@ -354,19 +383,25 @@ class SubsystemAnalysis:
         return out
 
 
+_ratio = attrgetter("numerator", "denominator")
+
+
 def analysis_records(augs: list[AugmentedSubsystem]) -> list[SubsystemAnalysis]:
     """The analysis record of each form, made on first use.
 
     A form without a record takes the one of a form with equal matrices in
     the same list, so identical agents in one network share one record.
+    Forms are keyed on their entries' (numerator, denominator) pairs, which
+    hash and compare as plain integers; a Fraction's hash takes a modular
+    inverse.
     """
     if any(a.record is None for a in augs):
         shared = {a.record.content: a.record for a in augs if a.record is not None}
         for a in augs:
             if a.record is None:
-                content = (a.m_x, a.m_v, a.m_u, a.m_z) + tuple(
-                    tuple(map(tuple, m)) for m in (a.A_xx, a.A_xv, a.B_xu,
-                                                   a.A_zx, a.A_zv, a.B_zu))
+                content = (a.m_x, a.m_v, a.m_u, a.m_z) + tuple([
+                    _ratio(x) for m in (a.A_xx, a.A_xv, a.B_xu, a.A_zx, a.A_zv, a.B_zu)
+                    for row in m for x in row])
                 if content not in shared:
                     shared[content] = SubsystemAnalysis(a, content)
                 a.record = shared[content]

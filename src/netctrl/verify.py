@@ -25,8 +25,7 @@ from . import ratfun, structgraph
 from .matroid import (GenericPattern, NumericColumns, matroid_intersection_rank,
                       matroid_union_rank)
 from .model import (LumpedPlant, NdsModel, StructuredPattern, SubsystemModel,
-                    assemble_lumped, check_well_posedness, close_loop,
-                    diagonalize_parameters)
+                    assemble_lumped, check_well_posedness, diagonalize_parameters)
 
 
 class IllPosedError(RuntimeError):
@@ -240,7 +239,8 @@ def check_feasibility(subsystems: list[SubsystemModel], mode_filter: str = "all"
 
     (i) each subsystem must be controllable through the widened input matrix
     [B  A_xv]; (ii) the output-port count must cover the largest per-mode
-    target; (iii) some subsystem must expose an external-input route to its
+    target, which needs the ranks of the mode matrices and no null-space
+    basis; (iii) some subsystem must expose an external-input route to its
     outputs, unless no transfer entry is frequency dependent.
     """
     nds = NdsModel.unrouted(subsystems)
@@ -256,8 +256,7 @@ def check_feasibility(subsystems: list[SubsystemModel], mode_filter: str = "all"
         cond_i.append((idx, not failing.size))
     spec = ratfun.spectrum(nds, eig_tol)
     lams = ratfun.filter_modes(spec.values, mode_filter)
-    targets = [md.M_r for md in ratfun.modes(nds, lams, rank_tol)]
-    max_target = max(targets, default=0)
+    max_target = max(ratfun.mode_targets(nds, lams, rank_tol), default=0)
     cond_ii = nds.M_z >= max_target
     if not cond_ii:
         detail.append(f"output ports {nds.M_z} < largest per-mode target {max_target}")
@@ -275,13 +274,13 @@ def check_feasibility(subsystems: list[SubsystemModel], mode_filter: str = "all"
 def realize_numeric(plant: LumpedPlant,
                     values: dict[str, Fraction]) -> tuple[ex.Mat, ex.Mat]:
     """Exact closed-loop state/input matrices of a lumped plant for one
-    parameter assignment.
+    parameter assignment: the plant's `loop`, read into integers once per
+    plant, closed at the drawn routing values.
 
     Raises exactla.SingularMatrixError when the assignment makes the loop
     singular.
     """
-    ab = close_loop(ex.hstack([plant.A_xx, plant.B_xu]), plant.A_xv, plant.A_zv,
-                    ex.hstack([plant.A_zx, plant.B_zu]), plant.P_pattern.substitute(values))
+    ab = plant.loop.close(plant.P_pattern.substitute(values))
     n, m = len(plant.A_xx), ex.shape(plant.B_xu)[1]
     return (ex.submatrix(ab, None, range(n)), ex.submatrix(ab, None, range(n, n + m)))
 

@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from netctrl import ratfun
 from netctrl.cli import (COMMANDS, DocumentError, build_parser, main, parse_document,
                          serialize_document)
 from netctrl.data import sec7_path
@@ -63,6 +65,51 @@ def test_parse_float_entries_warn(sec7_doc):
     assert any("float" in w for w in warnings)
     from fractions import Fraction
     assert model.subsystems[0].A_xx0[0][0] == Fraction(1, 2)
+
+
+def test_mixed_matrix_reads_each_entry(sec7_doc):
+    # ints, a "p/q" string and a float in one matrix take the per-entry path:
+    # the same Fractions and the float warning at its own position
+    doc = json.loads(json.dumps(sec7_doc))
+    doc["subsystems"][0]["A_xx"] = [[3, "1/2"], [0.25, -1]]
+    model, _, warnings = parse_document(doc)
+    assert model.subsystems[0].A_xx0 == [[Fraction(3), Fraction(1, 2)],
+                                         [Fraction(1, 4), Fraction(-1)]]
+    assert all(type(x) is Fraction for row in model.subsystems[0].A_xx0 for x in row)
+    assert warnings == ["subsystems[1].A_xx[2][1]: float 0.25 converted to an "
+                        "exact rational"]
+
+
+def test_boolean_in_integer_matrix_is_positioned(sec7_doc):
+    doc = json.loads(json.dumps(sec7_doc))
+    doc["subsystems"][1]["A_zx"][0][1] = True
+    with pytest.raises(DocumentError, match=r"subsystems\[2\]\.A_zx\[1\]\[2\]: boolean"):
+        parse_document(doc)
+
+
+def test_equal_entries_share_a_record():
+    # 2 and "4/2" are one number, so the two forms share one analysis
+    # record; 1/2 and 1/3 are not
+    def doc(a, b):
+        sub = {"A_xx": [[1]], "A_xv": [[1]], "B_xu": [[0]], "A_zx": [[1]],
+               "A_zv": [[0]], "B_zu": [[0]]}
+        return {"subsystems": [dict(sub, A_xx=[[a]]), dict(sub, A_xx=[[b]])]}
+
+    for a, b, shared in ((2, "4/2", True), ("1/2", "1/3", False)):
+        model = parse_document(doc(a, b))[0]
+        first, second = ratfun.analysis_records(model.analysis)
+        assert (first is second) == shared
+
+
+def test_integer_entries_shared_within_one_document_only(sec7_doc):
+    # each distinct int becomes one Fraction per document: equal entries of
+    # one parse are one object, and two parses share none
+    one = parse_document(sec7_doc)[0].subsystems
+    two = parse_document(sec7_doc)[0].subsystems
+    assert one[0].A_xv0[0][0] is one[0].A_xv0[1][0] is one[1].A_zx0[0][0] \
+        == Fraction(1)
+    assert one[0].A_xv0[0][0] is not two[0].A_xv0[0][0]
+    assert one[0].A_xx0 == two[0].A_xx0
 
 
 def test_parse_scm_full(sec7_doc):

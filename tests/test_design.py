@@ -327,16 +327,16 @@ def test_greedy_bound_against_exhaustive_rows(sec7_empty):
 
 
 def _count_null_space_builds(monkeypatch) -> list:
-    """Record the shape of every mode matrix whose null space is built; the
-    blocks are built in stacks, so each stack counts its matrices."""
+    """Record the shape of every mode matrix that is factored; the factors
+    are built in stacks, so each stack counts its matrices."""
     calls = []
-    original = ratfun.left_null_bases
+    original = ratfun.svd_factors
 
     def counting(stack, tol):
         calls.extend([stack.shape[1:]] * stack.shape[0])
         return original(stack, tol)
 
-    monkeypatch.setattr(ratfun, "left_null_bases", counting)
+    monkeypatch.setattr(ratfun, "svd_factors", counting)
     return calls
 
 
@@ -356,6 +356,44 @@ def test_each_block_built_once_per_command(monkeypatch, instance):
     pooled = ratfun.spectrum(NdsModel(subs, empty)).m
     assert len(calls) == len(records) * pooled
     assert all(len(r.blocks) == pooled for r in records)
+
+
+def test_infeasible_design_builds_no_basis(monkeypatch):
+    # seed 5 at max_sub 8: subsystem 5 is uncontrollable at 2, so the
+    # design stops at feasibility, which reads ranks only
+    subs = random_fixed_subsystems(5, max_sub=8)
+    calls = _count_null_space_builds(monkeypatch)
+    with pytest.raises(InfeasibleDesignError, match="uncontrollable at 2"):
+        design_topology(subs, "all")
+    records = {id(s.analysis.record): s.analysis.record for s in subs}.values()
+    assert calls and all(not r.blocks for r in records)
+    assert len(calls) == sum(len(r.factors) for r in records)
+
+
+def _m_def_at_all_pooled(subs, mode_filter):
+    """Reference: M_def with every subsystem ranked at every kept pooled
+    eigenvalue, as the design computed it before it ranked each subsystem
+    at its own eigenvalues only."""
+    nds = NdsModel.unrouted(subs)
+    lams = ratfun.filter_modes(ratfun.spectrum(nds).values, mode_filter)
+    return sum(int(rec.pbh_deficiencies(lams, ratfun.RANK_TOL).sum())
+               for rec in ratfun.analysis_records(nds.analysis))
+
+
+@pytest.mark.parametrize("mode_filter", ["all", "unstable"])
+def test_m_def_matches_all_pooled_route(mode_filter):
+    designs = deficient = 0
+    for seed in range(40):
+        max_sub = 4 if seed % 2 else 8
+        try:
+            result = design_topology(random_fixed_subsystems(seed, max_sub), mode_filter)
+        except InfeasibleDesignError:
+            continue
+        want = _m_def_at_all_pooled(random_fixed_subsystems(seed, max_sub), mode_filter)
+        assert result.bound_report["M_def"] == want, f"seed {seed}"
+        designs += 1
+        deficient += want > 0
+    assert designs >= 10 and deficient >= 5
 
 
 def test_each_command_builds_its_own_blocks(monkeypatch, tmp_path):

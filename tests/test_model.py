@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netctrl import exactla as ex
+from netctrl import model
 from netctrl.model import (ModelError, NdsModel, StructuredPattern, SubsystemModel,
-                           analysis_form, assemble_lumped, check_well_posedness,
-                           close_loop, diagonalize_parameters)
+                           OpenLoop, analysis_form, assemble_lumped,
+                           check_well_posedness, diagonalize_parameters)
 
 from dense_ref import _dense_close_loop, _dense_mmul, _dense_solve
 
@@ -184,28 +185,61 @@ def test_close_loop_matches_dense_formula():
         if want is None:
             singular += 1
             with pytest.raises(ex.SingularMatrixError):
-                close_loop(m, e, h, f, p)
+                OpenLoop(m, e, h, f).close(p)
         else:
             closed += 1
-            assert close_loop(m, e, h, f, p) == want
+            assert OpenLoop(m, e, h, f).close(p) == want
     assert closed >= 150 and singular >= 40
+
+
+def test_open_loop_closes_at_many_blocks(monkeypatch):
+    # one OpenLoop reads m, e, h and f once and closes at each block like
+    # the dense formula, rescanning none of them
+    rng = random.Random(5)
+    closed = singular = 0
+    for _ in range(40):
+        rows, cols = rng.randint(0, 5), rng.randint(1, 5)
+        pr, pc = rng.randint(1, 4), rng.randint(1, 4)
+        density = rng.choice([0.3, 0.6, 1.0])
+        m, e = _rational(rng, rows, cols, density), _rational(rng, rows, pr, density)
+        h, f = _rational(rng, pc, pr, density), _rational(rng, pc, cols, density)
+        loop = OpenLoop(m, e, h, f)
+        monkeypatch.setattr(model, "_scaled_nonzeros", None)
+        for i in range(4):
+            p = _rational(rng, pr, pc, rng.choice([0.3, 1.0]))
+            ks = [k for k, x in enumerate(h[0]) if x]
+            if i == 1 and ks:  # row 0 of I - h p made zero: h_0 p = e_0
+                k = rng.choice(ks)
+                for row in p:
+                    row[0] = Fraction(0)
+                p[k] = [1 / h[0][k]] + [Fraction(0)] * (pc - 1)
+            want = _dense_close_loop(m, e, h, f, p)
+            if want is None:
+                singular += 1
+                with pytest.raises(ex.SingularMatrixError):
+                    loop.close(p)
+            else:
+                closed += 1
+                assert loop.close(p) == want
+        monkeypatch.undo()
+    assert closed >= 100 and singular >= 20
 
 
 def test_close_loop_singular_loop():
     one = ex.mat([[1]])
     with pytest.raises(ex.SingularMatrixError):
-        close_loop(ex.mat([[2, 3]]), one, one, ex.mat([[1, 1]]), one)
+        OpenLoop(ex.mat([[2, 3]]), one, one, ex.mat([[1, 1]])).close(one)
     # h p = [[1/2, 1], [1/4, 1/2]]: I - h p has determinant 0
     with pytest.raises(ex.SingularMatrixError):
-        close_loop(ex.zeros(1, 1), ex.mat([[1, 0]]), ex.mat([["1/2", 0], [0, "1/4"]]),
-                   ex.mat([[1], [1]]), ex.mat([[1, 2], [1, 2]]))
+        OpenLoop(ex.zeros(1, 1), ex.mat([[1, 0]]), ex.mat([["1/2", 0], [0, "1/4"]]),
+                 ex.mat([[1], [1]])).close(ex.mat([[1, 2], [1, 2]]))
 
 
 def test_close_loop_without_block_copies_m():
     m = ex.mat([[1, "2/3", 0], [0, 0, 5]])
     e, h, f = ex.zeros(2, 0), [], []
     for p in ([], ex.zeros(2, 0)):
-        out = close_loop(m, e, h, f, p)
+        out = OpenLoop(m, e, h, f).close(p)
         assert out == m and ex.shape(out) == (2, 3)
         assert out is not m and all(a is not b for a, b in zip(out, m))
 

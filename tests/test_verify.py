@@ -7,7 +7,8 @@ import pytest
 from netctrl import exactla as ex
 from netctrl import ratfun, structgraph, verify
 from netctrl.design import design_topology
-from netctrl.model import NdsModel, StructuredPattern, SubsystemModel, assemble_lumped
+from netctrl.model import (NdsModel, OpenLoop, StructuredPattern, SubsystemModel,
+                           assemble_lumped)
 from netctrl.structgraph import vertex_name
 from netctrl.verify import (check_feasibility, check_fum_lumped,
                             check_fum_networked, check_structural_controllability,
@@ -15,7 +16,7 @@ from netctrl.verify import (check_feasibility, check_fum_lumped,
                             uncontrollable_modes)
 
 from dense_ref import _dense_close_loop
-from randgen import random_nds
+from randgen import random_fixed_subsystems, random_nds
 
 
 def _names(seq):
@@ -193,6 +194,31 @@ def test_feasibility_fails_without_external_route():
     assert not rep.external_route_ok
 
 
+def _targets_from_null_spaces(subs, mode_filter):
+    """Reference: the per-mode targets M_r read off the full per-mode null
+    spaces (`ratfun.modes`), as feasibility read them before it read ranks."""
+    nds = NdsModel.unrouted(subs)
+    lams = ratfun.filter_modes(ratfun.spectrum(nds).values, mode_filter)
+    return lams, [md.M_r for md in ratfun.modes(nds, lams)]
+
+
+@pytest.mark.parametrize("mode_filter", ["all", "unstable"])
+def test_feasibility_targets_match_null_space_route(mode_filter):
+    # each route runs on its own subsystem objects, so neither reads the
+    # factors the other made
+    verdicts = set()
+    for seed in range(60):
+        max_sub = 4 if seed % 2 else 8
+        lams, want = _targets_from_null_spaces(random_fixed_subsystems(seed, max_sub),
+                                               mode_filter)
+        nds = NdsModel.unrouted(random_fixed_subsystems(seed, max_sub))
+        assert ratfun.mode_targets(nds, lams) == want, f"seed {seed}"
+        rep = check_feasibility(random_fixed_subsystems(seed, max_sub), mode_filter)
+        assert rep.max_target == max(want, default=0), f"seed {seed}"
+        verdicts.add(rep.feasible)
+    assert verdicts == {True, False}
+
+
 def test_realize_numeric_matches_float_loop(sec7_designed3):
     values = {pid: Fraction(i + 2)
               for i, pid in enumerate(sorted(
@@ -223,6 +249,21 @@ def test_realize_numeric_matches_dense_closure(max_sub):
     assert a == [row[:n] for row in want] and b == [row[n:] for row in want]
     assert ex.to_float(a).tobytes() == ex.to_float([row[:n] for row in want]).tobytes()
     assert ex.to_float(b).tobytes() == ex.to_float([row[n:] for row in want]).tobytes()
+
+
+def test_realization_reads_the_plant_once(monkeypatch, sec7):
+    # every draw closes the plant's one OpenLoop
+    built = []
+    original = OpenLoop.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(OpenLoop, "__init__", counting)
+    res = randomized_realization_check(sec7, seed=0, trials=5)
+    assert not res.controllable_witness and res.trials_used == 5
+    assert len(built) == 1
 
 
 def test_realization_redraws_only_singular_loops(monkeypatch, sec7_designed3):
