@@ -7,11 +7,10 @@ from .design import (DesignResult, InfeasibleDesignError, brute_force_min_topolo
                      greedy_color, greedy_link_rows)
 from .exactla import frac, mat
 from .matroid import (CommonIndependentSet, GenericPattern, IndependenceOracle,
-                      NumericColumns, exhaustive_union_rank, matroid_intersection_rank,
-                      matroid_union_rank)
+                      NumericColumns, matroid_intersection_rank)
 from .model import (AugmentedSubsystem, LumpedPlant, ModelError, NdsModel,
                     StructuredPattern, SubsystemModel, analysis_form,
-                    assemble_lumped, check_well_posedness, diagonalize_parameters)
+                    assemble_lumped, check_well_posedness)
 from .ratfun import (EntryClass, ModeData, Spectrum, entry_classes, mode_data,
                      nds_tfms, spectrum, subsystem_tfms)
 from .structgraph import (SccDecomposition, StructureGraph, build_acg, build_nacg,
@@ -19,8 +18,8 @@ from .structgraph import (SccDecomposition, StructureGraph, build_acg, build_nac
                           find_input_unreachable_lambda_edge, scc_decompose, to_dot,
                           unreachable_source_sccs_with_lambda_edge, vertex_name)
 from .verify import (FeasibilityReport, IllPosedError, ModeCheck, RealizationResult,
-                     Verdict, check_feasibility, check_fum_lumped,
-                     check_fum_networked, check_structural_controllability,
-                     randomized_realization_check, realize_numeric, uncontrollable_modes)
+                     Verdict, check_feasibility, check_fum_networked,
+                     check_structural_controllability, randomized_realization_check,
+                     realize_numeric, uncontrollable_modes)
 
 __version__ = "0.1.0"

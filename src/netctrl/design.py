@@ -348,17 +348,6 @@ def design_topology(subsystems: list[SubsystemModel], mode_filter: str = "all",
                         verdict=verdict)
 
 
-def minimal_rows_exhaustive(modes: list[ModeData], M_v: int,
-                            rank_tol: float = ratfun.RANK_TOL) -> Optional[list[int]]:
-    """Smallest row subset with full coverage, by levelwise enumeration."""
-    target = sum(md.M_r for md in modes)
-    for size in range(M_v + 1):
-        for combo in itertools.combinations(range(M_v), size):
-            if g_value(combo, modes, rank_tol) == target:
-                return list(combo)
-    return None
-
-
 def _structurally_controllable_fixed(positions, base_graph, nds0, modes, q2_oracles,
                                      rank_tol) -> bool:
     """Candidate test shared by the exhaustive search; positions are 0-based."""

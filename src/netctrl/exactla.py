@@ -80,17 +80,8 @@ def zeros(r: int, c: int) -> Mat:
     return [[ZERO] * c for _ in range(r)]
 
 
-def eye(n: int) -> Mat:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 def copy(m: Mat) -> Mat:
     return [row[:] for row in m]
-
-
-def transpose(m: Mat) -> Mat:
-    r, c = shape(m)
-    return [[m[i][j] for i in range(r)] for j in range(c)]
 
 
 def mmul(a: Mat, b: Mat) -> Mat:

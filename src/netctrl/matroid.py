@@ -1,10 +1,11 @@
-"""Linear-matroid oracles, intersection, and union rank.
+"""Linear-matroid oracles and matroid intersection.
 
 Ground elements are column indices. Numeric column matroids test rank
-either exactly (rational matrices) or through singular values (floating
-inputs produced by null-space routines); which path ran is recorded on the
-oracle. Generic pattern matroids answer independence by maximum bipartite
-matching, which is exact when every free entry is an independent unknown.
+through singular values (the float and complex matrices the per-mode
+null-space routines produce). Generic pattern matroids answer independence
+by maximum bipartite matching, which is exact when every free entry is an
+independent unknown. The exact column oracle and the union ranks of the
+lumped fixed-mode route are test-suite references (tests/oracles.py).
 
 The intersection asks each oracle one batched question per step of its
 exchange-graph search (`swaps`): is current - x + y independent, for a list
@@ -15,7 +16,6 @@ current set and answers every pair of one y from one alternating search.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -51,18 +51,13 @@ class IndependenceOracle:
 
 
 class NumericColumns(IndependenceOracle):
-    """Independence = the chosen columns have full column rank."""
+    """Independence = the chosen columns of a float or complex matrix have
+    full column rank, read from singular values at tolerance tol."""
 
     def __init__(self, matrix, tol: float = RANK_TOL):
-        self.exact = isinstance(matrix, list)
-        self.matrix = matrix
+        self.matrix = np.asarray(matrix)
         self.tol = tol
-        if self.exact:
-            self.rows, self.ground_size = ex.shape(matrix)
-        else:
-            self.matrix = np.asarray(matrix)
-            self.rows, self.ground_size = self.matrix.shape
-        self.path = "exact" if self.exact else "svd"
+        self.rows, self.ground_size = self.matrix.shape
         self._rank_cache: dict[frozenset, int] = {}
 
     def rank_of(self, subset: Iterable[int]) -> int:
@@ -71,12 +66,7 @@ class NumericColumns(IndependenceOracle):
         if hit is not None:
             return hit
         cols = sorted(key)
-        if not cols:
-            rank = 0
-        elif self.exact:
-            rank = ex.exact_rank(ex.submatrix(self.matrix, None, cols))
-        else:
-            rank = ex.float_rank(self.matrix[:, cols], self.tol)
+        rank = ex.float_rank(self.matrix[:, cols], self.tol) if cols else 0
         self._rank_cache[key] = rank
         return rank
 
@@ -85,11 +75,9 @@ class NumericColumns(IndependenceOracle):
         return self.rank_of(key) == len(key)
 
     def swaps(self, current: set, pairs: list) -> list[bool]:
-        """Float path: the uncached sets of one size, columns sorted as in
-        `rank_of`, go to one stacked SVD; LAPACK factors each matrix of the
-        stack as it would alone, so every rank is the one `rank_of` gives."""
-        if self.exact:
-            return super().swaps(current, pairs)
+        """The uncached sets of one size, columns sorted as in `rank_of`, go
+        to one stacked SVD; LAPACK factors each matrix of the stack as it
+        would alone, so every rank is the one `rank_of` gives."""
         keys = [frozenset(_swap(current, x, y)) for x, y in pairs]
         by_size: dict[int, list[frozenset]] = {}
         for key in dict.fromkeys(keys):
@@ -119,7 +107,6 @@ class GenericPattern(IndependenceOracle):
             by_col.setdefault(c, []).append(r)
         for c, rows in by_col.items():
             self._col_rows[c] = tuple(sorted(rows))
-        self.path = "matching"
 
     def _matching(self, subset: Iterable[int]) -> dict:
         return _hopcroft_karp({c: self._col_rows[c] for c in sorted(set(subset))})
@@ -290,59 +277,3 @@ def matroid_intersection_rank(o1: IndependenceOracle,
         current ^= set(path)
     return CommonIndependentSet(frozenset(current), len(current), reach)
 
-
-def matroid_union_rank(numeric_part, generic_pattern: StructuredPattern,
-                       seed: int = 0, trials: int = 3, tol: float = RANK_TOL) -> int:
-    """Union rank by randomized stacked rank.
-
-    Stacking the numeric rows over a random realization of the generic rows
-    represents the union matroid; a substituted rank can only fall below the
-    generic one, so the maximum over independent draws is reported and extra
-    draws are spent whenever trials disagree.
-    """
-    rng = random.Random(seed)
-    if isinstance(numeric_part, list):
-        n_cols = ex.shape(numeric_part)[1]
-        exact = True
-    else:
-        numeric_part = np.asarray(numeric_part)
-        n_cols = numeric_part.shape[1]
-        exact = False
-    if generic_pattern.cols != n_cols:
-        raise ValueError("numeric and generic parts must share the column count")
-    bound = 2 * max(1, generic_pattern.rows) * max(1, generic_pattern.num_free)
-    ranks = []
-    budget = trials + 2
-    while len(ranks) < trials or (len(set(ranks)) > 1 and len(ranks) < budget):
-        sub = generic_pattern.substitute(generic_pattern.draw(rng, bound))
-        if exact:
-            stacked = ex.vstack([numeric_part, sub]) if generic_pattern.rows else numeric_part
-            ranks.append(ex.exact_rank(stacked))
-        else:
-            sub_f = ex.to_float(sub) if generic_pattern.rows else np.zeros((0, n_cols))
-            ranks.append(ex.float_rank(np.vstack([numeric_part, sub_f]), tol))
-    return max(ranks)
-
-
-def exhaustive_union_rank(numeric_part, generic_pattern: StructuredPattern,
-                          tol: float = RANK_TOL) -> int:
-    """Deterministic union rank for small grounds via the rank formula.
-
-    rank(union) = min over subsets A of |E \\ A| + r1(A) + r2(A); only usable
-    when 2**|E| subsets are affordable.
-    """
-    o1 = NumericColumns(numeric_part, tol)
-    o2 = GenericPattern(generic_pattern)
-    n = o1.ground_size
-    if o2.ground_size != n:
-        raise ValueError("ground sets differ")
-    if n > 16:
-        raise ValueError("exhaustive union rank limited to small ground sets")
-    elements = list(range(n))
-    best = n
-    for mask in range(1 << n):
-        subset = [e for e in elements if mask >> e & 1]
-        value = (n - len(subset)) + o1.rank_of(subset) + o2.rank_of(subset)
-        if value < best:
-            best = value
-    return best

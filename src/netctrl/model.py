@@ -452,24 +452,6 @@ def assemble_lumped(nds: NdsModel) -> LumpedPlant:
         P_pattern=pattern)
 
 
-def diagonalize_parameters(p: StructuredPattern) -> tuple[Mat, int, Mat]:
-    """Factor a pattern with k free entries as U * diag(params) * V.
-
-    Column l of U is the unit vector at the row of the l-th free entry and row
-    l of V is the unit vector at its column, entries ordered by position, so
-    the product reproduces the pattern exactly and each diagonal slot carries
-    one parameter.
-    """
-    positions = p.positions()
-    k = len(positions)
-    u = ex.zeros(p.rows, k)
-    v = ex.zeros(k, p.cols)
-    for l, (r, c) in enumerate(positions):
-        u[r][l] = ex.ONE
-        v[l][c] = ex.ONE
-    return u, k, v
-
-
 @dataclass(frozen=True)
 class WellPosednessVerdict:
     well_posed: bool

@@ -193,9 +193,11 @@ def pbh_stack(a: np.ndarray, b: np.ndarray, values, dtype: type) -> np.ndarray:
     n = a.shape[0]
     stack = np.empty((len(values), n, n + b.shape[1]), dtype)
     stack[:, :, n:] = b
-    eye = np.eye(n)
-    for out, lam in zip(stack, values):
-        out[:, :n] = lam * eye - a
+    # written in place: a broadcast temporary would hold len(values) * n * n
+    # entries twice over
+    lam_eye = stack[:, :, :n]
+    np.multiply(np.asarray(values).reshape(-1, 1, 1), np.eye(n), out=lam_eye)
+    lam_eye -= a
     return stack
 
 
@@ -307,7 +309,7 @@ class SubsystemAnalysis:
 
     def __init__(self, aug: AugmentedSubsystem, content: tuple):
         self.content = content
-        self.exact = (aug.A_xx, aug.A_xv, aug.B_xu, aug.A_zx, aug.A_zv, aug.B_zu)
+        self.exact_blocks = (aug.A_xx, aug.A_xv, aug.B_xu, aug.A_zx, aug.A_zv, aug.B_zu)
         self.m_x, self.m_z = mx, mz = aug.m_x, aug.m_z
         mv, mu = aug.m_v, aug.m_u
         self.a_xx = ex.to_float(aug.A_xx)
@@ -325,7 +327,7 @@ class SubsystemAnalysis:
 
     @cached_property
     def tfms(self) -> SubsystemTfms:
-        a_xx, a_xv, b_xu, a_zx, a_zv, b_zu = self.exact
+        a_xx, a_xv, b_xu, a_zx, a_zv, b_zu = self.exact_blocks
         return SubsystemTfms(entry_classes(a_zx, a_xx, a_xv, a_zv),
                              entry_classes(a_zx, a_xx, b_xu, b_zu))
 

@@ -19,13 +19,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .model import AugmentedSubsystem, NdsModel, assemble_lumped
-from .ratfun import EntryClass, SubsystemTfms
+from .ratfun import SubsystemTfms
 
 Vertex = tuple[str, int, int]
 Edge = tuple[Vertex, Vertex, str]
-
-_ZERO = EntryClass("zero")
-
 
 def vertex_name(v: Vertex) -> str:
     kind, sub, port = v
@@ -102,28 +99,6 @@ def build_nacg(nds: NdsModel, tfms: list) -> StructureGraph:
     edges = [e for g in parts for e in g.edges]
     edges.extend(link_edges(nds, assemble_lumped(nds).P_pattern.positions()))
     return _graph([v for g in parts for v in g.vertices], edges)
-
-
-def build_lumped_acg(nds: NdsModel, tfms: list) -> StructureGraph:
-    """Square-form graph of the diagonalized lumped plant.
-
-    Vertex a stands for the a-th free routing/parameter entry; the transfer
-    between two entries is the (output column, input row) selection of the
-    block-diagonal internal transfer matrix, so edge existence and frequency
-    dependence come straight from the per-subsystem entry classes.
-    """
-    positions = assemble_lumped(nds).P_pattern.positions()
-    k = len(positions)
-    outputs = [nds.locate("z", c) for _, c in positions]
-    inputs = [nds.locate("v", r) for r, _ in positions]
-    gzv_cls = [[tfms[iz].gzv_classes[pz][pv] if iz == iv else _ZERO
-                for iv, pv in inputs] for iz, pz in outputs]
-    u_off = nds.offsets["u"]
-    gzu_cls = [[_ZERO] * nds.M_u for _ in range(k)]
-    for a, (iz, pz) in enumerate(outputs):
-        for pu in range(nds.analysis[iz].m_u):
-            gzu_cls[a][u_off[iz] + pu] = tfms[iz].gzu_classes[pz][pu]
-    return build_acg(gzv_cls, gzu_cls)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,14 @@
 """Top-level verdicts: moving/fixed uncontrollable modes, structural
 controllability, design feasibility, and the randomized realization check.
 
-Two independent routes exist for the fixed-mode question: the networked
-per-mode test and the lumped matroid-union test on the diagonalized plant.
-They must agree; the test suite exercises that agreement, and
-`check_structural_controllability` uses the networked route. The networked
-route settles each mode with one product rank rank(Y P + Z) at a routing
-matrix P whose free entries are unit-scale Gaussians from a fixed-seed
-generator; only a mode that draw leaves short of its target runs the exact
-matroid intersection of [P^T I] with [Y Z].
+`check_structural_controllability` settles the fixed-mode question by the
+paper's networked per-mode test. The lumped matroid-union test on the
+diagonalized plant is kept as a test-suite reference (tests/oracles.py)
+that must agree with it. The networked route settles each mode with one
+product rank rank(Y P + Z) at a routing matrix P whose free entries are
+unit-scale Gaussians from a fixed-seed generator; only a mode that draw
+leaves short of its target runs the exact matroid intersection of [P^T I]
+with [Y Z].
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ import numpy as np
 
 from . import exactla as ex
 from . import ratfun, structgraph
-from .matroid import (GenericPattern, NumericColumns, matroid_intersection_rank,
-                      matroid_union_rank)
+from .matroid import GenericPattern, NumericColumns, matroid_intersection_rank
 from .model import (LumpedPlant, NdsModel, StructuredPattern, SubsystemModel,
-                    assemble_lumped, check_well_posedness, diagonalize_parameters)
+                    assemble_lumped, check_well_posedness)
 
 
 class IllPosedError(RuntimeError):
@@ -107,49 +106,6 @@ def check_fum_networked(nds: NdsModel, modes: Optional[list] = None,
 
 def fums_of(mode_checks: list[ModeCheck]) -> list[ModeCheck]:
     return [mc for mc in mode_checks if mc.is_fum]
-
-
-def check_fum_lumped(nds: NdsModel, modes: Optional[list] = None,
-                     rank_tol: float = ratfun.RANK_TOL, seed: int = 0) -> list[ModeCheck]:
-    """Fixed-mode test on the diagonalized lumped plant via union rank.
-
-    For each pooled eigenvalue the target is full ground rank n + 2k of the
-    union of the transposed plant matroid with the two-diagonal parameter
-    pattern; a shortfall certifies a fixed uncontrollable mode.
-    """
-    plant = assemble_lumped(nds)
-    u, k, v = diagonalize_parameters(plant.P_pattern)
-    n = nds.M_x
-    q = nds.M_u
-    a_xv_u = ex.mmul(plant.A_xv, u)
-    v_a_zx = ex.mmul(v, plant.A_zx)
-    v_a_zv_u = ex.mmul(ex.mmul(v, plant.A_zv), u)
-    v_b_zu = ex.mmul(v, plant.B_zu)
-    lam_list = ([md.lam for md in modes] if modes is not None
-                else ratfun.spectrum(nds).values)
-    a_xx = ex.to_float(plant.A_xx)
-    b_xu = ex.to_float(plant.B_xu).reshape(n, q)
-    a_xv_u_f = ex.to_float(a_xv_u).reshape(n, k)
-    v_a_zx_f = ex.to_float(v_a_zx).reshape(k, n)
-    v_a_zv_u_f = ex.to_float(v_a_zv_u).reshape(k, k)
-    v_b_zu_f = ex.to_float(v_b_zu).reshape(k, q)
-    pat_entries = {}
-    for i in range(k):
-        pat_entries[(i, n + i)] = f"_t_{i}"
-        pat_entries[(i, n + k + i)] = f"_ts_{i}"
-    gen = StructuredPattern(k, n + 2 * k, pat_entries)
-    out = []
-    for lam in lam_list:
-        dtype = complex if abs(complex(lam).imag) > 0 else float
-        lam_c = complex(lam) if dtype is complex else complex(lam).real
-        top = np.hstack([lam_c * np.eye(n) - a_xx, b_xu, a_xv_u_f]).astype(dtype)
-        mid = np.hstack([-v_a_zx_f, v_b_zu_f, v_a_zv_u_f]).astype(dtype)
-        bot = np.hstack([np.zeros((k, n + q)), np.eye(k)]).astype(dtype)
-        big = np.vstack([top, mid, bot])
-        numeric = big.T  # ground elements are the plant rows
-        rank = matroid_union_rank(numeric, gen, seed=seed, tol=rank_tol)
-        out.append(ModeCheck(lam, n + 2 * k, rank))
-    return out
 
 
 @dataclass(frozen=True)

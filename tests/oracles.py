@@ -1,0 +1,318 @@
+"""Reference implementations the test suite checks the library against.
+
+The library calls none of them. Each gives a second, independent answer to
+a question the library settles another way:
+
+* dense exact loops for the `exactla` kernels and the loop closure, and the
+  per-value loop that `ratfun.pbh_stack` replaces with one broadcast;
+* `ExactColumns`, a column matroid ranked by exact elimination, beside the
+  float-only `matroid.NumericColumns`;
+* the lumped fixed-mode route: the union rank of the transposed plant
+  matroid with the two-diagonal parameter pattern of the diagonalized
+  lumped plant (`check_fum_lumped`), and the square-form connection graph
+  of that plant (`build_lumped_acg`), beside the paper's per-subsystem
+  networked tests;
+* exhaustive searches: the union rank by its rank formula and the smallest
+  covering row set by levelwise enumeration.
+
+Dense exact reference loops: they touch every entry, zeros included, and
+divide in `Fraction` at every step, so they share no code with the
+zero-skipping, fraction-free kernels they check.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from fractions import Fraction
+from typing import Iterable, Optional
+
+import numpy as np
+
+from netctrl import exactla as ex
+from netctrl import ratfun
+from netctrl.design import g_value
+from netctrl.exactla import RANK_TOL, Mat
+from netctrl.matroid import GenericPattern, IndependenceOracle, NumericColumns
+from netctrl.model import NdsModel, StructuredPattern, assemble_lumped
+from netctrl.ratfun import EntryClass, ModeData
+from netctrl.structgraph import StructureGraph, build_acg
+from netctrl.verify import ModeCheck
+
+
+# --- dense and per-value reference loops ------------------------------------
+
+def eye(n: int) -> Mat:
+    return [[ex.ONE if i == j else ex.ZERO for j in range(n)] for i in range(n)]
+
+
+def transpose(m: Mat) -> Mat:
+    r, c = ex.shape(m)
+    return [[m[i][j] for i in range(r)] for j in range(c)]
+
+
+def _dense_mmul(a, b):
+    inner = len(b)
+    cols = len(b[0]) if b else 0
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0))
+             for j in range(cols)] for i in range(len(a))]
+
+
+def _dense_rank_det(m):
+    a = [list(row) for row in m]
+    r = len(a)
+    c = len(a[0]) if a else 0
+    rank, det = 0, Fraction(1)
+    for col in range(c):
+        piv = next((i for i in range(rank, r) if a[i][col] != 0), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            det = -det
+        det *= a[rank][col]
+        for i in range(rank + 1, r):
+            ratio = a[i][col] / a[rank][col]
+            a[i] = [x - ratio * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank, det
+
+
+def _dense_solve(a, b):
+    n = len(a)
+    aug = [list(a[i]) + list(b[i]) for i in range(n)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if aug[i][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for i in range(n):
+            if i != col:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _dense_close_loop(m, e, h, f, p):
+    """m + e p (I - h p)^-1 f in dense Fraction arithmetic; None when the loop is singular."""
+    hp = _dense_mmul(h, p)
+    loop = [[(1 if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(hp)]
+    if _dense_rank_det(loop)[0] < len(loop):
+        return None
+    add = _dense_mmul(_dense_mmul(e, p), _dense_solve(loop, f))
+    return [[x + y for x, y in zip(rm, ra)] for rm, ra in zip(m, add)]
+
+
+def _dense_entry_classes(c, a, b, d):
+    """Entry classes of C (lambda*I - A)^-1 B + D from the Fraction Markov
+    parameters C A^k B, k < n."""
+    rows, cols = len(d), len(d[0]) if d else 0
+    dynamic = [[False] * cols for _ in range(rows)]
+    cak = c
+    for k in range(len(a)):
+        if k:
+            cak = _dense_mmul(cak, a)
+        for q, row in enumerate(_dense_mmul(cak, b)):
+            for p, x in enumerate(row):
+                if x != 0:
+                    dynamic[q][p] = True
+    return [[EntryClass("lambda") if dynamic[q][p]
+             else EntryClass("constant", d[q][p]) if d[q][p] != 0
+             else EntryClass("zero") for p in range(cols)] for q in range(rows)]
+
+
+def _loop_pbh_stack(a, b, values, dtype):
+    """`ratfun.pbh_stack` filled one value at a time: [lam I - A, B] per value."""
+    n = a.shape[0]
+    stack = np.empty((len(values), n, n + b.shape[1]), dtype)
+    stack[:, :, n:] = b
+    eye = np.eye(n)
+    for out, lam in zip(stack, values):
+        out[:, :n] = lam * eye - a
+    return stack
+
+
+# --- exact column matroid and union rank -------------------------------------
+
+class ExactColumns(IndependenceOracle):
+    """Independence = the chosen columns of a rational matrix have full
+    column rank, by exact elimination; `swaps` asks once per pair."""
+
+    def __init__(self, matrix: Mat):
+        self.matrix = matrix
+        self.rows, self.ground_size = ex.shape(matrix)
+        self._rank_cache: dict[frozenset, int] = {}
+
+    def rank_of(self, subset: Iterable[int]) -> int:
+        key = frozenset(subset)
+        hit = self._rank_cache.get(key)
+        if hit is not None:
+            return hit
+        cols = sorted(key)
+        rank = ex.exact_rank(ex.submatrix(self.matrix, None, cols)) if cols else 0
+        self._rank_cache[key] = rank
+        return rank
+
+    def independent(self, subset: Iterable[int]) -> bool:
+        key = frozenset(subset)
+        return self.rank_of(key) == len(key)
+
+
+def matroid_union_rank(numeric_part, generic_pattern: StructuredPattern,
+                       seed: int = 0, trials: int = 3, tol: float = RANK_TOL) -> int:
+    """Union rank by randomized stacked rank.
+
+    Stacking the numeric rows over a random realization of the generic rows
+    represents the union matroid; a substituted rank can only fall below the
+    generic one, so the maximum over independent draws is reported and extra
+    draws are spent whenever trials disagree.
+    """
+    rng = random.Random(seed)
+    if isinstance(numeric_part, list):
+        n_cols = ex.shape(numeric_part)[1]
+        exact = True
+    else:
+        numeric_part = np.asarray(numeric_part)
+        n_cols = numeric_part.shape[1]
+        exact = False
+    if generic_pattern.cols != n_cols:
+        raise ValueError("numeric and generic parts must share the column count")
+    bound = 2 * max(1, generic_pattern.rows) * max(1, generic_pattern.num_free)
+    ranks = []
+    budget = trials + 2
+    while len(ranks) < trials or (len(set(ranks)) > 1 and len(ranks) < budget):
+        sub = generic_pattern.substitute(generic_pattern.draw(rng, bound))
+        if exact:
+            stacked = ex.vstack([numeric_part, sub]) if generic_pattern.rows else numeric_part
+            ranks.append(ex.exact_rank(stacked))
+        else:
+            sub_f = ex.to_float(sub) if generic_pattern.rows else np.zeros((0, n_cols))
+            ranks.append(ex.float_rank(np.vstack([numeric_part, sub_f]), tol))
+    return max(ranks)
+
+
+def exhaustive_union_rank(numeric_part, generic_pattern: StructuredPattern,
+                          tol: float = RANK_TOL) -> int:
+    """Deterministic union rank for small grounds via the rank formula.
+
+    rank(union) = min over subsets A of |E \\ A| + r1(A) + r2(A); only usable
+    when 2**|E| subsets are affordable.
+    """
+    o1 = (ExactColumns(numeric_part) if isinstance(numeric_part, list)
+          else NumericColumns(numeric_part, tol))
+    o2 = GenericPattern(generic_pattern)
+    n = o1.ground_size
+    if o2.ground_size != n:
+        raise ValueError("ground sets differ")
+    if n > 16:
+        raise ValueError("exhaustive union rank limited to small ground sets")
+    elements = list(range(n))
+    best = n
+    for mask in range(1 << n):
+        subset = [e for e in elements if mask >> e & 1]
+        value = (n - len(subset)) + o1.rank_of(subset) + o2.rank_of(subset)
+        if value < best:
+            best = value
+    return best
+
+
+# --- the lumped fixed-mode route ---------------------------------------------
+
+def diagonalize_parameters(p: StructuredPattern) -> tuple[Mat, int, Mat]:
+    """Factor a pattern with k free entries as U * diag(params) * V.
+
+    Column l of U is the unit vector at the row of the l-th free entry and row
+    l of V is the unit vector at its column, entries ordered by position, so
+    the product reproduces the pattern exactly and each diagonal slot carries
+    one parameter.
+    """
+    positions = p.positions()
+    k = len(positions)
+    u = ex.zeros(p.rows, k)
+    v = ex.zeros(k, p.cols)
+    for l, (r, c) in enumerate(positions):
+        u[r][l] = ex.ONE
+        v[l][c] = ex.ONE
+    return u, k, v
+
+
+def check_fum_lumped(nds: NdsModel, modes: Optional[list] = None,
+                     rank_tol: float = ratfun.RANK_TOL, seed: int = 0) -> list[ModeCheck]:
+    """Fixed-mode test on the diagonalized lumped plant via union rank.
+
+    For each pooled eigenvalue the target is full ground rank n + 2k of the
+    union of the transposed plant matroid with the two-diagonal parameter
+    pattern; a shortfall certifies a fixed uncontrollable mode.
+    """
+    plant = assemble_lumped(nds)
+    u, k, v = diagonalize_parameters(plant.P_pattern)
+    n = nds.M_x
+    q = nds.M_u
+    a_xv_u = ex.mmul(plant.A_xv, u)
+    v_a_zx = ex.mmul(v, plant.A_zx)
+    v_a_zv_u = ex.mmul(ex.mmul(v, plant.A_zv), u)
+    v_b_zu = ex.mmul(v, plant.B_zu)
+    lam_list = ([md.lam for md in modes] if modes is not None
+                else ratfun.spectrum(nds).values)
+    a_xx = ex.to_float(plant.A_xx)
+    b_xu = ex.to_float(plant.B_xu).reshape(n, q)
+    a_xv_u_f = ex.to_float(a_xv_u).reshape(n, k)
+    v_a_zx_f = ex.to_float(v_a_zx).reshape(k, n)
+    v_a_zv_u_f = ex.to_float(v_a_zv_u).reshape(k, k)
+    v_b_zu_f = ex.to_float(v_b_zu).reshape(k, q)
+    pat_entries = {}
+    for i in range(k):
+        pat_entries[(i, n + i)] = f"_t_{i}"
+        pat_entries[(i, n + k + i)] = f"_ts_{i}"
+    gen = StructuredPattern(k, n + 2 * k, pat_entries)
+    out = []
+    for lam in lam_list:
+        dtype = complex if abs(complex(lam).imag) > 0 else float
+        lam_c = complex(lam) if dtype is complex else complex(lam).real
+        top = np.hstack([lam_c * np.eye(n) - a_xx, b_xu, a_xv_u_f]).astype(dtype)
+        mid = np.hstack([-v_a_zx_f, v_b_zu_f, v_a_zv_u_f]).astype(dtype)
+        bot = np.hstack([np.zeros((k, n + q)), np.eye(k)]).astype(dtype)
+        big = np.vstack([top, mid, bot])
+        numeric = big.T  # ground elements are the plant rows
+        rank = matroid_union_rank(numeric, gen, seed=seed, tol=rank_tol)
+        out.append(ModeCheck(lam, n + 2 * k, rank))
+    return out
+
+
+_ZERO = EntryClass("zero")
+
+
+def build_lumped_acg(nds: NdsModel, tfms: list) -> StructureGraph:
+    """Square-form graph of the diagonalized lumped plant.
+
+    Vertex a stands for the a-th free routing/parameter entry; the transfer
+    between two entries is the (output column, input row) selection of the
+    block-diagonal internal transfer matrix, so edge existence and frequency
+    dependence come straight from the per-subsystem entry classes.
+    """
+    positions = assemble_lumped(nds).P_pattern.positions()
+    k = len(positions)
+    outputs = [nds.locate("z", c) for _, c in positions]
+    inputs = [nds.locate("v", r) for r, _ in positions]
+    gzv_cls = [[tfms[iz].gzv_classes[pz][pv] if iz == iv else _ZERO
+                for iv, pv in inputs] for iz, pz in outputs]
+    u_off = nds.offsets["u"]
+    gzu_cls = [[_ZERO] * nds.M_u for _ in range(k)]
+    for a, (iz, pz) in enumerate(outputs):
+        for pu in range(nds.analysis[iz].m_u):
+            gzu_cls[a][u_off[iz] + pu] = tfms[iz].gzu_classes[pz][pu]
+    return build_acg(gzv_cls, gzu_cls)
+
+
+# --- exhaustive row search ---------------------------------------------------
+
+def minimal_rows_exhaustive(modes: list[ModeData], M_v: int,
+                            rank_tol: float = ratfun.RANK_TOL) -> Optional[list[int]]:
+    """Smallest row subset with full coverage, by levelwise enumeration."""
+    target = sum(md.M_r for md in modes)
+    for size in range(M_v + 1):
+        for combo in itertools.combinations(range(M_v), size):
+            if g_value(combo, modes, rank_tol) == target:
+                return list(combo)
+    return None

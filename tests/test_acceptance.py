@@ -20,16 +20,15 @@ from netctrl import ratfun, verify
 from netctrl.cli import main
 from netctrl.data import sec7_path
 from netctrl.design import (InfeasibleDesignError, brute_force_min_topology,
-                            design_topology, g_value, greedy_link_rows,
-                            minimal_rows_exhaustive)
-from netctrl.matroid import (GenericPattern, NumericColumns, exhaustive_union_rank,
-                             matroid_intersection_rank, matroid_union_rank)
+                            design_topology, g_value, greedy_link_rows)
+from netctrl.matroid import GenericPattern, NumericColumns, matroid_intersection_rank
 from netctrl.model import NdsModel, StructuredPattern, assemble_lumped
-from netctrl.verify import (check_fum_lumped, check_fum_networked,
-                            check_structural_controllability,
+from netctrl.verify import (check_fum_networked, check_structural_controllability,
                             randomized_realization_check)
 
 from conftest import ACCEPTANCE_LINES
+from oracles import (check_fum_lumped, exhaustive_union_rank, matroid_union_rank,
+                     minimal_rows_exhaustive)
 from randgen import random_fixed_subsystems, random_nds
 
 N_INSTANCES = 100
@@ -124,12 +123,18 @@ def test_criterion_4_full_design_and_minimality(sec7, tmp_path):
 
 
 def test_criterion_5a_lumped_equals_networked(instances, instance_checks):
-    for i, (nds, net) in enumerate(zip(instances, instance_checks)):
+    # the default instances plus larger networks from the max_sub 8 and 16 rungs
+    ladder = ([random_nds(seed, max_sub=8) for seed in range(2000, 2010)]
+              + [random_nds(seed, max_sub=16) for seed in range(3000, 3004)])
+    cases = list(zip(instances, instance_checks))
+    cases += [(nds, check_fum_networked(nds)) for nds in ladder]
+    assert any(mc.is_fum for _, net in cases[len(instances):] for mc in net)
+    for i, (nds, net) in enumerate(cases):
         lum = check_fum_lumped(nds, seed=10_000 + i)
         assert [mc.is_fum for mc in net] == [mc.is_fum for mc in lum], \
             f"instance {i}"
     _pass(5, f"(a) lumped union test agrees with networked intersection test "
-             f"on {len(instances)} instances")
+             f"on {len(cases)} instances")
 
 
 def test_criterion_5b_intersection_equals_product_rank(instances, instance_checks):

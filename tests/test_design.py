@@ -8,12 +8,12 @@ from netctrl.cli import load_document, main
 from netctrl.data import sec7_path
 from netctrl.design import (InfeasibleDesignError, brute_force_min_topology,
                             design_topology, eliminate_pdums, extract_cover_sets,
-                            g_value, greedy_color, greedy_link_rows,
-                            minimal_rows_exhaustive)
+                            g_value, greedy_color, greedy_link_rows)
 from netctrl.model import NdsModel, StructuredPattern, SubsystemModel
 from netctrl.structgraph import (build_nacg, find_input_unreachable_lambda_cycle,
                                  unreachable_source_sccs_with_lambda_edge)
 
+from oracles import minimal_rows_exhaustive
 from randgen import random_fixed_subsystems
 
 

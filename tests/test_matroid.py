@@ -8,11 +8,11 @@ import pytest
 from netctrl import exactla as ex
 from netctrl import ratfun, verify
 from netctrl.matroid import (GenericPattern, IndependenceOracle, NumericColumns,
-                             _hopcroft_karp, exhaustive_union_rank,
-                             matroid_intersection_rank, matroid_union_rank)
+                             _hopcroft_karp, matroid_intersection_rank)
 from netctrl.model import (ModelError, NdsModel, StructuredPattern, assemble_lumped,
                            check_well_posedness)
 
+from oracles import ExactColumns, exhaustive_union_rank, eye, matroid_union_rank
 from randgen import random_nds, random_subsystem
 
 
@@ -22,9 +22,8 @@ def _pattern(rows, cols, positions, prefix="g"):
 
 
 def test_numeric_independent_basics():
-    eye = ex.eye(3)
-    assert NumericColumns(eye).independent({0, 1})
-    dup = NumericColumns(ex.mat([[1, 1], [2, 2]]))
+    assert NumericColumns(np.eye(3)).independent({0, 1})
+    dup = NumericColumns(ex.to_float(ex.mat([[1, 1], [2, 2]])))
     assert not dup.independent({0, 1})
     assert dup.independent({0})
 
@@ -32,9 +31,8 @@ def test_numeric_independent_basics():
 def test_numeric_exact_and_float_agree():
     rng = random.Random(7)
     m = [[Fraction(rng.randint(-3, 3)) for _ in range(8)] for _ in range(6)]
-    exact = NumericColumns(m)
+    exact = ExactColumns(m)
     approx = NumericColumns(ex.to_float(m))
-    assert exact.path == "exact" and approx.path == "svd"
     for _ in range(100):
         k = rng.randint(0, 6)
         subset = frozenset(rng.sample(range(8), k))
@@ -112,7 +110,7 @@ def test_intersection_result_passes_both_oracles():
         n = rng.randint(1, 7)
         m1 = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rows)]
         m2 = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rows)]
-        o1, o2 = NumericColumns(m1), NumericColumns(m2)
+        o1, o2 = ExactColumns(m1), ExactColumns(m2)
         best = matroid_intersection_rank(o1, o2)
         assert o1.independent(best.indices)
         assert o2.independent(best.indices)
@@ -126,7 +124,7 @@ def test_intersection_matches_exhaustive():
         n = rng.randint(1, 6)
         m1 = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rows)]
         m2 = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rows)]
-        o1, o2 = NumericColumns(m1), NumericColumns(m2)
+        o1, o2 = ExactColumns(m1), ExactColumns(m2)
         best = matroid_intersection_rank(o1, o2)
         _assert_dual_certificate(o1, o2, best)
         got = best.certified_rank
@@ -272,7 +270,7 @@ def test_intersection_monotone_in_free_entries():
     for _ in range(15):
         rows, n = 3, 6
         m2 = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(rows)]
-        o2 = NumericColumns(m2)
+        o2 = ExactColumns(m2)
         cells = [(r, c) for r in range(2) for c in range(n)]
         rng.shuffle(cells)
         cut = rng.randint(0, len(cells) - 1)
@@ -292,7 +290,7 @@ def test_union_rank_generic_empty():
 
 def test_union_rank_identity_plus_diagonal():
     n = 4
-    numeric = ex.eye(n)
+    numeric = eye(n)
     diag = _pattern(n, n, [(i, i) for i in range(n)])
     assert matroid_union_rank(numeric, diag) == n
     assert exhaustive_union_rank(numeric, diag) == n
@@ -323,7 +321,7 @@ def test_union_rank_honours_tolerance():
 
 def test_union_rank_mismatched_ground():
     with pytest.raises(ValueError):
-        matroid_union_rank(ex.eye(3), _pattern(1, 2, [(0, 0)]))
+        matroid_union_rank(eye(3), _pattern(1, 2, [(0, 0)]))
 
 
 def test_routing_pattern_identity_rank(sec7):

@@ -10,9 +10,10 @@ from netctrl import exactla as ex
 from netctrl import model
 from netctrl.model import (ModelError, NdsModel, StructuredPattern, SubsystemModel,
                            OpenLoop, analysis_form, assemble_lumped,
-                           check_well_posedness, diagonalize_parameters)
+                           check_well_posedness)
 
-from dense_ref import _dense_close_loop, _dense_mmul, _dense_solve
+from oracles import (_dense_close_loop, _dense_mmul, _dense_solve, diagonalize_parameters,
+                     transpose)
 
 
 def _pattern(rows, cols, positions, prefix="s"):
@@ -84,7 +85,7 @@ def _reference_closed_blocks(sub):
     p = sub.param_block
     hp = _dense_mmul(sub.H, p)
     w = [[(1 if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(hp)]
-    k = ex.transpose(_dense_solve(ex.transpose(w), ex.transpose(p)))
+    k = transpose(_dense_solve(transpose(w), transpose(p)))
     f_all = ex.hstack([sub.F1, sub.F2, sub.F3])
 
     def corrected(m, e):

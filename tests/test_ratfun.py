@@ -13,9 +13,10 @@ from netctrl.cli import load_document
 from netctrl.data import sec7_path
 from netctrl.model import NdsModel, StructuredPattern, SubsystemModel
 from netctrl.ratfun import (EntryClass, analysis_records, entry_classes, filter_modes,
-                            mode_data, modes, nds_tfms, spectrum, subsystem_tfms)
+                            mode_data, modes, nds_tfms, pbh_stack, spectrum,
+                            subsystem_tfms)
 
-from dense_ref import _dense_entry_classes
+from oracles import _dense_entry_classes, _loop_pbh_stack, eye, transpose
 from randgen import random_nds, random_subsystem
 
 
@@ -53,9 +54,9 @@ def test_entry_classes_read_markov_parameters_up_to_n():
     a = ex.mat([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     first, last = ex.mat([[1, 0, 0, 0]]), ex.mat([[0, 0, 0, 1]])
     d = ex.mat([[3]])
-    assert _classes_kinds(entry_classes(last, a, ex.transpose(first), d)) == [["lambda"]]
+    assert _classes_kinds(entry_classes(last, a, transpose(first), d)) == [["lambda"]]
     # reading the first state while feeding the last: every C A^k B is zero
-    assert _classes_kinds(entry_classes(first, a, ex.transpose(last), d)) == [["constant"]]
+    assert _classes_kinds(entry_classes(first, a, transpose(last), d)) == [["constant"]]
 
 
 def _int_matrix(rows, cols):
@@ -135,7 +136,7 @@ def test_resolvent_matches_numeric_inverse():
     # which is strictly proper, so every entry is "zero" or "lambda"
     rng = random.Random(3)
     a = [[Fraction(rng.randint(-3, 3)) for _ in range(4)] for _ in range(4)]
-    classes = entry_classes(ex.eye(4), a, ex.eye(4), ex.zeros(4, 4))
+    classes = entry_classes(eye(4), a, eye(4), ex.zeros(4, 4))
     af = ex.to_float(a)
     eigs = np.linalg.eigvals(af)
     points = []
@@ -390,3 +391,21 @@ def test_records_freed_with_their_model():
         assert all(r() is None for r in refs)
     finally:
         gc.enable()
+
+
+def test_pbh_stack_matches_per_value_loop():
+    # the in-place broadcast does the loop's elementwise arithmetic, so the bytes
+    # agree: real and complex values, mixed in one list, signed zeros, n or k zero
+    rng = random.Random(53)
+    nrng = np.random.default_rng(53)
+    for trial in range(400):
+        n, k, m = rng.randint(0, 5), rng.randint(0, 4), rng.randint(0, 3)
+        a, b = nrng.standard_normal((n, n)), nrng.standard_normal((n, m))
+        dtype = complex if trial % 2 else float
+        values = [rng.choice((0.0, -0.0, 1, -2.5, float(nrng.standard_normal())))
+                  for _ in range(k)]
+        if dtype is complex and values:
+            values[rng.randrange(k)] = complex(*nrng.standard_normal(2))
+        got, want = pbh_stack(a, b, values, dtype), _loop_pbh_stack(a, b, values, dtype)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), trial

@@ -5,12 +5,14 @@ import pytest
 from netctrl import ratfun
 from netctrl.cli import parse_document
 from netctrl.structgraph import (StructureGraph, build_acg, build_nacg,
-                                 build_lumped_acg, build_subsystem_acg,
+                                 build_subsystem_acg,
                                  find_input_unreachable_lambda_cycle,
                                  find_input_unreachable_lambda_edge,
                                  scc_decompose, to_dot,
                                  unreachable_source_sccs_with_lambda_edge,
                                  vertex_name)
+
+from oracles import build_lumped_acg
 
 
 def _names(vertices):

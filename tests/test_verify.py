@@ -10,12 +10,12 @@ from netctrl.design import design_topology
 from netctrl.model import (NdsModel, OpenLoop, StructuredPattern, SubsystemModel,
                            assemble_lumped)
 from netctrl.structgraph import vertex_name
-from netctrl.verify import (check_feasibility, check_fum_lumped,
-                            check_fum_networked, check_structural_controllability,
-                            fums_of, randomized_realization_check, realize_numeric,
+from netctrl.verify import (check_feasibility, check_fum_networked,
+                            check_structural_controllability, fums_of,
+                            randomized_realization_check, realize_numeric,
                             uncontrollable_modes)
 
-from dense_ref import _dense_close_loop
+from oracles import _dense_close_loop, check_fum_lumped
 from randgen import random_fixed_subsystems, random_nds
 
 
