@@ -184,7 +184,7 @@ def greedy_color(cover_sets: list[list[int]], M_v: int, M_z: int,
     return graph, positions
 
 
-def eliminate_pdums(nds: NdsModel, tfms: Optional[list] = None) -> list[dict]:
+def eliminate_pdums(nds: NdsModel) -> list[dict]:
     """Wire unreachable frequency-dependent source components to the inputs.
 
     Each qualifying source component receives one link from the smallest
@@ -195,8 +195,7 @@ def eliminate_pdums(nds: NdsModel, tfms: Optional[list] = None) -> list[dict]:
     only of unreachable source components that hold no lambda edge: the
     source scan skips those, and the links it adds elsewhere do not reach it.
     """
-    tfms = tfms if tfms is not None else ratfun.nds_tfms(nds)
-    graph = structgraph.build_nacg(nds, tfms)
+    graph = structgraph.build_nacg(nds, ratfun.nds_tfms(nds))
     scc = structgraph.scc_decompose(graph)
     targets = structgraph.unreachable_source_sccs_with_lambda_edge(graph, scc)
     added: list[dict] = []
@@ -320,7 +319,6 @@ def design_topology(subsystems: list[SubsystemModel], mode_filter: str = "all",
     else:
         unstable_fums = [mc for mc in verdict.fums if ratfun.is_unstable(mc.lam)]
         verified = not unstable_fums and verdict.pdum is None
-    m_rmax = max((md.M_r for md in modes), default=0)
     # [lam I - A_j, B_j] loses rank only at an eigenvalue of A_j, so
     # subsystem j is ranked only at the kept pooled values it owns
     m_def = 0
@@ -330,10 +328,10 @@ def design_topology(subsystems: list[SubsystemModel], mode_filter: str = "all",
                                           rank_tol).sum())
     p_ius = sum(1 for d in stage2_links if d["provenance"].startswith("source"))
     links_total = len(all_pos)
-    rhs = (2 * max(m_rmax, 1) * (1 + math.log(max(m_def, 1)))
+    rhs = (2 * max(feas.max_target, 1) * (1 + math.log(max(m_def, 1)))
            * (p_ius + len(j_grd)))
     bound_report = {
-        "M_rmax": m_rmax,
+        "M_rmax": feas.max_target,
         "M_def": m_def,
         "p_ius": p_ius,
         "j_grd_size": len(j_grd),

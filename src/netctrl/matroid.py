@@ -109,7 +109,7 @@ class GenericPattern(IndependenceOracle):
             self._col_rows[c] = tuple(sorted(rows))
 
     def _matching(self, subset: Iterable[int]) -> dict:
-        return _hopcroft_karp({c: self._col_rows[c] for c in sorted(set(subset))})
+        return _max_matching({c: self._col_rows[c] for c in set(subset)})
 
     def rank_of(self, subset: Iterable[int]) -> int:
         return len(self._matching(subset))
@@ -156,53 +156,26 @@ class GenericPattern(IndependenceOracle):
         return seen
 
 
-def _hopcroft_karp(adj: dict) -> dict:
-    """Maximum matching (left -> right) of a bipartite graph given as left -> rights."""
-    INF = float("inf")
+def _max_matching(adj: dict) -> dict:
+    """Maximum matching (left -> right) of a bipartite graph given as left ->
+    rights: one augmenting-path search per left vertex, in sorted order. A
+    search recurses once per matched vertex on its path, so at most once per
+    matched left vertex."""
     match_l: dict = {}
     match_r: dict = {}
-    lefts = sorted(adj)
 
-    def bfs() -> bool:
-        dist = {}
-        queue = []
-        for l in lefts:
-            if l not in match_l:
-                dist[l] = 0
-                queue.append(l)
-            else:
-                dist[l] = INF
-        found = INF
-        qi = 0
-        while qi < len(queue):
-            l = queue[qi]
-            qi += 1
-            if dist[l] >= found:
-                continue
-            for r in adj[l]:
-                nxt = match_r.get(r)
-                if nxt is None:
-                    found = min(found, dist[l] + 1)
-                elif dist.get(nxt, INF) == INF:
-                    dist[nxt] = dist[l] + 1
-                    queue.append(nxt)
-        bfs.dist = dist
-        return found != INF
-
-    def dfs(l) -> bool:
+    def augment(l, seen: set) -> bool:
         for r in adj[l]:
-            nxt = match_r.get(r)
-            if nxt is None or (bfs.dist.get(nxt) == bfs.dist[l] + 1 and dfs(nxt)):
-                match_l[l] = r
-                match_r[r] = l
-                return True
-        bfs.dist[l] = float("inf")
+            if r not in seen:
+                seen.add(r)
+                if r not in match_r or augment(match_r[r], seen):
+                    match_l[l] = r
+                    match_r[r] = l
+                    return True
         return False
 
-    while bfs():
-        for l in lefts:
-            if l not in match_l:
-                dfs(l)
+    for l in sorted(adj):
+        augment(l, set())
     return match_l
 
 

@@ -1,4 +1,4 @@
-"""System model: subsystem descriptions, channel augmentation, lumped assembly.
+"""System model: subsystems, channel augmentation, the network and its pattern.
 
 Each subsystem is an LTI block whose matrices may depend on unknown
 first-principle parameters through a linear fractional transformation. A
@@ -353,7 +353,13 @@ def analysis_form(sub: SubsystemModel) -> AugmentedSubsystem:
 
 
 class NdsModel:
-    """A networked system: subsystems plus the structured interconnection."""
+    """A networked system: subsystems plus the structured interconnection.
+
+    The network owns its port map (`offsets`) and its parameter pattern
+    `P_pattern` on the analysis ports: the routing entries of `scm`, in
+    their order, then each free parameter block, in subsystem order. Every
+    parameter draw follows that entry order.
+    """
 
     def __init__(self, subsystems: list[SubsystemModel], scm: StructuredPattern):
         if not subsystems:
@@ -366,12 +372,6 @@ class NdsModel:
         if (scm.rows, scm.cols) != (mv0, mz0):
             raise ModelError(f"interconnection pattern is {scm.rows}x{scm.cols}, "
                              f"but subsystem ports give {mv0}x{mz0}")
-        ids: list[str] = list(scm.entries.values())
-        for s in self.subsystems:
-            if s.has_free_params:
-                ids.extend(s.param_block.entries.values())
-        if len(set(ids)) != len(ids):
-            raise ModelError("parameter ids must be globally distinct")
         # Port map: offsets[kind][i] is the first global index of subsystem
         # i's ports of that kind (x states, u/v inputs, z outputs); the last
         # entry is the port total.
@@ -379,6 +379,19 @@ class NdsModel:
             kind: list(accumulate((getattr(a, f"m_{kind}") for a in self.analysis), initial=0))
             for kind in "xuvz"}
         self.M_x, self.M_u, self.M_v, self.M_z = (self.offsets[k][-1] for k in "xuvz")
+        # P: routing entries moved to analysis port indices, then the free blocks
+        v_off, z_off = self.offsets["v"], self.offsets["z"]
+        v_of = [v_off[i] + p for i, s in enumerate(self.subsystems) for p in range(s.m_v0)]
+        z_of = [z_off[i] + p for i, s in enumerate(self.subsystems) for p in range(s.m_z0)]
+        entries = {(v_of[r], z_of[c]): pid for (r, c), pid in scm.entries.items()}
+        for i, s in enumerate(self.subsystems):
+            if s.has_free_params:
+                r0, c0 = v_off[i] + s.m_v0, z_off[i] + s.m_z0
+                entries.update(((r0 + r, c0 + c), pid)
+                               for (r, c), pid in s.param_block.entries.items())
+        if len(set(entries.values())) != len(entries):
+            raise ModelError("parameter ids must be globally distinct")
+        self.P_pattern = StructuredPattern(self.M_v, self.M_z, entries)
 
     @classmethod
     def unrouted(cls, subsystems: list[SubsystemModel]) -> NdsModel:
@@ -420,27 +433,9 @@ class LumpedPlant:
 
 
 def assemble_lumped(nds: NdsModel) -> LumpedPlant:
-    """Stack subsystem analysis matrices block-diagonally and lay out the
-    routing pattern: interconnection entries in the original port rows/columns,
-    per-subsystem parameter patterns on the auxiliary diagonal blocks."""
+    """The exact block-diagonal analysis matrices of the network, with its
+    parameter pattern `NdsModel.P_pattern`; only realization needs them."""
     augs = nds.analysis
-    v_off, z_off = nds.offsets["v"], nds.offsets["z"]
-    entries: dict[tuple[int, int], str] = {}
-    # interconnection entries, mapped from original port indices to analysis ones
-    v_orig_to_aug = [v_off[i] + p for i, sub in enumerate(nds.subsystems)
-                     for p in range(sub.m_v0)]
-    z_orig_to_aug = [z_off[i] + p for i, sub in enumerate(nds.subsystems)
-                     for p in range(sub.m_z0)]
-    for (r, c), pid in nds.scm.entries.items():
-        entries[(v_orig_to_aug[r], z_orig_to_aug[c])] = pid
-    for i, sub in enumerate(nds.subsystems):
-        if not sub.has_free_params:
-            continue
-        r0 = v_off[i] + sub.m_v0
-        c0 = z_off[i] + sub.m_z0
-        for (r, c), pid in sub.param_block.entries.items():
-            entries[(r0 + r, c0 + c)] = pid
-    pattern = StructuredPattern(nds.M_v, nds.M_z, entries)
     widths = {kind: [getattr(a, f"m_{kind}") for a in augs] for kind in "xuv"}
     return LumpedPlant(
         A_xx=ex.block_diag([a.A_xx for a in augs], widths["x"]),
@@ -449,7 +444,7 @@ def assemble_lumped(nds: NdsModel) -> LumpedPlant:
         A_zx=ex.block_diag([a.A_zx for a in augs], widths["x"]),
         A_zv=ex.block_diag([a.A_zv for a in augs], widths["v"]),
         B_zu=ex.block_diag([a.B_zu for a in augs], widths["u"]),
-        P_pattern=pattern)
+        P_pattern=nds.P_pattern)
 
 
 @dataclass(frozen=True)
@@ -472,11 +467,11 @@ def check_well_posedness(nds: NdsModel, trials: int = 3, seed: int = 0) -> WellP
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    plant = assemble_lumped(nds)
-    pat = plant.P_pattern
+    pat = nds.P_pattern
     rng = random.Random(seed)
     bound = 2 * max(1, pat.rows + pat.cols) * max(1, pat.num_free)
-    global_loop = OpenLoop([], [], plant.A_zv, [])
+    global_loop = OpenLoop([], [], ex.block_diag([a.A_zv for a in nds.analysis],
+                                                 [a.m_v for a in nds.analysis]), [])
     local_loops = [(sub, OpenLoop([], [], sub.H, []))
                    for sub in nds.subsystems if sub.has_free_params]
     last = ""

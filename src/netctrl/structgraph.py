@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .model import AugmentedSubsystem, NdsModel, assemble_lumped
+from .model import AugmentedSubsystem, NdsModel
+from .model import assemble_lumped  # noqa: F401 -- perfbench/spans.py patches it here
 from .ratfun import SubsystemTfms
 
 Vertex = tuple[str, int, int]
@@ -97,7 +98,7 @@ def build_nacg(nds: NdsModel, tfms: list) -> StructureGraph:
     parts = [build_subsystem_acg(i + 1, a, t)
              for i, (a, t) in enumerate(zip(nds.analysis, tfms))]
     edges = [e for g in parts for e in g.edges]
-    edges.extend(link_edges(nds, assemble_lumped(nds).P_pattern.positions()))
+    edges.extend(link_edges(nds, nds.P_pattern.positions()))
     return _graph([v for g in parts for v in g.vertices], edges)
 
 

@@ -92,7 +92,7 @@ def check_fum_networked(nds: NdsModel, modes: Optional[list] = None,
     if modes is None:
         spec = ratfun.spectrum(nds)
         modes = ratfun.modes(nds, spec.values, rank_tol)
-    pattern = assemble_lumped(nds).P_pattern
+    pattern = nds.P_pattern
     q1 = GenericPattern(routing_pattern_q1(pattern))
     rng = np.random.default_rng(_PRODUCT_RANK_SEED)
     out = []

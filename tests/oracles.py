@@ -13,7 +13,9 @@ a question the library settles another way:
   of that plant (`build_lumped_acg`), beside the paper's per-subsystem
   networked tests;
 * exhaustive searches: the union rank by its rank formula and the smallest
-  covering row set by levelwise enumeration.
+  covering row set by levelwise enumeration;
+* Hopcroft-Karp matching beside `matroid._max_matching`, and the layout of
+  the lumped parameter pattern beside `NdsModel.P_pattern`.
 
 Dense exact reference loops: they touch every entry, zeros included, and
 divide in `Fraction` at every step, so they share no code with the
@@ -215,6 +217,82 @@ def exhaustive_union_rank(numeric_part, generic_pattern: StructuredPattern,
         if value < best:
             best = value
     return best
+
+
+# --- matching and the parameter pattern layout -------------------------------
+
+def _hopcroft_karp(adj: dict) -> dict:
+    """Maximum matching (left -> right) of a bipartite graph given as left -> rights."""
+    INF = float("inf")
+    match_l: dict = {}
+    match_r: dict = {}
+    lefts = sorted(adj)
+
+    def bfs() -> bool:
+        dist = {}
+        queue = []
+        for l in lefts:
+            if l not in match_l:
+                dist[l] = 0
+                queue.append(l)
+            else:
+                dist[l] = INF
+        found = INF
+        qi = 0
+        while qi < len(queue):
+            l = queue[qi]
+            qi += 1
+            if dist[l] >= found:
+                continue
+            for r in adj[l]:
+                nxt = match_r.get(r)
+                if nxt is None:
+                    found = min(found, dist[l] + 1)
+                elif dist.get(nxt, INF) == INF:
+                    dist[nxt] = dist[l] + 1
+                    queue.append(nxt)
+        bfs.dist = dist
+        return found != INF
+
+    def dfs(l) -> bool:
+        for r in adj[l]:
+            nxt = match_r.get(r)
+            if nxt is None or (bfs.dist.get(nxt) == bfs.dist[l] + 1 and dfs(nxt)):
+                match_l[l] = r
+                match_r[r] = l
+                return True
+        bfs.dist[l] = float("inf")
+        return False
+
+    while bfs():
+        for l in lefts:
+            if l not in match_l:
+                dfs(l)
+    return match_l
+
+
+def lumped_pattern_entries(nds: NdsModel) -> dict:
+    """The network's parameter pattern entries, laid out from the port counts
+    alone: routing entries in the original port rows/columns, moved to
+    analysis port indices, then per-subsystem parameter patterns on the
+    auxiliary diagonal blocks."""
+    v_off, z_off = nds.offsets["v"], nds.offsets["z"]
+    entries: dict[tuple[int, int], str] = {}
+    # interconnection entries, mapped from original port indices to analysis ones
+    v_orig_to_aug = [v_off[i] + p for i, sub in enumerate(nds.subsystems)
+                     for p in range(sub.m_v0)]
+    z_orig_to_aug = [z_off[i] + p for i, sub in enumerate(nds.subsystems)
+                     for p in range(sub.m_z0)]
+    for (r, c), pid in nds.scm.entries.items():
+        entries[(v_orig_to_aug[r], z_orig_to_aug[c])] = pid
+    for i, sub in enumerate(nds.subsystems):
+        if not sub.has_free_params:
+            continue
+        r0 = v_off[i] + sub.m_v0
+        c0 = z_off[i] + sub.m_z0
+        for (r, c), pid in sub.param_block.entries.items():
+            entries[(r0 + r, c0 + c)] = pid
+    return entries
 
 
 # --- the lumped fixed-mode route ---------------------------------------------

@@ -8,11 +8,12 @@ import pytest
 from netctrl import exactla as ex
 from netctrl import ratfun, verify
 from netctrl.matroid import (GenericPattern, IndependenceOracle, NumericColumns,
-                             _hopcroft_karp, matroid_intersection_rank)
+                             _max_matching, matroid_intersection_rank)
 from netctrl.model import (ModelError, NdsModel, StructuredPattern, assemble_lumped,
                            check_well_posedness)
 
-from oracles import ExactColumns, exhaustive_union_rank, eye, matroid_union_rank
+from oracles import (ExactColumns, _hopcroft_karp, exhaustive_union_rank, eye,
+                     matroid_union_rank)
 from randgen import random_nds, random_subsystem
 
 
@@ -236,6 +237,18 @@ def test_generic_swaps_match_per_set_matching():
     with pytest.raises(ValueError):
         GenericPattern(_pattern(1, 3, [(0, 0), (0, 1)])).swaps({0, 1}, [(None, 2)])
 
+
+def test_max_matching_is_maximum():
+    rng = random.Random(47)
+    for _ in range(300):
+        lefts, rights = rng.randint(0, 8), rng.randint(0, 8)
+        density = rng.choice((0.0, 0.2, 0.4, 0.7))
+        adj = {l: tuple(r for r in range(rights) if rng.random() < density)
+               for l in rng.sample(range(12), lefts)}
+        matching = _max_matching(adj)
+        assert all(r in adj[l] for l, r in matching.items())
+        assert len(set(matching.values())) == len(matching)
+        assert len(matching) == len(_hopcroft_karp(adj))
 
 def test_numeric_swaps_match_float_rank():
     rng = random.Random(43)
