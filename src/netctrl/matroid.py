@@ -158,9 +158,8 @@ class GenericPattern(IndependenceOracle):
 
 def _max_matching(adj: dict) -> dict:
     """Maximum matching (left -> right) of a bipartite graph given as left ->
-    rights: one augmenting-path search per left vertex, in sorted order. A
-    search recurses once per matched vertex on its path, so at most once per
-    matched left vertex."""
+    rights: one augmenting-path search per left vertex, in sorted order. The
+    recursion depth is at most the size of the matching."""
     match_l: dict = {}
     match_r: dict = {}
 

@@ -27,7 +27,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from netctrl.cli import DEFAULT_OPTIONS, main, serialize_document
+from netctrl import cli
 from netctrl.model import NdsModel
 
 from randgen import random_fixed_subsystems, random_nds
@@ -45,11 +45,12 @@ CHECK_RUNS = [["check"], ["check", "--seed", "5"], ["realize"],
 
 def design_document(seed: int, max_sub: int) -> dict:
     nds = NdsModel.unrouted(random_fixed_subsystems(seed, max_sub))
-    return serialize_document(nds, dict(DEFAULT_OPTIONS))
+    return cli.serialize_document(nds, dict(cli.DEFAULT_OPTIONS))
 
 
 def check_document(seed: int, max_sub: int) -> dict:
-    return serialize_document(random_nds(seed, max_sub, lft_prob=0.5), dict(DEFAULT_OPTIONS))
+    nds = random_nds(seed, max_sub, lft_prob=0.5)
+    return cli.serialize_document(nds, dict(cli.DEFAULT_OPTIONS))
 
 
 def run_command(argv: list[str], document: dict) -> tuple[int, str, str]:
@@ -59,7 +60,7 @@ def run_command(argv: list[str], document: dict) -> tuple[int, str, str]:
         path.write_text(json.dumps(document), encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv[:1] + [str(path)] + argv[1:])
+            code = cli.main(argv[:1] + [str(path)] + argv[1:])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -89,7 +90,7 @@ def write_cases(path: Path, cases: list[dict]) -> None:
     path.write_text('{"cases": [\n' + lines + "\n]}\n", encoding="utf-8")
 
 
-def main_record() -> int:
+def main() -> int:
     write_cases(DATA / "design_reports.json",
                 record(DESIGN_SEEDS, design_document, DESIGN_RUNS))
     write_cases(DATA / "check_reports.json",
@@ -98,4 +99,4 @@ def main_record() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main_record())
+    sys.exit(main())

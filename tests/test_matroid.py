@@ -250,6 +250,7 @@ def test_max_matching_is_maximum():
         assert len(set(matching.values())) == len(matching)
         assert len(matching) == len(_hopcroft_karp(adj))
 
+
 def test_numeric_swaps_match_float_rank():
     rng = random.Random(43)
     nrng = np.random.default_rng(43)
