@@ -17,8 +17,8 @@ from .structgraph import (SccDecomposition, StructureGraph, build_acg, build_nac
                           build_subsystem_acg, find_input_unreachable_lambda_cycle,
                           find_input_unreachable_lambda_edge, scc_decompose, to_dot,
                           unreachable_source_sccs_with_lambda_edge, vertex_name)
-from .verify import (FeasibilityReport, IllPosedError, ModeCheck, RealizationResult,
-                     Verdict, check_feasibility, check_fum_networked,
+from .verify import (FeasibilityReport, ModeCheck, RealizationResult, Verdict,
+                     check_feasibility, check_fum_networked,
                      check_structural_controllability, randomized_realization_check,
                      realize_numeric, uncontrollable_modes)
 

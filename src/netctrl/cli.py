@@ -12,6 +12,7 @@ negative one, 2 for usage or model errors and for an unwritable --out file.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -331,7 +332,7 @@ def _design(model: NdsModel, settings: dict) -> tuple[dict, bool]:
     try:
         result = design_mod.design_topology(
             model.subsystems, mode_filter=settings["modes"], rank_tol=settings["rank_tol"],
-            eig_tol=settings["eig_tol"], seed=settings["seed"])
+            eig_tol=settings["eig_tol"])
     except design_mod.InfeasibleDesignError as e:
         return {"infeasible": True, "reason": str(e),
                 "feasibility": e.report.to_dict() if e.report else None}, False
@@ -374,11 +375,11 @@ class Command:
 
 COMMANDS = {
     "check": Command(
-        "structural controllability verdict", ("seed", "rank_tol", "eig_tol"),
+        "structural controllability verdict", ("rank_tol", "eig_tol"),
         lambda model, s: _reported(verify.check_structural_controllability(model, **s),
                                    "structurally_controllable")),
     "design": Command("two-stage minimal-link design",
-                      ("modes", "seed", "rank_tol", "eig_tol"), _design),
+                      ("modes", "rank_tol", "eig_tol"), _design),
     "realize": Command(
         "randomized realization witness", ("seed", "trials"),
         lambda model, s: _reported(verify.randomized_realization_check(model, **s),
@@ -396,15 +397,16 @@ COMMANDS = {
 }
 
 
-def build_parser(names: tuple[str, ...] = tuple(COMMANDS)) -> argparse.ArgumentParser:
-    """The netctrl parser with the subcommands `names` (default: every command)."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The netctrl parser, built once per process. argparse reads the
+    terminal width (COLUMNS) each time it formats usage or help."""
     p = argparse.ArgumentParser(
         prog="netctrl",
         description="Structural controllability analysis and interconnection design "
                     "for networked LTI systems")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in names:
-        command = COMMANDS[name]
+    for name, command in COMMANDS.items():
         sp = sub.add_parser(name, help=command.help)
         sp.add_argument("file", help="system document (JSON)")
         for dest in command.flags:
@@ -416,22 +418,8 @@ def build_parser(names: tuple[str, ...] = tuple(COMMANDS)) -> argparse.ArgumentP
     return p
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse a command line with only the named subcommand's parser.
-
-    A subcommand's own errors and help come from its own parser either way.
-    The full parser parses only a line that names no command or leaves
-    arguments unrecognized, so the usage it writes lists every command.
-    """
-    if argv and argv[0] in COMMANDS:
-        args, unrecognized = build_parser((argv[0],)).parse_known_args(argv)
-        if not unrecognized:
-            return args
-    return build_parser().parse_args(argv)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parse_args(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     command = COMMANDS[args.command]
     try:
         model, options, warnings, digest = load_document(args.file)
@@ -449,7 +437,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                   wall)
         else:
             _write_output(payload, args.out)
-    except (DocumentError, ModelError, OutputError, verify.IllPosedError) as e:
+    except (DocumentError, ModelError, OutputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0 if ok else 1

@@ -281,8 +281,8 @@ def _pattern_grid(p: StructuredPattern) -> list[str]:
 
 
 def design_topology(subsystems: list[SubsystemModel], mode_filter: str = "all",
-                    rank_tol: float = ratfun.RANK_TOL, eig_tol: float = ratfun.EIG_TOL,
-                    seed: int = 0) -> DesignResult:
+                    rank_tol: float = ratfun.RANK_TOL,
+                    eig_tol: float = ratfun.EIG_TOL) -> DesignResult:
     """Two-stage minimal-link design; re-verified end to end.
 
     mode_filter "unstable" restricts the rank targets to eigenvalues with
@@ -311,9 +311,7 @@ def design_topology(subsystems: list[SubsystemModel], mode_filter: str = "all",
                      | {d["position"] for d in stage2_links})
     phi = StructuredPattern.from_positions(M_v, M_z, all_pos, "phi")
     nds_final = NdsModel(subsystems, phi)
-    verdict = verify.check_structural_controllability(nds_final, seed=seed,
-                                                      rank_tol=rank_tol,
-                                                      eig_tol=eig_tol)
+    verdict = verify.check_structural_controllability(nds_final, rank_tol, eig_tol)
     if mode_filter == "all":
         verified = verdict.structurally_controllable
     else:

@@ -456,14 +456,16 @@ class WellPosednessVerdict:
 
 
 def check_well_posedness(nds: NdsModel, trials: int = 3, seed: int = 0) -> WellPosednessVerdict:
-    """Probabilistic well-posedness test.
+    """Probabilistic well-posedness test, kept as an instance filter for
+    generators; no verdict calls it.
 
-    Substitutes an integer in [1, bound] for every free parameter and checks
-    that the global loop determinant and each local one are nonzero; one
-    successful draw certifies the generic property. The bound exceeds twice
-    a crude total-degree bound, so a false negative on every trial is
-    overwhelmingly unlikely. Each loop I - h p is built as integer rows by
-    `OpenLoop.loop_rows`, the builder `OpenLoop.close` solves.
+    Every network `NdsModel` accepts is generically well-posed: each loop
+    determinant is 1 at zero parameters. This test substitutes an integer in
+    [1, bound] for every free parameter and checks that the global loop
+    determinant and each local one are nonzero; one successful draw is a
+    witness, and a draw that hits a root on every trial is a false negative.
+    Each loop I - h p is built as integer rows by `OpenLoop.loop_rows`, the
+    builder `OpenLoop.close` solves.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

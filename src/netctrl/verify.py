@@ -1,6 +1,9 @@
 """Top-level verdicts: moving/fixed uncontrollable modes, structural
 controllability, design feasibility, and the randomized realization check.
 
+Every network `NdsModel` accepts is generically well-posed, so no verdict
+runs a well-posedness test (`check_structural_controllability` says why).
+
 `check_structural_controllability` settles the fixed-mode question by the
 paper's networked per-mode test. The lumped matroid-union test on the
 diagonalized plant is kept as a test-suite reference (tests/oracles.py)
@@ -23,12 +26,8 @@ import numpy as np
 from . import exactla as ex
 from . import ratfun, structgraph
 from .matroid import GenericPattern, NumericColumns, matroid_intersection_rank
-from .model import (LumpedPlant, NdsModel, StructuredPattern, SubsystemModel,
-                    assemble_lumped, check_well_posedness)
-
-
-class IllPosedError(RuntimeError):
-    """The model failed its well-posedness check."""
+from .model import LumpedPlant, NdsModel, StructuredPattern, SubsystemModel, assemble_lumped
+from .model import check_well_posedness  # noqa: F401 -- perfbench/spans.py patches it here
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,6 @@ class Verdict:
     per_mode: list                       # every ModeCheck
     rank_tol: float
     eig_tol: float
-    seed: int
 
     def to_dict(self) -> dict:
         return {
@@ -131,7 +129,6 @@ class Verdict:
                 {"lambda": _fmt_c(mc.lam), "target": mc.target, "achieved": mc.achieved}
                 for mc in self.per_mode],
             "tolerances": {"rank": self.rank_tol, "eig": self.eig_tol},
-            "seed": self.seed,
         }
 
 
@@ -142,18 +139,16 @@ def _fmt_c(lam: complex) -> str:
     return repr(lam)
 
 
-def check_structural_controllability(nds: NdsModel, seed: int = 0,
-                                     rank_tol: float = ratfun.RANK_TOL,
+def check_structural_controllability(nds: NdsModel, rank_tol: float = ratfun.RANK_TOL,
                                      eig_tol: float = ratfun.EIG_TOL) -> Verdict:
     """Full verdict: input-unreachable lambda cycle plus per-mode ranks.
 
     A moving uncontrollable mode exists exactly when some input-unreachable
     strongly connected component holds an internal frequency-dependent edge;
-    the cycle through it is the witness.
+    the cycle through it is the witness. The network needs no well-posedness
+    test: at P = 0 and free parameter blocks 0 every loop matrix is I, whose
+    determinant is 1, so each loop determinant is a nonzero polynomial.
     """
-    wp = check_well_posedness(nds, seed=seed)
-    if not wp.well_posed:
-        raise IllPosedError(f"model is ill-posed: {wp.detail}")
     nacg = structgraph.build_nacg(nds, ratfun.nds_tfms(nds))
     cycle = structgraph.find_input_unreachable_lambda_cycle(nacg)
     spec = ratfun.spectrum(nds, eig_tol)
@@ -161,8 +156,7 @@ def check_structural_controllability(nds: NdsModel, seed: int = 0,
     checks = check_fum_networked(nds, modes, rank_tol)
     fums = fums_of(checks)
     return Verdict(structurally_controllable=cycle is None and not fums, pdum=cycle,
-                   fums=fums, per_mode=checks, rank_tol=rank_tol, eig_tol=eig_tol,
-                   seed=seed)
+                   fums=fums, per_mode=checks, rank_tol=rank_tol, eig_tol=eig_tol)
 
 
 @dataclass(frozen=True)

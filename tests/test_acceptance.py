@@ -198,7 +198,7 @@ def test_criterion_5c_union_randomized_equals_exhaustive():
 def test_criterion_6_realization_agreement(instances):
     agree_true = agree_false = 0
     for i, nds in enumerate(instances):
-        verdict = check_structural_controllability(nds, seed=20_000 + i)
+        verdict = check_structural_controllability(nds)
         found = randomized_realization_check(nds, seed=30_000 + i, trials=10)
         if verdict.structurally_controllable:
             assert found.controllable_witness, f"instance {i}: no witness"

@@ -208,7 +208,7 @@ def test_cmd_check_malformed_exits_2(sec7_doc, tmp_path, capsys):
 def test_reports_byte_identical(sec7_doc, tmp_path):
     # two calls in one process: nothing the first computes may change the second
     path = _write(tmp_path, sec7_doc)
-    for argv, code in ((["check", "--seed", "5"], 1), (["design", "--modes", "all"], 0),
+    for argv, code in ((["check"], 1), (["design", "--modes", "all"], 0),
                        (["feasible"], 0), (["realize", "--seed", "3"], 1)):
         out1, out2 = tmp_path / f"{argv[0]}1.json", tmp_path / f"{argv[0]}2.json"
         assert main([argv[0], path, *argv[1:], "--out", str(out1)]) == code
@@ -310,7 +310,7 @@ def test_missing_file_errors(tmp_path, capsys):
     ["graph", "--seed", "1"], ["graph", "--tol", "1e-9"], ["graph", "--format", "text"],
     ["feasible", "--seed", "1"], ["realize", "--tol", "1e-9"],
     ["realize", "--eig-tol", "1e-6"], ["check", "--jobs", "2"],
-    ["realize", "--method", "pbh"],
+    ["realize", "--method", "pbh"], ["check", "--seed", "1"], ["design", "--seed", "1"],
 ])
 def test_unread_flags_are_usage_errors(sec7_doc, tmp_path, capsys, argv):
     path = _write(tmp_path, sec7_doc)
@@ -333,8 +333,8 @@ def test_bad_flag_values_are_usage_errors(sec7_doc, tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("command, flags", [
-    ("check", "[--seed SEED] [--tol TOL] [--eig-tol EIG_TOL] [--format {json,text}]"),
-    ("design", "[--modes {all,unstable}] [--seed SEED] [--tol TOL] [--eig-tol EIG_TOL] "
+    ("check", "[--tol TOL] [--eig-tol EIG_TOL] [--format {json,text}]"),
+    ("design", "[--modes {all,unstable}] [--tol TOL] [--eig-tol EIG_TOL] "
                "[--format {json,text}]"),
     ("realize", "[--seed SEED] [--trials TRIALS] [--format {json,text}]"),
     ("feasible", "[--modes {all,unstable}] [--tol TOL] [--eig-tol EIG_TOL] "
@@ -351,11 +351,15 @@ def test_usage_line_per_command(capsys, command, flags):
 
 
 def test_realize_echoes_only_used_settings(sec7_doc, tmp_path):
+    # every reporting command echoes exactly the settings it reads
     path = _write(tmp_path, sec7_doc)
     out = tmp_path / "r.json"
-    main(["realize", path, "--trials", "1", "--out", str(out)])
-    args = json.loads(out.read_text())["arguments"]
-    assert sorted(args) == ["seed", "trials"]
+    for command, used in (("check", ["eig_tol", "rank_tol"]),
+                          ("design", ["eig_tol", "modes", "rank_tol"]),
+                          ("feasible", ["eig_tol", "modes", "rank_tol"]),
+                          ("realize", ["seed", "trials"])):
+        main([command, path, "--out", str(out)])
+        assert sorted(json.loads(out.read_text())["arguments"]) == used, command
 
 
 @pytest.mark.parametrize("command", ["design", "feasible", "realize", "graph"])
@@ -406,6 +410,8 @@ def test_usage_and_help_match_full_parser(capsys, monkeypatch, argv, columns):
 
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_well_formed_call_builds_one_subparser(monkeypatch, tmp_path, command):
+    # the parser is built once per process: the first call builds every
+    # subparser once, a later call builds none
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -414,8 +420,13 @@ def test_well_formed_call_builds_one_subparser(monkeypatch, tmp_path, command):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    assert main([command, sec7_path(), "--out", str(tmp_path / "out")]) in (0, 1)
-    assert built == [command]
+    build_parser.cache_clear()
+    argv = [command, sec7_path(), "--out", str(tmp_path / "out")]
+    assert main(argv) in (0, 1)
+    assert built == list(COMMANDS)
+    built.clear()
+    assert main(argv) in (0, 1)
+    assert built == []
 
 
 @pytest.mark.parametrize("args", [["check", sec7_path()], []], ids=["check", "no-args"])

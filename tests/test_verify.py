@@ -124,7 +124,7 @@ def test_structural_controllability_sec7(sec7, sec7_designed3, sec7_designed2):
     assert [complex(mc.lam) for mc in two.fums] == [-1 + 0j]
     # the verdict dictionary serializes the witnesses
     d = bad.to_dict()
-    assert sorted(d) == ["fixed_uncontrollable_modes", "pdum_witness", "per_mode", "seed",
+    assert sorted(d) == ["fixed_uncontrollable_modes", "pdum_witness", "per_mode",
                          "structurally_controllable", "tolerances"]
     assert d["pdum_witness"] == ["v12", "z11", "v32", "z32", "v21", "z21"]
     assert d["structurally_controllable"] is False
