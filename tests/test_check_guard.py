@@ -3,11 +3,11 @@
 `data/check_reports.json` holds twelve seeded random networks
 (`randgen.random_nds` at max_sub 3, 8 and 16, four seeds each,
 `lft_prob=0.5`, so most carry free parameter blocks) and, for each, the
-exit code and output that `check`, `check --seed 5`, `realize`,
-`realize --seed 3 --trials 2` and `graph` gave when the file was recorded
-(`tests/record_reports.py` rebuilds it). A realize report's
-`witness_values`, `trials_used` and `redraws` follow the order in which the
-network's parameter pattern draws its entries, so they pin that order.
+exit code and output that `check`, `realize`, `realize --seed 3 --trials 2`
+and `graph` gave when the file was recorded (`tests/record_reports.py`
+rebuilds it). A realize report's `witness_values`, `trials_used` and
+`redraws` follow the order in which the network's parameter pattern draws
+its entries, so they pin that order.
 Reports compare as in `test_report_guard.py`; DOT text compares exactly.
 """
 
