@@ -1,11 +1,13 @@
-"""Exact linear algebra over rationals.
+"""Exact linear algebra over rationals, and mod a prime.
 
 Matrices are plain lists of rows holding `fractions.Fraction` entries; all
-routines in this module are exact. Floats enter the picture only through
-`to_float`, which is the hand-off point to numpy for eigenvalue and
-singular-value work, and `float_rank`/`singular_value_rank` hold the one
-numeric-rank rule applied to what numpy returns; `float_rank` is the one
-call that asks numpy for singular values alone.
+routines in this module are exact. The modular kernels (`mod_rows`,
+`mod_matmul`, `krylov_spans_mod`) take residues mod `PRIME` in numpy int64
+arrays; a rank they find full is full over the rationals too. Floats enter
+the picture only through `to_float`, which is the hand-off point to numpy
+for eigenvalue and singular-value work, and `float_rank`/`singular_value_rank`
+hold the one numeric-rank rule applied to what numpy returns; `float_rank`
+is the one call that asks numpy for singular values alone.
 
 No polynomial arithmetic is needed: `ratfun` classifies each transfer entry
 of C (lambda*I - A)^-1 B + D by which entries of the Markov parameters
@@ -343,3 +345,76 @@ def exact_solve(a: Mat, b: Mat) -> Mat:
         return zeros(0, cb)
     y, d = int_solve(int_rows([ra + rb for ra, rb in zip(a, b)])[0], n)
     return [[Fraction(v, d) if v else ZERO for v in row] for row in y]
+
+
+# The prime of every modular rank: the largest below 2**26, so a product of
+# two residues fits in 52 bits and an int64 sum of fewer than 2048 of them
+# is exact.
+PRIME = 67108859
+_MOD_CHUNK = 2047
+
+
+def mod_rows(rows: list[list[int]], dens: list[int], p: int = PRIME):
+    """Integer rows over per-row denominators (row i / dens[i]) as an int64
+    array of residues mod p, or None when p divides a denominator."""
+    out = np.zeros((len(rows), len(rows[0]) if rows else 0), np.int64)
+    for i, (row, den) in enumerate(zip(rows, dens)):
+        if any(row):
+            d = den % p
+            if not d:
+                return None
+            out[i] = [x % p for x in row]
+            if d != 1:
+                out[i] = out[i] * pow(d, -1, p) % p
+    return out
+
+
+def mod_matmul(a: np.ndarray, b: np.ndarray, p: int = PRIME) -> np.ndarray:
+    """a @ b mod p for int64 residues in [0, p), p < 2**26. The inner
+    dimension is summed in chunks of _MOD_CHUNK terms, reduced after each,
+    so no int64 sum overflows at any size."""
+    k = a.shape[1]
+    out = a[:, :_MOD_CHUNK] @ b[:_MOD_CHUNK] % p
+    for s in range(_MOD_CHUNK, k, _MOD_CHUNK):
+        out = (out + a[:, s:s + _MOD_CHUNK] @ b[s:s + _MOD_CHUNK]) % p
+    return out
+
+
+def krylov_spans_mod(a: np.ndarray, b: np.ndarray, p: int = PRIME) -> bool:
+    """Whether b, a b, a^2 b, ... span F_p^n: the Kalman rank test
+    rank [b  a b ... a^(n-1) b] = n over F_p, for int64 residues a (n x n)
+    and b (n x m). A rank n mod p is a rank n over the rationals whose
+    residues these are.
+
+    The span is built as a reduced row-echelon basis of row vectors (the
+    transposed columns): b's columns first, then each round the rows the
+    last round added, times a. Each basis row's pivot column is zero in
+    every other basis row, so one `mod_matmul` reduces a round's candidates
+    against the basis. A round that adds no row leaves an a-invariant span:
+    the Krylov space.
+    """
+    n = a.shape[0]
+    at = np.ascontiguousarray(a.T)
+    basis = np.zeros((n, n), np.int64)
+    pivots: list[int] = []
+    cand = np.ascontiguousarray(b.T)
+    while cand.shape[0] and len(pivots) < n:
+        r0 = len(pivots)
+        if r0:
+            cand = (cand - mod_matmul(cand[:, pivots], basis[:r0], p)) % p
+        for i in range(cand.shape[0]):
+            row = cand[i]
+            nz = np.flatnonzero(row)
+            if not nz.size:
+                continue
+            j = int(nz[0])
+            row = row * pow(int(row[j]), -1, p) % p
+            r = len(pivots)
+            basis[:r] = (basis[:r] - np.outer(basis[:r, j], row)) % p
+            cand[i + 1:] = (cand[i + 1:] - np.outer(cand[i + 1:, j], row)) % p
+            basis[r] = row
+            pivots.append(j)
+            if r + 1 == n:
+                return True
+        cand = mod_matmul(basis[r0:len(pivots)], at, p)
+    return len(pivots) == n

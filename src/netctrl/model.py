@@ -260,7 +260,9 @@ def _times_block(nonzeros: list, block: tuple[list, int], width: int) -> list[in
 class OpenLoop:
     """m + e p (I - h p)^-1 f before a block p is chosen: the one exact loop
     closure. The rows of h, f and e are read once into integer nonzeros, so
-    closing the loop at another p rescans none of them.
+    closing the loop at another p rescans none of them. `close_rows` is its
+    integer core; `close` builds Fractions from it, and realization reduces
+    it mod a prime instead.
     """
 
     def __init__(self, m: Mat, e: Mat, h: Mat, f: Mat):
@@ -286,34 +288,47 @@ class OpenLoop:
             rows.append(row)
         return rows
 
-    def close(self, p: Mat) -> Mat:
-        """m + e p (I - h p)^-1 f, exactly.
+    def close_rows(self, p: Mat) -> tuple[list[list[int]], list[int]]:
+        """e p (I - h p)^-1 f in integers: (adds, dens), with row r of the
+        closed loop equal to m's row r plus adds[r] / dens[r].
 
         The loop [I - h p | f] is solved in integer rows (`exactla.int_solve`)
-        for Y = d (I - h p)^-1 f. Row r of e p, in integers by `_times_block`,
-        then adds (e p)_r Y / (s t d) to m's row r, one Fraction per output
-        entry it changes. Raises exactla.SingularMatrixError when I - h p is
-        singular (the loop is ill-posed).
+        for Y = d (I - h p)^-1 f; adds[r] is row r of e p, in integers by
+        `_times_block`, times Y, and dens[r] = s t d. Raises
+        exactla.SingularMatrixError when I - h p is singular (the loop is
+        ill-posed).
         """
+        width = len(self.m[0]) if self.m else 0
         if not (p and p[0]):
             # no loop ports; the zero-row factors would lose m's column count
-            return ex.copy(self.m)
+            return [[0] * width for _ in self.m], [1] * len(self.m)
         block = _integer_block(p)
         n = self.n
         y, d = ex.int_solve(self.loop_rows(block), n)
         y_nonzeros = [_nonzeros(row) for row in y]
         sd = block[1] * d
-        out = []
-        for m_row, ((e_nz,), t) in zip(self.m, self.out):
-            add = [0] * len(m_row)
+        adds, dens = [], []
+        for (e_nz,), t in self.out:
+            add = [0] * width
             for j, x in enumerate(_times_block(e_nz, block, n)):
                 if x:
                     for k, v in y_nonzeros[j]:
                         add[k] += x * v
-            den = sd * t
-            out.append([Fraction(x.numerator * den + v * x.denominator, x.denominator * den)
-                        if v else x for x, v in zip(m_row, add)])
-        return out
+            adds.append(add)
+            dens.append(sd * t)
+        return adds, dens
+
+    def close(self, p: Mat) -> Mat:
+        """m + e p (I - h p)^-1 f, exactly: `close_rows`, with one Fraction
+        per output entry it changes."""
+        if not (p and p[0]):
+            # no loop ports: m itself, without a pass over zero adds (every
+            # subsystem without a parameter block closes an empty loop)
+            return ex.copy(self.m)
+        adds, dens = self.close_rows(p)
+        return [[Fraction(x.numerator * den + v * x.denominator, x.denominator * den)
+                 if v else x for x, v in zip(m_row, add)]
+                for m_row, add, den in zip(self.m, adds, dens)]
 
 
 def analysis_form(sub: SubsystemModel) -> AugmentedSubsystem:

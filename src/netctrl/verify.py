@@ -289,10 +289,16 @@ def randomized_realization_check(nds: NdsModel, seed: int = 0,
     """One-sided randomized controllability certificate.
 
     Each trial substitutes parameter values drawn from an integer set whose
-    size bounds the failure probability by 1/2 per draw, realizes the closed
-    loop exactly, and tests controllability numerically. A found witness
-    proves structural controllability; absence of one proves nothing and is
-    reported as such.
+    size bounds the failure probability by 1/2 per draw (`value_set_size`),
+    closes the loop exactly in integers (`OpenLoop.close_rows`, redrawing a
+    singular loop) and takes the Kalman rank of the closed loop mod the
+    prime `exactla.PRIME` (`exactla.krylov_spans_mod`). A rank n mod p is a
+    rank n over the rationals, so a witness proves structural
+    controllability; a trial where p divides a denominator gives none. When
+    no trial gives a witness, which proves nothing and is reported as such,
+    the last draw is closed in Fractions (`realize_numeric`) and the float
+    PBH test (`uncontrollable_modes`) runs once, only to fill
+    `last_uncontrollable_modes`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -315,21 +321,26 @@ def randomized_realization_check(nds: NdsModel, seed: int = 0,
     vsize = max(vsize, 2)
     # With nothing free to draw, every trial would realize the same system.
     trials = trials if k else 1
+    p = ex.PRIME
+    loop = plant.loop
+    m_mod = ex.mod_rows(*ex.int_rows(loop.m), p)
     redraws = 0
-    last_modes: list = []
     for t in range(1, trials + 1):
         for _ in range(50):
             values = plant.P_pattern.draw(rng, vsize)
             try:
-                a_m, b_m = realize_numeric(plant, values)
+                adds, dens = loop.close_rows(plant.P_pattern.substitute(values))
                 break
             except ex.SingularMatrixError:
                 redraws += 1
         else:
             raise RuntimeError("could not draw a well-posed realization")
-        a = ex.to_float(a_m)
-        b = ex.to_float(b_m).reshape(nds.M_x, nds.M_u)
-        last_modes = uncontrollable_modes(a, b)
-        if not last_modes:
-            return RealizationResult(True, t, redraws, seed, vsize, values, [])
+        add_mod = ex.mod_rows(adds, dens, p) if m_mod is not None else None
+        if add_mod is not None:
+            ab = (m_mod + add_mod) % p
+            if ex.krylov_spans_mod(ab[:, :nds.M_x], ab[:, nds.M_x:], p):
+                return RealizationResult(True, t, redraws, seed, vsize, values, [])
+    a_m, b_m = realize_numeric(plant, values)
+    last_modes = uncontrollable_modes(ex.to_float(a_m),
+                                      ex.to_float(b_m).reshape(nds.M_x, nds.M_u))
     return RealizationResult(False, trials, redraws, seed, vsize, None, last_modes)

@@ -1,0 +1,124 @@
+"""Compare one command's output between two source trees on the benchmark documents.
+
+    python3 tests/corpus_diff.py OLD_TREE NEW_TREE --workload realize --seeds 1 2 3
+
+Builds every distinct document that the benchmark's workload selects at the
+given seeds (`perfbench/workloads.select`), plus sec7, and writes them to a
+temporary directory. Each tree then runs the workload's command on every
+document in its own subprocess, with only that tree's `src` on the import
+path. The script lists each call whose exit code, standard output or
+standard error differs between the trees, and exits 1 if any does. It reads
+`perfbench/` and writes nothing there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def build_documents(workload: str, seeds: list[int],
+                    outdir: Path) -> tuple[list, list[str], dict]:
+    """Write each distinct document once; returns (document paths, command
+    arguments, and the golden verdict of each document that has one)."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+    sys.dont_write_bytecode = True  # leave no cache files in perfbench/
+    import workloads
+
+    golden = workloads.load_golden()
+    command, _, _, with_sec7 = workloads.WORKLOADS[workload]
+    entries = {(e["family"], e["rung"], e["seed"]): e
+               for seed in seeds for e in workloads.select(workload, seed, golden)}
+    docs = [(f"{family}-{rung}-seed{seed}", workloads.build_document(family, rung, seed))
+            for family, rung, seed in sorted(entries)]
+    verdicts = {f"{family}-{rung}-seed{seed}": e["controllable"]
+                for (family, rung, seed), e in entries.items() if "controllable" in e}
+    if with_sec7:
+        docs.append(("sec7", workloads.sec7_document()))
+    paths = []
+    for label, doc in docs:
+        path = outdir / f"{label}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths.append(str(path))
+    return paths, command, verdicts
+
+
+def run_worker(command: list[str], paths: list[str]) -> None:
+    """In the tree under test: run the command on each document, print the results."""
+    from netctrl.cli import main
+
+    results = []
+    for path in paths:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(command[:1] + [path] + command[1:])
+            except SystemExit as e:
+                code = e.code if isinstance(e.code, int) else 2
+        results.append([code, out.getvalue(), err.getvalue()])
+    json.dump(results, sys.stdout)
+
+
+def run_tree(tree: Path, command: list[str], paths: list[str]) -> list:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, __file__, "--worker"], input=json.dumps([command, paths]),
+        env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def _summary(stdout: str) -> str:
+    try:
+        result = json.loads(stdout)["result"]
+    except (ValueError, KeyError, TypeError):
+        return stdout[:80]
+    return ", ".join(f"{k}={json.dumps(result[k])}" for k in
+                     ("controllable_witness", "trials_used", "structurally_controllable",
+                      "verified") if k in result)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument("old", nargs="?", type=Path)
+    p.add_argument("new", nargs="?", type=Path)
+    p.add_argument("--workload", default="realize")
+    p.add_argument("--seeds", type=int, nargs="+", default=[1])
+    args = p.parse_args(argv)
+    if args.worker:
+        run_worker(*json.load(sys.stdin))
+        return 0
+    if args.old is None or args.new is None:
+        p.error("OLD_TREE and NEW_TREE are required")
+    with tempfile.TemporaryDirectory() as tmp:
+        paths, command, verdicts = build_documents(args.workload, args.seeds, Path(tmp))
+        old = run_tree(args.old.resolve(), command, paths)
+        new = run_tree(args.new.resolve(), command, paths)
+    differ = 0
+    for path, a, b in zip(paths, old, new):
+        fields = [name for name, x, y in zip(("exit", "stdout", "stderr"), a, b) if x != y]
+        if fields:
+            differ += 1
+            label = Path(path).stem
+            print(f"{label}: {'/'.join(fields)} differ; "
+                  f"old exit {a[0]} ({_summary(a[1])}), new exit {b[0]} ({_summary(b[1])}); "
+                  f"golden controllable {verdicts.get(label, 'unknown')}")
+    print(f"# {' '.join(command)} over {len(paths)} documents "
+          f"(workload {args.workload}, seeds {' '.join(map(str, args.seeds))}, sec7 "
+          f"{'in' if paths and Path(paths[-1]).stem == 'sec7' else 'out'}): "
+          f"{differ} calls differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -195,6 +195,14 @@ def test_criterion_5c_union_randomized_equals_exhaustive():
              f"{N_INSTANCES} grounds of size <= 12")
 
 
+# Larger rungs for criterion 6, in the shape of the benchmark's
+# heterogeneous pool (`perfbench/workloads.hetero_nds`): (max_sub, seed).
+# Seeds 60, 61 and 188 at max_sub 8 and 52 at max_sub 16 are controllable
+# networks on which float PBH trials found no witness.
+REALIZATION_LADDER = ([(8, seed) for seed in (*range(8), 60, 61, 188)]
+                      + [(16, seed) for seed in (*range(4), 52)])
+
+
 def test_criterion_6_realization_agreement(instances):
     agree_true = agree_false = 0
     for i, nds in enumerate(instances):
@@ -207,8 +215,18 @@ def test_criterion_6_realization_agreement(instances):
             assert not found.controllable_witness, f"instance {i}: spurious witness"
             agree_false += 1
     assert agree_true and agree_false  # both sides of the dichotomy exercised
+    ladder = {True: 0, False: 0}
+    for max_sub, seed in REALIZATION_LADDER:
+        nds = random_nds(seed, max_sub, max_state=4, max_port=3, scm_density=0.35)
+        verdict = check_structural_controllability(nds).structurally_controllable
+        found = randomized_realization_check(nds, seed=0, trials=10)
+        assert found.controllable_witness == verdict, f"max_sub {max_sub} seed {seed}"
+        ladder[verdict] += 1
+    assert ladder[True] and ladder[False]
     _pass(6, f"realization check agrees with the structural verdict on "
-             f"{agree_true} controllable and {agree_false} uncontrollable instances")
+             f"{agree_true} controllable and {agree_false} uncontrollable instances, "
+             f"and on {ladder[True]} controllable and {ladder[False]} uncontrollable "
+             f"max_sub 8 and 16 networks (10 trials)")
 
 
 def test_criterion_7_submodularity_and_greedy_bound(instances):

@@ -372,3 +372,103 @@ def test_to_float_values_and_shape():
     assert ex.to_float([]).shape == (0, 0)
     assert ex.to_float(ex.zeros(3, 0)).shape == (3, 0)
     assert ex.to_float(ex.zeros(0, 3)).shape == (0, 0)
+
+
+def _kalman_rank(a, b):
+    """Exact rank of [b  a b ... a^(n-1) b], by the dense reference loops."""
+    n = len(a)
+    blocks, power = [], b
+    for _ in range(n):
+        blocks.append(power)
+        power = _dense_mmul(a, power)
+    return _dense_rank_det(ex.hstack(blocks))[0] if n and b and b[0] else 0
+
+
+def _residues(m, p=ex.PRIME):
+    return np.array([[int(x) % p for x in row] for row in m], np.int64).reshape(ex.shape(m))
+
+
+def _unimodular(rng, n):
+    """An integer matrix with an integer inverse: unit lower times unit upper."""
+    lower = [[Fraction(rng.randint(-2, 2)) if j < i else Fraction(int(i == j))
+              for j in range(n)] for i in range(n)]
+    upper = [[Fraction(rng.randint(-2, 2)) if j > i else Fraction(int(i == j))
+              for j in range(n)] for i in range(n)]
+    t = _dense_mmul(lower, upper)
+    return t, _dense_solve(t, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+
+
+def _planted(rng, n, m):
+    """(a, b) with a planted a-invariant subspace of dimension k < n holding
+    b's columns, in integer coordinates: t [[a11 a12] [0 a22]] t^-1, t [b1; 0]."""
+    k = rng.randint(0, n - 1)
+    a = _random_int_matrix(rng, n, n, span=3)
+    b = _random_int_matrix(rng, n, m, span=3)
+    for i in range(k, n):
+        a[i][:k] = [Fraction(0)] * k
+        b[i] = [Fraction(0)] * m
+    t, t_inv = _unimodular(rng, n)
+    return _dense_mmul(_dense_mmul(t, a), t_inv), _dense_mmul(t, b)
+
+
+def test_krylov_rank_mod_p_matches_exact_kalman_rank():
+    rng = random.Random(20)
+    seen = {True: 0, False: 0}
+    for trial in range(150):
+        n = rng.randint(1, 7)
+        m = rng.randint(1, 3)
+        if trial % 3 == 2:
+            a, b = _planted(rng, n, m)
+        else:
+            a = _random_sparse(rng, n, n, rng.choice(DENSITIES))
+            a = [[Fraction(x.numerator) for x in row] for row in a]
+            b = _random_int_matrix(rng, n, m, span=2)
+        want = _kalman_rank(a, b) == n
+        assert ex.krylov_spans_mod(_residues(a), _residues(b)) == want, f"trial {trial}"
+        seen[want] += 1
+    assert min(seen.values()) >= 40
+
+
+def test_krylov_rank_mod_p_zero_dimensions():
+    empty = np.zeros((0, 0), np.int64)
+    # n = 0: the zero space is spanned, with or without inputs
+    assert ex.krylov_spans_mod(empty, np.zeros((0, 2), np.int64))
+    assert ex.krylov_spans_mod(empty, np.zeros((0, 0), np.int64))
+    # m = 0: no input spans nothing, as the exact rank of an empty Kalman matrix says
+    rng = random.Random(21)
+    for n in range(1, 5):
+        a = _random_int_matrix(rng, n, n)
+        assert _kalman_rank(a, ex.zeros(n, 0)) == 0
+        assert not ex.krylov_spans_mod(_residues(a), np.zeros((n, 0), np.int64))
+
+
+def test_krylov_rank_mod_p_is_one_sided():
+    # b = [7] is controllable over the rationals, but vanishes mod 7
+    a, b = np.array([[3]], np.int64), np.array([[7]], np.int64)
+    assert ex.krylov_spans_mod(a, b % 7, 7) is False
+    assert ex.krylov_spans_mod(a, b % 11, 11) is True
+
+
+def test_mod_matmul_chunks_a_long_inner_dimension():
+    p = ex.PRIME
+    rng = np.random.default_rng(22)
+    for inner in (0, 1, 2047, 2048, 5000):
+        a = rng.integers(0, p, (3, inner), dtype=np.int64)
+        b = rng.integers(0, p, (inner, 4), dtype=np.int64)
+        want = [[sum(int(x) * int(y) for x, y in zip(a[i], b[:, j])) % p for j in range(4)]
+                for i in range(3)]
+        assert ex.mod_matmul(a, b).tolist() == want, inner
+    # the largest residues: one unchunked int64 sum of 5000 such products overflows
+    top = np.full((2, 5000), p - 1, np.int64)
+    assert ex.mod_matmul(top, top.T).tolist() == [[5000 * (p - 1) ** 2 % p] * 2] * 2
+
+
+def test_mod_rows_reduces_rows_over_denominators():
+    p = 13
+    got = ex.mod_rows([[3, -1, 0], [0, 0, 0], [26, 5, 1]], [2, 13, 4], p)
+    # 3/2, -1/2; a zero row needs no inverse; 26/4, 5/4, 1/4
+    inv2, inv4 = pow(2, -1, p), pow(4, -1, p)
+    assert got.tolist() == [[3 * inv2 % p, -inv2 % p, 0], [0, 0, 0],
+                            [0, 5 * inv4 % p, inv4]]
+    assert ex.mod_rows([[1, 2]], [26], p) is None
+    assert ex.mod_rows([], [], p).shape == (0, 0)

@@ -301,6 +301,56 @@ def test_realization_sec7(sec7, sec7_designed3, sec7_designed2):
     assert all(abs(l - (-1)) < 1e-6 for l in res_2.last_uncontrollable_modes)
 
 
+# Documents of the benchmark's heterogeneous pool (rung, generator seed)
+# that are structurally controllable but on which five float PBH trials at
+# realize's default seed found no witness.
+FLOAT_PBH_MISSES = [(8, 60), (8, 61), (8, 188), (16, 52)]
+
+
+def _hetero(seed, max_sub):
+    # the arguments of the benchmark's `hetero_nds`
+    return random_nds(seed, max_sub, max_state=4, max_port=3, scm_density=0.35)
+
+
+@pytest.mark.parametrize("max_sub,seed", FLOAT_PBH_MISSES)
+def test_realization_witness_where_the_float_pbh_missed(max_sub, seed):
+    nds = _hetero(seed, max_sub)
+    assert check_structural_controllability(nds).structurally_controllable
+    res = randomized_realization_check(nds, seed=0, trials=5)
+    assert res.controllable_witness and res.trials_used == 1
+
+
+def _smallest_prime_factor(x):
+    x = abs(x)
+    return next((q for q in range(2, 10_000) if x % q == 0), None)
+
+
+@pytest.mark.parametrize("max_sub,seed", FLOAT_PBH_MISSES)
+def test_realization_denominator_divisible_by_the_prime(monkeypatch, max_sub, seed):
+    nds = _hetero(seed, max_sub)
+    closed = []
+    close_rows = OpenLoop.close_rows
+
+    def recording(self, p):
+        closed.append(close_rows(self, p))
+        return closed[-1]
+
+    monkeypatch.setattr(OpenLoop, "close_rows", recording)
+    randomized_realization_check(nds, seed=0, trials=1)
+    adds, dens = closed[0]
+    q = _smallest_prime_factor(next(d for a, d in zip(adds, dens) if any(a)))
+    assert q is not None
+    # with the prime q the first draw's closed loop has no residues, though
+    # the plant itself has
+    monkeypatch.setattr(ex, "PRIME", q)
+    assert ex.mod_rows(adds, dens, q) is None
+    assert ex.mod_rows(*ex.int_rows(assemble_lumped(nds).loop.m), q) is not None
+    closed.clear()
+    res = randomized_realization_check(nds, seed=0, trials=1)
+    assert closed[0] == (adds, dens)
+    assert not res.controllable_witness and res.trials_used == 1
+
+
 def test_realization_without_parameters_immediate():
     sub = SubsystemModel(
         A_xx0=ex.mat([[0, 1], [0, 0]]), A_xv0=ex.zeros(2, 0),
