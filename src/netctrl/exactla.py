@@ -1,15 +1,20 @@
 """Exact linear algebra over rationals, and mod a prime.
 
 Matrices are plain lists of rows holding `fractions.Fraction` entries; all
-routines in this module are exact. The modular kernels (`mod_rows`,
-`mod_matmul`, `krylov_spans_mod`) take residues mod `PRIME` in numpy int64
-arrays; a rank they find full is full over the rationals too. Floats enter
-the picture only through `to_float`, which is the hand-off point to numpy
-for eigenvalue and singular-value work, and `float_rank`/`singular_value_rank`
-hold the one numeric-rank rule applied to what numpy returns; `float_rank`
-is the one call that asks numpy for singular values alone.
+routines in this module are exact. The modular kernels take residues mod a
+prime (`PRIME` unless given) in numpy int64 arrays: `mod_rows`,
+`mod_matmul`, `solve_mod` (Gauss-Jordan), `krylov_spans_mod` (the Krylov
+span's echelon basis; a rank it finds full is full over the rationals too)
+and `uncontrollable_charpoly_mod` (the characteristic polynomial on the
+quotient by that span, through `charpoly_mod`). `prev_prime`,
+`rational_reconstruction` and `rational_roots` lift such polynomials to
+the rationals and take their rational roots. Floats enter the picture only
+through `to_float`, which is the hand-off point to numpy for eigenvalue and
+singular-value work, and `float_rank`/`singular_value_rank` hold the one
+numeric-rank rule applied to what numpy returns; `float_rank` is the one
+call that asks numpy for singular values alone.
 
-No polynomial arithmetic is needed: `ratfun` classifies each transfer entry
+`ratfun` needs no polynomial arithmetic: it classifies each transfer entry
 of C (lambda*I - A)^-1 B + D by which entries of the Markov parameters
 C A^k B, k < n (Cayley-Hamilton), are zero. Positive scales on the rows of
 C, the columns of B and all of A move no zero, so it takes them as `mmul`
@@ -39,8 +44,9 @@ number, so every result equals the dense loop's.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
-from typing import Sequence
+from functools import cache
+from math import gcd, isqrt, lcm, prod
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -380,18 +386,50 @@ def mod_matmul(a: np.ndarray, b: np.ndarray, p: int = PRIME) -> np.ndarray:
     return out
 
 
-def krylov_spans_mod(a: np.ndarray, b: np.ndarray, p: int = PRIME) -> bool:
-    """Whether b, a b, a^2 b, ... span F_p^n: the Kalman rank test
-    rank [b  a b ... a^(n-1) b] = n over F_p, for int64 residues a (n x n)
-    and b (n x m). A rank n mod p is a rank n over the rationals whose
-    residues these are.
+def _eliminate_mod(m: np.ndarray, row: np.ndarray, j: int, p: int) -> None:
+    """Subtract from each row of m its entry in column j times row, mod p,
+    in place; only the rows with a nonzero entry there are touched."""
+    rows = m[:, j].nonzero()[0]
+    if rows.size:
+        m[rows] = (m[rows] - m[rows, j, None] * row) % p
 
-    The span is built as a reduced row-echelon basis of row vectors (the
-    transposed columns): b's columns first, then each round the rows the
-    last round added, times a. Each basis row's pivot column is zero in
-    every other basis row, so one `mod_matmul` reduces a round's candidates
-    against the basis. A round that adds no row leaves an a-invariant span:
-    the Krylov space.
+
+def solve_mod(a: np.ndarray, b: np.ndarray, p: int = PRIME) -> Optional[np.ndarray]:
+    """X with a X = b mod p, for int64 residues a (n x n) and b (n x k), by
+    Gauss-Jordan elimination of [a | b]; None when a is singular mod p.
+    A column that already holds only its unit pivot costs no update."""
+    n = a.shape[0]
+    aug = np.concatenate([a, b], axis=1)
+    for j in range(n):
+        i = j + int(np.argmax(aug[j:, j] != 0))
+        if not aug[i, j]:
+            return None
+        if i != j:
+            aug[[i, j]] = aug[[j, i]]
+        row = aug[j]
+        if row[j] != 1:
+            row[:] = row * pow(int(row[j]), -1, p) % p
+        pivot = row.copy()
+        row[:] = 0  # the pivot row sits out its own elimination
+        _eliminate_mod(aug, pivot, j, p)
+        aug[j] = pivot
+    return aug[:, n:]
+
+
+def krylov_spans_mod(a: np.ndarray, b: np.ndarray,
+                     p: int = PRIME) -> tuple[np.ndarray, list[int]]:
+    """The Krylov span of b under a mod p, for int64 residues a (n x n) and
+    b (n x m): (basis, pivots), a reduced row-echelon basis of the span as
+    row vectors (the transposed columns) and each basis row's pivot column.
+    Its rank, len(pivots), is that of the Kalman matrix [b  a b ... a^(n-1) b]
+    over F_p; a rank n mod p is a rank n over the rationals whose residues
+    these are.
+
+    b's columns come first, then each round the rows the last round added,
+    times a. Each basis row's pivot column is zero in every other basis
+    row, so one `mod_matmul` reduces a round's candidates against the
+    basis. A round that adds no row leaves an a-invariant span: the Krylov
+    space. The build stops as soon as the span is all of F_p^n.
     """
     n = a.shape[0]
     at = np.ascontiguousarray(a.T)
@@ -404,17 +442,175 @@ def krylov_spans_mod(a: np.ndarray, b: np.ndarray, p: int = PRIME) -> bool:
             cand = (cand - mod_matmul(cand[:, pivots], basis[:r0], p)) % p
         for i in range(cand.shape[0]):
             row = cand[i]
-            nz = np.flatnonzero(row)
-            if not nz.size:
+            j = int(np.argmax(row != 0))
+            if not row[j]:
                 continue
-            j = int(nz[0])
             row = row * pow(int(row[j]), -1, p) % p
             r = len(pivots)
-            basis[:r] = (basis[:r] - np.outer(basis[:r, j], row)) % p
-            cand[i + 1:] = (cand[i + 1:] - np.outer(cand[i + 1:, j], row)) % p
+            _eliminate_mod(basis[:r], row, j, p)
+            _eliminate_mod(cand[i + 1:], row, j, p)
             basis[r] = row
             pivots.append(j)
             if r + 1 == n:
-                return True
+                return basis, pivots
         cand = mod_matmul(basis[r0:len(pivots)], at, p)
-    return len(pivots) == n
+    return basis[:len(pivots)], pivots
+
+
+def charpoly_mod(a: np.ndarray, p: int = PRIME) -> list[int]:
+    """Characteristic polynomial det(x I - a) mod p of int64 residues a
+    (k x k), as k + 1 coefficients from the constant term up (monic).
+
+    a is reduced to upper Hessenberg form H by similarity (each step clears
+    one column below the subdiagonal and adds the multiples back to the
+    pivot column), and the polynomial follows from the recurrence on the
+    leading principal minors of H (Cohen, A Course in Computational
+    Algebraic Number Theory, Algorithm 2.2.9).
+    """
+    k = a.shape[0]
+    h = a.copy()
+    for j in range(k - 2):
+        m = j + 1
+        i = m + int(np.argmax(h[m:, j] != 0))
+        if not h[i, j]:
+            continue
+        if i != m:
+            h[[i, m]] = h[[m, i]]
+            h[:, [i, m]] = h[:, [m, i]]
+        u = h[m + 1:, j] * pow(int(h[m, j]), -1, p) % p
+        if not u.any():
+            continue
+        h[m + 1:] = (h[m + 1:] - u[:, None] * h[m]) % p
+        h[:, m] = (h[:, m] + mod_matmul(h[:, m + 1:], u[:, None], p)[:, 0]) % p
+    polys = [np.zeros(k + 1, np.int64)]
+    polys[0][0] = 1
+    for m in range(1, k + 1):
+        prev = polys[m - 1]
+        cur = np.zeros(k + 1, np.int64)
+        cur[1:] = prev[:-1]
+        cur = (cur - int(h[m - 1, m - 1]) * prev) % p
+        t = 1
+        for i in range(1, m):
+            t = t * int(h[m - i, m - i - 1]) % p
+            if not t:
+                break
+            f = t * int(h[m - i - 1, m - 1]) % p
+            if f:
+                cur = (cur - f * polys[m - i - 1]) % p
+        polys.append(cur)
+    return [int(x) for x in polys[k]]
+
+
+def uncontrollable_charpoly_mod(a: np.ndarray, b: np.ndarray,
+                                p: int = PRIME) -> tuple[int, list[int]]:
+    """(rank, coefficients): the Kalman rank of (a, b) mod p, and the
+    characteristic polynomial mod p of a on the quotient F_p^n / K by the
+    Krylov span K (`krylov_spans_mod`), from the constant term up (monic).
+
+    Its roots are the uncontrollable modes of (a, b). The quotient's basis
+    is the unit vectors off the pivot columns N: a column a e_j, j in N,
+    reduced against the echelon basis keeps a[N, j] - basis[:, N]^T a[P, j]
+    on N, P being the pivot columns.
+    """
+    basis, pivots = krylov_spans_mod(a, b, p)
+    rest = sorted(set(range(a.shape[0])) - set(pivots))
+    quotient = (a[np.ix_(rest, rest)]
+                - mod_matmul(basis[:, rest].T, a[np.ix_(pivots, rest)], p)) % p
+    return len(pivots), charpoly_mod(quotient, p)
+
+
+@cache
+def prev_prime(q: int) -> int:
+    """The largest prime below q > 2, by trial division (remembered: the
+    lift asks for the same few primes below `PRIME` on every call)."""
+    if q <= 2:
+        raise ValueError("no prime below 2")
+    q -= 1
+    while any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+        q -= 1
+    return q
+
+
+def rational_reconstruction(u: int, modulus: int) -> Optional[Fraction]:
+    """The fraction a / b with a = b u mod modulus and |a|, b <= sqrt(modulus / 2),
+    or None when there is none (Wang, Guy and Davenport 1982): the extended
+    Euclidean remainder sequence of (modulus, u), stopped at the first
+    remainder within the bound. Such a fraction is unique when it exists.
+    """
+    bound = isqrt(modulus // 2)
+    r0, r1 = modulus, u % modulus
+    t0, t1 = 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _divisors(x: int, limit: int = 1 << 16) -> Optional[list[int]]:
+    """The positive divisors of x != 0, or None when trial division below
+    limit leaves a cofactor that may be composite."""
+    divisors, x, q = [1], abs(x), 2
+    while q * q <= x:
+        if q >= limit:
+            return None
+        e = 0
+        while x % q == 0:
+            x, e = x // q, e + 1
+        divisors = [d * q ** i for d in divisors for i in range(e + 1)]
+        q += 1
+    return divisors + [d * x for d in divisors] if x > 1 else divisors
+
+
+def _divide_root(c: list, r: Fraction) -> Optional[list]:
+    """Synthetic division of the polynomial c (constant term first) by
+    x - r: the quotient when r is a root, else None."""
+    acc = 0
+    quotient = []
+    for x in reversed(c[1:]):
+        acc = acc * r + x
+        quotient.append(acc)
+    if acc * r + c[0]:
+        return None
+    return quotient[::-1]
+
+
+# Rational-root candidates tested at most; past it the rest goes to numpy.
+_MAX_CANDIDATES = 1 << 14
+
+
+def rational_roots(c: list) -> tuple[list[Fraction], list]:
+    """(roots, rest): the rational roots of the rational polynomial c
+    (constant term first), each as often as its multiplicity, in the order
+    found, and the factor of c they leave.
+
+    Zero roots come off first. The other candidates are +-a/b with a a
+    divisor of the constant term and b of the leading coefficient of c's
+    primitive integer multiple (the rational-root test); each is divided
+    out by repeated synthetic division, and a linear factor gives its root
+    directly. The test is skipped, and the factor left whole, when a
+    coefficient does not factor by trial division below 2**16 or the
+    candidates number more than _MAX_CANDIDATES.
+    """
+    roots: list[Fraction] = []
+    c = list(c)
+    while len(c) > 1 and not c[0]:
+        roots.append(ZERO)
+        c = c[1:]
+    if len(c) > 2:
+        scale = lcm(*[Fraction(x).denominator for x in c])
+        g = gcd(*[int(x * scale) for x in c])
+        ends = _divisors(int(c[0] * scale) // g), _divisors(int(c[-1] * scale) // g)
+        if None not in ends and 2 * len(ends[0]) * len(ends[1]) <= _MAX_CANDIDATES:
+            for b in ends[1]:
+                for a in ends[0]:
+                    for r in (Fraction(a, b), Fraction(-a, b)):
+                        while len(c) > 2 and (q := _divide_root(c, r)) is not None:
+                            roots.append(r)
+                            c = q
+    if len(c) == 2:
+        roots.append(Fraction(-c[0], c[1]))
+        c = c[1:]
+    return roots, c

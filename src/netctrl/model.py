@@ -28,6 +28,8 @@ from itertools import accumulate
 from math import lcm
 from typing import Optional
 
+import numpy as np
+
 from . import exactla as ex
 from .exactla import Mat
 
@@ -60,9 +62,9 @@ class StructuredPattern:
     def positions(self) -> list[tuple[int, int]]:
         return sorted(self.entries)
 
-    def draw(self, rng: random.Random, bound: int) -> dict[str, Fraction]:
+    def draw(self, rng: random.Random, bound: int) -> dict[str, int]:
         """An integer value in [1, bound] for each free entry, drawn in entry order."""
-        return {pid: Fraction(rng.randint(1, bound)) for pid in self.entries.values()}
+        return {pid: rng.randint(1, bound) for pid in self.entries.values()}
 
     def substitute(self, values: dict[str, Fraction]) -> Mat:
         """Numeric realization: free entries replaced by the given values."""
@@ -261,18 +263,21 @@ class OpenLoop:
     """m + e p (I - h p)^-1 f before a block p is chosen: the one exact loop
     closure. The rows of h, f and e are read once into integer nonzeros, so
     closing the loop at another p rescans none of them. `close_rows` is its
-    integer core; `close` builds Fractions from it, and realization reduces
-    it mod a prime instead.
+    integer core and `close` builds Fractions from it. Realization closes it
+    mod a prime instead (`close_mod`), from the residues of the same rows,
+    and runs `close_rows` only where the modular closure gives up.
     """
 
     def __init__(self, m: Mat, e: Mat, h: Mat, f: Mat):
         self.m = m
         self.n = len(h)
+        self.p_rows = len(h[0]) if h else len(e[0]) if e else 0
         self.f_cols = len(f[0]) if f else 0
         # row r of [h | f], and row r of e, each scaled by its own t
         self.loop = [_scaled_nonzeros(h_row, f[r] if f else [])
                      for r, h_row in enumerate(h)]
         self.out = [_scaled_nonzeros(e_row) for e_row in e]
+        self._residues: dict[int, Optional[tuple]] = {}
 
     def loop_rows(self, block: tuple[list, int]) -> list[list[int]]:
         """[I - h p | f] as integer rows: row r scaled by s t, with p = P / s
@@ -317,6 +322,64 @@ class OpenLoop:
             adds.append(add)
             dens.append(sd * t)
         return adds, dens
+
+    def residues(self, prime: int) -> Optional[tuple]:
+        """(m, h, f, e) mod prime as int64 arrays, read from m and from the
+        scaled nonzeros of the loop's rows, once per prime; None when the
+        prime divides the denominator of a nonzero row."""
+        if prime not in self._residues:
+            self._residues[prime] = self._reduce(prime)
+        return self._residues[prime]
+
+    def _reduce(self, prime: int) -> Optional[tuple]:
+        m = np.zeros((len(self.m), len(self.m[0]) if self.m else self.f_cols), np.int64)
+        for r, row in enumerate(self.m):
+            for k, x in enumerate(row):
+                if x:
+                    if not x.denominator % prime:
+                        return None
+                    m[r, k] = x.numerator * pow(x.denominator, -1, prime) % prime
+        hf = np.zeros((self.n, self.p_rows + self.f_cols), np.int64)
+        e = np.zeros((len(self.out), self.p_rows), np.int64)
+        for rows, out, offsets in ((self.loop, hf, (0, self.p_rows)), (self.out, e, (0,))):
+            for r, (parts, t) in enumerate(rows):
+                if not any(parts):
+                    continue
+                if not t % prime:
+                    return None
+                inv = pow(t, -1, prime)
+                for nonzeros, offset in zip(parts, offsets):
+                    for k, x in nonzeros:
+                        out[r, offset + k] = x * inv % prime
+        return m, hf[:, :self.p_rows], hf[:, self.p_rows:], e
+
+    def close_mod(self, p: dict[tuple[int, int], int], prime: int) -> Optional[np.ndarray]:
+        """m + e p (I - h p)^-1 f mod prime, for a block p of integers given
+        by its nonzero entries {(row, col): value}, as an int64 array.
+
+        [I - h p | f] is built mod prime from the residues of the loop's
+        rows (`residues`) and solved by `exactla.solve_mod`. Returns None
+        when I - h p is singular mod prime, or when the prime divides a
+        row's denominator; then only the exact `close_rows` can tell an
+        ill-posed loop from an unlucky prime. A nonzero determinant mod
+        prime is a nonzero determinant over the rationals, so a result
+        proves the loop well-posed.
+        """
+        res = self.residues(prime)
+        if res is None:
+            return None
+        m, h, f, e = res
+        if not p:
+            return m.copy()
+        block = np.zeros((self.p_rows, self.n), np.int64)
+        for (r, c), x in p.items():
+            block[r, c] = x % prime
+        lhs = -ex.mod_matmul(h, block, prime) % prime
+        lhs[np.diag_indices(self.n)] += 1
+        y = ex.solve_mod(lhs % prime, f, prime)
+        if y is None:
+            return None
+        return (m + ex.mod_matmul(ex.mod_matmul(e, block, prime), y, prime)) % prime
 
     def close(self, p: Mat) -> Mat:
         """m + e p (I - h p)^-1 f, exactly: `close_rows`, with one Fraction

@@ -284,21 +284,86 @@ class RealizationResult:
         }
 
 
+def uncontrollable_polynomial(plant: LumpedPlant, values: dict) -> list[Fraction]:
+    """The uncontrollable polynomial of the plant's closed loop at one draw:
+    the characteristic polynomial of A on the quotient of the state space by
+    the Krylov span of B, from the constant term up (monic). Its roots are
+    the loop's uncontrollable modes, with their multiplicities; it is 1 when
+    the loop is controllable.
+
+    The loop is closed mod `exactla.PRIME` and then mod each next prime
+    below it (`OpenLoop.close_mod`), and the polynomial is taken mod each
+    (`exactla.uncontrollable_charpoly_mod`). A prime the closure skips, or
+    whose Krylov rank is below the highest seen, is unlucky and skipped; a
+    higher rank starts the lift afresh, and a rank n proves the polynomial
+    1. Each coefficient is lifted by the Chinese remainder theorem and
+    rational reconstruction (`exactla.rational_reconstruction`) until one
+    more prime leaves every coefficient unchanged. Raises
+    exactla.SingularMatrixError when the draw makes the loop ill-posed.
+    """
+    loop = plant.loop
+    n = len(plant.A_xx)
+    block = {pos: values[pid] for pos, pid in plant.P_pattern.entries.items()}
+    best, modulus, residues, lifted = -1, 1, [], None
+    prime, well_posed = ex.PRIME, False
+    while True:
+        ab = loop.close_mod(block, prime)
+        if ab is None and not well_posed:
+            # an unlucky prime, or an ill-posed loop: only the exact solve can tell
+            loop.close_rows(plant.P_pattern.substitute(values))
+            well_posed = True
+        if ab is not None:
+            rank, coeffs = ex.uncontrollable_charpoly_mod(ab[:, :n], ab[:, n:], prime)
+            if rank == n:
+                return [ex.ONE]
+            if rank > best:
+                best, modulus, residues, lifted = rank, 1, [0] * (n - rank), None
+            if rank == best:
+                step = pow(modulus, -1, prime)
+                residues = [u + modulus * ((c - u) * step % prime)
+                            for u, c in zip(residues, coeffs)]
+                modulus *= prime
+                now = [ex.rational_reconstruction(u, modulus) for u in residues]
+                if now == lifted and None not in now:
+                    return now + [ex.ONE]
+                lifted = now
+        prime = ex.prev_prime(prime)
+
+
+def polynomial_modes(c: list) -> list[complex]:
+    """The roots of a rational polynomial c (constant term first), each as
+    often as its multiplicity, in `ratfun._cluster_key` order: the rational
+    ones exact (`exactla.rational_roots`), the others from `numpy.roots` on
+    the factor the rational ones leave."""
+    roots, rest = ex.rational_roots(c)
+    found = [complex(r.numerator / r.denominator) for r in roots]
+    if len(rest) > 1:
+        found += [complex(x) for x in np.roots([float(x) for x in reversed(rest)])]
+    return sorted(found, key=ratfun._cluster_key)
+
+
 def randomized_realization_check(nds: NdsModel, seed: int = 0,
                                  trials: int = 5) -> RealizationResult:
     """One-sided randomized controllability certificate.
 
     Each trial substitutes parameter values drawn from an integer set whose
     size bounds the failure probability by 1/2 per draw (`value_set_size`),
-    closes the loop exactly in integers (`OpenLoop.close_rows`, redrawing a
-    singular loop) and takes the Kalman rank of the closed loop mod the
-    prime `exactla.PRIME` (`exactla.krylov_spans_mod`). A rank n mod p is a
-    rank n over the rationals, so a witness proves structural
-    controllability; a trial where p divides a denominator gives none. When
-    no trial gives a witness, which proves nothing and is reported as such,
-    the last draw is closed in Fractions (`realize_numeric`) and the float
-    PBH test (`uncontrollable_modes`) runs once, only to fill
-    `last_uncontrollable_modes`.
+    closes the loop mod the prime `exactla.PRIME` (`OpenLoop.close_mod`) and
+    takes the Kalman rank of the closed loop there
+    (`exactla.krylov_spans_mod`). A rank n mod p is a rank n over the
+    rationals, so a witness proves structural controllability. Only when the
+    modular closure gives up (the loop is singular mod p, or p divides a
+    row's denominator) does the exact integer closure `OpenLoop.close_rows`
+    run: it redraws a loop that is singular over the rationals, and
+    otherwise decides the trial exactly as before, a trial where p divides
+    a denominator giving no witness. So the draws, redraws and witnesses
+    are those of the exact closure at every trial.
+
+    When no trial gives a witness, which proves nothing and is reported as
+    such, `last_uncontrollable_modes` lists the roots of the last draw's
+    uncontrollable polynomial, lifted exactly from a few primes
+    (`uncontrollable_polynomial`, `polynomial_modes`): each as often as its
+    multiplicity, rational roots exact, in `ratfun._cluster_key` order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -323,11 +388,16 @@ def randomized_realization_check(nds: NdsModel, seed: int = 0,
     trials = trials if k else 1
     p = ex.PRIME
     loop = plant.loop
-    m_mod = ex.mod_rows(*ex.int_rows(loop.m), p)
     redraws = 0
     for t in range(1, trials + 1):
         for _ in range(50):
             values = plant.P_pattern.draw(rng, vsize)
+            ab = loop.close_mod({pos: values[pid] for pos, pid
+                                 in plant.P_pattern.entries.items()}, p)
+            if ab is not None:
+                break
+            # singular mod p, or p divides a row's denominator: the exact
+            # solve tells an ill-posed loop (redraw) from an unlucky prime
             try:
                 adds, dens = loop.close_rows(plant.P_pattern.substitute(values))
                 break
@@ -335,12 +405,13 @@ def randomized_realization_check(nds: NdsModel, seed: int = 0,
                 redraws += 1
         else:
             raise RuntimeError("could not draw a well-posed realization")
-        add_mod = ex.mod_rows(adds, dens, p) if m_mod is not None else None
-        if add_mod is not None:
-            ab = (m_mod + add_mod) % p
-            if ex.krylov_spans_mod(ab[:, :nds.M_x], ab[:, nds.M_x:], p):
-                return RealizationResult(True, t, redraws, seed, vsize, values, [])
-    a_m, b_m = realize_numeric(plant, values)
-    last_modes = uncontrollable_modes(ex.to_float(a_m),
-                                      ex.to_float(b_m).reshape(nds.M_x, nds.M_u))
+        if ab is None:
+            m_mod = ex.mod_rows(*ex.int_rows(loop.m), p)
+            add_mod = ex.mod_rows(adds, dens, p) if m_mod is not None else None
+            if add_mod is not None:
+                ab = (m_mod + add_mod) % p
+        if ab is not None and len(ex.krylov_spans_mod(ab[:, :nds.M_x], ab[:, nds.M_x:],
+                                                      p)[1]) == nds.M_x:
+            return RealizationResult(True, t, redraws, seed, vsize, values, [])
+    last_modes = polynomial_modes(uncontrollable_polynomial(plant, values))
     return RealizationResult(False, trials, redraws, seed, vsize, None, last_modes)

@@ -9,6 +9,11 @@ document in its own subprocess, with only that tree's `src` on the import
 path. The script lists each call whose exit code, standard output or
 standard error differs between the trees, and exits 1 if any does. It reads
 `perfbench/` and writes nothing there.
+
+    python3 tests/corpus_diff.py OLD NEW --ignore-key last_uncontrollable_modes
+
+compares each report with those keys removed from its `result` block, and
+counts apart the calls that differ only in them.
 """
 
 from __future__ import annotations
@@ -87,6 +92,18 @@ def _summary(stdout: str) -> str:
                       "verified") if k in result)
 
 
+def _without(stdout: str, keys: list[str]):
+    """The parsed report with `keys` removed from its result block, or the
+    raw text when it is not a JSON report."""
+    try:
+        report = json.loads(stdout)
+        for key in keys:
+            report["result"].pop(key, None)
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return stdout
+    return report
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
@@ -94,6 +111,8 @@ def main(argv=None) -> int:
     p.add_argument("new", nargs="?", type=Path)
     p.add_argument("--workload", default="realize")
     p.add_argument("--seeds", type=int, nargs="+", default=[1])
+    p.add_argument("--ignore-key", action="append", default=[], metavar="KEY",
+                   help="compare reports without this result key (repeatable)")
     args = p.parse_args(argv)
     if args.worker:
         run_worker(*json.load(sys.stdin))
@@ -104,19 +123,25 @@ def main(argv=None) -> int:
         paths, command, verdicts = build_documents(args.workload, args.seeds, Path(tmp))
         old = run_tree(args.old.resolve(), command, paths)
         new = run_tree(args.new.resolve(), command, paths)
-    differ = 0
+    differ = only_ignored = 0
     for path, a, b in zip(paths, old, new):
         fields = [name for name, x, y in zip(("exit", "stdout", "stderr"), a, b) if x != y]
+        if (fields == ["stdout"] and args.ignore_key
+                and _without(a[1], args.ignore_key) == _without(b[1], args.ignore_key)):
+            only_ignored += 1
+            continue
         if fields:
             differ += 1
             label = Path(path).stem
             print(f"{label}: {'/'.join(fields)} differ; "
                   f"old exit {a[0]} ({_summary(a[1])}), new exit {b[0]} ({_summary(b[1])}); "
                   f"golden controllable {verdicts.get(label, 'unknown')}")
+    ignored = (f"; {only_ignored} more differ only in {', '.join(args.ignore_key)}"
+               if args.ignore_key else "")
     print(f"# {' '.join(command)} over {len(paths)} documents "
           f"(workload {args.workload}, seeds {' '.join(map(str, args.seeds))}, sec7 "
           f"{'in' if paths and Path(paths[-1]).stem == 'sec7' else 'out'}): "
-          f"{differ} calls differ")
+          f"{differ} calls differ{ignored}")
     return 1 if differ else 0
 
 

@@ -15,7 +15,10 @@ a question the library settles another way:
 * exhaustive searches: the union rank by its rank formula and the smallest
   covering row set by levelwise enumeration;
 * Hopcroft-Karp matching beside `matroid._max_matching`, and the layout of
-  the lumped parameter pattern beside `NdsModel.P_pattern`.
+  the lumped parameter pattern beside `NdsModel.P_pattern`;
+* the uncontrollable polynomial by a Fraction Kalman decomposition
+  (`kalman_uncontrollable_polynomial`), beside the polynomial `realize`
+  lifts from its Krylov quotients mod primes.
 
 Dense exact reference loops: they touch every entry, zeros included, and
 divide in `Fraction` at every step, so they share no code with the
@@ -104,6 +107,37 @@ def _dense_close_loop(m, e, h, f, p):
         return None
     add = _dense_mmul(_dense_mmul(e, p), _dense_solve(loop, f))
     return [[x + y for x, y in zip(rm, ra)] for rm, ra in zip(m, add)]
+
+
+def kalman_uncontrollable_polynomial(a: Mat, b: Mat) -> list[Fraction]:
+    """The uncontrollable polynomial of (a, b) by a Kalman decomposition in
+    Fractions: a basis V of the Krylov span from the columns of
+    [b a b ... a^(n-1) b], completed by unit vectors to an invertible T; the
+    polynomial is the characteristic polynomial of the trailing block of
+    T^-1 a T (Faddeev-LeVerrier), from the constant term up (monic)."""
+    n = len(a)
+    block, krylov = [list(row) for row in b], []
+    for _ in range(n):
+        krylov += [[row[j] for row in block] for j in range(len(block[0]) if block else 0)]
+        block = _dense_mmul(a, block)
+    units = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+    span: list = []
+    for vectors in (krylov, units):
+        r = len(span)
+        for v in vectors:
+            if _dense_rank_det(span + [v])[0] > len(span):
+                span.append(v)
+    t = [[span[j][i] for j in range(n)] for i in range(n)]
+    quotient = [row[r:] for row in _dense_solve(t, _dense_mmul(a, t))[r:]]
+    k = n - r
+    coeffs = [Fraction(0)] * k + [Fraction(1)]
+    acc = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(1, k + 1):
+        acc = _dense_mmul(quotient, acc)
+        for j in range(k):
+            acc[j][j] += coeffs[k - i + 1]
+        coeffs[k - i] = -sum(row[j] for j, row in enumerate(_dense_mmul(quotient, acc))) / i
+    return coeffs
 
 
 def _dense_entry_classes(c, a, b, d):

@@ -6,7 +6,8 @@ import pytest
 
 from netctrl import exactla as ex
 
-from oracles import _dense_mmul, _dense_rank_det, _dense_solve, transpose
+from oracles import (_dense_mmul, _dense_rank_det, _dense_solve, kalman_uncontrollable_polynomial,
+                     transpose)
 
 
 def _random_int_matrix(rng, rows, cols, span=5):
@@ -411,6 +412,13 @@ def _planted(rng, n, m):
     return _dense_mmul(_dense_mmul(t, a), t_inv), _dense_mmul(t, b)
 
 
+def _spans(a, b, p=ex.PRIME):
+    """Whether the Krylov span of b under a is all of F_p^n."""
+    basis, pivots = ex.krylov_spans_mod(a, b, p)
+    assert basis.shape == (len(pivots), a.shape[0])
+    return len(pivots) == a.shape[0]
+
+
 def test_krylov_rank_mod_p_matches_exact_kalman_rank():
     rng = random.Random(20)
     seen = {True: 0, False: 0}
@@ -424,7 +432,7 @@ def test_krylov_rank_mod_p_matches_exact_kalman_rank():
             a = [[Fraction(x.numerator) for x in row] for row in a]
             b = _random_int_matrix(rng, n, m, span=2)
         want = _kalman_rank(a, b) == n
-        assert ex.krylov_spans_mod(_residues(a), _residues(b)) == want, f"trial {trial}"
+        assert _spans(_residues(a), _residues(b)) == want, f"trial {trial}"
         seen[want] += 1
     assert min(seen.values()) >= 40
 
@@ -432,21 +440,21 @@ def test_krylov_rank_mod_p_matches_exact_kalman_rank():
 def test_krylov_rank_mod_p_zero_dimensions():
     empty = np.zeros((0, 0), np.int64)
     # n = 0: the zero space is spanned, with or without inputs
-    assert ex.krylov_spans_mod(empty, np.zeros((0, 2), np.int64))
-    assert ex.krylov_spans_mod(empty, np.zeros((0, 0), np.int64))
+    assert _spans(empty, np.zeros((0, 2), np.int64))
+    assert _spans(empty, np.zeros((0, 0), np.int64))
     # m = 0: no input spans nothing, as the exact rank of an empty Kalman matrix says
     rng = random.Random(21)
     for n in range(1, 5):
         a = _random_int_matrix(rng, n, n)
         assert _kalman_rank(a, ex.zeros(n, 0)) == 0
-        assert not ex.krylov_spans_mod(_residues(a), np.zeros((n, 0), np.int64))
+        assert not _spans(_residues(a), np.zeros((n, 0), np.int64))
 
 
 def test_krylov_rank_mod_p_is_one_sided():
     # b = [7] is controllable over the rationals, but vanishes mod 7
     a, b = np.array([[3]], np.int64), np.array([[7]], np.int64)
-    assert ex.krylov_spans_mod(a, b % 7, 7) is False
-    assert ex.krylov_spans_mod(a, b % 11, 11) is True
+    assert _spans(a, b % 7, 7) is False
+    assert _spans(a, b % 11, 11) is True
 
 
 def test_mod_matmul_chunks_a_long_inner_dimension():
@@ -472,3 +480,129 @@ def test_mod_rows_reduces_rows_over_denominators():
                             [0, 5 * inv4 % p, inv4]]
     assert ex.mod_rows([[1, 2]], [26], p) is None
     assert ex.mod_rows([], [], p).shape == (0, 0)
+
+
+def _mod_fraction(x, p):
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def test_solve_mod_matches_exact_solve():
+    rng = random.Random(23)
+    p = 10007
+    solved = singular = 0
+    for _ in range(200):
+        n, k = rng.randint(1, 6), rng.randint(0, 3)
+        a = _random_sparse(rng, n, n, rng.choice(DENSITIES + (0.8,)))
+        for i in range(n):  # mostly identity plus sparse terms, as a loop I - h p
+            a[i][i] += rng.choice([0, 1])
+        a = [[Fraction(x.numerator) for x in row] for row in a]
+        b = _random_int_matrix(rng, n, k)
+        rank, det = _dense_rank_det(a)
+        got = ex.solve_mod(_residues(a, p), _residues(b, p), p)
+        if det % p == 0:
+            singular += 1
+            assert got is None
+        else:
+            solved += 1
+            want = _dense_solve(a, b)
+            assert got.tolist() == [[_mod_fraction(x, p) for x in row] for row in want]
+    assert solved >= 60 and singular >= 40
+
+
+def test_uncontrollable_charpoly_mod_matches_kalman_decomposition():
+    rng = random.Random(24)
+    p = ex.PRIME
+    degrees = set()
+    for trial in range(120):
+        n, m = rng.randint(1, 6), rng.randint(0, 2)
+        if trial % 2:
+            a, b = _planted(rng, n, max(m, 1))
+        else:
+            a, b = _random_int_matrix(rng, n, n, span=2), _random_int_matrix(rng, n, m, span=1)
+        want = kalman_uncontrollable_polynomial(a, b)
+        b_res = _residues(b, p) if m or trial % 2 else np.zeros((n, 0), np.int64)
+        rank, coeffs = ex.uncontrollable_charpoly_mod(_residues(a, p), b_res, p)
+        assert rank == n + 1 - len(want)
+        assert coeffs == [_mod_fraction(x, p) for x in want], f"trial {trial}"
+        degrees.add(len(want) - 1)
+    assert {0, 1, 2, 3} <= degrees
+    # no input: the whole characteristic polynomial
+    a = [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(3)]]
+    assert ex.uncontrollable_charpoly_mod(_residues(a), np.zeros((2, 0), np.int64)) \
+        == (0, [6, ex.PRIME - 5, 1])
+    assert ex.charpoly_mod(np.zeros((0, 0), np.int64)) == [1]
+
+
+def test_krylov_basis_is_reduced_echelon():
+    rng = random.Random(25)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        a, b = _planted(rng, n, rng.randint(1, 2))
+        basis, pivots = ex.krylov_spans_mod(_residues(a), _residues(b))
+        assert len(pivots) == _kalman_rank(a, b)
+        assert basis[:, pivots].tolist() == np.eye(len(pivots), dtype=int).tolist()
+
+
+def test_rational_reconstruction_round_trip():
+    rng = random.Random(26)
+    modulus = ex.PRIME * ex.prev_prime(ex.PRIME)
+    bound = int((modulus // 2) ** 0.5)
+    for _ in range(300):
+        den = rng.randint(1, 10 ** rng.randint(0, 7))
+        x = Fraction(rng.randint(-10 ** rng.randint(0, 7), 10 ** 7), den)
+        got = ex.rational_reconstruction(_mod_fraction(x, modulus), modulus)
+        if abs(x.numerator) <= bound and x.denominator <= bound:
+            assert got == x
+    # one prime cannot hold 1/2003756; two can
+    assert ex.rational_reconstruction(_mod_fraction(Fraction(1, 2003756), ex.PRIME),
+                                      ex.PRIME) != Fraction(1, 2003756)
+    assert ex.rational_reconstruction(_mod_fraction(Fraction(1, 2003756), modulus),
+                                      modulus) == Fraction(1, 2003756)
+
+
+def test_prev_prime():
+    def is_prime(q):
+        return q > 1 and all(q % d for d in range(2, int(q ** 0.5) + 1))
+
+    last = 2
+    for q in range(3, 3000):
+        assert ex.prev_prime(q) == last
+        if is_prime(q):
+            last = q
+    assert ex.prev_prime(ex.PRIME) == 67108837 and is_prime(67108837)
+    assert ex.prev_prime(2 ** 26) == ex.PRIME
+    with pytest.raises(ValueError):
+        ex.prev_prime(2)
+
+
+def _expand(roots, rest):
+    """The polynomial rest times each (x - r), constant term first."""
+    c = list(rest)
+    for r in roots:
+        c = [Fraction(0)] + c
+        for i in range(len(c) - 1):
+            c[i] -= r * c[i + 1]
+    return c
+
+
+def test_rational_roots_with_multiplicity():
+    rng = random.Random(27)
+    irreducible = [[1, 0, 1], [2, 0, 1], [1, 1, 1], [-2, 0, 0, 1]]  # no rational root
+    for _ in range(150):
+        roots = [Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3, 7]))
+                 for _ in range(rng.randint(0, 4))]
+        roots += roots[:rng.randint(0, len(roots))]  # repeated roots
+        rest = [Fraction(x) for x in rng.choice(irreducible + [[1]])]
+        scale = Fraction(rng.choice([1, 3, -5]), rng.choice([1, 2, 9]))
+        c = [x * scale for x in _expand(roots, rest)]
+        got, left = ex.rational_roots(c)
+        assert sorted(got) == sorted(roots)
+        assert [x / left[-1] for x in left] == rest
+        assert _expand(got, left) == c
+    # sec7's draw: lambda (2003756 lambda + 1) / 2003756
+    assert ex.rational_roots([0, Fraction(1, 2003756), 1]) == (
+        [0, Fraction(-1, 2003756)], [1])
+    # a constant term with a cofactor trial division cannot settle keeps its factor
+    big = 2 ** 61 - 1  # prime, beyond the trial-division bound squared
+    c = _expand([Fraction(1, 2)], [big * big, 0, 1])
+    assert ex.rational_roots(c) == ([], c)

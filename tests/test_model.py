@@ -12,7 +12,8 @@ from netctrl.model import (ModelError, NdsModel, StructuredPattern, SubsystemMod
                            OpenLoop, analysis_form, assemble_lumped,
                            check_well_posedness)
 
-from oracles import (_dense_close_loop, _dense_mmul, _dense_solve, diagonalize_parameters,
+from oracles import (_dense_close_loop, _dense_mmul, _dense_rank_det, _dense_solve,
+                     diagonalize_parameters,
                      transpose)
 
 
@@ -224,6 +225,54 @@ def test_open_loop_closes_at_many_blocks(monkeypatch):
                 assert loop.close(p) == want
         monkeypatch.undo()
     assert closed >= 100 and singular >= 20
+
+
+def test_close_mod_matches_exact_closure():
+    # the modular closure at an integer block equals the exact closed loop's
+    # residues; it gives up (None) exactly when the prime divides the loop's
+    # determinant or the denominator of a nonzero row
+    rng = random.Random(6)
+    prime = 101
+    agree = singular = unlucky = 0
+    for _ in range(400):
+        rows, cols = rng.randint(0, 5), rng.randint(1, 5)
+        pr, pc = rng.randint(1, 4), rng.randint(1, 4)
+        density = rng.choice([0.3, 0.6, 1.0])
+        m, e = _rational(rng, rows, cols, density), _rational(rng, rows, pr, density)
+        h, f = _rational(rng, pc, pr, density), _rational(rng, pc, cols, density)
+        block = {(r, c): rng.randint(1, 3 * prime) for r in range(pr) for c in range(pc)
+                 if rng.random() < 0.5}
+        kind = rng.random()
+        if kind < 0.1:  # a denominator the prime divides
+            h[0][0] = Fraction(1, prime)
+        elif kind < 0.25:  # row 0 of I - h p made zero: h_0 p = e_0
+            k, x = rng.randrange(pr), rng.randint(1, 5)
+            block = {(r, c): v for (r, c), v in block.items() if c and r != k}
+            block[(k, 0)] = x
+            h[0] = [Fraction(0)] * pr
+            h[0][k] = Fraction(1, x)
+        p = ex.zeros(pr, pc)
+        for (r, c), x in block.items():
+            p[r][c] = Fraction(x)
+        got = OpenLoop(m, e, h, f).close_mod(block, prime)
+        want = _dense_close_loop(m, e, h, f, p)
+        if want is None:
+            singular += 1
+            assert got is None
+        elif got is None:
+            unlucky += 1
+            hp = _dense_mmul(h, p)
+            loop = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(hp)]
+            scaled = [[x * row_scale for x in row] for row, row_scale in
+                      zip(loop, ex.int_rows([hr + fr for hr, fr in zip(h, f)])[1])]
+            dens = [x.denominator for row in m + e + h + f for x in row if x]
+            assert (_dense_rank_det(scaled)[1] % prime == 0
+                    or any(d % prime == 0 for d in dens))
+        else:
+            agree += 1
+            assert got.tolist() == [[x.numerator * pow(x.denominator, -1, prime) % prime
+                                     for x in row] for row in want]
+    assert agree >= 150 and singular >= 20 and unlucky >= 20
 
 
 def test_close_loop_singular_loop():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from netctrl import exactla as ex
-from netctrl import ratfun, structgraph, verify
+from netctrl import cli, ratfun, structgraph, verify
 from netctrl.design import design_topology
 from netctrl.model import (NdsModel, OpenLoop, StructuredPattern, SubsystemModel,
                            assemble_lumped)
@@ -15,7 +16,7 @@ from netctrl.verify import (check_feasibility, check_fum_networked,
                             randomized_realization_check, realize_numeric,
                             uncontrollable_modes)
 
-from oracles import _dense_close_loop, check_fum_lumped
+from oracles import _dense_close_loop, check_fum_lumped, kalman_uncontrollable_polynomial
 from randgen import random_fixed_subsystems, random_nds
 
 
@@ -266,7 +267,14 @@ def test_realization_reads_the_plant_once(monkeypatch, sec7):
     assert len(built) == 1
 
 
+def _exact_fallback(monkeypatch):
+    """Make every modular closure give up, so each draw runs the exact solve."""
+    monkeypatch.setattr(OpenLoop, "close_mod", lambda self, p, prime: None)
+
+
 def test_realization_redraws_only_singular_loops(monkeypatch, sec7_designed3):
+    # only the exact solve of the fallback decides a redraw
+    _exact_fallback(monkeypatch)
     real = ex.int_solve
     calls = []
 
@@ -329,26 +337,45 @@ def _smallest_prime_factor(x):
 def test_realization_denominator_divisible_by_the_prime(monkeypatch, max_sub, seed):
     nds = _hetero(seed, max_sub)
     closed = []
-    close_rows = OpenLoop.close_rows
+    close_mod = OpenLoop.close_mod
 
-    def recording(self, p):
-        closed.append(close_rows(self, p))
-        return closed[-1]
+    def recording(self, p, prime):
+        closed.append((p, close_mod(self, p, prime)))
+        return closed[-1][1]
 
-    monkeypatch.setattr(OpenLoop, "close_rows", recording)
+    monkeypatch.setattr(OpenLoop, "close_mod", recording)
     randomized_realization_check(nds, seed=0, trials=1)
-    adds, dens = closed[0]
+    block, residues = closed[0]
+    assert residues is not None  # the modular closure decided the first draw
+    loop = assemble_lumped(nds).loop
+    p = ex.zeros(loop.p_rows, loop.n)
+    for (r, c), x in block.items():
+        p[r][c] = Fraction(x)
+    adds, dens = loop.close_rows(p)
     q = _smallest_prime_factor(next(d for a, d in zip(adds, dens) if any(a)))
     assert q is not None
     # with the prime q the first draw's closed loop has no residues, though
-    # the plant itself has
-    monkeypatch.setattr(ex, "PRIME", q)
+    # the plant itself has: the modular closure gives up, and the exact
+    # fallback finds the loop well-posed but gives no witness
     assert ex.mod_rows(adds, dens, q) is None
-    assert ex.mod_rows(*ex.int_rows(assemble_lumped(nds).loop.m), q) is not None
+    assert ex.mod_rows(*ex.int_rows(loop.m), q) is not None
+    assert close_mod(loop, block, q) is None
+    monkeypatch.setattr(ex, "PRIME", q)
+    fill_in = verify.uncontrollable_polynomial
+
+    def at_the_prime(plant, values):
+        # the fill-in lifts from the primes below the real PRIME
+        monkeypatch.undo()
+        return fill_in(plant, values)
+
+    monkeypatch.setattr(verify, "uncontrollable_polynomial", at_the_prime)
+    solved = []
+    int_solve = ex.int_solve
+    monkeypatch.setattr(ex, "int_solve", lambda rows, n: solved.append(n) or int_solve(rows, n))
     closed.clear()
     res = randomized_realization_check(nds, seed=0, trials=1)
-    assert closed[0] == (adds, dens)
-    assert not res.controllable_witness and res.trials_used == 1
+    assert closed[0] == (block, None) and solved == [loop.n]
+    assert not res.controllable_witness and res.trials_used == 1 and res.redraws == 0
 
 
 def test_realization_without_parameters_immediate():
@@ -366,11 +393,14 @@ def test_realization_without_free_parameters_runs_one_trial(sec7_empty):
     res = randomized_realization_check(sec7_empty, seed=0, trials=5)
     assert not res.controllable_witness
     assert res.trials_used == 1 and res.redraws == 0
-    a_m, b_m = realize_numeric(assemble_lumped(sec7_empty), {})
-    once = uncontrollable_modes(ex.to_float(a_m),
-                                ex.to_float(b_m).reshape(sec7_empty.M_x, sec7_empty.M_u))
-    assert res.last_uncontrollable_modes == once
-    assert [round(l.real, 6) for l in once] == [1, 0, 0, -1, 1, -1]
+    # the fill-in is the one closed loop's uncontrollable polynomial,
+    # x (x - 1)^2 (x + 1)^2 by the exact Kalman decomposition
+    plant = assemble_lumped(sec7_empty)
+    a_m, b_m = realize_numeric(plant, {})
+    want = kalman_uncontrollable_polynomial(a_m, b_m)
+    assert want == [0, 1, 0, -2, 0, 1]
+    assert verify.uncontrollable_polynomial(plant, {}) == want
+    assert res.last_uncontrollable_modes == [1, 1, 0, -1, -1]
 
 
 def _reference_uncontrollable_modes(a, b, tol=1e-7):
@@ -456,3 +486,116 @@ def test_unreachable_lambda_edge_without_cycle_has_fixed_mode(random_networks):
             edge_only += 1
             assert fums_of(check_fum_networked(nds)), label
     assert edge_only  # the implication is exercised
+
+
+def _root_multiplicity(c, r):
+    """How often x - r divides the polynomial c (constant term first)."""
+    count = 0
+    while len(c) > 1:
+        quotient, acc = [], Fraction(0)
+        for x in reversed(c[1:]):
+            acc = acc * r + x
+            quotient.append(acc)
+        if acc * r + c[0]:
+            break
+        c, count = quotient[::-1], count + 1
+    return count
+
+
+def _assert_matches_kalman_oracle(plant, values, n):
+    """realize's lifted polynomial and listed modes against the Fraction
+    Kalman decomposition of the same closed loop; returns the oracle's
+    polynomial."""
+    closed = plant.loop.close(plant.P_pattern.substitute(values))
+    want = kalman_uncontrollable_polynomial([row[:n] for row in closed],
+                                            [row[n:] for row in closed])
+    got = verify.uncontrollable_polynomial(plant, values)
+    assert got == want
+    modes = verify.polynomial_modes(got)
+    assert len(modes) == len(want) - 1
+    assert modes == sorted(modes, key=ratfun._cluster_key)
+    roots, _ = ex.rational_roots(want)
+    for r in set(roots):
+        listed = complex(r.numerator / r.denominator)
+        assert roots.count(r) == _root_multiplicity(want, r) == modes.count(listed)
+    return want
+
+
+def test_uncontrollable_polynomial_matches_kalman_decomposition(
+        sec7, sec7_designed3, sec7_designed2, sec7_empty):
+    degrees = []
+    networks = ([sec7, sec7_designed3, sec7_designed2, sec7_empty]
+                + [random_nds(seed, 3, lft_prob=0.5) for seed in range(40)])
+    for i, nds in enumerate(networks):
+        plant = assemble_lumped(nds)
+        for seed in range(3):
+            values = plant.P_pattern.draw(random.Random(100 * i + seed), 6)
+            try:
+                degrees.append(len(_assert_matches_kalman_oracle(plant, values, nds.M_x)) - 1)
+            except ex.SingularMatrixError:  # an ill-posed draw, which realize redraws
+                with pytest.raises(ex.SingularMatrixError):
+                    verify.uncontrollable_polynomial(plant, values)
+    # controllable draws, single and repeated modes are all exercised
+    assert 0 in degrees and 1 in degrees and max(degrees) >= 3
+
+
+def test_realization_fill_in_matches_kalman_decomposition(monkeypatch, sec7, sec7_designed2):
+    filled = []
+    lift = verify.uncontrollable_polynomial
+
+    def recording(plant, values):
+        filled.append((plant, values))
+        return lift(plant, values)
+
+    monkeypatch.setattr(verify, "uncontrollable_polynomial", recording)
+    for nds in [sec7, sec7_designed2] + [random_nds(seed, 3) for seed in range(30)]:
+        filled.clear()
+        res = randomized_realization_check(nds, seed=1, trials=2)
+        if res.controllable_witness:
+            assert not filled
+            continue
+        (plant, values), = filled
+        want = _assert_matches_kalman_oracle(plant, values, nds.M_x)
+        assert res.last_uncontrollable_modes == verify.polynomial_modes(want)
+
+
+def _realize_report(nds, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(
+        cli.serialize_document(nds, dict(cli.DEFAULT_OPTIONS))), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert cli.main(["realize", str(path), "--out", str(out)]) == 1
+    return json.loads(out.read_text(encoding="utf-8"))["result"]
+
+
+def test_realization_fill_in_pinned(sec7, tmp_path):
+    # sec7 at its default seed: lambda (2003756 lambda + 1) / 2003756, so the
+    # second mode is a genuine draw-dependent mode, -1/2003756, not a split of 0
+    res = _realize_report(sec7, tmp_path)
+    assert res["last_uncontrollable_modes"] == ["0.0", "-4.990627601364637e-07"]
+    assert -1 / 2003756 == -4.990627601364637e-07
+    # hetero rung 16 seed 12: the exact Kalman rank is n - 1, one mode at 0,
+    # where the float PBH listed 28
+    res = _realize_report(_hetero(12, 16), tmp_path)
+    assert res["last_uncontrollable_modes"] == ["0.0"]
+
+
+def test_realization_runs_only_the_modular_path(monkeypatch, sec7, sec7_designed3):
+    def unused(*args):
+        raise AssertionError("the float fill-in ran")
+
+    monkeypatch.setattr(verify, "realize_numeric", unused)
+    monkeypatch.setattr(verify, "uncontrollable_modes", unused)
+    solved = []
+    int_solve = ex.int_solve
+    monkeypatch.setattr(ex, "int_solve", lambda rows, n: solved.append(n) or int_solve(rows, n))
+    results = [randomized_realization_check(nds, seed=0, trials=5)
+               for nds in (sec7, sec7_designed3, _hetero(12, 16), _hetero(52, 16))]
+    assert [r.controllable_witness for r in results] == [False, True, False, True]
+    assert results[0].last_uncontrollable_modes and results[2].last_uncontrollable_modes
+    assert solved == []
+    # the exact solve runs only when the modular closure gives up: once per draw
+    _exact_fallback(monkeypatch)
+    res = randomized_realization_check(sec7_designed3, seed=0, trials=5)
+    assert res.controllable_witness
+    assert len(solved) == res.trials_used + res.redraws >= 1
