@@ -3,10 +3,14 @@
 A system document is JSON: a list of subsystems with named rational
 matrices (numbers or "p/q" strings; floats are accepted with a warning and
 read as decimal literals), an optional LFT block per subsystem, the routing
-pattern as 1-based free positions (or "full"), and options. Reports are
-JSON with sorted keys so identical inputs, flags and seeds produce
-byte-identical output; exit codes are 0 for a positive verdict, 1 for a
-negative one, 2 for usage or model errors and for an unwritable --out file.
+pattern as 1-based free positions (or "full"), and options. A load reads
+each matrix once: the parse returns the model together with its canonical
+document (`serialize_document`), and the report's `model_digest` hashes
+that document, so equal models share a digest however they are written.
+Reports are JSON with sorted keys so identical inputs, flags and seeds
+produce byte-identical output; exit codes are 0 for a positive verdict, 1
+for a negative one, 2 for usage or model errors and for an unwritable --out
+file.
 """
 
 from __future__ import annotations
@@ -68,19 +72,49 @@ class _IntFractions(dict):
         return value
 
 
-def _parse_matrix(obj, where: str, warnings: list[str], ints: _IntFractions) -> ex.Mat:
-    """A matrix whose entries are all plain ints (JSON true/false are bools)
-    reads them through the document's table `ints`; any other is read entry
-    by entry, with a warning or an error positioned at the entry."""
-    if not isinstance(obj, list) or any(not isinstance(r, list) for r in obj):
+def _rows_error(obj: list, where: str) -> DocumentError:
+    """The error of a matrix whose rows are not all lists of one length: a
+    row that is not a list wins over ragged rows."""
+    if any(not isinstance(r, list) for r in obj):
+        return DocumentError(f"{where}: expected a list of rows")
+    return DocumentError(f"{where}: rows have differing lengths "
+                         f"{sorted({len(r) for r in obj})}")
+
+
+_INT = frozenset({int})
+
+
+def _parse_matrix(obj, where: str, warnings: list[str],
+                  ints: _IntFractions) -> tuple[ex.Mat, list]:
+    """A matrix and its canonical JSON rows, checked and read in one pass
+    over the rows.
+
+    Rows of plain ints (JSON true/false are bools) read them through the
+    document's table `ints`; a matrix of such rows is its own canonical
+    rows. From its first other row on, a matrix is read entry by entry,
+    with a warning or an error positioned at the entry, after the shape of
+    every row is checked; its canonical rows are written from its Fractions.
+    """
+    if not isinstance(obj, list):
         raise DocumentError(f"{where}: expected a list of rows")
-    widths = {len(r) for r in obj}
-    if len(widths) > 1:
-        raise DocumentError(f"{where}: rows have differing lengths {sorted(widths)}")
-    if all(type(x) is int for row in obj for x in row):
-        return [[ints[x] for x in row] for row in obj]
-    return [[_parse_entry(x, f"{where}[{i + 1}][{j + 1}]", warnings)
-             for j, x in enumerate(row)] for i, row in enumerate(obj)]
+    width = len(obj[0]) if obj and isinstance(obj[0], list) else None
+    read = ints.__getitem__
+    mat = []
+    plain = True
+    for row in obj:
+        if not (isinstance(row, list) and len(row) == width):
+            raise _rows_error(obj, where)
+        if plain:
+            if _INT.issuperset(map(type, row)):
+                mat.append(list(map(read, row)))
+            else:
+                plain = False
+    if plain:
+        return mat, obj
+    start = len(mat)
+    mat += [[_parse_entry(x, f"{where}[{i + 1}][{j + 1}]", warnings)
+             for j, x in enumerate(row)] for i, row in enumerate(obj[start:], start)]
+    return mat, _mat_obj(mat)
 
 
 def _is_int(x) -> bool:
@@ -89,12 +123,14 @@ def _is_int(x) -> bool:
 
 
 def _parse_positions(obj, rows: int, cols: int, where: str) -> list[tuple[int, int]]:
+    """0-based positions in document order, checked in one pass; a
+    repeated position is reported only after every item is checked."""
     if not isinstance(obj, list):
         raise DocumentError(f"{where}: expected a list of [row, col] pairs")
     out = []
     for item in obj:
-        if (not isinstance(item, list) or len(item) != 2
-                or not all(_is_int(v) for v in item)):
+        if not (isinstance(item, list) and len(item) == 2
+                and _is_int(item[0]) and _is_int(item[1])):
             raise DocumentError(f"{where}: positions must be [row, col] integer pairs")
         r, c = item
         if not (1 <= r <= rows and 1 <= c <= cols):
@@ -131,12 +167,9 @@ def _reject_output_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:
                                 "controllability; remove the key")
 
 
-def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
-    """Build the model from a parsed JSON document.
-
-    Returns (model, options, warnings). Raises DocumentError with a
-    positioned message on any malformed field.
-    """
+def _read_document(data: dict) -> tuple[NdsModel, dict, list[str], dict]:
+    """`parse_document`'s (model, options, warnings), and the model's
+    canonical document, assembled from the canonical rows the parse read."""
     warnings: list[str] = []
     ints = _IntFractions()
     if not isinstance(data, dict):
@@ -145,48 +178,52 @@ def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
     if not isinstance(subs_raw, list) or not subs_raw:
         raise DocumentError("'subsystems' must be a non-empty list")
     subsystems = []
+    parts = []  # per subsystem: (name, rows, lft), see _canonical_document
     for i, sraw in enumerate(subs_raw):
         where = f"subsystems[{i + 1}]"
         if not isinstance(sraw, dict):
             raise DocumentError(f"{where}: expected an object")
-        mats = {}
+        mats, sub_rows = {}, {}
         for key in MATRIX_KEYS:
             if key not in sraw:
                 raise DocumentError(f"{where}: missing matrix {key}")
-            mats[f"{key}0"] = _parse_matrix(sraw[key], f"{where}.{key}", warnings, ints)
+            mats[f"{key}0"], sub_rows[key] = _parse_matrix(sraw[key], f"{where}.{key}",
+                                                           warnings, ints)
         _reject_output_keys(sraw, ("C_yx", "C_yv", "D_yu"), where)
         lft = sraw.get("lft")
-        lft_mats = {}
-        param = None
+        param = canonical_lft = None
         if lft is not None:
             if not isinstance(lft, dict):
                 raise DocumentError(f"{where}.lft: expected an object")
+            lft_rows = {}
             for key in LFT_KEYS:
                 if key not in lft:
                     raise DocumentError(f"{where}.lft: missing matrix {key}")
-                lft_mats[key] = _parse_matrix(lft[key], f"{where}.lft.{key}", warnings,
-                                              ints)
+                mats[key], lft_rows[key] = _parse_matrix(lft[key], f"{where}.lft.{key}",
+                                                         warnings, ints)
             _reject_output_keys(lft, ("E3",), f"{where}.lft")
             praw = lft.get("param")
             if not isinstance(praw, dict):
                 raise DocumentError(f"{where}.lft.param: required object")
-            pr = len(lft_mats["H"][0]) if lft_mats["H"] else 0
-            pc = len(lft_mats["H"])
+            pr = len(mats["H"][0]) if mats["H"] else 0
+            pc = len(mats["H"])
             if "fixed" in praw:
-                param = _parse_matrix(praw["fixed"], f"{where}.lft.param.fixed", warnings,
-                                      ints)
+                param, param_rows = _parse_matrix(praw["fixed"], f"{where}.lft.param.fixed",
+                                                  warnings, ints)
+                canonical_lft = (lft_rows, param_rows)
             elif "free" in praw:
                 pos = _parse_positions(praw["free"], pr, pc, f"{where}.lft.param.free")
                 param = StructuredPattern(
                     pr, pc, {(r, c): f"p{i + 1}_{r}_{c}" for r, c in pos})
+                canonical_lft = (lft_rows, param)
             else:
                 raise DocumentError(f"{where}.lft.param: needs 'fixed' or 'free'")
+        name = str(sraw.get("name", f"subsystem{i + 1}"))
         try:
-            subsystems.append(SubsystemModel(
-                **mats, **lft_mats, param_block=param,
-                name=str(sraw.get("name", f"subsystem{i + 1}"))))
+            subsystems.append(SubsystemModel(**mats, param_block=param, name=name))
         except ModelError as e:
             raise DocumentError(f"{where}: {e}") from None
+        parts.append((name, sub_rows, canonical_lft))
     mv = sum(s.m_v0 for s in subsystems)
     mz = sum(s.m_z0 for s in subsystems)
     scm_raw = data.get("scm", {"free": []})
@@ -221,43 +258,73 @@ def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
         model = NdsModel(subsystems, scm)
     except ModelError as e:
         raise DocumentError(str(e)) from None
-    return model, options, warnings
+    return model, options, warnings, _canonical_document(parts, scm, options)
 
 
-def _fmt_frac(x: Fraction):
-    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def parse_document(data: dict) -> tuple[NdsModel, dict, list[str]]:
+    """Build the model from a parsed JSON document.
+
+    Returns (model, options, warnings). Raises DocumentError with a
+    positioned message on any malformed field.
+    """
+    return _read_document(data)[:3]
 
 
-def _mat_obj(m: ex.Mat):
-    return [[_fmt_frac(x) for x in row] for row in m]
+def _mat_obj(m: ex.Mat) -> list:
+    """Canonical JSON rows: each entry an int, or a "p/q" string in lowest terms."""
+    return [[x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+             for x in row] for row in m]
 
 
-def serialize_document(model: NdsModel, options: dict) -> dict:
-    """Canonical document for the model; parse(serialize(.)) is the identity."""
+def _canonical_document(parts: list[tuple], scm: StructuredPattern, options: dict) -> dict:
+    """The one writer of the canonical document.
+
+    `parts` holds per subsystem (name, rows, lft): `rows` maps each key of
+    MATRIX_KEYS, in order, to its canonical JSON rows, and lft is None or
+    (rows of LFT_KEYS, param), param being the free block's pattern or the
+    fixed block's canonical rows. An empty name becomes subsystem<i>, free
+    positions are written sorted and 1-based, and options sorted by key.
+    """
+    def one_based(pattern: StructuredPattern) -> list:
+        return [[r + 1, c + 1] for r, c in pattern.positions()]
+
     subs = []
-    for i, s in enumerate(model.subsystems):
-        obj = {"name": s.name or f"subsystem{i + 1}"}
-        obj.update((k, _mat_obj(getattr(s, f"{k}0"))) for k in MATRIX_KEYS)
-        if s.param_block is not None:
-            lft = {k: _mat_obj(getattr(s, k)) for k in LFT_KEYS}
-            if s.has_free_params:
-                lft["param"] = {"free": [[r + 1, c + 1]
-                                         for r, c in s.param_block.positions()]}
-            else:
-                lft["param"] = {"fixed": _mat_obj(s.param_block)}
-            obj["lft"] = lft
+    for i, (name, rows, lft) in enumerate(parts):
+        obj = {"name": name or f"subsystem{i + 1}", **rows}
+        if lft is not None:
+            lft_rows, param = lft
+            obj["lft"] = {**lft_rows, "param": (
+                {"free": one_based(param)} if isinstance(param, StructuredPattern)
+                else {"fixed": param})}
         subs.append(obj)
     return {
         "format_version": 1,
         "subsystems": subs,
-        "scm": {"rows": model.scm.rows, "cols": model.scm.cols,
-                "free": [[r + 1, c + 1] for r, c in model.scm.positions()]},
+        "scm": {"rows": scm.rows, "cols": scm.cols, "free": one_based(scm)},
         "options": {k: options[k] for k in sorted(options)},
     }
 
 
+def serialize_document(model: NdsModel, options: dict) -> dict:
+    """Canonical document for the model; parse(serialize(.)) is the identity."""
+    parts = []
+    for s in model.subsystems:
+        lft = None
+        if s.param_block is not None:
+            lft = ({k: _mat_obj(getattr(s, k)) for k in LFT_KEYS},
+                   s.param_block if s.has_free_params else _mat_obj(s.param_block))
+        parts.append((s.name, {k: _mat_obj(getattr(s, f"{k}0")) for k in MATRIX_KEYS}, lft))
+    return _canonical_document(parts, model.scm, options)
+
+
 def load_document(path: str) -> tuple[NdsModel, dict, list[str], str]:
-    """Parse a document file; returns (model, options, warnings, digest)."""
+    """Parse a document file; returns (model, options, warnings, digest).
+
+    The digest is the first 16 hex digits of the SHA-256 of the model's
+    canonical document (`serialize_document`) as sorted-key JSON. The parse
+    assembles that document from the canonical rows it read, so the model
+    is not serialized a second time.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -265,9 +332,8 @@ def load_document(path: str) -> tuple[NdsModel, dict, list[str], str]:
         raise DocumentError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise DocumentError(f"{path}: invalid JSON ({e})") from None
-    model, options, warnings = parse_document(data)
-    canonical = json.dumps(serialize_document(model, options), sort_keys=True)
-    digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    model, options, warnings, canonical = _read_document(data)
+    digest = hashlib.sha256(json.dumps(canonical, sort_keys=True).encode()).hexdigest()[:16]
     return model, options, warnings, digest
 
 

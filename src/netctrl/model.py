@@ -190,7 +190,8 @@ class SubsystemModel:
     @cached_property
     def analysis(self) -> AugmentedSubsystem:
         """The analysis form (`analysis_form`), built once per subsystem object,
-        so every NdsModel made from this object shares it and its record."""
+        so every NdsModel made from this object shares it and its record.
+        Without a parameter block it holds this subsystem's own matrices."""
         return analysis_form(self)
 
 
@@ -384,10 +385,6 @@ class OpenLoop:
     def close(self, p: Mat) -> Mat:
         """m + e p (I - h p)^-1 f, exactly: `close_rows`, with one Fraction
         per output entry it changes."""
-        if not (p and p[0]):
-            # no loop ports: m itself, without a pass over zero adds (every
-            # subsystem without a parameter block closes an empty loop)
-            return ex.copy(self.m)
         adds, dens = self.close_rows(p)
         return [[Fraction(x.numerator * den + v * x.denominator, x.denominator * den)
                  if v else x for x, v in zip(m_row, add)]
@@ -397,17 +394,21 @@ class OpenLoop:
 def analysis_form(sub: SubsystemModel) -> AugmentedSubsystem:
     """Parameter-free analysis matrices for any kind of parameter block.
 
-    A free block is bordered: its rows become auxiliary internal inputs and
-    its columns auxiliary internal outputs, so the parameter entries
-    reappear as routing entries. A fixed block is closed into the six
-    matrices with `OpenLoop.close`; an absent block is an empty loop, which
-    leaves them as given.
+    Without a block, the form is the subsystem's six matrices themselves,
+    shared, not copied: no analysis writes into a matrix. A free block is
+    bordered: its rows become auxiliary internal inputs and its columns
+    auxiliary internal outputs, so the parameter entries reappear as routing
+    entries; A_xx and B_xu, which the border leaves alone, are shared too.
+    A fixed block is closed into the six matrices with `OpenLoop.close`.
     """
+    if sub.param_block is None:
+        return AugmentedSubsystem(sub.A_xx0, sub.A_xv0, sub.B_xu0, sub.A_zx0, sub.A_zv0,
+                                  sub.B_zu0, name=sub.name)
     if sub.has_free_params:
         return AugmentedSubsystem(
-            A_xx=ex.copy(sub.A_xx0),
+            A_xx=sub.A_xx0,
             A_xv=ex.hstack([sub.A_xv0, sub.E1]),
-            B_xu=ex.copy(sub.B_xu0),
+            B_xu=sub.B_xu0,
             A_zx=ex.vstack([sub.A_zx0, sub.F1]),
             A_zv=ex.vstack([ex.hstack([sub.A_zv0, sub.E2]),
                             ex.hstack([sub.F2, sub.H])]),
@@ -417,7 +418,7 @@ def analysis_form(sub: SubsystemModel) -> AugmentedSubsystem:
         ex.vstack([ex.hstack([sub.A_xx0, sub.A_xv0, sub.B_xu0]),
                    ex.hstack([sub.A_zx0, sub.A_zv0, sub.B_zu0])]),
         ex.vstack([sub.E1, sub.E2]), sub.H,
-        ex.hstack([sub.F1, sub.F2, sub.F3])).close(sub.param_block or [])
+        ex.hstack([sub.F1, sub.F2, sub.F3])).close(sub.param_block)
     mx, mv0, mu = sub.m_x, sub.m_v0, sub.m_u
     top, mid = closed[:mx], closed[mx:]
     return AugmentedSubsystem(

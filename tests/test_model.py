@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -6,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netctrl import cli
 from netctrl import exactla as ex
-from netctrl import model
+from netctrl import model, verify
+from netctrl.data import sec7_path
 from netctrl.model import (ModelError, NdsModel, StructuredPattern, SubsystemModel,
                            OpenLoop, analysis_form, assemble_lumped,
                            check_well_posedness)
@@ -42,6 +47,102 @@ def test_augment_without_block_is_identity(sec7):
     assert aug.A_zv == sub.A_zv0
     assert aug.B_zu == sub.B_zu0
     assert (aug.m_v, aug.m_z) == (2, 2)
+
+
+def _stacked_and_split(sub):
+    """A blockless subsystem's six matrices stacked into one and split back
+    by columns: the form as an empty loop closure would leave it."""
+    mx, mv, mu = sub.m_x, sub.m_v0, sub.m_u
+    stacked = ex.vstack([ex.hstack([sub.A_xx0, sub.A_xv0, sub.B_xu0]),
+                         ex.hstack([sub.A_zx0, sub.A_zv0, sub.B_zu0])])
+    cuts = [range(mx), range(mx, mx + mv), range(mx + mv, mx + mv + mu)]
+    return [ex.submatrix(part, None, cols)
+            for part in (stacked[:mx], stacked[mx:]) for cols in cuts]
+
+
+def test_blockless_form_is_the_given_matrices():
+    # every mix of empty state, input, internal-input and internal-output
+    # dimensions: the form is the six given matrices, equal to the stacked
+    # and split copy in values and in shape
+    rng = random.Random(3)
+
+    def rand(r, c):
+        return ex.mat([[rng.randint(-2, 2) for _ in range(c)] for _ in range(r)])
+
+    for mx, mv, mu, mz in itertools.product((0, 2), (0, 1), (0, 3), (0, 2)):
+        sub = SubsystemModel(
+            A_xx0=rand(mx, mx), A_xv0=rand(mx, mv), B_xu0=rand(mx, mu),
+            A_zx0=rand(mz, mx), A_zv0=rand(mz, mv), B_zu0=rand(mz, mu), name="s")
+        aug = analysis_form(sub)
+        given = [sub.A_xx0, sub.A_xv0, sub.B_xu0, sub.A_zx0, sub.A_zv0, sub.B_zu0]
+        form = [aug.A_xx, aug.A_xv, aug.B_xu, aug.A_zx, aug.A_zv, aug.B_zu]
+        assert all(a is b for a, b in zip(form, given))
+        want = _stacked_and_split(sub)
+        assert form == want
+        assert [[len(row) for row in m] for m in form] == \
+            [[len(row) for row in m] for m in want]
+        assert (aug.m_x, aug.m_u, aug.m_v, aug.m_z) == (sub.m_x, sub.m_u, sub.m_v0,
+                                                        sub.m_z0)
+        assert aug.name == "s"
+
+
+# Documents for the no-mutation check: sec7 (three blockless subsystems), a
+# blockless network with empty dimensions, and fixed, free and absent blocks.
+_ZERO_DIMS_DOC = {"subsystems": [
+    {"A_xx": [[0, 1], [-1, 0]], "A_xv": [[0], [1]], "B_xu": [[], []],
+     "A_zx": [], "A_zv": [], "B_zu": []},
+    {"A_xx": [], "A_xv": [], "B_xu": [], "A_zx": [[]], "A_zv": [[0]], "B_zu": [[1]]},
+    {"A_xx": [[1]], "A_xv": [[]], "B_xu": [[1]], "A_zx": [[1]], "A_zv": [[]],
+     "B_zu": [[0]]}],
+    "scm": {"free": [[1, 1]]}}
+_BLOCKS_DOC = {"subsystems": [
+    {"A_xx": [[1, 0], [0, 2]], "A_xv": [[1], [0]], "B_xu": [[0], [1]],
+     "A_zx": [[1, 0]], "A_zv": [[0]], "B_zu": [[0]],
+     "lft": {"E1": [[1], [0]], "E2": [[0]], "F1": [["1/2", 0]], "F2": [[0]],
+             "F3": [[0]], "H": [[1]], "param": lft_param}}
+    for lft_param in ({"fixed": [[3]]}, {"free": [[1, 1]]})]
+    + [{"A_xx": [[-1]], "A_xv": [[1]], "B_xu": [[0]], "A_zx": [[1]], "A_zv": [[0]],
+        "B_zu": [[0]]}],
+    "scm": {"free": [[1, 3], [3, 1], [2, 2]]}}
+
+_SUB_MATRICES = ("A_xx0", "A_xv0", "B_xu0", "A_zx0", "A_zv0", "B_zu0",
+                 "E1", "E2", "F1", "F2", "F3", "H")
+
+
+def _matrices(nds):
+    return [[getattr(s, key) for key in _SUB_MATRICES]
+            + [s.param_block if not s.has_free_params else None]
+            for s in nds.subsystems]
+
+
+@pytest.mark.parametrize("command", ["check", "design", "realize", "feasible", "graph"])
+@pytest.mark.parametrize("doc", ["sec7", "zero-dims", "blocks"])
+def test_commands_leave_subsystem_matrices_unchanged(monkeypatch, tmp_path, capsys,
+                                                     command, doc):
+    # a blockless form shares its subsystem's matrices, so no command may
+    # write into a form's matrices either
+    if doc == "sec7":
+        path = sec7_path()
+    else:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_ZERO_DIMS_DOC if doc == "zero-dims" else _BLOCKS_DOC),
+                        encoding="utf-8")
+        path = str(path)
+    loaded = []
+    load = cli.load_document
+
+    def recording_load(p):
+        result = load(p)
+        loaded.append((result[0], copy.deepcopy(_matrices(result[0]))))
+        return result
+
+    monkeypatch.setattr(cli, "load_document", recording_load)
+    for _ in range(2):
+        assert cli.main([command, path, "--out", str(tmp_path / "out")]) in (0, 1)
+    assert capsys.readouterr().err == ""
+    assert len(loaded) == 2
+    for nds, before in loaded:
+        assert _matrices(nds) == before
 
 
 def _one_state_sub(e1, f1, h, e2=0, f2=0, f3=0):
@@ -292,6 +393,41 @@ def test_close_loop_without_block_copies_m():
         out = OpenLoop(m, e, h, f).close(p)
         assert out == m and ex.shape(out) == (2, 3)
         assert out is not m and all(a is not b for a, b in zip(out, m))
+
+
+@pytest.mark.parametrize("block", [[], [[], []]], ids=["0x0", "2x0"])
+def test_empty_fixed_block_closes_to_the_given_matrices(tmp_path, capsys, block):
+    # a fixed block with no entries is an empty loop: `close` adds nothing,
+    # so the form equals the given matrices, and every command runs on it
+    pr = len(block)
+    sub = {"A_xx": [[1, 0], [0, 2]], "A_xv": [[1], [0]], "B_xu": [[0], [1]],
+           "A_zx": [[1, 0]], "A_zv": [[0]], "B_zu": [[0]],
+           "lft": {"E1": [[0] * pr] * 2, "E2": [[0] * pr], "F1": [], "F2": [], "F3": [],
+                   "H": [], "param": {"fixed": block}}}
+    doc = {"subsystems": [sub], "scm": {"free": [[1, 1]]}}
+    nds = cli.parse_document(doc)[0]
+    s, aug = nds.subsystems[0], nds.analysis[0]
+    assert s.param_shape == (pr, 0) and not s.has_free_params
+    form = [aug.A_xx, aug.A_xv, aug.B_xu, aug.A_zx, aug.A_zv, aug.B_zu]
+    assert form == _stacked_and_split(s)
+    assert [ex.shape(m) for m in form] == [(2, 2), (2, 1), (2, 1), (1, 2), (1, 1), (1, 1)]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("check", "design", "realize", "feasible", "graph"):
+        assert cli.main([command, str(path)]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
+def test_lumped_loop_without_routing_ports_closes_to_m():
+    # no internal inputs: the plant's P is M_v x M_z = 0 x 1, an empty loop
+    sub = SubsystemModel(A_xx0=ex.mat([[1, 0], [2, 3]]), A_xv0=[[], []],
+                         B_xu0=ex.mat([["1/2"], [0]]), A_zx0=ex.mat([[1, 1]]), A_zv0=[[]],
+                         B_zu0=ex.mat([[0]]))
+    plant = assemble_lumped(NdsModel.unrouted([sub]))
+    assert plant.P_pattern.substitute({}) == []
+    a, b = verify.realize_numeric(plant, {})
+    assert a == sub.A_xx0 and b == sub.B_xu0
+    assert plant.loop.close([]) == ex.hstack([sub.A_xx0, sub.B_xu0])
 
 
 def test_assemble_lumped_sec7(sec7):
