@@ -53,6 +53,8 @@ def _parse_entry(x, where: str, warnings: list[str]) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise DocumentError(f"{where}: non-finite number {x!r} is not a matrix entry")
         warnings.append(f"{where}: float {x!r} converted to an exact rational")
         return Fraction(str(x))
     if isinstance(x, str):
@@ -123,8 +125,9 @@ def _is_int(x) -> bool:
 
 
 def _parse_positions(obj, rows: int, cols: int, where: str) -> list[tuple[int, int]]:
-    """0-based positions in document order, checked in one pass; a
-    repeated position is reported only after every item is checked."""
+    """0-based positions, checked in one pass and returned sorted, so the
+    parameter draw order follows the positions, not the document's listing;
+    a repeated position is reported only after every item is checked."""
     if not isinstance(obj, list):
         raise DocumentError(f"{where}: expected a list of [row, col] pairs")
     out = []
@@ -138,7 +141,7 @@ def _parse_positions(obj, rows: int, cols: int, where: str) -> list[tuple[int, i
         out.append((r - 1, c - 1))
     if len(set(out)) != len(out):
         raise DocumentError(f"{where}: duplicate positions")
-    return out
+    return sorted(out)
 
 
 def _tolerance(x) -> float:

@@ -6,13 +6,14 @@ prime (`PRIME` unless given) in numpy int64 arrays: `mod_rows`,
 `mod_matmul`, `solve_mod` (Gauss-Jordan), `krylov_spans_mod` (the Krylov
 span's echelon basis; a rank it finds full is full over the rationals too)
 and `uncontrollable_charpoly_mod` (the characteristic polynomial on the
-quotient by that span, through `charpoly_mod`). `prev_prime`,
-`rational_reconstruction` and `rational_roots` lift such polynomials to
-the rationals and take their rational roots. Floats enter the picture only
-through `to_float`, which is the hand-off point to numpy for eigenvalue and
-singular-value work, and `float_rank`/`singular_value_rank` hold the one
-numeric-rank rule applied to what numpy returns; `float_rank` is the one
-call that asks numpy for singular values alone.
+quotient by a span `krylov_spans_mod` built, through `charpoly_mod`).
+`prev_prime`, `rational_reconstruction` and `rational_roots` lift such
+polynomials to the rationals and take their rational roots. Floats enter
+the picture only through `to_float`, which is the hand-off point to numpy
+for eigenvalue and singular-value work, and `float_rank`/
+`singular_value_rank` hold the one numeric-rank rule applied to what numpy
+returns; `float_rank` is the one call that asks numpy for singular values
+alone.
 
 `ratfun` needs no polynomial arithmetic: it classifies each transfer entry
 of C (lambda*I - A)^-1 B + D by which entries of the Markov parameters
@@ -30,7 +31,9 @@ each Sylvester update divides exactly by the previous pivot, so entries
 stay integral minors. `int_solve` back-substitutes on Y = det * X, which
 Cramer's rule keeps integral; a Fraction is made only for each output
 entry (Y / det). `model.OpenLoop` builds its loop straight into integer
-rows and solves them with `int_solve`.
+rows and solves them with `int_solve`; its closure mod a prime runs that
+solve itself wherever `solve_mod` or the residues give up, and reduces
+the exact closed loop with `int_rows` and `mod_rows`.
 
 The exact kernels skip zero operands: `mmul` multiplies only nonzero
 pairs, and the elimination updates a row only where its entry in the
@@ -501,22 +504,21 @@ def charpoly_mod(a: np.ndarray, p: int = PRIME) -> list[int]:
     return [int(x) for x in polys[k]]
 
 
-def uncontrollable_charpoly_mod(a: np.ndarray, b: np.ndarray,
-                                p: int = PRIME) -> tuple[int, list[int]]:
-    """(rank, coefficients): the Kalman rank of (a, b) mod p, and the
-    characteristic polynomial mod p of a on the quotient F_p^n / K by the
-    Krylov span K (`krylov_spans_mod`), from the constant term up (monic).
+def uncontrollable_charpoly_mod(a: np.ndarray, basis: np.ndarray, pivots: list[int],
+                                p: int = PRIME) -> list[int]:
+    """The characteristic polynomial mod p of a on the quotient F_p^n / K by
+    the Krylov span K of some b, given as `krylov_spans_mod(a, b, p)` returns
+    it (basis, pivots), from the constant term up (monic).
 
     Its roots are the uncontrollable modes of (a, b). The quotient's basis
     is the unit vectors off the pivot columns N: a column a e_j, j in N,
     reduced against the echelon basis keeps a[N, j] - basis[:, N]^T a[P, j]
     on N, P being the pivot columns.
     """
-    basis, pivots = krylov_spans_mod(a, b, p)
     rest = sorted(set(range(a.shape[0])) - set(pivots))
     quotient = (a[np.ix_(rest, rest)]
                 - mod_matmul(basis[:, rest].T, a[np.ix_(pivots, rest)], p)) % p
-    return len(pivots), charpoly_mod(quotient, p)
+    return charpoly_mod(quotient, p)
 
 
 @cache

@@ -111,9 +111,6 @@ class GenericPattern(IndependenceOracle):
     def _matching(self, subset: Iterable[int]) -> dict:
         return _max_matching({c: self._col_rows[c] for c in set(subset)})
 
-    def rank_of(self, subset: Iterable[int]) -> int:
-        return len(self._matching(subset))
-
     def independent(self, subset: Iterable[int]) -> bool:
         cols = set(subset)
         return len(self._matching(cols)) == len(cols)

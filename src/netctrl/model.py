@@ -264,9 +264,10 @@ class OpenLoop:
     """m + e p (I - h p)^-1 f before a block p is chosen: the one exact loop
     closure. The rows of h, f and e are read once into integer nonzeros, so
     closing the loop at another p rescans none of them. `close_rows` is its
-    integer core and `close` builds Fractions from it. Realization closes it
-    mod a prime instead (`close_mod`), from the residues of the same rows,
-    and runs `close_rows` only where the modular closure gives up.
+    integer core, on a block in integers (`_integer_block`), and `close`
+    builds Fractions from it. Realization closes it mod a prime instead
+    (`close_mod`), from the residues of the same rows; only `close_mod`
+    tells an ill-posed loop from an unlucky prime.
     """
 
     def __init__(self, m: Mat, e: Mat, h: Mat, f: Mat):
@@ -294,9 +295,10 @@ class OpenLoop:
             rows.append(row)
         return rows
 
-    def close_rows(self, p: Mat) -> tuple[list[list[int]], list[int]]:
-        """e p (I - h p)^-1 f in integers: (adds, dens), with row r of the
-        closed loop equal to m's row r plus adds[r] / dens[r].
+    def close_rows(self, block: tuple[list, int]) -> tuple[list[list[int]], list[int]]:
+        """e p (I - h p)^-1 f in integers, for the block p = P / s given as
+        (row nonzeros of P, s) (`_integer_block`): (adds, dens), with row r
+        of the closed loop equal to m's row r plus adds[r] / dens[r].
 
         The loop [I - h p | f] is solved in integer rows (`exactla.int_solve`)
         for Y = d (I - h p)^-1 f; adds[r] is row r of e p, in integers by
@@ -305,10 +307,9 @@ class OpenLoop:
         ill-posed).
         """
         width = len(self.m[0]) if self.m else 0
-        if not (p and p[0]):
+        if not (self.n and self.p_rows):
             # no loop ports; the zero-row factors would lose m's column count
             return [[0] * width for _ in self.m], [1] * len(self.m)
-        block = _integer_block(p)
         n = self.n
         y, d = ex.int_solve(self.loop_rows(block), n)
         y_nonzeros = [_nonzeros(row) for row in y]
@@ -359,33 +360,40 @@ class OpenLoop:
         by its nonzero entries {(row, col): value}, as an int64 array.
 
         [I - h p | f] is built mod prime from the residues of the loop's
-        rows (`residues`) and solved by `exactla.solve_mod`. Returns None
-        when I - h p is singular mod prime, or when the prime divides a
-        row's denominator; then only the exact `close_rows` can tell an
-        ill-posed loop from an unlucky prime. A nonzero determinant mod
-        prime is a nonzero determinant over the rationals, so a result
-        proves the loop well-posed.
+        rows (`residues`) and solved by `exactla.solve_mod`; a nonzero
+        determinant mod prime is a nonzero determinant over the rationals,
+        so that result proves the loop well-posed. When I - h p is singular
+        mod prime, or the prime divides a row's denominator, the exact
+        `close_rows` runs instead: it raises exactla.SingularMatrixError for
+        an ill-posed loop; otherwise the prime is unlucky, and the result is
+        the exact closed loop's residues, or None when the prime divides the
+        denominator of one of its entries.
         """
         res = self.residues(prime)
-        if res is None:
-            return None
-        m, h, f, e = res
-        if not p:
-            return m.copy()
-        block = np.zeros((self.p_rows, self.n), np.int64)
+        if res is not None:
+            m, h, f, e = res
+            if not p:
+                return m.copy()
+            block = np.zeros((self.p_rows, self.n), np.int64)
+            for (r, c), x in p.items():
+                block[r, c] = x % prime
+            lhs = -ex.mod_matmul(h, block, prime) % prime
+            lhs[np.diag_indices(self.n)] += 1
+            y = ex.solve_mod(lhs % prime, f, prime)
+            if y is not None:
+                return (m + ex.mod_matmul(ex.mod_matmul(e, block, prime), y, prime)) % prime
+        rows = [[] for _ in range(self.p_rows)]
         for (r, c), x in p.items():
-            block[r, c] = x % prime
-        lhs = -ex.mod_matmul(h, block, prime) % prime
-        lhs[np.diag_indices(self.n)] += 1
-        y = ex.solve_mod(lhs % prime, f, prime)
-        if y is None:
-            return None
-        return (m + ex.mod_matmul(ex.mod_matmul(e, block, prime), y, prime)) % prime
+            rows[r].append((c, x))
+        return ex.mod_rows(*ex.int_rows(self._fractions(*self.close_rows((rows, 1)))), prime)
 
     def close(self, p: Mat) -> Mat:
-        """m + e p (I - h p)^-1 f, exactly: `close_rows`, with one Fraction
-        per output entry it changes."""
-        adds, dens = self.close_rows(p)
+        """m + e p (I - h p)^-1 f, exactly: `close_rows` at
+        `_integer_block(p)`, with one Fraction per output entry it changes."""
+        return self._fractions(*self.close_rows(_integer_block(p)))
+
+    def _fractions(self, adds: list[list[int]], dens: list[int]) -> Mat:
+        """The closed loop m + adds / dens, row by row, as Fractions."""
         return [[Fraction(x.numerator * den + v * x.denominator, x.denominator * den)
                  if v else x for x, v in zip(m_row, add)]
                 for m_row, add, den in zip(self.m, adds, dens)]

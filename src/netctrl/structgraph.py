@@ -72,17 +72,6 @@ def build_subsystem_acg(index: int, aug: AugmentedSubsystem,
     return _graph(verts, edges)
 
 
-def build_acg(gzv_classes: list, gzu_classes: list) -> StructureGraph:
-    """Square-form connection graph: output-to-output and input-to-output edges."""
-    k = len(gzv_classes)
-    if any(len(row) != k for row in gzv_classes):
-        raise ValueError("square class matrix required")
-    q_in = len(gzu_classes[0]) if gzu_classes else 0
-    verts = [("z", 0, a + 1) for a in range(k)] + [("u", 0, j + 1) for j in range(q_in)]
-    edges = _class_edges(gzv_classes, "z", "z", 0) + _class_edges(gzu_classes, "u", "z", 0)
-    return _graph(verts, edges)
-
-
 def link_edges(nds: NdsModel, positions: Iterable[tuple[int, int]]) -> list[Edge]:
     """One routing-link edge z -> v per (input row, output column) position."""
     edges = []

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -284,6 +285,42 @@ class RealizationResult:
         }
 
 
+def _closures(plant: LumpedPlant, values: dict):
+    """The plant's loop closed at a draw mod `exactla.PRIME`, then mod each
+    next prime below it (`OpenLoop.close_mod`), each as (prime, closed loop,
+    its `exactla.krylov_spans_mod`), or (prime, None, None). The first
+    raises exactla.SingularMatrixError for an ill-posed draw."""
+    block = {pos: values[pid] for pos, pid in plant.P_pattern.entries.items()}
+    n, prime = len(plant.A_xx), ex.PRIME
+    while True:
+        ab = plant.loop.close_mod(block, prime)
+        yield prime, ab, None if ab is None else ex.krylov_spans_mod(ab[:, :n], ab[:, n:], prime)
+        prime = ex.prev_prime(prime)
+
+
+def _lift(n: int, closures) -> list[Fraction]:
+    """`uncontrollable_polynomial`, lifted from a draw's `_closures`."""
+    best, modulus, residues, lifted = -1, 1, [], None
+    for prime, ab, spans in closures:
+        if ab is None:
+            continue
+        rank = len(spans[1])
+        if rank == n:
+            return [ex.ONE]
+        if rank > best:
+            best, modulus, residues, lifted = rank, 1, [0] * (n - rank), None
+        if rank == best:
+            coeffs = ex.uncontrollable_charpoly_mod(ab[:, :n], *spans, prime)
+            step = pow(modulus, -1, prime)
+            residues = [u + modulus * ((c - u) * step % prime)
+                        for u, c in zip(residues, coeffs)]
+            modulus *= prime
+            now = [ex.rational_reconstruction(u, modulus) for u in residues]
+            if now == lifted and None not in now:
+                return now + [ex.ONE]
+            lifted = now
+
+
 def uncontrollable_polynomial(plant: LumpedPlant, values: dict) -> list[Fraction]:
     """The uncontrollable polynomial of the plant's closed loop at one draw:
     the characteristic polynomial of A on the quotient of the state space by
@@ -292,42 +329,17 @@ def uncontrollable_polynomial(plant: LumpedPlant, values: dict) -> list[Fraction
     the loop is controllable.
 
     The loop is closed mod `exactla.PRIME` and then mod each next prime
-    below it (`OpenLoop.close_mod`), and the polynomial is taken mod each
-    (`exactla.uncontrollable_charpoly_mod`). A prime the closure skips, or
-    whose Krylov rank is below the highest seen, is unlucky and skipped; a
-    higher rank starts the lift afresh, and a rank n proves the polynomial
-    1. Each coefficient is lifted by the Chinese remainder theorem and
-    rational reconstruction (`exactla.rational_reconstruction`) until one
-    more prime leaves every coefficient unchanged. Raises
-    exactla.SingularMatrixError when the draw makes the loop ill-posed.
+    below it (`_closures`), and the polynomial is taken mod each
+    (`exactla.uncontrollable_charpoly_mod`). A prime whose closed loop has
+    no residues, or whose Krylov rank is below the highest seen, is unlucky
+    and skipped; a higher rank starts the lift afresh, and a rank n proves
+    the polynomial 1. Each coefficient is lifted by the Chinese remainder
+    theorem and rational reconstruction (`exactla.rational_reconstruction`)
+    until one more prime leaves every coefficient unchanged (`_lift`).
+    Raises exactla.SingularMatrixError when the draw makes the loop
+    ill-posed.
     """
-    loop = plant.loop
-    n = len(plant.A_xx)
-    block = {pos: values[pid] for pos, pid in plant.P_pattern.entries.items()}
-    best, modulus, residues, lifted = -1, 1, [], None
-    prime, well_posed = ex.PRIME, False
-    while True:
-        ab = loop.close_mod(block, prime)
-        if ab is None and not well_posed:
-            # an unlucky prime, or an ill-posed loop: only the exact solve can tell
-            loop.close_rows(plant.P_pattern.substitute(values))
-            well_posed = True
-        if ab is not None:
-            rank, coeffs = ex.uncontrollable_charpoly_mod(ab[:, :n], ab[:, n:], prime)
-            if rank == n:
-                return [ex.ONE]
-            if rank > best:
-                best, modulus, residues, lifted = rank, 1, [0] * (n - rank), None
-            if rank == best:
-                step = pow(modulus, -1, prime)
-                residues = [u + modulus * ((c - u) * step % prime)
-                            for u, c in zip(residues, coeffs)]
-                modulus *= prime
-                now = [ex.rational_reconstruction(u, modulus) for u in residues]
-                if now == lifted and None not in now:
-                    return now + [ex.ONE]
-                lifted = now
-        prime = ex.prev_prime(prime)
+    return _lift(len(plant.A_xx), _closures(plant, values))
 
 
 def polynomial_modes(c: list) -> list[complex]:
@@ -351,19 +363,18 @@ def randomized_realization_check(nds: NdsModel, seed: int = 0,
     closes the loop mod the prime `exactla.PRIME` (`OpenLoop.close_mod`) and
     takes the Kalman rank of the closed loop there
     (`exactla.krylov_spans_mod`). A rank n mod p is a rank n over the
-    rationals, so a witness proves structural controllability. Only when the
-    modular closure gives up (the loop is singular mod p, or p divides a
-    row's denominator) does the exact integer closure `OpenLoop.close_rows`
-    run: it redraws a loop that is singular over the rationals, and
-    otherwise decides the trial exactly as before, a trial where p divides
-    a denominator giving no witness. So the draws, redraws and witnesses
-    are those of the exact closure at every trial.
+    rationals, so a witness proves structural controllability. `close_mod`
+    alone tells an ill-posed draw, which is redrawn, from an unlucky prime,
+    for which it returns the exact closed loop's residues (None, so no
+    witness, where p divides a denominator). So the draws, redraws and
+    witnesses are those of the exact closure at every trial.
 
     When no trial gives a witness, which proves nothing and is reported as
     such, `last_uncontrollable_modes` lists the roots of the last draw's
-    uncontrollable polynomial, lifted exactly from a few primes
-    (`uncontrollable_polynomial`, `polynomial_modes`): each as often as its
-    multiplicity, rational roots exact, in `ratfun._cluster_key` order.
+    uncontrollable polynomial, lifted exactly from the last trial's closure
+    at `exactla.PRIME` and a few primes below it (`_lift`,
+    `polynomial_modes`): each as often as its multiplicity, rational roots
+    exact, in `ratfun._cluster_key` order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -386,32 +397,20 @@ def randomized_realization_check(nds: NdsModel, seed: int = 0,
     vsize = max(vsize, 2)
     # With nothing free to draw, every trial would realize the same system.
     trials = trials if k else 1
-    p = ex.PRIME
-    loop = plant.loop
     redraws = 0
     for t in range(1, trials + 1):
         for _ in range(50):
             values = plant.P_pattern.draw(rng, vsize)
-            ab = loop.close_mod({pos: values[pid] for pos, pid
-                                 in plant.P_pattern.entries.items()}, p)
-            if ab is not None:
-                break
-            # singular mod p, or p divides a row's denominator: the exact
-            # solve tells an ill-posed loop (redraw) from an unlucky prime
+            closures = _closures(plant, values)
             try:
-                adds, dens = loop.close_rows(plant.P_pattern.substitute(values))
+                _, ab, spans = first = next(closures)
                 break
-            except ex.SingularMatrixError:
+            except ex.SingularMatrixError:  # an ill-posed draw
                 redraws += 1
         else:
             raise RuntimeError("could not draw a well-posed realization")
-        if ab is None:
-            m_mod = ex.mod_rows(*ex.int_rows(loop.m), p)
-            add_mod = ex.mod_rows(adds, dens, p) if m_mod is not None else None
-            if add_mod is not None:
-                ab = (m_mod + add_mod) % p
-        if ab is not None and len(ex.krylov_spans_mod(ab[:, :nds.M_x], ab[:, nds.M_x:],
-                                                      p)[1]) == nds.M_x:
+        if ab is not None and len(spans[1]) == nds.M_x:
             return RealizationResult(True, t, redraws, seed, vsize, values, [])
-    last_modes = polynomial_modes(uncontrollable_polynomial(plant, values))
+    # the fill-in lifts from the last draw's closure at PRIME onward
+    last_modes = polynomial_modes(_lift(nds.M_x, chain([first], closures)))
     return RealizationResult(False, trials, redraws, seed, vsize, None, last_modes)

@@ -14,6 +14,11 @@ standard error differs between the trees, and exits 1 if any does. It reads
 
 compares each report with those keys removed from its `result` block, and
 counts apart the calls that differ only in them.
+
+    python3 tests/corpus_diff.py OLD NEW --workload all --seeds 1 2 3
+
+runs the four workloads one after another, prints one summary line for
+each, and exits 1 if any call of any of them differs.
 """
 
 from __future__ import annotations
@@ -26,19 +31,26 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+@cache
+def _workloads():
+    """The benchmark's `workloads` module, imported from `perfbench/`."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+    sys.dont_write_bytecode = True  # leave no cache files in perfbench/
+    import workloads
+    return workloads
 
 
 def build_documents(workload: str, seeds: list[int],
                     outdir: Path) -> tuple[list, list[str], dict]:
     """Write each distinct document once; returns (document paths, command
     arguments, and the golden verdict of each document that has one)."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
-    sys.dont_write_bytecode = True  # leave no cache files in perfbench/
-    import workloads
-
+    workloads = _workloads()
     golden = workloads.load_golden()
     command, _, _, with_sec7 = workloads.WORKLOADS[workload]
     entries = {(e["family"], e["rung"], e["seed"]): e
@@ -104,12 +116,43 @@ def _without(stdout: str, keys: list[str]):
     return report
 
 
+def compare(old_tree: Path, new_tree: Path, workload: str, seeds: list[int],
+            ignore_key: list[str]) -> int:
+    """Run one workload's command in both trees, print each differing call
+    and a summary line; returns the number of differing calls."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths, command, verdicts = build_documents(workload, seeds, Path(tmp))
+        old = run_tree(old_tree.resolve(), command, paths)
+        new = run_tree(new_tree.resolve(), command, paths)
+    differ = only_ignored = 0
+    for path, a, b in zip(paths, old, new):
+        fields = [name for name, x, y in zip(("exit", "stdout", "stderr"), a, b) if x != y]
+        if (fields == ["stdout"] and ignore_key
+                and _without(a[1], ignore_key) == _without(b[1], ignore_key)):
+            only_ignored += 1
+            continue
+        if fields:
+            differ += 1
+            label = Path(path).stem
+            print(f"{label}: {'/'.join(fields)} differ; "
+                  f"old exit {a[0]} ({_summary(a[1])}), new exit {b[0]} ({_summary(b[1])}); "
+                  f"golden controllable {verdicts.get(label, 'unknown')}")
+    ignored = (f"; {only_ignored} more differ only in {', '.join(ignore_key)}"
+               if ignore_key else "")
+    print(f"# {' '.join(command)} over {len(paths)} documents "
+          f"(workload {workload}, seeds {' '.join(map(str, seeds))}, sec7 "
+          f"{'in' if paths and Path(paths[-1]).stem == 'sec7' else 'out'}): "
+          f"{differ} calls differ{ignored}", flush=True)
+    return differ
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("old", nargs="?", type=Path)
     p.add_argument("new", nargs="?", type=Path)
-    p.add_argument("--workload", default="realize")
+    p.add_argument("--workload", default="realize",
+                   help="a workload of the benchmark, or all four")
     p.add_argument("--seeds", type=int, nargs="+", default=[1])
     p.add_argument("--ignore-key", action="append", default=[], metavar="KEY",
                    help="compare reports without this result key (repeatable)")
@@ -119,30 +162,10 @@ def main(argv=None) -> int:
         return 0
     if args.old is None or args.new is None:
         p.error("OLD_TREE and NEW_TREE are required")
-    with tempfile.TemporaryDirectory() as tmp:
-        paths, command, verdicts = build_documents(args.workload, args.seeds, Path(tmp))
-        old = run_tree(args.old.resolve(), command, paths)
-        new = run_tree(args.new.resolve(), command, paths)
-    differ = only_ignored = 0
-    for path, a, b in zip(paths, old, new):
-        fields = [name for name, x, y in zip(("exit", "stdout", "stderr"), a, b) if x != y]
-        if (fields == ["stdout"] and args.ignore_key
-                and _without(a[1], args.ignore_key) == _without(b[1], args.ignore_key)):
-            only_ignored += 1
-            continue
-        if fields:
-            differ += 1
-            label = Path(path).stem
-            print(f"{label}: {'/'.join(fields)} differ; "
-                  f"old exit {a[0]} ({_summary(a[1])}), new exit {b[0]} ({_summary(b[1])}); "
-                  f"golden controllable {verdicts.get(label, 'unknown')}")
-    ignored = (f"; {only_ignored} more differ only in {', '.join(args.ignore_key)}"
-               if args.ignore_key else "")
-    print(f"# {' '.join(command)} over {len(paths)} documents "
-          f"(workload {args.workload}, seeds {' '.join(map(str, args.seeds))}, sec7 "
-          f"{'in' if paths and Path(paths[-1]).stem == 'sec7' else 'out'}): "
-          f"{differ} calls differ{ignored}")
-    return 1 if differ else 0
+    names = list(_workloads().WORKLOADS) if args.workload == "all" else [args.workload]
+    differ = [compare(args.old, args.new, name, args.seeds, args.ignore_key)
+              for name in names]
+    return 1 if any(differ) else 0
 
 
 if __name__ == "__main__":

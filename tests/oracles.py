@@ -10,10 +10,11 @@ a question the library settles another way:
 * the lumped fixed-mode route: the union rank of the transposed plant
   matroid with the two-diagonal parameter pattern of the diagonalized
   lumped plant (`check_fum_lumped`), and the square-form connection graph
-  of that plant (`build_lumped_acg`), beside the paper's per-subsystem
-  networked tests;
-* exhaustive searches: the union rank by its rank formula and the smallest
-  covering row set by levelwise enumeration;
+  of that plant (`build_lumped_acg`, on the square-form builder
+  `build_acg`), beside the paper's per-subsystem networked tests;
+* exhaustive searches: the union rank by its rank formula (a pattern's
+  rank is a maximum matching's size, `rank_of`) and the smallest covering
+  row set by levelwise enumeration;
 * Hopcroft-Karp matching beside `matroid._max_matching`, and the layout of
   the lumped parameter pattern beside `NdsModel.P_pattern`;
 * the uncontrollable polynomial by a Fraction Kalman decomposition
@@ -41,7 +42,7 @@ from netctrl.exactla import RANK_TOL, Mat
 from netctrl.matroid import GenericPattern, IndependenceOracle, NumericColumns
 from netctrl.model import NdsModel, StructuredPattern, assemble_lumped
 from netctrl.ratfun import EntryClass, ModeData
-from netctrl.structgraph import StructureGraph, build_acg
+from netctrl.structgraph import StructureGraph, _class_edges, _graph
 from netctrl.verify import ModeCheck
 
 
@@ -195,6 +196,15 @@ class ExactColumns(IndependenceOracle):
         return self.rank_of(key) == len(key)
 
 
+def rank_of(oracle: IndependenceOracle, subset: Iterable[int]) -> int:
+    """The rank of a subset: for a `GenericPattern`, the size of a maximum
+    matching of its columns, which the intersection never asks for; for a
+    column oracle, its own cached `rank_of`."""
+    if isinstance(oracle, GenericPattern):
+        return len(oracle._matching(subset))
+    return oracle.rank_of(subset)
+
+
 def matroid_union_rank(numeric_part, generic_pattern: StructuredPattern,
                        seed: int = 0, trials: int = 3, tol: float = RANK_TOL) -> int:
     """Union rank by randomized stacked rank.
@@ -247,7 +257,7 @@ def exhaustive_union_rank(numeric_part, generic_pattern: StructuredPattern,
     best = n
     for mask in range(1 << n):
         subset = [e for e in elements if mask >> e & 1]
-        value = (n - len(subset)) + o1.rank_of(subset) + o2.rank_of(subset)
+        value = (n - len(subset)) + o1.rank_of(subset) + rank_of(o2, subset)
         if value < best:
             best = value
     return best
@@ -393,6 +403,17 @@ def check_fum_lumped(nds: NdsModel, modes: Optional[list] = None,
 
 
 _ZERO = EntryClass("zero")
+
+
+def build_acg(gzv_classes: list, gzu_classes: list) -> StructureGraph:
+    """Square-form connection graph: output-to-output and input-to-output edges."""
+    k = len(gzv_classes)
+    if any(len(row) != k for row in gzv_classes):
+        raise ValueError("square class matrix required")
+    q_in = len(gzu_classes[0]) if gzu_classes else 0
+    verts = [("z", 0, a + 1) for a in range(k)] + [("u", 0, j + 1) for j in range(q_in)]
+    edges = _class_edges(gzv_classes, "z", "z", 0) + _class_edges(gzu_classes, "u", "z", 0)
+    return _graph(verts, edges)
 
 
 def build_lumped_acg(nds: NdsModel, tfms: list) -> StructureGraph:

@@ -8,6 +8,7 @@ table wins, then the first entry or position in document order.
 import copy
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -264,3 +265,68 @@ def test_report_carries_the_load_digest(tmp_path, capsys):
     path.write_text(json.dumps(doc), encoding="utf-8")
     main(["check", str(path)])
     assert json.loads(capsys.readouterr().out)["model_digest"] == _reference_digest(doc)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field, where", [
+    (("A_xx",), A_XX),
+    (("lft", "E1"), "subsystems[1].lft.E1"),
+    (("lft", "param", "fixed"), "subsystems[1].lft.param.fixed"),
+])
+def test_non_finite_entries_are_positioned_errors(tmp_path, capsys, literal, field, where):
+    # Python's json reads NaN, Infinity and -Infinity as floats
+    doc = copy.deepcopy(BASE)
+    holder = doc["subsystems"][0]
+    for key in field[:-1]:
+        holder = holder[key]
+    if field[-1] == "fixed":
+        holder.pop("free")
+        holder["fixed"] = [[0]]
+    holder[field[-1]][0][0] = float(literal)
+    text = json.dumps(doc)
+    assert literal in text
+    message = f"{where}[1][1]: non-finite number {float(literal)!r} is not a matrix entry"
+    assert _parse_error(json.loads(text)) == message
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _shuffled_positions(doc, rng):
+    """doc with every free position list in another order."""
+    doc = copy.deepcopy(doc)
+    lists = [doc["scm"]["free"]] + [s["lft"]["param"]["free"] for s in doc["subsystems"]
+                                    if "free" in s.get("lft", {}).get("param", {})]
+    for positions in lists:
+        before = list(positions)
+        while len(positions) > 1 and positions == before:
+            rng.shuffle(positions)
+    return doc
+
+
+def test_position_order_does_not_change_reports(tmp_path, capsys):
+    # the draw order follows the sorted positions, so a document that lists
+    # the same positions in another order gets the same bytes on every report
+    with open(sec7_path(), encoding="utf-8") as fh:
+        sec7 = json.load(fh)
+    blocks = copy.deepcopy(DIGEST_DOCS["free-block-positions-out-of-order"])
+    blocks["subsystems"].append(copy.deepcopy(blocks["subsystems"][0]))
+    blocks["scm"] = {"free": [[2, 3], [1, 1], [2, 1], [1, 2]]}
+    rng = random.Random(3)
+    path = tmp_path / "doc.json"
+    for doc in (sec7, blocks):
+        variants = [doc] + [_shuffled_positions(doc, rng) for _ in range(3)]
+        outputs = []
+        for variant in variants:
+            path.write_text(json.dumps(variant), encoding="utf-8")
+            outputs.append([(main([command, str(path), *flags]), capsys.readouterr())
+                            for command, *flags in (["check"], ["realize"],
+                                                    ["realize", "--seed", "1"])])
+        assert all(out == outputs[0] for out in outputs[1:])
+    # sec7 with its routing positions reversed keeps its realize report
+    sec7["scm"]["free"].reverse()
+    path.write_text(json.dumps(sec7), encoding="utf-8")
+    assert main(["realize", str(path)]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["last_uncontrollable_modes"] == ["0.0", "-4.990627601364637e-07"]

@@ -521,15 +521,18 @@ def test_uncontrollable_charpoly_mod_matches_kalman_decomposition():
             a, b = _random_int_matrix(rng, n, n, span=2), _random_int_matrix(rng, n, m, span=1)
         want = kalman_uncontrollable_polynomial(a, b)
         b_res = _residues(b, p) if m or trial % 2 else np.zeros((n, 0), np.int64)
-        rank, coeffs = ex.uncontrollable_charpoly_mod(_residues(a, p), b_res, p)
+        a_res = _residues(a, p)
+        basis, pivots = ex.krylov_spans_mod(a_res, b_res, p)
+        rank, coeffs = len(pivots), ex.uncontrollable_charpoly_mod(a_res, basis, pivots, p)
         assert rank == n + 1 - len(want)
         assert coeffs == [_mod_fraction(x, p) for x in want], f"trial {trial}"
         degrees.add(len(want) - 1)
     assert {0, 1, 2, 3} <= degrees
     # no input: the whole characteristic polynomial
     a = [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(3)]]
-    assert ex.uncontrollable_charpoly_mod(_residues(a), np.zeros((2, 0), np.int64)) \
-        == (0, [6, ex.PRIME - 5, 1])
+    basis, pivots = ex.krylov_spans_mod(_residues(a), np.zeros((2, 0), np.int64))
+    assert pivots == []
+    assert ex.uncontrollable_charpoly_mod(_residues(a), basis, pivots) == [6, ex.PRIME - 5, 1]
     assert ex.charpoly_mod(np.zeros((0, 0), np.int64)) == [1]
 
 

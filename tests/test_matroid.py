@@ -13,7 +13,7 @@ from netctrl.model import (ModelError, NdsModel, StructuredPattern, assemble_lum
                            check_well_posedness)
 
 from oracles import (ExactColumns, _hopcroft_karp, exhaustive_union_rank, eye,
-                     matroid_union_rank)
+                     matroid_union_rank, rank_of)
 from randgen import random_nds, random_subsystem
 
 
@@ -141,7 +141,7 @@ def test_intersection_matches_exhaustive():
 def _assert_dual_certificate(o1, o2, best):
     # Edmonds: r1(E - R) + r2(R) = |I| for the last search's reach set R
     outside = [e for e in range(o1.ground_size) if e not in best.reach]
-    assert o1.rank_of(outside) + o2.rank_of(best.reach) == best.certified_rank
+    assert rank_of(o1, outside) + rank_of(o2, best.reach) == best.certified_rank
     assert o1.independent(best.indices) and o2.independent(best.indices)
 
 
@@ -346,4 +346,4 @@ def test_routing_pattern_identity_rank(sec7):
     # the identity block alone spans every output row
     ident = set(range(sec7.M_v, sec7.M_v + sec7.M_z))
     assert oracle.independent(ident)
-    assert oracle.rank_of(range(pat.cols)) == sec7.M_z
+    assert rank_of(oracle, range(pat.cols)) == sec7.M_z

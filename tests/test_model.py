@@ -329,12 +329,14 @@ def test_open_loop_closes_at_many_blocks(monkeypatch):
 
 
 def test_close_mod_matches_exact_closure():
-    # the modular closure at an integer block equals the exact closed loop's
-    # residues; it gives up (None) exactly when the prime divides the loop's
-    # determinant or the denominator of a nonzero row
+    # the closure mod a prime at an integer block: an ill-posed loop raises;
+    # otherwise it gives the exact closed loop's residues, also where the
+    # modular solve gives up (the prime divides the loop's determinant or
+    # the denominator of a nonzero row), and None exactly when the prime
+    # divides a denominator of the exact closed loop
     rng = random.Random(6)
     prime = 101
-    agree = singular = unlucky = 0
+    agree = singular = unlucky = divides = 0
     for _ in range(400):
         rows, cols = rng.randint(0, 5), rng.randint(1, 5)
         pr, pc = rng.randint(1, 4), rng.randint(1, 4)
@@ -344,7 +346,9 @@ def test_close_mod_matches_exact_closure():
         block = {(r, c): rng.randint(1, 3 * prime) for r in range(pr) for c in range(pc)
                  if rng.random() < 0.5}
         kind = rng.random()
-        if kind < 0.1:  # a denominator the prime divides
+        if kind < 0.05 and rows:  # a denominator of m the prime divides
+            m[0][0] = Fraction(1, prime)
+        elif kind < 0.1:  # a denominator of h the prime divides
             h[0][0] = Fraction(1, prime)
         elif kind < 0.25:  # row 0 of I - h p made zero: h_0 p = e_0
             k, x = rng.randrange(pr), rng.randint(1, 5)
@@ -355,25 +359,31 @@ def test_close_mod_matches_exact_closure():
         p = ex.zeros(pr, pc)
         for (r, c), x in block.items():
             p[r][c] = Fraction(x)
-        got = OpenLoop(m, e, h, f).close_mod(block, prime)
+        loop = OpenLoop(m, e, h, f)
         want = _dense_close_loop(m, e, h, f, p)
         if want is None:
             singular += 1
+            with pytest.raises(ex.SingularMatrixError):
+                loop.close_mod(block, prime)
+            continue
+        got = loop.close_mod(block, prime)
+        hp = _dense_mmul(h, p)
+        lhs = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(hp)]
+        scaled = [[x * row_scale for x in row] for row, row_scale in
+                  zip(lhs, ex.int_rows([hr + fr for hr, fr in zip(h, f)])[1])]
+        dens = [x.denominator for row in m + e + h + f for x in row if x]
+        if any(x.denominator % prime == 0 for row in want for x in row):
+            divides += 1
             assert got is None
-        elif got is None:
+            continue
+        assert got.tolist() == [[x.numerator * pow(x.denominator, -1, prime) % prime
+                                 for x in row] for row in want]
+        if (_dense_rank_det(scaled)[1] % prime == 0
+                or any(d % prime == 0 for d in dens)):
             unlucky += 1
-            hp = _dense_mmul(h, p)
-            loop = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(hp)]
-            scaled = [[x * row_scale for x in row] for row, row_scale in
-                      zip(loop, ex.int_rows([hr + fr for hr, fr in zip(h, f)])[1])]
-            dens = [x.denominator for row in m + e + h + f for x in row if x]
-            assert (_dense_rank_det(scaled)[1] % prime == 0
-                    or any(d % prime == 0 for d in dens))
         else:
             agree += 1
-            assert got.tolist() == [[x.numerator * pow(x.denominator, -1, prime) % prime
-                                     for x in row] for row in want]
-    assert agree >= 150 and singular >= 20 and unlucky >= 20
+    assert agree >= 150 and singular >= 20 and unlucky >= 20 and divides >= 10
 
 
 def test_close_loop_singular_loop():

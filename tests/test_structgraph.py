@@ -4,7 +4,7 @@ import pytest
 
 from netctrl import ratfun
 from netctrl.cli import parse_document
-from netctrl.structgraph import (StructureGraph, build_acg, build_nacg,
+from netctrl.structgraph import (StructureGraph, build_nacg,
                                  build_subsystem_acg,
                                  find_input_unreachable_lambda_cycle,
                                  find_input_unreachable_lambda_edge,
@@ -12,7 +12,7 @@ from netctrl.structgraph import (StructureGraph, build_acg, build_nacg,
                                  unreachable_source_sccs_with_lambda_edge,
                                  vertex_name)
 
-from oracles import build_lumped_acg
+from oracles import build_acg, build_lumped_acg
 
 
 def _names(vertices):

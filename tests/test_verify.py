@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -268,8 +269,8 @@ def test_realization_reads_the_plant_once(monkeypatch, sec7):
 
 
 def _exact_fallback(monkeypatch):
-    """Make every modular closure give up, so each draw runs the exact solve."""
-    monkeypatch.setattr(OpenLoop, "close_mod", lambda self, p, prime: None)
+    """Make every modular solve give up, so each closure runs the exact solve."""
+    monkeypatch.setattr(ex, "solve_mod", lambda a, b, p: None)
 
 
 def test_realization_redraws_only_singular_loops(monkeypatch, sec7_designed3):
@@ -347,28 +348,32 @@ def test_realization_denominator_divisible_by_the_prime(monkeypatch, max_sub, se
     randomized_realization_check(nds, seed=0, trials=1)
     block, residues = closed[0]
     assert residues is not None  # the modular closure decided the first draw
-    loop = assemble_lumped(nds).loop
+    plant = assemble_lumped(nds)
+    loop = plant.loop
     p = ex.zeros(loop.p_rows, loop.n)
     for (r, c), x in block.items():
         p[r][c] = Fraction(x)
-    adds, dens = loop.close_rows(p)
-    q = _smallest_prime_factor(next(d for a, d in zip(adds, dens) if any(a)))
+    exact = loop.close(p)
+    q = _smallest_prime_factor(lcm(*[x.denominator for row in exact for x in row]))
     assert q is not None
     # with the prime q the first draw's closed loop has no residues, though
     # the plant itself has: the modular closure gives up, and the exact
-    # fallback finds the loop well-posed but gives no witness
-    assert ex.mod_rows(adds, dens, q) is None
+    # fallback inside close_mod finds the loop well-posed but gives no witness
+    assert ex.mod_rows(*ex.int_rows(exact), q) is None
     assert ex.mod_rows(*ex.int_rows(loop.m), q) is not None
     assert close_mod(loop, block, q) is None
     monkeypatch.setattr(ex, "PRIME", q)
-    fill_in = verify.uncontrollable_polynomial
+    values = {pid: block[pos] for pos, pid in plant.P_pattern.entries.items()}
+    lift = verify._lift
 
-    def at_the_prime(plant, values):
-        # the fill-in lifts from the primes below the real PRIME
+    def at_the_prime(n, closures):
+        # the fill-in starts from the trial's closure at q, then lifts from
+        # the primes below the real PRIME
+        assert next(closures) == (q, None, None)
         monkeypatch.undo()
-        return fill_in(plant, values)
+        return lift(n, verify._closures(plant, values))
 
-    monkeypatch.setattr(verify, "uncontrollable_polynomial", at_the_prime)
+    monkeypatch.setattr(verify, "_lift", at_the_prime)
     solved = []
     int_solve = ex.int_solve
     monkeypatch.setattr(ex, "int_solve", lambda rows, n: solved.append(n) or int_solve(rows, n))
@@ -376,6 +381,8 @@ def test_realization_denominator_divisible_by_the_prime(monkeypatch, max_sub, se
     res = randomized_realization_check(nds, seed=0, trials=1)
     assert closed[0] == (block, None) and solved == [loop.n]
     assert not res.controllable_witness and res.trials_used == 1 and res.redraws == 0
+    assert res.last_uncontrollable_modes == verify.polynomial_modes(
+        verify.uncontrollable_polynomial(plant, values))
 
 
 def test_realization_without_parameters_immediate():
@@ -540,21 +547,28 @@ def test_uncontrollable_polynomial_matches_kalman_decomposition(
 
 
 def test_realization_fill_in_matches_kalman_decomposition(monkeypatch, sec7, sec7_designed2):
-    filled = []
-    lift = verify.uncontrollable_polynomial
+    draws, lifts = [], []
+    closures, lift = verify._closures, verify._lift
 
-    def recording(plant, values):
-        filled.append((plant, values))
-        return lift(plant, values)
+    def drawing(plant, values):
+        draws.append((plant, values))
+        return closures(plant, values)
 
-    monkeypatch.setattr(verify, "uncontrollable_polynomial", recording)
+    def lifting(n, closed):
+        lifts.append(n)
+        return lift(n, closed)
+
+    monkeypatch.setattr(verify, "_closures", drawing)
+    monkeypatch.setattr(verify, "_lift", lifting)
     for nds in [sec7, sec7_designed2] + [random_nds(seed, 3) for seed in range(30)]:
-        filled.clear()
+        draws.clear()
+        lifts.clear()
         res = randomized_realization_check(nds, seed=1, trials=2)
         if res.controllable_witness:
-            assert not filled
+            assert not lifts
             continue
-        (plant, values), = filled
+        assert lifts == [nds.M_x]
+        plant, values = draws[-1]  # the fill-in lifts the last draw
         want = _assert_matches_kalman_oracle(plant, values, nds.M_x)
         assert res.last_uncontrollable_modes == verify.polynomial_modes(want)
 
@@ -599,3 +613,20 @@ def test_realization_runs_only_the_modular_path(monkeypatch, sec7, sec7_designed
     res = randomized_realization_check(sec7_designed3, seed=0, trials=5)
     assert res.controllable_witness
     assert len(solved) == res.trials_used + res.redraws >= 1
+
+
+def test_realization_closes_each_draw_once_at_the_prime(monkeypatch, sec7):
+    # the fill-in lifts from the last trial's closure at PRIME, then closes
+    # the same draw only mod the primes below it
+    primes = []
+    close_mod = OpenLoop.close_mod
+
+    def recording(self, p, prime):
+        primes.append(prime)
+        return close_mod(self, p, prime)
+
+    monkeypatch.setattr(OpenLoop, "close_mod", recording)
+    res = randomized_realization_check(sec7, seed=0, trials=5)
+    assert not res.controllable_witness and res.last_uncontrollable_modes
+    assert primes.count(ex.PRIME) == res.trials_used + res.redraws
+    assert len(primes) > res.trials_used + res.redraws
