@@ -292,12 +292,14 @@ def design_topology(subsystems: list[SubsystemModel], mode_filter: str = "all",
     if any(s.has_free_params for s in subsystems):
         raise InfeasibleDesignError(
             "topology design expects fixed or absent parameter blocks")
-    feas = verify.check_feasibility(subsystems, mode_filter, rank_tol, eig_tol)
-    if not feas.feasible:
-        raise InfeasibleDesignError(f"infeasible: {feas.detail}", feas)
+    # one pooling serves feasibility, the design and the final verdict
     nds0 = NdsModel.unrouted(subsystems)
     spec = ratfun.spectrum(nds0, eig_tol)
-    lams = ratfun.filter_modes(spec.values, mode_filter)
+    feas = verify.check_feasibility(subsystems, mode_filter, rank_tol, eig_tol, spec)
+    if not feas.feasible:
+        raise InfeasibleDesignError(f"infeasible: {feas.detail}", feas)
+    kept = spec.filtered(mode_filter)
+    lams = kept.values
     modes = ratfun.modes(nds0, lams, rank_tol)
     M_v, M_z = nds0.M_v, nds0.M_z
     j_grd, _ = greedy_link_rows(modes, M_v, rank_tol)
@@ -311,19 +313,13 @@ def design_topology(subsystems: list[SubsystemModel], mode_filter: str = "all",
                      | {d["position"] for d in stage2_links})
     phi = StructuredPattern.from_positions(M_v, M_z, all_pos, "phi")
     nds_final = NdsModel(subsystems, phi)
-    verdict = verify.check_structural_controllability(nds_final, rank_tol, eig_tol)
+    verdict = verify.check_structural_controllability(nds_final, rank_tol, eig_tol, spec)
     if mode_filter == "all":
         verified = verdict.structurally_controllable
     else:
         unstable_fums = [mc for mc in verdict.fums if ratfun.is_unstable(mc.lam)]
         verified = not unstable_fums and verdict.pdum is None
-    # [lam I - A_j, B_j] loses rank only at an eigenvalue of A_j, so
-    # subsystem j is ranked only at the kept pooled values it owns
-    m_def = 0
-    for j, rec in enumerate(ratfun.analysis_records(nds0.analysis)):
-        own = [lam for lam, owners in zip(spec.values, spec.members) if j in owners]
-        m_def += int(rec.pbh_deficiencies(ratfun.filter_modes(own, mode_filter),
-                                          rank_tol).sum())
+    m_def = sum(ratfun.owner_deficiencies(nds0, kept, rank_tol))
     p_ius = sum(1 for d in stage2_links if d["provenance"].startswith("source"))
     links_total = len(all_pos)
     rhs = (2 * max(feas.max_target, 1) * (1 + math.log(max(m_def, 1)))

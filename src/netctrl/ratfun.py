@@ -122,6 +122,12 @@ class Spectrum:
     def m(self) -> int:
         return len(self.values)
 
+    def filtered(self, mode_filter: str) -> Spectrum:
+        """The values `filter_modes` keeps, with their owners."""
+        keep = [i for i, lam in enumerate(self.values) if filter_modes([lam], mode_filter)]
+        return Spectrum([self.values[i] for i in keep], [self.members[i] for i in keep],
+                        self.tol)
+
 
 def is_unstable(lam: complex) -> bool:
     """A mode a stabilizing design must clear: real part >= -1e-9."""
@@ -260,6 +266,29 @@ def mode_targets(nds: NdsModel, lams: list, tol: float = RANK_TOL) -> list[int]:
     ranks without building a null-space basis."""
     per_sub = [rec.null_dims(lams, tol) for rec in analysis_records(nds.analysis)]
     return [sum(dims) for dims in zip(*per_sub)]
+
+
+def owner_deficiencies(nds: NdsModel, spec: Spectrum, tol: float = RANK_TOL) -> list[int]:
+    """State rows lost by [lam I - A_xx, B_xu] at each pooled value, summed
+    over the subsystems that own it (`Spectrum.members`).
+
+    The PBH matrix of a subsystem loses rank only at an eigenvalue of its
+    A_xx, so a subsystem is ranked only at the values it owns. Subsystems
+    that share a record are ranked once: one stacked `pbh_deficiencies`
+    call per distinct record, at every value one of them owns.
+    """
+    records = analysis_records(nds.analysis)
+    owners: dict[SubsystemAnalysis, dict[int, int]] = {}  # record -> value -> owner count
+    for i, members in enumerate(spec.members):
+        for j in members:
+            count = owners.setdefault(records[j], {})
+            count[i] = count.get(i, 0) + 1
+    out = [0] * spec.m
+    for rec, count in owners.items():
+        deficiencies = rec.pbh_deficiencies([spec.values[i] for i in count], tol)
+        for (i, n), d in zip(count.items(), deficiencies):
+            out[i] += n * int(d)
+    return out
 
 
 def mode_data(nds: NdsModel, lam: complex, tol: float = RANK_TOL) -> ModeData:

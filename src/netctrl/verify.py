@@ -7,11 +7,19 @@ runs a well-posedness test (`check_structural_controllability` says why).
 `check_structural_controllability` settles the fixed-mode question by the
 paper's networked per-mode test. The lumped matroid-union test on the
 diagonalized plant is kept as a test-suite reference (tests/oracles.py)
-that must agree with it. The networked route settles each mode with one
-product rank rank(Y P + Z) at a routing matrix P whose free entries are
-unit-scale Gaussians from a fixed-seed generator; only a mode that draw
-leaves short of its target runs the exact matroid intersection of [P^T I]
-with [Y Z].
+that must agree with it. The networked route settles a mode by the
+cheapest of three ranks that can prove it:
+
+- Owners' PBH ranks. Z is block-diagonal by subsystem, and a subsystem's
+  block loses exactly the state rows its [lam I - A_xx, B_xu] loses, so
+  rank Z = M_r when every subsystem owning lam keeps that matrix at full
+  row rank (a subsystem that does not own lam always does). Y P + Z is Z
+  at P = 0, no substituted rank exceeds the generic rank, and the generic
+  rank, the intersection rank, is at most M_r: such a mode is not fixed.
+- One product rank rank(Y P + Z) at a routing matrix P whose free entries
+  are unit-scale Gaussians from a fixed-seed generator.
+- The exact matroid intersection of [P^T I] with [Y Z], for a mode the
+  draw leaves short of its target.
 """
 
 from __future__ import annotations
@@ -80,27 +88,43 @@ def mode_rank(md: ratfun.ModeData, pattern: StructuredPattern, q1: GenericPatter
     return matroid_intersection_rank(q1, q2).certified_rank
 
 
-def check_fum_networked(nds: NdsModel, modes: Optional[list] = None,
+def check_fum_networked(nds: NdsModel, spec: Optional[ratfun.Spectrum] = None,
                         rank_tol: float = ratfun.RANK_TOL) -> list[ModeCheck]:
-    """Per-mode intersection ranks against their null-space targets.
+    """Per-mode intersection ranks against their null-space targets, at each
+    value of the pooled spectrum `spec` (by default the network's own).
 
     A mode is fixed-uncontrollable exactly when the intersection rank falls
-    short of the total per-subsystem null-space dimension at that eigenvalue.
-    Each mode draws one random routing matrix (`mode_rank`); the exact
-    intersection runs only on the modes that draw leaves short.
+    short of its target M_r, the total per-subsystem null-space dimension
+    at that eigenvalue (`ratfun.mode_targets`). A mode whose owners all keep
+    [lam I - A_xx, B_xu] at full row rank (`ratfun.owner_deficiencies`) is
+    settled at M_r with no null-space block and no product rank: there
+    rank Z = M_r, so the product rank at P = 0 already reaches the target,
+    and the intersection rank, the generic rank of Y P + Z, is at least
+    that and at most M_r. Every other mode with M_r > 0 draws one random
+    routing matrix (`mode_rank`), and the exact intersection runs only on
+    the modes that draw leaves short. A settled mode still takes its draw
+    from the generator, so each other mode draws the same matrix as when
+    every mode drew one.
     """
-    if modes is None:
+    if spec is None:
         spec = ratfun.spectrum(nds)
-        modes = ratfun.modes(nds, spec.values, rank_tol)
+    modes = list(zip(spec.values, ratfun.mode_targets(nds, spec.values, rank_tol),
+                     ratfun.owner_deficiencies(nds, spec, rank_tol)))
+    blocks = iter(ratfun.modes(nds, [lam for lam, target, d in modes if target and d],
+                               rank_tol))
     pattern = nds.P_pattern
     q1 = GenericPattern(routing_pattern_q1(pattern))
     rng = np.random.default_rng(_PRODUCT_RANK_SEED)
     out = []
-    for md in modes:
-        if md.M_r == 0:
-            out.append(ModeCheck(md.lam, 0, 0))
-            continue
-        out.append(ModeCheck(md.lam, md.M_r, mode_rank(md, pattern, q1, rng, rank_tol)))
+    for lam, target, d in modes:
+        if target == 0:
+            out.append(ModeCheck(lam, 0, 0))
+        elif d == 0:
+            rng.standard_normal(len(pattern.entries))  # the draw this mode skips
+            out.append(ModeCheck(lam, target, target))
+        else:
+            out.append(ModeCheck(lam, target, mode_rank(next(blocks), pattern, q1, rng,
+                                                        rank_tol)))
     return out
 
 
@@ -141,7 +165,8 @@ def _fmt_c(lam: complex) -> str:
 
 
 def check_structural_controllability(nds: NdsModel, rank_tol: float = ratfun.RANK_TOL,
-                                     eig_tol: float = ratfun.EIG_TOL) -> Verdict:
+                                     eig_tol: float = ratfun.EIG_TOL,
+                                     spec: Optional[ratfun.Spectrum] = None) -> Verdict:
     """Full verdict: input-unreachable lambda cycle plus per-mode ranks.
 
     A moving uncontrollable mode exists exactly when some input-unreachable
@@ -149,12 +174,14 @@ def check_structural_controllability(nds: NdsModel, rank_tol: float = ratfun.RAN
     the cycle through it is the witness. The network needs no well-posedness
     test: at P = 0 and free parameter blocks 0 every loop matrix is I, whose
     determinant is 1, so each loop determinant is a nonzero polynomial.
+    The spectrum depends on the subsystems alone, so a caller that has
+    pooled it at `eig_tol` for the same subsystems passes it as `spec`.
     """
     nacg = structgraph.build_nacg(nds, ratfun.nds_tfms(nds))
     cycle = structgraph.find_input_unreachable_lambda_cycle(nacg)
-    spec = ratfun.spectrum(nds, eig_tol)
-    modes = ratfun.modes(nds, spec.values, rank_tol)
-    checks = check_fum_networked(nds, modes, rank_tol)
+    if spec is None:
+        spec = ratfun.spectrum(nds, eig_tol)
+    checks = check_fum_networked(nds, spec, rank_tol)
     fums = fums_of(checks)
     return Verdict(structurally_controllable=cycle is None and not fums, pdum=cycle,
                    fums=fums, per_mode=checks, rank_tol=rank_tol, eig_tol=eig_tol)
@@ -185,14 +212,16 @@ class FeasibilityReport:
 
 def check_feasibility(subsystems: list[SubsystemModel], mode_filter: str = "all",
                       rank_tol: float = ratfun.RANK_TOL,
-                      eig_tol: float = ratfun.EIG_TOL) -> FeasibilityReport:
+                      eig_tol: float = ratfun.EIG_TOL,
+                      spec: Optional[ratfun.Spectrum] = None) -> FeasibilityReport:
     """Existence test for a structurally controllable interconnection.
 
     (i) each subsystem must be controllable through the widened input matrix
     [B  A_xv]; (ii) the output-port count must cover the largest per-mode
     target, which needs the ranks of the mode matrices and no null-space
     basis; (iii) some subsystem must expose an external-input route to its
-    outputs, unless no transfer entry is frequency dependent.
+    outputs, unless no transfer entry is frequency dependent. A caller that
+    has pooled the subsystems' spectrum at `eig_tol` passes it as `spec`.
     """
     nds = NdsModel.unrouted(subsystems)
     cond_i = []
@@ -205,7 +234,8 @@ def check_feasibility(subsystems: list[SubsystemModel], mode_filter: str = "all"
             # the eigenvalue as the spectrum holds it: a real one prints as a float
             detail.append(f"subsystem {idx + 1} uncontrollable at {lams[failing[0]]:.6g}")
         cond_i.append((idx, not failing.size))
-    spec = ratfun.spectrum(nds, eig_tol)
+    if spec is None:
+        spec = ratfun.spectrum(nds, eig_tol)
     lams = ratfun.filter_modes(spec.values, mode_filter)
     max_target = max(ratfun.mode_targets(nds, lams, rank_tol), default=0)
     cond_ii = nds.M_z >= max_target

@@ -19,6 +19,11 @@ counts apart the calls that differ only in them.
 
 runs the four workloads one after another, prints one summary line for
 each, and exits 1 if any call of any of them differs.
+
+    python3 tests/corpus_diff.py OLD NEW --workload design --command "feasible --modes all"
+
+runs that command line, instead of the workload's own command, on the
+workload's documents.
 """
 
 from __future__ import annotations
@@ -28,11 +33,13 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
 from functools import cache
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -117,11 +124,13 @@ def _without(stdout: str, keys: list[str]):
 
 
 def compare(old_tree: Path, new_tree: Path, workload: str, seeds: list[int],
-            ignore_key: list[str]) -> int:
-    """Run one workload's command in both trees, print each differing call
-    and a summary line; returns the number of differing calls."""
+            ignore_key: list[str], command: Optional[list[str]] = None) -> int:
+    """Run one workload's command, or the given command line, in both trees
+    on the workload's documents; print each differing call and a summary
+    line; returns the number of differing calls."""
     with tempfile.TemporaryDirectory() as tmp:
-        paths, command, verdicts = build_documents(workload, seeds, Path(tmp))
+        paths, own, verdicts = build_documents(workload, seeds, Path(tmp))
+        command = command or own
         old = run_tree(old_tree.resolve(), command, paths)
         new = run_tree(new_tree.resolve(), command, paths)
     differ = only_ignored = 0
@@ -156,6 +165,9 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, nargs="+", default=[1])
     p.add_argument("--ignore-key", action="append", default=[], metavar="KEY",
                    help="compare reports without this result key (repeatable)")
+    p.add_argument("--command", type=shlex.split, metavar="CMD",
+                   help="run this command line (e.g. \"feasible --modes all\") "
+                        "instead of the workload's own command")
     args = p.parse_args(argv)
     if args.worker:
         run_worker(*json.load(sys.stdin))
@@ -163,7 +175,7 @@ def main(argv=None) -> int:
     if args.old is None or args.new is None:
         p.error("OLD_TREE and NEW_TREE are required")
     names = list(_workloads().WORKLOADS) if args.workload == "all" else [args.workload]
-    differ = [compare(args.old, args.new, name, args.seeds, args.ignore_key)
+    differ = [compare(args.old, args.new, name, args.seeds, args.ignore_key, args.command)
               for name in names]
     return 1 if any(differ) else 0
 

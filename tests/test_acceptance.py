@@ -89,8 +89,9 @@ def test_criterion_3_unstable_design(sec7):
     spec = ratfun.spectrum(designed)
     unstable = [l for l in spec.values if l.real >= -1e-9]
     assert [complex(l) for l in unstable] == [1 + 0j, 0j]
-    modes = [ratfun.mode_data(designed, lam) for lam in unstable]
-    assert not any(mc.is_fum for mc in check_fum_networked(designed, modes))
+    checks = check_fum_networked(designed, spec.filtered("unstable"))
+    assert [complex(mc.lam) for mc in checks] == [1 + 0j, 0j]
+    assert not any(mc.is_fum for mc in checks)
     real = randomized_realization_check(designed, seed=3, trials=3)
     assert not real.controllable_witness
     assert real.last_uncontrollable_modes

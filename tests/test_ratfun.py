@@ -12,9 +12,9 @@ from netctrl import exactla as ex
 from netctrl.cli import load_document
 from netctrl.data import sec7_path
 from netctrl.model import NdsModel, StructuredPattern, SubsystemModel
-from netctrl.ratfun import (EntryClass, analysis_records, entry_classes, filter_modes,
-                            mode_data, modes, nds_tfms, pbh_stack, spectrum,
-                            subsystem_tfms)
+from netctrl.ratfun import (EntryClass, SubsystemAnalysis, analysis_records,
+                            entry_classes, filter_modes, mode_data, modes, nds_tfms,
+                            owner_deficiencies, pbh_stack, spectrum, subsystem_tfms)
 
 from oracles import _dense_entry_classes, _loop_pbh_stack, eye, transpose
 from randgen import random_nds, random_subsystem
@@ -220,6 +220,31 @@ def test_mode_data_sec7_targets(sec7):
     deficiency = sum(rec.pbh_deficiencies([1.0, 0.0], 1e-9)
                      for rec in analysis_records(sec7.analysis))
     assert deficiency.tolist() == [2, 1]
+
+
+def test_owner_deficiencies_rank_each_record_once(monkeypatch, sec7):
+    # sec7: every pooled value costs some owner a row of [lam I - A, B]
+    # (at 1 and 0 as in test_mode_data_sec7_targets, where every subsystem
+    # is ranked: one that does not own a value loses no row there)
+    spec = spectrum(sec7)
+    assert [complex(v) for v in spec.values] == [1, 0, -1]
+    assert owner_deficiencies(sec7, spec) == [2, 1, 2]
+    # identical agents share one record: one stacked call for all of them,
+    # and each value's deficiency counts once per owning agent
+    calls = []
+    pbh = SubsystemAnalysis.pbh_deficiencies
+    monkeypatch.setattr(SubsystemAnalysis, "pbh_deficiencies",
+                        lambda rec, lams, tol: calls.append(list(lams)) or pbh(rec, lams, tol))
+    lost = SubsystemModel(
+        A_xx0=ex.mat([[1, 0], [0, 2]]), A_xv0=ex.mat([[1], [1]]),
+        B_xu0=ex.mat([[0], [1]]), A_zx0=ex.mat([[1, 1]]), A_zv0=ex.mat([[0]]),
+        B_zu0=ex.mat([[0]]))
+    agents = NdsModel([lost] + [dataclasses.replace(lost) for _ in range(3)],
+                      StructuredPattern(4, 4, {}))
+    spec = spectrum(agents)
+    assert spec.members == [{0, 1, 2, 3}] * 2
+    assert owner_deficiencies(agents, spec) == [0, 4]
+    assert calls == [spec.values]
 
 
 def test_mode_data_full_row_rank_contributes_nothing():

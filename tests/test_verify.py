@@ -9,6 +9,7 @@ import pytest
 from netctrl import exactla as ex
 from netctrl import cli, ratfun, structgraph, verify
 from netctrl.design import design_topology
+from netctrl.matroid import GenericPattern, NumericColumns, matroid_intersection_rank
 from netctrl.model import (NdsModel, OpenLoop, StructuredPattern, SubsystemModel,
                            assemble_lumped)
 from netctrl.structgraph import vertex_name
@@ -18,7 +19,7 @@ from netctrl.verify import (check_feasibility, check_fum_networked,
                             uncontrollable_modes)
 
 from oracles import _dense_close_loop, check_fum_lumped, kalman_uncontrollable_polynomial
-from randgen import random_fixed_subsystems, random_nds
+from randgen import random_fixed_subsystems, random_nds, random_subsystem
 
 
 def _names(seq):
@@ -89,6 +90,123 @@ def test_fum_networked_skips_covered_modes():
         A_zx0=ex.mat([[1]]), A_zv0=ex.mat([[0]]), B_zu0=ex.mat([[1]]))
     checks = check_fum_networked(_single(sub))
     assert all(mc.target == 0 and not mc.is_fum for mc in checks)
+
+
+def _settled(nds):
+    """The pooled values the owners' PBH rule settles: M_r > 0 and no
+    subsystem owning the value loses a row of [lam I - A_xx, B_xu]."""
+    spec = ratfun.spectrum(nds)
+    return [lam for lam, target, d in zip(spec.values, ratfun.mode_targets(nds, spec.values),
+                                          ratfun.owner_deficiencies(nds, spec))
+            if target and not d]
+
+
+def _agents(seed, n):
+    """n identical agents with free blocks under a random routing."""
+    subs = [random_subsystem(random.Random(seed), i + 1, lft_prob=0.5) for i in range(n)]
+    mv, mz = sum(s.m_v0 for s in subs), sum(s.m_z0 for s in subs)
+    rng = random.Random(seed)
+    free = [(r, c) for r in range(mv) for c in range(mz) if rng.random() < 0.35]
+    return NdsModel(subs, StructuredPattern(mv, mz, {(r, c): f"phi_{r}_{c}" for r, c in free}))
+
+
+def test_owner_pbh_rule_is_sound(sec7, sec7_designed3):
+    # every mode the rule settles has rank Z = M_r, and its exact
+    # intersection rank is M_r, as reported (sec7 has an owner deficient at
+    # each of its values, so there the rule settles nothing)
+    hetero = [random_nds(seed, 4, max_state=4, max_port=3, lft_prob=0.5) for seed in range(40)]
+    homog = [_agents(seed, n) for seed in range(12) for n in (2, 4)]
+    settled = {"sec7": 0, "free blocks": 0, "agents": 0}
+    for label, nds in ([("sec7", sec7), ("sec7", sec7_designed3)]
+                       + [("free blocks", nds) for nds in hetero]
+                       + [("agents", nds) for nds in homog]):
+        q1 = GenericPattern(verify.routing_pattern_q1(nds.P_pattern))
+        reported = {mc.lam: mc.achieved for mc in check_fum_networked(nds)}
+        for lam in _settled(nds):
+            md = ratfun.mode_data(nds, lam)
+            assert ex.float_rank(md.z_all) == md.M_r
+            q2 = NumericColumns(np.hstack([md.y_all, md.z_all]))
+            assert matroid_intersection_rank(q1, q2).certified_rank == md.M_r
+            assert reported[lam] == md.M_r
+            if label != "free blocks" or any(s.has_free_params for s in nds.subsystems):
+                settled[label] += 1
+    assert settled["sec7"] == 0 and settled["free blocks"] and settled["agents"], settled
+
+
+def _planted(positions):
+    """Subsystem 1 has the local uncontrollable mode 1 (B_xu = 0) and one
+    internal input; subsystem 2 is driven at 2 and has an unused input.
+    Positions are (row, column) of the routing into v1, v2 from z1, z2."""
+    lost = SubsystemModel(
+        A_xx0=ex.mat([[1]]), A_xv0=ex.mat([[1]]), B_xu0=ex.mat([[0]]),
+        A_zx0=ex.mat([[1]]), A_zv0=ex.mat([[0]]), B_zu0=ex.mat([[0]]))
+    driven = SubsystemModel(
+        A_xx0=ex.mat([[2]]), A_xv0=ex.mat([[0]]), B_xu0=ex.mat([[1]]),
+        A_zx0=ex.mat([[1]]), A_zv0=ex.mat([[0]]), B_zu0=ex.mat([[0]]))
+    return NdsModel([lost, driven], StructuredPattern(
+        2, 2, {(r, c): f"phi_{r}_{c}" for r, c in positions}))
+
+
+def test_planted_local_mode_goes_to_the_draw(monkeypatch):
+    drawn = []
+    rank = verify.mode_rank
+
+    def recording(md, *args):
+        drawn.append((complex(md.lam), rank(md, *args)))
+        return drawn[-1][1]
+
+    monkeypatch.setattr(verify, "mode_rank", recording)
+    # z2 -> v1 repairs the mode at 1: the draw reaches the target
+    repaired = _planted([(0, 1)])
+    assert _settled(repaired) == [2]
+    verdict = check_structural_controllability(repaired)
+    assert verdict.structurally_controllable
+    assert [(complex(mc.lam), mc.target, mc.achieved) for mc in verdict.per_mode] == [
+        (2, 1, 1), (1, 1, 1)]
+    assert drawn == [(1, 1)]
+    # z1 -> v2 leaves v1 unrouted: the draw falls short, the mode is fixed
+    drawn.clear()
+    verdict = check_structural_controllability(_planted([(1, 0)]))
+    assert not verdict.structurally_controllable and verdict.pdum is None
+    assert [(complex(mc.lam), mc.shortfall) for mc in verdict.fums] == [(1, 1)]
+    assert drawn == [(1, 0)]
+
+
+def test_only_unsettled_modes_get_blocks_and_draws(monkeypatch, sec7, sec7_designed2,
+                                                    sec7_designed3):
+    # every sec7 value has a deficient owner, so all three get blocks and
+    # draws; on the planted network and random ones the rule settles some.
+    # Each draw starts from the generator state it would have if every mode
+    # with a target drew, settled ones included.
+    blocks, drawn = [], []
+    mode_blocks, rank = ratfun.SubsystemAnalysis.mode_blocks, verify.mode_rank
+    monkeypatch.setattr(ratfun.SubsystemAnalysis, "mode_blocks",
+                        lambda rec, lams, tol: blocks.append(list(lams))
+                        or mode_blocks(rec, lams, tol))
+    monkeypatch.setattr(verify, "mode_rank", lambda md, pattern, q1, rng, tol: drawn.append(
+        (md.lam, rng.bit_generator.state)) or rank(md, pattern, q1, rng, tol))
+    partly = 0
+    for nds in ([sec7, sec7_designed2, sec7_designed3, _planted([(0, 1)])]
+                + [random_nds(seed, 4, max_state=4, max_port=3) for seed in range(10)]):
+        spec = ratfun.spectrum(nds)
+        settled = _settled(nds)
+        every = np.random.default_rng(verify._PRODUCT_RANK_SEED)
+        unsettled = []
+        for lam, target in zip(spec.values, ratfun.mode_targets(nds, spec.values)):
+            if target and lam not in settled:
+                unsettled.append((lam, every.bit_generator.state))
+            if target:
+                every.standard_normal(len(nds.P_pattern.entries))
+        blocks.clear()
+        drawn.clear()
+        checks = check_fum_networked(nds)
+        # one call per subsystem
+        assert blocks == [[lam for lam, _ in unsettled]] * len(nds.analysis)
+        assert drawn == unsettled
+        assert [mc.lam for mc in checks] == spec.values
+        partly += bool(settled and unsettled and nds.P_pattern.entries)
+    assert partly
+    assert _settled(sec7) == []
 
 
 def test_fum_lumped_reduces_to_eigen_test_without_parameters():
