@@ -385,7 +385,7 @@ def brute_force_min_topology(subsystems: list[SubsystemModel],
     mode_order = sorted(range(len(modes)),
                         key=lambda i: (base_rank[i] - modes[i].M_r, i))
     modes = [modes[i] for i in mode_order]
-    q2_oracles = [NumericColumns(_q2_matrix(md), rank_tol) for md in modes]
+    q2_oracles = [NumericColumns.direct_sum(md.column_blocks(), rank_tol) for md in modes]
     tfms = ratfun.nds_tfms(nds0)
     base_graph = structgraph.build_nacg(nds0, tfms)
     all_positions = [(r, c) for r in range(nds0.M_v) for c in range(nds0.M_z)]

@@ -9,9 +9,11 @@ lumped fixed-mode route are test-suite references (tests/oracles.py).
 
 The intersection asks each oracle one batched question per step of its
 exchange-graph search (`swaps`): is current - x + y independent, for a list
-of (x, y) pairs. The float column oracle ranks all uncached sets of one size
-with one stacked SVD; the pattern oracle takes one maximum matching of the
-current set and answers every pair of one y from one alternating search.
+of (x, y) pairs. The float column oracle is a direct sum of row blocks, as
+[Y Z] is of the subsystems' [y_i z_i] at every mode: a pair asks only its
+y's block, and the uncached local sets of one (block, size) go to one
+stacked SVD. The pattern oracle takes one maximum matching of the current
+set and answers every pair of one y from one alternating search.
 """
 
 from __future__ import annotations
@@ -52,41 +54,104 @@ class IndependenceOracle:
 
 class NumericColumns(IndependenceOracle):
     """Independence = the chosen columns of a float or complex matrix have
-    full column rank, read from singular values at tolerance tol."""
+    full column rank, read from singular values at tolerance tol.
+
+    The matrix is a direct sum of row blocks (`direct_sum`), each filling
+    its own columns, and a dense matrix is the one-block case. A column set
+    is independent exactly when each block's part of it is independent in
+    that block, and its rank is the sum of those parts' ranks. Each part is
+    ranked alone (`exactla.float_rank` of the block's chosen columns), so
+    its cutoff is tol * max(1, s0) of the part, not of the whole set.
+    Parts that are one array object, such as identical agents' blocks,
+    share one rank cache, keyed by (block, local column set).
+    """
 
     def __init__(self, matrix, tol: float = RANK_TOL):
-        self.matrix = np.asarray(matrix)
+        matrix = np.asarray(matrix)
+        self._setup([(matrix, range(matrix.shape[1]))], tol)
+
+    @classmethod
+    def direct_sum(cls, parts: list, tol: float = RANK_TOL) -> NumericColumns:
+        """The oracle of a block-diagonal matrix given as (block, columns)
+        parts: the block's local column j is ground element columns[j], and
+        the parts' columns together are range(ground_size)."""
+        oracle = cls.__new__(cls)
+        oracle._setup(parts, tol)
+        return oracle
+
+    def _setup(self, parts: list, tol: float) -> None:
         self.tol = tol
-        self.rows, self.ground_size = self.matrix.shape
-        self._rank_cache: dict[frozenset, int] = {}
+        self.blocks: list[np.ndarray] = []
+        number: dict[int, int] = {}  # id(block) -> its index in blocks
+        where: dict[int, tuple[int, int, int]] = {}  # element -> (part, block, local column)
+        for p, (block, columns) in enumerate(parts):
+            if id(block) not in number:
+                number[id(block)] = len(self.blocks)
+                self.blocks.append(block)
+            where.update((c, (p, number[id(block)], j)) for j, c in enumerate(columns))
+        self.ground_size = len(where)
+        self._where = [where[c] for c in range(self.ground_size)]
+        self._block_rows = [block.shape[0] for block in self.blocks]
+        self._ranks: dict[tuple[int, frozenset], int] = {}
+
+    def _keys(self, subset: Iterable[int]) -> dict[int, tuple[int, frozenset]]:
+        """part -> (its block, its local columns), for each part subset meets."""
+        local: dict[int, tuple[int, set]] = {}
+        for c in subset:
+            p, b, j = self._where[c]
+            local.setdefault(p, (b, set()))[1].add(j)
+        return {p: (b, frozenset(cols)) for p, (b, cols) in local.items()}
+
+    def _rank_missing(self, keys) -> None:
+        """Rank the uncached (block, local column set) keys: those of one
+        (block, size) with one stacked `float_rank` call. LAPACK factors
+        each matrix of a stack as it would alone, so every rank is the one
+        `float_rank` gives the block's columns, sorted."""
+        by_shape: dict[tuple[int, int], dict] = {}
+        for key in keys:
+            if key not in self._ranks:
+                by_shape.setdefault((key[0], len(key[1])), {})[key] = None
+        for (b, _), group in by_shape.items():
+            stack = np.moveaxis(self.blocks[b][:, [sorted(s) for _, s in group]], 1, 0)
+            self._ranks.update(zip(group, ex.float_rank(stack, self.tol).tolist()))
+
+    def _independence(self, keys: list) -> list[bool]:
+        """Whether each (block, local column set) of keys is independent. A
+        set with more columns than its block has rows is dependent without
+        a rank."""
+        rows, ranks = self._block_rows, self._ranks
+        missing = [k for k in keys if k not in ranks and len(k[1]) <= rows[k[0]]]
+        if missing:
+            self._rank_missing(missing)
+        return [len(cols) <= rows[b] and ranks[(b, cols)] == len(cols) for b, cols in keys]
 
     def rank_of(self, subset: Iterable[int]) -> int:
-        key = frozenset(subset)
-        hit = self._rank_cache.get(key)
-        if hit is not None:
-            return hit
-        cols = sorted(key)
-        rank = ex.float_rank(self.matrix[:, cols], self.tol) if cols else 0
-        self._rank_cache[key] = rank
-        return rank
+        keys = list(self._keys(subset).values())
+        self._rank_missing(keys)
+        return sum(self._ranks[key] for key in keys)
 
     def independent(self, subset: Iterable[int]) -> bool:
-        key = frozenset(subset)
-        return self.rank_of(key) == len(key)
+        return all(self._independence(list(self._keys(subset).values())))
 
     def swaps(self, current: set, pairs: list) -> list[bool]:
-        """The uncached sets of one size, columns sorted as in `rank_of`, go
-        to one stacked SVD; LAPACK factors each matrix of the stack as it
-        would alone, so every rank is the one `rank_of` gives."""
-        keys = [frozenset(_swap(current, x, y)) for x, y in pairs]
-        by_size: dict[int, list[frozenset]] = {}
-        for key in dict.fromkeys(keys):
-            if key not in self._rank_cache:
-                by_size.setdefault(len(key), []).append(key)
-        for group in by_size.values():
-            stack = np.moveaxis(self.matrix[:, [sorted(k) for k in group]], 1, 0)
-            self._rank_cache.update(zip(group, ex.float_rank(stack, self.tol).tolist()))
-        return [self._rank_cache[k] == len(k) for k in keys]
+        """With current independent, current - x + y is independent exactly
+        when y's part of it is: every other part keeps current's columns or
+        loses x. So each pair asks one (block, local column set), and the
+        uncached ones of one (block, size) go to one stacked SVD. A
+        dependent current, which the intersection never passes, is asked
+        set by set."""
+        parts = self._keys(current)
+        if not all(self._independence(list(parts.values()))):
+            return super().swaps(current, pairs)
+        where, keys = self._where, []
+        empty = frozenset()
+        for x, y in pairs:
+            p, b, j = where[y]
+            cols = parts[p][1] if p in parts else empty
+            if x is not None and where[x][0] == p:
+                cols = cols - {where[x][2]}
+            keys.append((b, cols | {j}))
+        return self._independence(keys)
 
 
 class GenericPattern(IndependenceOracle):

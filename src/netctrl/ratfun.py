@@ -222,11 +222,14 @@ def svd_factors(stack: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SubsystemModeData:
-    """Left-null-space payload of one subsystem at one pooled eigenvalue."""
+    """Left-null-space payload of one subsystem at one pooled eigenvalue:
+    the basis T | Z of the mode matrix's left null space, Y = T A_xv + Z A_zv,
+    and [Y Z] as one block."""
 
     t: np.ndarray
     z: np.ndarray
     y: np.ndarray
+    yz: np.ndarray
     m_r: int
 
 
@@ -238,6 +241,20 @@ class ModeData:
     y_all: np.ndarray
     M_r: int
 
+    def column_blocks(self) -> list[tuple[np.ndarray, list[int]]]:
+        """[Y Z] as its diagonal blocks: each subsystem's [y_i z_i] with the
+        columns of [Y Z] it fills, its v ports in Y and then its z ports in
+        Z. Identical agents hand over one block object."""
+        m_v = self.y_all.shape[1]
+        v0 = z0 = 0
+        out = []
+        for s in self.per_sub:
+            mv, mz = s.y.shape[1], s.z.shape[1]
+            out.append((s.yz, [*range(v0, v0 + mv), *range(m_v + z0, m_v + z0 + mz)]))
+            v0 += mv
+            z0 += mz
+        return out
+
 
 def modes(nds: NdsModel, lams: list, tol: float = RANK_TOL) -> list[ModeData]:
     """Per-subsystem left null spaces of the mode matrices at each eigenvalue.
@@ -246,7 +263,10 @@ def modes(nds: NdsModel, lams: list, tol: float = RANK_TOL) -> list[ModeData]:
     `mode_blocks` call. A subsystem with full-row-rank mode matrix
     contributes zero rows; its state/output column slots still appear (as
     zero-width blocks) in the block-diagonal assembly, keeping global column
-    indices aligned.
+    indices aligned. Each `ModeData` hands over both forms of [Y Z]: the
+    dense Y and Z the product rank multiplies, and the per-subsystem blocks
+    [y_i z_i] with their columns (`ModeData.column_blocks`), which the
+    fixed-mode intersection ranks one block at a time.
     """
     m_z = [a.m_z for a in nds.analysis]
     m_v = [a.m_v for a in nds.analysis]
@@ -274,8 +294,10 @@ def owner_deficiencies(nds: NdsModel, spec: Spectrum, tol: float = RANK_TOL) -> 
 
     The PBH matrix of a subsystem loses rank only at an eigenvalue of its
     A_xx, so a subsystem is ranked only at the values it owns. Subsystems
-    that share a record are ranked once: one stacked `pbh_deficiencies`
-    call per distinct record, at every value one of them owns.
+    that share a record are ranked once: one `pbh_deficiencies` call per
+    distinct record, at every value one of them owns. The record keeps each
+    deficiency, so a second call at the same values (design's `M_def` after
+    its final verdict) stacks nothing.
     """
     records = analysis_records(nds.analysis)
     owners: dict[SubsystemAnalysis, dict[int, int]] = {}  # record -> value -> owner count
@@ -328,9 +350,10 @@ class SubsystemAnalysis:
 
     The float blocks are converted when the record is made; the eigenvalues,
     the entry classes, each (eigenvalue, rank tolerance) factor of the mode
-    matrix and the null-space block built from it on first use. The record
-    hangs on the form, and each SubsystemModel builds its form once, so
-    every NdsModel made from the same subsystem objects reads the same
+    matrix and the null-space block built from it, and each (eigenvalue,
+    rank tolerance) deficiency of [lam I - A_xx, B_xu], on first use. The
+    record hangs on the form, and each SubsystemModel builds its form once,
+    so every NdsModel made from the same subsystem objects reads the same
     record, and the record lives as long as they do. It keeps the form's
     matrices rather than the form, so the two make no reference cycle and
     are freed as soon as the command drops its model.
@@ -348,6 +371,7 @@ class SubsystemAnalysis:
         self.a_zv = ex.to_float(aug.A_zv).reshape(mz, mv)
         self.b_zu = ex.to_float(aug.B_zu).reshape(mz, mu)
         self.factors: dict[tuple[complex, float], tuple[np.ndarray, int]] = {}
+        self.deficiencies: dict[tuple[complex, float], int] = {}
         self.blocks: dict[tuple[complex, float], SubsystemModeData] = {}
 
     @cached_property
@@ -397,21 +421,25 @@ class SubsystemAnalysis:
                 t = basis[:, :mx]
                 z = basis[:, mx:]
                 y = t @ self.a_xv + z @ self.a_zv
-                for shared in (t, z, y):  # every ModeData at this mode holds them
+                yz = np.hstack([y, z])
+                for shared in (t, z, y, yz):  # every ModeData at this mode holds them
                     shared.flags.writeable = False
                 block = self.blocks[key] = SubsystemModeData(
-                    t=t, z=z, y=y, m_r=mx + self.m_z - rank)
+                    t=t, z=z, y=y, yz=yz, m_r=mx + self.m_z - rank)
             out.append(block)
         return out
 
     def pbh_deficiencies(self, lams: list, tol: float) -> np.ndarray:
-        """State rows lost by [lam I - A_xx, B_xu] at each eigenvalue, with one
-        stacked singular-value call per dtype."""
-        out = np.zeros(len(lams), dtype=int)
-        for dtype, group in _by_dtype(lams).items():
+        """State rows lost by [lam I - A_xx, B_xu] at each eigenvalue; the
+        missing ones are ranked with one stacked singular-value call per
+        dtype."""
+        keys = [(complex(lam), tol) for lam in lams]
+        missing = list({k[0]: None for k in keys if k not in self.deficiencies})
+        for dtype, group in _by_dtype(missing).items():
             pbh = pbh_stack(self.a_xx, self.b_xu, [v for _, v in group], dtype)
-            out[[i for i, _ in group]] = self.m_x - ex.float_rank(pbh, tol)
-        return out
+            for (i, _), rank in zip(group, ex.float_rank(pbh, tol).tolist()):
+                self.deficiencies[(missing[i], tol)] = self.m_x - rank
+        return np.array([self.deficiencies[k] for k in keys], dtype=int)
 
 
 _ratio = attrgetter("numerator", "denominator")

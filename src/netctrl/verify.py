@@ -19,7 +19,10 @@ cheapest of three ranks that can prove it:
 - One product rank rank(Y P + Z) at a routing matrix P whose free entries
   are unit-scale Gaussians from a fixed-seed generator.
 - The exact matroid intersection of [P^T I] with [Y Z], for a mode the
-  draw leaves short of its target.
+  draw leaves short of its target. [Y Z] is block-diagonal by subsystem,
+  so its column matroid is the direct sum of the subsystems' [y_i z_i]
+  (`ratfun.ModeData.column_blocks`), and each independence question is
+  ranked in the one block it touches, at that block's own cutoff.
 """
 
 from __future__ import annotations
@@ -75,8 +78,9 @@ def mode_rank(md: ratfun.ModeData, pattern: StructuredPattern, q1: GenericPatter
 
     By Cauchy-Binet, rank(Y P + Z) at any real P is at most the generic rank,
     which equals the intersection rank. So one draw of P reaching the target
-    M_r settles the mode; a shortfall runs the exact intersection. The draw
-    is unit-scale Gaussian: large integer draws make the float rank read low.
+    M_r settles the mode; a shortfall runs the exact intersection, with
+    [Y Z] ranked block by block (`NumericColumns.direct_sum`). The draw is
+    unit-scale Gaussian: large integer draws make the float rank read low.
     """
     p = np.zeros((pattern.rows, pattern.cols))
     if pattern.entries:
@@ -84,7 +88,7 @@ def mode_rank(md: ratfun.ModeData, pattern: StructuredPattern, q1: GenericPatter
         p[rows, cols] = rng.standard_normal(len(rows))
     if ex.float_rank(md.y_all @ p + md.z_all, rank_tol) == md.M_r:
         return md.M_r
-    q2 = NumericColumns(np.hstack([md.y_all, md.z_all]), rank_tol)
+    q2 = NumericColumns.direct_sum(md.column_blocks(), rank_tol)
     return matroid_intersection_rank(q1, q2).certified_rank
 
 

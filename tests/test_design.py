@@ -396,6 +396,37 @@ def test_m_def_matches_all_pooled_route(mode_filter):
     assert designs >= 10 and deficient >= 5
 
 
+@pytest.mark.parametrize("instance", ["sec7", "random seed 12"])
+def test_owner_pbh_stacked_once_per_design(monkeypatch, instance):
+    # The final verdict's owner rule and M_def rank the same records at the
+    # same values, so each (record, value) goes into one PBH stack.
+    if instance == "sec7":
+        subs = load_document(sec7_path())[0].subsystems
+    else:
+        subs = random_fixed_subsystems(12, max_sub=4)
+    asked, inside, stacked = [], [], []
+    deficiencies, pbh_stack = ratfun.SubsystemAnalysis.pbh_deficiencies, ratfun.pbh_stack
+
+    def ranking(rec, lams, tol):
+        asked.append(id(rec))
+        inside.append(id(rec))
+        try:
+            return deficiencies(rec, lams, tol)
+        finally:
+            inside.pop()
+
+    def stacking(a, b, values, dtype):
+        if inside:
+            stacked.extend((inside[-1], complex(v)) for v in values)
+        return pbh_stack(a, b, values, dtype)
+
+    monkeypatch.setattr(ratfun.SubsystemAnalysis, "pbh_deficiencies", ranking)
+    monkeypatch.setattr(ratfun, "pbh_stack", stacking)
+    assert design_topology(subs, "all").verified
+    assert len(asked) > len(set(asked))  # some record is asked twice
+    assert stacked and len(stacked) == len(set(stacked))
+
+
 def test_each_command_builds_its_own_blocks(monkeypatch, tmp_path):
     # A second call on the same file builds as much as the first: nothing
     # computed for one command outlives it.

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -180,6 +181,105 @@ def test_dual_certificate_on_every_mode(sec7):
             _assert_dual_certificate(q1, q2, best)
             shortfalls += best.certified_rank < md.M_r
     assert shortfalls > 0
+
+
+def _block_rank(md, subset):
+    """r2 of a column set of [Y Z] summed over the subsystems' blocks, each
+    block's chosen columns ranked alone."""
+    return sum(ex.float_rank(yz[:, [j for j, c in enumerate(cols) if c in subset]])
+               for yz, cols in md.column_blocks() if subset & set(cols))
+
+
+def test_block_oracle_matches_dense(sec7, sec7_designed2, sec7_designed3):
+    # the direct-sum oracle of [Y Z] and the dense one-block oracle of the
+    # same matrix give the same intersection on every mode with a target
+    networks = [sec7, sec7_designed2, sec7_designed3]
+    networks += [random_nds(seed, 6, max_state=4, max_port=3, lft_prob=0.5)
+                 for seed in range(40)]
+    networks += [_homogeneous_nds(seed, agents) for seed in range(4) for agents in (2, 4, 8)]
+    seen = {"modes": 0, "complex": 0, "shared": 0, "short": 0}
+    for nds in networks:
+        q1 = GenericPattern(verify.routing_pattern_q1(nds.P_pattern))
+        for md in ratfun.modes(nds, ratfun.spectrum(nds).values):
+            if md.M_r == 0:
+                continue
+            dense = matroid_intersection_rank(
+                q1, NumericColumns(np.hstack([md.y_all, md.z_all])))
+            q2 = NumericColumns.direct_sum(md.column_blocks())
+            best = matroid_intersection_rank(q1, q2)
+            assert (best.indices, best.reach, best.certified_rank) == \
+                (dense.indices, dense.reach, dense.certified_rank)
+            # Edmonds: r1(E - R) + r2(R) = |I|, r2 summed over the blocks
+            outside = [e for e in range(q1.ground_size) if e not in best.reach]
+            r2 = _block_rank(md, best.reach)
+            assert q2.rank_of(best.reach) == r2
+            assert rank_of(q1, outside) + r2 == best.certified_rank
+            seen["modes"] += 1
+            seen["complex"] += complex(md.lam).imag != 0
+            seen["shared"] += len(q2.blocks) < len(md.per_sub)
+            seen["short"] += best.certified_rank < md.M_r
+    assert all(seen.values()), seen
+
+
+def test_block_oracle_shares_identical_agents(monkeypatch):
+    # N identical agents hand over one block object per mode, so the block
+    # oracle ranks at most the block's distinct local column sets, however
+    # many agents there are
+    ranked = []
+    float_rank = ex.float_rank
+
+    def counting(m, tol=ex.RANK_TOL):
+        ranked.append(int(np.prod(np.shape(m)[:-2])))
+        return float_rank(m, tol)
+
+    monkeypatch.setattr(ex, "float_rank", counting)
+    checked = 0
+    for seed in range(3):
+        for agents in (2, 4, 8):
+            nds = _homogeneous_nds(seed, agents)
+            q1 = GenericPattern(verify.routing_pattern_q1(nds.P_pattern))
+            for md in ratfun.modes(nds, ratfun.spectrum(nds).values):
+                if md.M_r == 0:
+                    continue
+                block = md.per_sub[0].yz
+                assert all(s.yz is block for s in md.per_sub)
+                q2 = NumericColumns.direct_sum(md.column_blocks())
+                rows, cols = block.shape
+                ranked.clear()
+                matroid_intersection_rank(q1, q2)
+                assert 0 < sum(ranked) <= sum(math.comb(cols, k) for k in range(1, rows + 1))
+                checked += 1
+    assert checked >= 9
+
+
+def test_direct_sum_swaps_match_dense():
+    # random block-diagonal matrices, some blocks one shared object, asked
+    # from random current sets, dependent ones included
+    rng = random.Random(53)
+    nrng = np.random.default_rng(53)
+    for _ in range(60):
+        kinds = [nrng.standard_normal((rng.randint(0, 3), 2))
+                 @ nrng.standard_normal((2, rng.randint(1, 4))) * 10.0 ** rng.randint(-2, 3)
+                 for _ in range(rng.randint(1, 3))]
+        blocks = [rng.choice(kinds) for _ in range(rng.randint(1, 4))]
+        ground = sum(b.shape[1] for b in blocks)
+        order = rng.sample(range(ground), ground)
+        parts, dense, r0 = [], np.zeros((sum(b.shape[0] for b in blocks), ground)), 0
+        for b in blocks:
+            cols, order = order[:b.shape[1]], order[b.shape[1]:]
+            parts.append((b, cols))
+            dense[r0:r0 + b.shape[0], cols] = b
+            r0 += b.shape[0]
+        oracle = NumericColumns.direct_sum(parts)
+        assert oracle.ground_size == ground and len(oracle.blocks) == len(
+            {id(b) for b in blocks})
+        current = set(rng.sample(range(ground), rng.randint(0, ground - 1)))
+        pairs = _pairs(rng, current, ground)
+        want = [ex.float_rank(dense[:, sorted(_swapped(current, x, y))])
+                for x, y in pairs]
+        assert oracle.swaps(current, pairs) == [
+            r == len(_swapped(current, x, y)) for r, (x, y) in zip(want, pairs)]
+        assert [oracle.rank_of(_swapped(current, x, y)) for x, y in pairs] == want
 
 
 def test_dual_certificate_edge_cases():
