@@ -6,6 +6,13 @@ them into concrete routing entries by greedy clique coloring. Stage 2 wires
 any remaining unreachable frequency-dependent source components to the
 input-reachable region, one link each.
 
+Stage 1 works per subsystem. At every mode [Y_J | Z] is block-diagonal by
+subsystem, so its rank is the sum of the ranks of the blocks
+[y_i,J | z_i], and adding a row or a port changes only its owner's term.
+Each block is ranked alone, at its own cutoff tol * max(1, s0) (as the
+fixed-mode intersection ranks [Y Z]); a block with no rows, or already at
+full row rank, gains nothing and takes no SVD. No dense [Y Z] is built.
+
 Ground elements inside this module are 0-based column indices of the
 per-mode matrices [Y_i Z_i]: indices below M_v are internal-input rows,
 the rest are output-port columns. Reported results are 1-based.
@@ -20,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import exactla as ex
 from . import ratfun, structgraph, verify
-from .exactla import float_rank
 from .matroid import GenericPattern, NumericColumns, matroid_intersection_rank
 from .model import NdsModel, StructuredPattern, SubsystemModel
 from .ratfun import ModeData
@@ -34,18 +41,70 @@ class InfeasibleDesignError(RuntimeError):
         self.report = report
 
 
-def _q2_matrix(md: ModeData) -> np.ndarray:
-    return np.hstack([md.y_all, md.z_all])
+class _BlockRanks:
+    """Ranks of column sets of [Y Z] at each mode, one subsystem block at a time.
+
+    At every mode [Y Z] is block-diagonal by subsystem, so a column set's
+    rank is the sum of its parts' ranks in the blocks [y_i z_i] they fall
+    in (`ModeData.column_blocks`). Each part is ranked alone, at its own
+    cutoff tol * max(1, s0). A part with no rows or no columns has rank 0
+    and takes no SVD. Ranks are cached by (block object, local columns), so
+    identical agents, which share one block, share their ranks; the misses
+    of one `ranks` call go to one stacked `exactla.float_rank` per matrix
+    shape and dtype.
+    """
+
+    def __init__(self, modes: list[ModeData], tol: float):
+        self.tol = tol
+        # parts[m][p]: block p of mode m; the blocks' columns are the same at every mode
+        self.parts = [[s.yz for s in md.per_sub] for md in modes]
+        columns = [cols for _, cols in modes[0].column_blocks()] if modes else []
+        m_v = sum(s.y.shape[1] for s in modes[0].per_sub) if modes else 0
+        self.where = {c: (p, j) for p, cols in enumerate(columns)
+                      for j, c in enumerate(cols)}  # column of [Y Z] -> (block, local column)
+        self.z_ports = [frozenset(j for j, c in enumerate(cols) if c >= m_v)
+                        for cols in columns]
+        self._cache: dict[tuple[int, frozenset], int] = {}
+
+    def ranks(self, queries: list[tuple[np.ndarray, frozenset]]) -> list[int]:
+        """The rank of each (block, local column set) of queries."""
+        cache = self._cache
+        missing: dict[tuple, dict] = {}
+        for block, cols in queries:
+            key = (id(block), cols)
+            if key not in cache:
+                if block.shape[0] == 0 or not cols:
+                    cache[key] = 0
+                else:
+                    shape = (block.shape[0], len(cols), block.dtype)
+                    missing.setdefault(shape, {})[key] = block[:, sorted(cols)]
+        for group in missing.values():
+            stack = np.stack(list(group.values()))
+            cache.update(zip(group, ex.float_rank(stack, self.tol).tolist()))
+        return [cache[(id(block), cols)] for block, cols in queries]
+
+    def stage1_columns(self, j_set) -> list[frozenset]:
+        """Each block's local columns in [Y_J | Z]: its z ports and its rows in J."""
+        local = [set(z) for z in self.z_ports]
+        for a in j_set:
+            p, j = self.where[a]
+            local[p].add(j)
+        return [frozenset(cols) for cols in local]
+
+    def block_ranks(self, local: list[frozenset]) -> list[list[int]]:
+        """rank of block p at each mode m with local columns local[p], as [m][p]."""
+        flat = iter(self.ranks([(block, cols) for blocks in self.parts
+                                for block, cols in zip(blocks, local)]))
+        return [[next(flat) for _ in blocks] for blocks in self.parts]
 
 
 def g_value(j_set, modes: list[ModeData], rank_tol: float = ratfun.RANK_TOL) -> int:
-    """Sum over modes of rank([Y restricted to the chosen rows | Z])."""
-    cols = sorted(j_set)
-    total = 0
-    for md in modes:
-        sub = np.hstack([md.y_all[:, cols], md.z_all]) if cols else md.z_all
-        total += float_rank(sub, rank_tol)
-    return total
+    """Sum over modes of rank([Y restricted to the chosen rows | Z]), as a
+    sum of block ranks (`_BlockRanks`)."""
+    if not modes:
+        return 0
+    ranks = _BlockRanks(modes, rank_tol)
+    return sum(map(sum, ranks.block_ranks(ranks.stage1_columns(j_set))))
 
 
 def greedy_link_rows(modes: list[ModeData], M_v: int,
@@ -54,31 +113,55 @@ def greedy_link_rows(modes: list[ModeData], M_v: int,
 
     Returns the selected rows in insertion order together with the trace of
     coverage values (one entry per iteration, starting at the empty set);
-    ties go to the smallest row index. Each step ranks every candidate's
-    matrix [Y restricted to the chosen rows plus the candidate | Z] of one
-    mode with one stacked singular-value call.
+    ties go to the smallest row index.
+
+    Coverage is a sum of block ranks (`_BlockRanks`), each block at its own
+    cutoff, and row a lies in one block per mode, its owner subsystem's.
+    So a candidate's gain is the change of its owner block's rank, summed
+    over the modes; a block with no rows or already at full row rank gains
+    nothing and takes no SVD. Gains are kept between steps: a step changes
+    only the chosen row's blocks, so only the candidates of its subsystem
+    are ranked again.
     """
+    ranks = _BlockRanks(modes, rank_tol)
+    local = ranks.stage1_columns(())
+    now = ranks.block_ranks(local)
+    gain: dict[int, int] = {}
+
+    def rank_gains(rows: list[int]) -> None:
+        queries, owners = [], []
+        for a in rows:
+            p, j = ranks.where[a]
+            gain[a] = 0
+            cols = local[p] | {j}
+            for m, blocks in enumerate(ranks.parts):
+                if now[m][p] < blocks[p].shape[0]:
+                    queries.append((blocks[p], cols))
+                    owners.append((a, now[m][p]))
+        for (a, before), after in zip(owners, ranks.ranks(queries)):
+            gain[a] += after - before
+
     target = sum(md.M_r for md in modes)
     chosen: list[int] = []
-    trace = [g_value(chosen, modes, rank_tol)]
-    current = trace[0]
+    current = sum(map(sum, now))
+    trace = [current]
+    if current < target:
+        rank_gains(list(range(M_v)))
     while current < target:
-        cands = [a for a in range(M_v) if a not in chosen]
-        totals = np.zeros(len(cands), dtype=int)
-        if cands:
-            cols = np.array([sorted(chosen + [a]) for a in cands])
-            for md in modes:
-                ys = np.moveaxis(md.y_all[:, cols], 1, 0)
-                zs = np.broadcast_to(md.z_all, (len(cands),) + md.z_all.shape)
-                totals += float_rank(np.concatenate([ys, zs], axis=2), rank_tol)
-        if not cands or totals.max() <= current:
+        # the largest gain, ties to the smallest row
+        best = max(gain, key=lambda a: (gain[a], -a), default=None)
+        if best is None or gain[best] <= 0:
             raise InfeasibleDesignError(
                 "coverage cannot reach its ceiling; the feasibility conditions fail")
-        # argmax takes the first largest total: ties go to the smallest row
-        best = int(np.argmax(totals))
-        chosen.append(cands[best])
-        current = int(totals[best])
+        chosen.append(best)
+        current += gain.pop(best)
         trace.append(current)
+        p, j = ranks.where[best]
+        local[p] |= {j}
+        grown = [m for m, blocks in enumerate(ranks.parts) if now[m][p] < blocks[p].shape[0]]
+        for m, r in zip(grown, ranks.ranks([(ranks.parts[m][p], local[p]) for m in grown])):
+            now[m][p] = r
+        rank_gains([a for a in gain if ranks.where[a][0] == p])
     return chosen, trace
 
 
@@ -91,29 +174,49 @@ def extract_cover_sets(j_grd: list[int], modes: list[ModeData], M_v: int, M_z: i
     once the mode's target rank is met the remaining selected rows are
     absorbed as well, so every cover stays inside ports + selected rows while
     sharing the full selection wherever it is free to.
+
+    A cover's rank is a sum of block ranks (`_BlockRanks`), so each port or
+    row test ranks only its owner block, at that block's own cutoff, and
+    depends only on the earlier tests in that block. A block with no rows
+    or already at full row rank gains nothing and takes no SVD; the target
+    is met exactly when every block is at full row rank. So the blocks of
+    all modes scan their own ports and rows side by side, and each round of
+    their next tests is one `ranks` call.
     """
+    if not modes:
+        return []
+    ranks = _BlockRanks(modes, rank_tol)
+    scan = [*range(M_v, M_v + M_z), *sorted(j_grd)]
+    chain: list[list[tuple[int, int]]] = [[] for _ in ranks.z_ports]
+    for pos, s in enumerate(scan):  # each block's (scan position, local column)
+        p, j = ranks.where[s]
+        chain[p].append((pos, j))
+    taken: list[list[int]] = [[] for _ in modes]  # scan positions taken on a gain
+    full_at = [-1] * len(modes)  # scan position at which the last block filled
+    local = [[frozenset()] * len(blocks) for blocks in ranks.parts]
+    now = [[0] * len(blocks) for blocks in ranks.parts]
+    pending = [(m, p) for m, blocks in enumerate(ranks.parts)
+               for p, block in enumerate(blocks) if block.shape[0] and chain[p]]
+    k = 0  # each pending block's next test is its chain[p][k]
+    while pending:
+        queries = [(ranks.parts[m][p], local[m][p] | {chain[p][k][1]}) for m, p in pending]
+        for (m, p), (block, cols), r in zip(pending, queries, ranks.ranks(queries)):
+            if r > now[m][p]:
+                pos = chain[p][k][0]
+                taken[m].append(pos)
+                local[m][p], now[m][p] = cols, r
+                if r == block.shape[0]:
+                    full_at[m] = max(full_at[m], pos)
+        k += 1
+        pending = [(m, p) for m, p in pending
+                   if now[m][p] < ranks.parts[m][p].shape[0] and k < len(chain[p])]
     covers = []
-    for md in modes:
-        q2 = _q2_matrix(md)
-        cover: list[int] = []
-        rank_now = 0
-        for s in range(M_v, M_v + M_z):
-            r = float_rank(q2[:, sorted(cover + [s])], rank_tol)
-            if r > rank_now:
-                cover.append(s)
-                rank_now = r
-        for s in sorted(j_grd):
-            if rank_now == md.M_r:
-                cover.append(s)
-                continue
-            r = float_rank(q2[:, sorted(cover + [s])], rank_tol)
-            if r > rank_now:
-                cover.append(s)
-                rank_now = r
-        if rank_now != md.M_r:
+    for m, md in enumerate(modes):
+        if sum(now[m]) != md.M_r:
             raise InfeasibleDesignError(
-                f"cover extraction stalled at rank {rank_now} < {md.M_r}")
-        covers.append(sorted(cover))
+                f"cover extraction stalled at rank {sum(now[m])} < {md.M_r}")
+        absorbed = range(max(M_z, full_at[m] + 1), len(scan))
+        covers.append(sorted(scan[pos] for pos in [*taken[m], *absorbed]))
     return covers
 
 
@@ -381,7 +484,8 @@ def brute_force_min_topology(subsystems: list[SubsystemModel],
     spec = ratfun.spectrum(nds0, eig_tol)
     modes = ratfun.modes(nds0, spec.values, rank_tol)
     # hardest modes first: larger outstanding deficiency fails faster
-    base_rank = [float_rank(md.z_all, rank_tol) for md in modes]
+    stage1 = _BlockRanks(modes, rank_tol)
+    base_rank = [sum(r) for r in stage1.block_ranks(stage1.stage1_columns(()))]
     mode_order = sorted(range(len(modes)),
                         key=lambda i: (base_rank[i] - modes[i].M_r, i))
     modes = [modes[i] for i in mode_order]

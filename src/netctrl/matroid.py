@@ -12,8 +12,9 @@ exchange-graph search (`swaps`): is current - x + y independent, for a list
 of (x, y) pairs. The float column oracle is a direct sum of row blocks, as
 [Y Z] is of the subsystems' [y_i z_i] at every mode: a pair asks only its
 y's block, and the uncached local sets of one (block, size) go to one
-stacked SVD. The pattern oracle takes one maximum matching of the current
-set and answers every pair of one y from one alternating search.
+stacked SVD. The pattern oracle takes one maximum matching of each current
+set it is asked about and answers every pair of one y from one alternating
+search.
 """
 
 from __future__ import annotations
@@ -172,6 +173,9 @@ class GenericPattern(IndependenceOracle):
             by_col.setdefault(c, []).append(r)
         for c, rows in by_col.items():
             self._col_rows[c] = tuple(sorted(rows))
+        # the last current set `swaps` was asked about, with its matching
+        # (column -> row) and that matching's inverse (row -> column)
+        self._last: tuple[frozenset, dict, dict] = (frozenset(), {}, {})
 
     def _matching(self, subset: Iterable[int]) -> dict:
         return _max_matching({c: self._col_rows[c] for c in set(subset)})
@@ -187,13 +191,22 @@ class GenericPattern(IndependenceOracle):
         column's rows) reaches the rows R(y). current + y is independent iff
         R(y) holds a free row; current - x + y iff R(y) holds a free row or
         x's matched row, since a path into x's column passes that row first.
+
+        The intersection changes its current set only when it augments, so
+        M is kept for the last current set asked about and taken again
+        while that set stands. `_max_matching` is deterministic, so a kept
+        M is the one a fresh call would give.
         """
         if not pairs:
             return []
-        row_of = self._matching(current)
+        key, row_of, col_of = self._last
+        if key != current:
+            key = frozenset(current)
+            row_of = self._matching(key)
+            col_of = {r: c for c, r in row_of.items()}
+            self._last = (key, row_of, col_of)
         if len(row_of) != len(current):
             raise ValueError("swaps needs an independent current set")
-        col_of = {r: c for c, r in row_of.items()}
         reach: dict[int, Optional[set]] = {}
         out = []
         for x, y in pairs:

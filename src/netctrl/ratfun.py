@@ -67,6 +67,8 @@ def entry_classes(c: Mat, a: Mat, b: Mat, d: Mat) -> list[list[EntryClass]]:
     Cayley-Hamilton it vanishes identically iff the n Markov parameters
     C A^k B with k < n do. An entry is "lambda" when one of those is nonzero
     there, otherwise "constant" when D is nonzero there, otherwise "zero".
+    Once every entry is "lambda" no later parameter can change a class, so
+    the loop stops there.
 
     The products run on Python integers: each row of C and each column of B
     is scaled by the lcm of its denominators, and A by the lcm of all of
@@ -81,13 +83,17 @@ def entry_classes(c: Mat, a: Mat, b: Mat, d: Mat) -> list[list[EntryClass]]:
     a_scale = lcm(*[x.denominator for row in a for x in row])
     a_int = [[x.numerator * (a_scale // x.denominator) for x in row] for row in a]
     cak = ex.int_rows(c)[0]
+    static = rows * cols  # entries not yet known to be "lambda"
     for k in range(len(a)):
+        if not static:
+            break
         if k:
             cak = ex.mmul(cak, a_int)
         for q, row in enumerate(ex.mmul(cak, b_int)):
             for p, x in enumerate(row):
-                if x != 0:
+                if x != 0 and not dynamic[q][p]:
                     dynamic[q][p] = True
+                    static -= 1
     return [[EntryClass("lambda") if dynamic[q][p]
              else EntryClass("constant", d[q][p]) if d[q][p] != 0
              else EntryClass("zero") for p in range(cols)] for q in range(rows)]
@@ -235,17 +241,31 @@ class SubsystemModeData:
 
 @dataclass(frozen=True)
 class ModeData:
+    """Left-null-space data of a network at one pooled eigenvalue.
+
+    [Y Z] is block-diagonal by subsystem, and `column_blocks` hands it over
+    as its blocks [y_i z_i]: the fixed-mode intersection and design's
+    stage 1 rank those one block at a time. The dense Y and Z, which only
+    the product rank rank(Y P + Z) needs, are assembled on first use.
+    """
+
     lam: complex
     per_sub: list  # list[SubsystemModeData]
-    z_all: np.ndarray
-    y_all: np.ndarray
     M_r: int
+
+    @cached_property
+    def z_all(self) -> np.ndarray:
+        return _block_diag_np([s.z for s in self.per_sub], _dtype(self.lam))
+
+    @cached_property
+    def y_all(self) -> np.ndarray:
+        return _block_diag_np([s.y for s in self.per_sub], _dtype(self.lam))
 
     def column_blocks(self) -> list[tuple[np.ndarray, list[int]]]:
         """[Y Z] as its diagonal blocks: each subsystem's [y_i z_i] with the
         columns of [Y Z] it fills, its v ports in Y and then its z ports in
         Z. Identical agents hand over one block object."""
-        m_v = self.y_all.shape[1]
+        m_v = sum(s.y.shape[1] for s in self.per_sub)
         v0 = z0 = 0
         out = []
         for s in self.per_sub:
@@ -262,23 +282,11 @@ def modes(nds: NdsModel, lams: list, tol: float = RANK_TOL) -> list[ModeData]:
     Each subsystem record hands over its blocks at all of `lams` in one
     `mode_blocks` call. A subsystem with full-row-rank mode matrix
     contributes zero rows; its state/output column slots still appear (as
-    zero-width blocks) in the block-diagonal assembly, keeping global column
-    indices aligned. Each `ModeData` hands over both forms of [Y Z]: the
-    dense Y and Z the product rank multiplies, and the per-subsystem blocks
-    [y_i z_i] with their columns (`ModeData.column_blocks`), which the
-    fixed-mode intersection ranks one block at a time.
+    zero-row blocks) in [Y Z], keeping global column indices aligned.
     """
-    m_z = [a.m_z for a in nds.analysis]
-    m_v = [a.m_v for a in nds.analysis]
     blocks = [rec.mode_blocks(lams, tol) for rec in analysis_records(nds.analysis)]
-    out = []
-    for lam, per in zip(lams, zip(*blocks)):
-        dtype = _dtype(lam)
-        out.append(ModeData(lam=lam, per_sub=list(per),
-                            z_all=_block_diag_np([s.z for s in per], m_z, dtype),
-                            y_all=_block_diag_np([s.y for s in per], m_v, dtype),
-                            M_r=sum(s.m_r for s in per)))
-    return out
+    return [ModeData(lam=lam, per_sub=list(per), M_r=sum(s.m_r for s in per))
+            for lam, per in zip(lams, zip(*blocks))]
 
 
 def mode_targets(nds: NdsModel, lams: list, tol: float = RANK_TOL) -> list[int]:
@@ -333,15 +341,14 @@ def _by_dtype(lams: list) -> dict[type, list[tuple[int, complex | float]]]:
     return groups
 
 
-def _block_diag_np(blocks: list, col_widths: list[int], dtype) -> np.ndarray:
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(col_widths)
-    out = np.zeros((rows, cols), dtype=dtype)
+def _block_diag_np(blocks: list, dtype) -> np.ndarray:
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)),
+                   dtype=dtype)
     r0 = c0 = 0
-    for b, w in zip(blocks, col_widths):
-        out[r0:r0 + b.shape[0], c0:c0 + w] = b
+    for b in blocks:
+        out[r0:r0 + b.shape[0], c0:c0 + b.shape[1]] = b
         r0 += b.shape[0]
-        c0 += w
+        c0 += b.shape[1]
     return out
 
 

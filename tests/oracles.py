@@ -15,6 +15,9 @@ a question the library settles another way:
 * exhaustive searches: the union rank by its rank formula (a pattern's
   rank is a maximum matching's size, `rank_of`) and the smallest covering
   row set by levelwise enumeration;
+* design's stage 1 on the dense [Y Z] of each mode (`dense_g_value`,
+  `dense_greedy_link_rows`, `dense_extract_cover_sets`), one global rank
+  at one cutoff per matrix, beside the library's per-block ranks;
 * Hopcroft-Karp matching beside `matroid._max_matching`, and the layout of
   the lumped parameter pattern beside `NdsModel.P_pattern`;
 * the uncontrollable polynomial by a Fraction Kalman decomposition
@@ -37,7 +40,7 @@ import numpy as np
 
 from netctrl import exactla as ex
 from netctrl import ratfun
-from netctrl.design import g_value
+from netctrl.design import InfeasibleDesignError
 from netctrl.exactla import RANK_TOL, Mat
 from netctrl.matroid import GenericPattern, IndependenceOracle, NumericColumns
 from netctrl.model import NdsModel, StructuredPattern, assemble_lumped
@@ -438,6 +441,91 @@ def build_lumped_acg(nds: NdsModel, tfms: list) -> StructureGraph:
     return build_acg(gzv_cls, gzu_cls)
 
 
+# --- design's stage 1 on the dense [Y Z] -------------------------------------
+
+def _q2_matrix(md: ModeData) -> np.ndarray:
+    return np.hstack([md.y_all, md.z_all])
+
+
+def dense_g_value(j_set, modes: list[ModeData], rank_tol: float = RANK_TOL) -> int:
+    """Sum over modes of rank([Y restricted to the chosen rows | Z])."""
+    cols = sorted(j_set)
+    total = 0
+    for md in modes:
+        sub = np.hstack([md.y_all[:, cols], md.z_all]) if cols else md.z_all
+        total += ex.float_rank(sub, rank_tol)
+    return total
+
+
+def dense_greedy_link_rows(modes: list[ModeData], M_v: int,
+                           rank_tol: float = RANK_TOL) -> tuple[list[int], list[int]]:
+    """Greedy row selection until the coverage function hits its ceiling.
+
+    Returns the selected rows in insertion order together with the trace of
+    coverage values (one entry per iteration, starting at the empty set);
+    ties go to the smallest row index. Each step ranks every candidate's
+    matrix [Y restricted to the chosen rows plus the candidate | Z] of one
+    mode with one stacked singular-value call.
+    """
+    target = sum(md.M_r for md in modes)
+    chosen: list[int] = []
+    trace = [dense_g_value(chosen, modes, rank_tol)]
+    current = trace[0]
+    while current < target:
+        cands = [a for a in range(M_v) if a not in chosen]
+        totals = np.zeros(len(cands), dtype=int)
+        if cands:
+            cols = np.array([sorted(chosen + [a]) for a in cands])
+            for md in modes:
+                ys = np.moveaxis(md.y_all[:, cols], 1, 0)
+                zs = np.broadcast_to(md.z_all, (len(cands),) + md.z_all.shape)
+                totals += ex.float_rank(np.concatenate([ys, zs], axis=2), rank_tol)
+        if not cands or totals.max() <= current:
+            raise InfeasibleDesignError(
+                "coverage cannot reach its ceiling; the feasibility conditions fail")
+        # argmax takes the first largest total: ties go to the smallest row
+        best = int(np.argmax(totals))
+        chosen.append(cands[best])
+        current = int(totals[best])
+        trace.append(current)
+    return chosen, trace
+
+
+def dense_extract_cover_sets(j_grd: list[int], modes: list[ModeData], M_v: int, M_z: int,
+                             rank_tol: float = RANK_TOL) -> list[list[int]]:
+    """Per-mode column covers: output ports first, then selected rows.
+
+    Port columns are taken greedily on positive rank gain. Selected rows are
+    then scanned in ascending order; a row with positive gain is taken, and
+    once the mode's target rank is met the remaining selected rows are
+    absorbed as well, so every cover stays inside ports + selected rows while
+    sharing the full selection wherever it is free to.
+    """
+    covers = []
+    for md in modes:
+        q2 = _q2_matrix(md)
+        cover: list[int] = []
+        rank_now = 0
+        for s in range(M_v, M_v + M_z):
+            r = ex.float_rank(q2[:, sorted(cover + [s])], rank_tol)
+            if r > rank_now:
+                cover.append(s)
+                rank_now = r
+        for s in sorted(j_grd):
+            if rank_now == md.M_r:
+                cover.append(s)
+                continue
+            r = ex.float_rank(q2[:, sorted(cover + [s])], rank_tol)
+            if r > rank_now:
+                cover.append(s)
+                rank_now = r
+        if rank_now != md.M_r:
+            raise InfeasibleDesignError(
+                f"cover extraction stalled at rank {rank_now} < {md.M_r}")
+        covers.append(sorted(cover))
+    return covers
+
+
 # --- exhaustive row search ---------------------------------------------------
 
 def minimal_rows_exhaustive(modes: list[ModeData], M_v: int,
@@ -446,6 +534,6 @@ def minimal_rows_exhaustive(modes: list[ModeData], M_v: int,
     target = sum(md.M_r for md in modes)
     for size in range(M_v + 1):
         for combo in itertools.combinations(range(M_v), size):
-            if g_value(combo, modes, rank_tol) == target:
+            if dense_g_value(combo, modes, rank_tol) == target:
                 return list(combo)
     return None

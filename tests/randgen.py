@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from netctrl.model import NdsModel, StructuredPattern, SubsystemModel, ModelError
 from netctrl.model import check_well_posedness
+from netctrl.verify import check_feasibility
 
 
 def _rmat(rng: random.Random, rows: int, cols: int, density: float = 0.6,
@@ -71,3 +72,18 @@ def random_fixed_subsystems(seed: int, max_sub: int = 3, max_state: int = 3,
     n_sub = rng.randint(1, max_sub)
     return [random_subsystem(rng, i + 1, max_state, max_port, lft_prob=0.0)
             for i in range(n_sub)]
+
+
+def design_network(n: int, seed: int = 1) -> list[SubsystemModel]:
+    """n fixed subsystems `random_subsystem(rng, i, 3, 2, lft_prob=0)` from
+    one generator, each kept only when it passes the design feasibility
+    test alone: the design networks of the size table in ROADMAP.md."""
+    rng = random.Random(seed)
+    subs: list[SubsystemModel] = []
+    index = 0
+    while len(subs) < n:
+        index += 1
+        sub = random_subsystem(rng, index, 3, 2, lft_prob=0)
+        if check_feasibility([sub]).feasible:
+            subs.append(sub)
+    return subs

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from netctrl import exactla as ex
@@ -13,8 +15,9 @@ from netctrl.model import NdsModel, StructuredPattern, SubsystemModel
 from netctrl.structgraph import (build_nacg, find_input_unreachable_lambda_cycle,
                                  unreachable_source_sccs_with_lambda_edge)
 
-from oracles import minimal_rows_exhaustive
-from randgen import random_fixed_subsystems
+from oracles import (dense_extract_cover_sets, dense_g_value, dense_greedy_link_rows,
+                     minimal_rows_exhaustive)
+from randgen import design_network, random_fixed_subsystems, random_subsystem
 
 
 def _modes(nds, mode_filter="all"):
@@ -87,6 +90,146 @@ def test_greedy_rows_match_per_candidate_reference():
                 assert greedy_link_rows(modes, nds.M_v) == want, f"seed {seed}"
                 compared += 1
     assert compared >= 100 and raised > 0
+
+
+def _stage1_or_error(greedy, covers, modes, M_v, M_z):
+    """(rows, trace, covers) of one stage-1 implementation, or the error it raises."""
+    try:
+        rows, trace = greedy(modes, M_v)
+        return rows, trace, covers(rows, modes, M_v, M_z)
+    except InfeasibleDesignError as err:
+        return str(err)
+
+
+def _assert_stage1_matches_dense(nds, mode_filter, label):
+    modes = _modes(nds, mode_filter)
+    M_v, M_z = nds.M_v, nds.M_z
+    got = _stage1_or_error(greedy_link_rows, extract_cover_sets, modes, M_v, M_z)
+    want = _stage1_or_error(dense_greedy_link_rows, dense_extract_cover_sets,
+                            modes, M_v, M_z)
+    assert got == want, label
+    rows = got[0] if isinstance(got, tuple) else []
+    for j_set in ([], rows, range(M_v)):
+        assert g_value(j_set, modes) == dense_g_value(j_set, modes), label
+    return isinstance(got, tuple)
+
+
+def test_stage1_matches_dense_oracle_random():
+    # the per-block greedy, covers and coverage against the dense [Y Z] ones
+    outcomes = Counter()
+    for seed in range(120):
+        nds = NdsModel.unrouted(random_fixed_subsystems(seed, max_sub=4))
+        for mode_filter in ("all", "unstable"):
+            outcomes[_assert_stage1_matches_dense(nds, mode_filter, f"seed {seed}")] += 1
+    assert outcomes[True] >= 180 and outcomes[False] > 0
+
+
+def test_stage1_matches_dense_oracle_sec7(sec7, sec7_designed2, sec7_designed3):
+    for nds in (sec7, sec7_designed2, sec7_designed3):
+        for mode_filter in ("all", "unstable"):
+            assert _assert_stage1_matches_dense(nds, mode_filter, mode_filter)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_stage1_matches_dense_oracle_design_networks(n):
+    assert _assert_stage1_matches_dense(NdsModel.unrouted(design_network(n)), "all",
+                                        f"N = {n}")
+
+
+def _record_ranked(monkeypatch) -> list:
+    """Every matrix `exactla.float_rank` ranks, a stack as its matrices."""
+    ranked = []
+    float_rank = ex.float_rank
+
+    def recording(m, tol=ex.RANK_TOL):
+        m = np.asarray(m)
+        ranked.extend(m.reshape((-1,) + m.shape[-2:]))
+        return float_rank(m, tol)
+
+    monkeypatch.setattr(ex, "float_rank", recording)
+    return ranked
+
+
+def _holding_blocks(matrix, modes) -> set:
+    """The (mode, subsystem) blocks [y_i z_i] that hold every column of matrix."""
+    holders = None
+    for col in matrix.T:
+        here = {(m, p) for m, md in enumerate(modes)
+                for p, (block, _) in enumerate(md.column_blocks())
+                if block.shape[0] == len(col) and block.dtype == col.dtype
+                and any(np.array_equal(col, c) for c in block.T)}
+        holders = here if holders is None else holders & here
+    return holders or set()
+
+
+def _gaussian_modes(seed: int, n_sub: int, n_modes: int) -> list:
+    """Modes of n_sub subsystems with three v ports and one z port each,
+    whose blocks [y_i z_i] are Gaussian with one to three rows, so that
+    every column of every block is its own."""
+    rng = np.random.default_rng(seed)
+    modes = []
+    for m in range(n_modes):
+        per = []
+        for p in range(n_sub):
+            rows = 1 + (p + m) % 3
+            yz = rng.standard_normal((rows, 4))
+            per.append(ratfun.SubsystemModeData(t=np.zeros((rows, 0)), z=yz[:, 3:],
+                                                y=yz[:, :3], yz=yz, m_r=rows))
+        modes.append(ratfun.ModeData(lam=complex(-1 - m), per_sub=per,
+                                     M_r=sum(s.m_r for s in per)))
+    return modes
+
+
+def test_greedy_reranks_only_the_chosen_subsystem(monkeypatch):
+    # Each ranked matrix is the columns L of one block [y_i z_i], and no
+    # (block, L) is ranked twice. L holds the block's z port and its
+    # subsystem's rows chosen so far, plus at most one candidate row; so
+    # after a step only the chosen subsystem's candidates are ranked again.
+    modes = _gaussian_modes(0, n_sub=5, n_modes=4)
+    where = {col.tobytes(): (m, p, j) for m, md in enumerate(modes)
+             for p, s in enumerate(md.per_sub) for j, col in enumerate(s.yz.T)}
+    ranked = _record_ranked(monkeypatch)
+    rows, _ = greedy_link_rows(modes, 15)
+    monkeypatch.undo()
+    chosen = [[a % 3 for a in rows if a // 3 == p] for p in range(5)]
+    assert sum(map(bool, chosen)) >= 3 and max(map(len, chosen)) >= 2
+    seen = set()
+    for matrix in ranked:
+        places = [where.get(col.tobytes()) for col in matrix.T]
+        assert None not in places and len({place[:2] for place in places}) == 1
+        (m, p, _), local = places[0], [j for _, _, j in places]
+        assert (m, p, tuple(local)) not in seen
+        seen.add((m, p, tuple(local)))
+        assert local[-1] == 3  # the z port
+        k = 0  # L holds the first k rows chosen in its subsystem
+        while k < len(chosen[p]) and chosen[p][k] in local:
+            k += 1
+        assert len(local) - 1 - k <= 1
+    assert len(seen) == len(ranked) > 0
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8, 11])
+def test_greedy_ranks_within_one_agent(monkeypatch, seed):
+    # N identical agents share one block per mode and its ranks: every
+    # matrix stage 1 ranks is a column set of one agent's block, and the
+    # number ranked does not grow with N.
+    ranked = _record_ranked(monkeypatch)
+    counts = []
+    for agents in (2, 4, 8):
+        subs = [random_subsystem(random.Random(seed), i + 1, 3, 2, lft_prob=0)
+                for i in range(agents)]
+        nds = NdsModel.unrouted(subs)
+        modes = _modes(nds)
+        ranked.clear()
+        rows, _ = greedy_link_rows(modes, nds.M_v)
+        extract_cover_sets(rows, modes, nds.M_v, nds.M_z)
+        assert len(rows) == agents
+        width = subs[0].m_v0 + subs[0].m_z0
+        for matrix in ranked:
+            assert matrix.shape[1] <= width
+            assert _holding_blocks(matrix, modes)
+        counts.append(len(ranked))
+    assert counts[0] == counts[1] == counts[2] > 0
 
 
 def test_cover_sets_sec7(sec7_empty):

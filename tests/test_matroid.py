@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from netctrl import exactla as ex
-from netctrl import ratfun, verify
+from netctrl import matroid, ratfun, verify
 from netctrl.matroid import (GenericPattern, IndependenceOracle, NumericColumns,
                              _max_matching, matroid_intersection_rank)
 from netctrl.model import (ModelError, NdsModel, StructuredPattern, assemble_lumped,
@@ -336,6 +336,46 @@ def test_generic_swaps_match_per_set_matching():
     # the batched answer is read off one matching, so the set must be independent
     with pytest.raises(ValueError):
         GenericPattern(_pattern(1, 3, [(0, 0), (0, 1)])).swaps({0, 1}, [(None, 2)])
+
+
+class _FreshMatching(GenericPattern):
+    """A pattern oracle that takes a fresh matching on every `swaps` call."""
+
+    def swaps(self, current, pairs):
+        self._last = (None, {}, {})
+        return super().swaps(current, pairs)
+
+
+def test_generic_swaps_match_once_per_current_set(monkeypatch, sec7):
+    # the intersection changes its current set only when it augments, and
+    # the pattern oracle takes one matching per current set it is asked about
+    matched = []
+
+    def counting(adj):
+        matched.append(frozenset(adj))
+        return _max_matching(adj)
+
+    monkeypatch.setattr(matroid, "_max_matching", counting)
+    networks = [sec7] + [random_nds(seed, 8, max_state=4, max_port=3)
+                         for seed in (1, 5, 9, 13)]
+    asked = matchings = 0
+    for nds in networks:
+        pattern = verify.routing_pattern_q1(nds.P_pattern)
+        for md in ratfun.modes(nds, ratfun.spectrum(nds).values):
+            if md.M_r == 0:
+                continue
+            q2 = NumericColumns.direct_sum(md.column_blocks())
+            q1 = GenericPattern(pattern)
+            asked_here = []
+            swaps = q1.swaps
+            monkeypatch.setattr(q1, "swaps", lambda c, p: asked_here.append(1) or swaps(c, p))
+            matched.clear()
+            best = matroid_intersection_rank(q1, q2)
+            assert len(matched) == len(set(matched)) <= best.certified_rank + 1
+            asked += len(asked_here)
+            matchings += len(matched)
+            assert best == matroid_intersection_rank(_FreshMatching(pattern), q2)
+    assert asked > matchings > 0
 
 
 def test_max_matching_is_maximum():

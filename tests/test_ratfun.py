@@ -59,6 +59,30 @@ def test_entry_classes_read_markov_parameters_up_to_n():
     assert _classes_kinds(entry_classes(first, a, transpose(last), d)) == [["constant"]]
 
 
+def test_entry_classes_stop_once_every_entry_is_lambda(monkeypatch):
+    # C B has no zero entry, so every class is "lambda" after the first
+    # Markov parameter: one product C B and no power of A
+    a = ex.mat([[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+    b = ex.mat([[1, 0], [1, 1], [0, 2]])
+    c = ex.mat([[1, 1, 0], [0, 1, 1]])
+    d = ex.mat([[0, 5], [0, 0]])
+    calls = []
+    mmul = ex.mmul
+
+    def counting(x, y):
+        calls.append(ex.shape(y))
+        return mmul(x, y)
+
+    monkeypatch.setattr(ex, "mmul", counting)
+    assert _classes_kinds(entry_classes(c, a, b, d)) == [["lambda"] * 2] * 2
+    assert calls == [(3, 2)]
+    # C B with a zero entry reads on until that entry turns frequency dependent
+    calls.clear()
+    assert _classes_kinds(entry_classes(ex.mat([[1, 0, 0]]), a, b, ex.mat([[0, 0]]))) \
+        == [["lambda", "lambda"]]
+    assert len(calls) > 1
+
+
 def _int_matrix(rows, cols):
     return st.lists(st.lists(st.integers(-2, 2), min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows)
