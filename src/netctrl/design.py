@@ -299,22 +299,21 @@ def eliminate_pdums(nds: NdsModel) -> list[dict]:
     source scan skips those, and the links it adds elsewhere do not reach it.
     """
     graph = structgraph.build_nacg(nds, ratfun.nds_tfms(nds))
-    scc = structgraph.scc_decompose(graph)
-    targets = structgraph.unreachable_source_sccs_with_lambda_edge(graph, scc)
+    targets = structgraph.unreachable_source_sccs_with_lambda_edge(graph)
     added: list[dict] = []
 
     def add_link(into_comp, current_graph, provenance):
-        dec = structgraph.scc_decompose(current_graph)
-        z_cands = sorted(v for v in current_graph.vertices
-                         if v[0] == "z" and dec.input_reachable[v])
+        # vertices sort by kind, so the first reachable z is the smallest
+        z_l = next((v for v, ok in zip(current_graph.vertices, current_graph.input_reach())
+                    if ok and v[0] == "z"), None)
         v_cands = sorted(v for v in into_comp if v[0] == "v")
-        if not z_cands:
+        if z_l is None:
             raise InfeasibleDesignError(
                 "no input-reachable output vertex exists to anchor a link")
         if not v_cands:
             raise InfeasibleDesignError(
                 "component without internal-input vertex cannot be wired")
-        z_l, v_j = z_cands[0], v_cands[0]
+        v_j = v_cands[0]
         row = nds.offsets["v"][v_j[1] - 1] + (v_j[2] - 1)
         col = nds.offsets["z"][z_l[1] - 1] + (z_l[2] - 1)
         added.append({"position": (row, col),

@@ -172,7 +172,14 @@ def spectrum(nds: NdsModel, tol: float = EIG_TOL) -> Spectrum:
             if abs(lam.imag) <= tol * max(1.0, abs(lam)):
                 lam = complex(lam.real, 0.0)
             raw.append((lam, j))
-    n = len(raw)
+    # Equal values are close, and a copy is close to the same values as its
+    # first occurrence, so only distinct values are compared pairwise and
+    # every raw entry joins its value's group.
+    first: dict[complex, int] = {}
+    for lam, _ in raw:
+        first.setdefault(lam, len(first))
+    distinct = list(first)
+    n = len(distinct)
     parent = list(range(n))
 
     def find(i):
@@ -183,11 +190,11 @@ def spectrum(nds: NdsModel, tol: float = EIG_TOL) -> Spectrum:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if _close(raw[i][0], raw[j][0], tol):
+            if _close(distinct[i], distinct[j], tol):
                 parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for i, (lam, _) in enumerate(raw):
+        groups.setdefault(find(first[lam]), []).append(i)
     values = []
     members = []
     for idxs in groups.values():

@@ -11,12 +11,33 @@ Vertices are (kind, subsystem, port) tuples with 1-based subsystem/port
 numbers; kind is "u", "v" or "z". Edges carry a kind tag: "const" and
 "lambda" for transfer entries (the latter marks genuine frequency
 dependence) and "link" for routing entries.
+
+Inside, a graph numbers its vertices 0, 1, ... in the sorted order of their
+tuples, and keeps integer adjacency lists and its lambda edges on those ids.
+The networked graph numbers the u ports by their global index
+(`NdsModel.offsets`), then the v ports, then the z ports, which is exactly
+that order, so `build_nacg` fills the adjacency straight from the port map
+and the entry classes, and makes no tuple. A graph built from tuples numbers
+them by sorting. Since ids keep the tuple order, every order the queries
+promise (sorted edges, components by smallest vertex, sorted BFS ties, the
+witness's rotation) is the same on ids as on tuples. The tuple views
+(`vertices`, `edges`, `successors()` and the decomposition `scc_decompose`
+returns) are built when first asked for.
+
+The moving-mode queries compute input reachability first, with one search
+from the u vertices. A strongly connected component that holds an
+unreachable vertex holds only unreachable vertices, and no edge enters it
+from a reachable one. So components are sought among the unreachable
+vertices alone (Tarjan 1972), and not at all when no lambda edge has both
+ends unreachable.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import cache, cached_property
+from typing import Callable, Iterable, Optional
 
 from .model import AugmentedSubsystem, NdsModel
 from .model import assemble_lumped  # noqa: F401 -- perfbench/spans.py patches it here
@@ -25,30 +46,94 @@ from .ratfun import SubsystemTfms
 Vertex = tuple[str, int, int]
 Edge = tuple[Vertex, Vertex, str]
 
+
 def vertex_name(v: Vertex) -> str:
+    """`v12` for port 2 of subsystem 1; a port of 10 or more follows an
+    underscore (`v1_12`), so distinct vertices get distinct names."""
     kind, sub, port = v
-    return f"{kind}{sub}{port}" if sub else f"{kind}{port}"
+    if not sub:
+        return f"{kind}{port}"
+    return f"{kind}{sub}{port}" if port < 10 else f"{kind}{sub}_{port}"
 
 
-@dataclass(frozen=True)
 class StructureGraph:
-    vertices: tuple
-    edges: tuple
+    """A connection digraph on vertex ids in sorted tuple order.
+
+    `StructureGraph(vertices, edges)` takes tuples. `succ[i]` lists the heads
+    of vertex i's edges in ascending order and `kinds[i]` their kinds; `lam`
+    holds the (tail, head) id pairs of the lambda edges in sorted edge order.
+    The u vertices, which sort first, are the ids below `n_u`.
+    """
+
+    def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Edge]):
+        verts = tuple(sorted(set(vertices)))
+        ids = {v: i for i, v in enumerate(verts)}
+        succ: list[list[int]] = [[] for _ in verts]
+        kinds: list[list[str]] = [[] for _ in verts]
+        lam = []
+        for s, d, kind in sorted(set(edges)):
+            i, j = ids[s], ids[d]
+            succ[i].append(j)
+            kinds[i].append(kind)
+            if kind == "lambda":
+                lam.append((i, j))
+        self._set(succ, kinds, lam, sum(v[0] == "u" for v in verts), lambda: verts)
+
+    @classmethod
+    def _from_ids(cls, succ, kinds, lam, n_u: int,
+                  make_vertices: Callable[[], tuple]) -> "StructureGraph":
+        g = cls.__new__(cls)
+        g._set(succ, kinds, lam, n_u, make_vertices)
+        return g
+
+    def _set(self, succ, kinds, lam, n_u, make_vertices) -> None:
+        self.succ, self.kinds, self.lam, self.n_u = succ, kinds, lam, n_u
+        self._make_vertices = make_vertices
+
+    @cached_property
+    def vertices(self) -> tuple:
+        return self._make_vertices()
+
+    @cached_property
+    def _ids(self) -> dict:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def edges(self) -> tuple:
+        verts = self.vertices
+        return tuple((verts[i], verts[j], k)
+                     for i, (heads, ks) in enumerate(zip(self.succ, self.kinds))
+                     for j, k in zip(heads, ks))
 
     def successors(self) -> dict:
-        adj: dict[Vertex, list[Vertex]] = {v: [] for v in self.vertices}
-        for s, d, _ in self.edges:
-            adj[s].append(d)
-        for v in adj:
-            adj[v].sort()
-        return adj
+        verts = self.vertices
+        return {v: [verts[j] for j in heads] for v, heads in zip(verts, self.succ)}
 
     def with_edges(self, extra: Iterable[Edge]) -> "StructureGraph":
-        return StructureGraph(self.vertices, tuple(sorted(set(self.edges) | set(extra))))
+        succ, kinds, lam = list(self.succ), list(self.kinds), list(self.lam)
+        for s, d, kind in extra:
+            i, j = self._ids[s], self._ids[d]
+            out = list(zip(succ[i], kinds[i]))
+            if (j, kind) in out:
+                continue
+            insort(out, (j, kind))
+            succ[i], kinds[i] = [h for h, _ in out], [k for _, k in out]
+            if kind == "lambda":
+                insort(lam, (i, j))
+        return StructureGraph._from_ids(succ, kinds, lam, self.n_u, lambda: self.vertices)
 
-
-def _graph(vertices: Iterable[Vertex], edges: Iterable[Edge]) -> StructureGraph:
-    return StructureGraph(tuple(sorted(set(vertices))), tuple(sorted(set(edges))))
+    def input_reach(self) -> bytearray:
+        """One flag per vertex, in `vertices` order: is it reachable from a u vertex?"""
+        reach = bytearray(len(self.succ))
+        stack = list(range(self.n_u))
+        reach[:self.n_u] = b"\x01" * self.n_u
+        succ = self.succ
+        while stack:
+            for w in succ[stack.pop()]:
+                if not reach[w]:
+                    reach[w] = 1
+                    stack.append(w)
+        return reach
 
 
 def _class_edges(classes: list, src: str, dst: str, index: int) -> list[Edge]:
@@ -56,6 +141,10 @@ def _class_edges(classes: list, src: str, dst: str, index: int) -> list[Edge]:
     class classes[q][p]: "lambda" when frequency dependent, else "const"."""
     return [((src, index, p + 1), (dst, index, q + 1), "lambda" if cls.is_lambda else "const")
             for q, row in enumerate(classes) for p, cls in enumerate(row) if not cls.is_zero]
+
+
+# tests/oracles.py builds its square-form graphs with `_class_edges` and `_graph`
+_graph = StructureGraph
 
 
 def build_subsystem_acg(index: int, aug: AugmentedSubsystem,
@@ -69,7 +158,7 @@ def build_subsystem_acg(index: int, aug: AugmentedSubsystem,
              for p in range(getattr(aug, f"m_{kind}"))]
     edges = (_class_edges(tfms.gzv_classes, "v", "z", index)
              + _class_edges(tfms.gzu_classes, "u", "z", index))
-    return _graph(verts, edges)
+    return StructureGraph(verts, edges)
 
 
 def link_edges(nds: NdsModel, positions: Iterable[tuple[int, int]]) -> list[Edge]:
@@ -82,13 +171,58 @@ def link_edges(nds: NdsModel, positions: Iterable[tuple[int, int]]) -> list[Edge
     return edges
 
 
+def _out_edges(classes: list, m_in: int) -> list[tuple[list, list, list]]:
+    """Per input port p of one subsystem: the output ports q with a nonzero
+    class classes[q][p], ascending, their edge kinds, and the lambda ones."""
+    out = [([], [], []) for _ in range(m_in)]
+    for q, row in enumerate(classes):
+        for (heads, kinds, lam), cls in zip(out, row):
+            if not cls.is_zero:
+                heads.append(q)
+                kinds.append("lambda" if cls.is_lambda else "const")
+                if cls.is_lambda:
+                    lam.append(q)
+    return out
+
+
 def build_nacg(nds: NdsModel, tfms: list) -> StructureGraph:
-    """Glue per-subsystem graphs with one link edge per routing pattern entry."""
-    parts = [build_subsystem_acg(i + 1, a, t)
-             for i, (a, t) in enumerate(zip(nds.analysis, tfms))]
-    edges = [e for g in parts for e in g.edges]
-    edges.extend(link_edges(nds, nds.P_pattern.positions()))
-    return _graph([v for g in parts for v in g.vertices], edges)
+    """The networked graph: each subsystem's transfer edges, one link edge per
+    entry of `NdsModel.P_pattern`.
+
+    Vertex ids follow the port map: u ports, then v ports, then z ports, each
+    by global index. Identical agents share their class matrices, whose
+    per-port edges are read once.
+    """
+    off = nds.offsets
+    base = {"u": 0, "v": nds.M_u, "z": nds.M_u + nds.M_v}
+    n = base["z"] + nds.M_z
+    succ: list[list[int]] = [[] for _ in range(n)]
+    kinds: list[list[str]] = [[] for _ in range(n)]
+    lam: list[tuple[int, int]] = []
+    local: dict[int, list] = {}
+    for kind in "uv":
+        offs = off[kind]
+        for i, t in enumerate(tfms):
+            classes = t.gzu_classes if kind == "u" else t.gzv_classes
+            if id(classes) not in local:
+                local[id(classes)] = _out_edges(classes, offs[i + 1] - offs[i])
+            z0 = base["z"] + off["z"][i]
+            s = base[kind] + offs[i]
+            for heads, ks, lam_heads in local[id(classes)]:
+                succ[s] = [z0 + q for q in heads]
+                kinds[s] = ks
+                lam.extend((s, z0 + q) for q in lam_heads)
+                s += 1
+    z0, v0 = base["z"], base["v"]
+    for r, c in nds.P_pattern.entries:
+        succ[z0 + c].append(v0 + r)
+    for z in range(z0, n):
+        succ[z].sort()
+        kinds[z] = ["link"] * len(succ[z])
+    counts = {kind: [b - a for a, b in zip(off[kind], off[kind][1:])] for kind in "uvz"}
+    make_vertices = cache(lambda: tuple((kind, i + 1, p + 1) for kind in "uvz"
+                                        for i, m in enumerate(counts[kind]) for p in range(m)))
+    return StructureGraph._from_ids(succ, kinds, lam, nds.M_u, make_vertices)
 
 
 @dataclass(frozen=True)
@@ -102,31 +236,32 @@ class SccDecomposition:
         return any(self.input_reachable[v] for v in self.components[idx])
 
 
-def _tarjan(vertices, adj) -> list[list[Vertex]]:
-    index: dict[Vertex, int] = {}
-    low: dict[Vertex, int] = {}
+def _tarjan(succ: list, roots: Iterable[int], skip) -> list[list[int]]:
+    """Strongly connected components (Tarjan 1972, iterative) of the subgraph
+    on the vertices v with `skip[v]` false, searched from `roots` in order."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
     on_stack: set = set()
-    stack: list[Vertex] = []
-    counter = [0]
-    comps: list[list[Vertex]] = []
-    for root in vertices:
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    for root in roots:
         if root in index:
             continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = len(index)
         stack.append(root)
         on_stack.add(root)
         while work:
             v, it = work[-1]
             advanced = False
             for w in it:
+                if skip[w]:
+                    continue
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                    index[w] = low[w] = len(index)
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(adj[w])))
+                    work.append((w, iter(succ[w])))
                     advanced = True
                     break
                 if w in on_stack:
@@ -151,31 +286,53 @@ def _tarjan(vertices, adj) -> list[list[Vertex]]:
 
 def scc_decompose(g: StructureGraph) -> SccDecomposition:
     """Strongly connected components, condensation edges and input reachability."""
-    adj = g.successors()
-    comps = _tarjan(list(g.vertices), adj)
-    comps = sorted((tuple(sorted(c)) for c in comps), key=lambda c: c[0])
-    comp_of = {v: i for i, c in enumerate(comps) for v in c}
-    cond = set()
-    for s, d, _ in g.edges:
-        cs, cd = comp_of[s], comp_of[d]
-        if cs != cd:
-            cond.add((cs, cd))
-    reach: dict[Vertex, bool] = {v: False for v in g.vertices}
-    frontier = [v for v in g.vertices if v[0] == "u"]
-    for v in frontier:
-        reach[v] = True
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if not reach[w]:
-                    reach[w] = True
-                    nxt.append(w)
-        frontier = nxt
-    return SccDecomposition(tuple(comps), comp_of, tuple(sorted(cond)), reach)
+    n = len(g.succ)
+    comps = sorted((sorted(c) for c in _tarjan(g.succ, range(n), bytes(n))), key=lambda c: c[0])
+    comp_of = [0] * n
+    for k, c in enumerate(comps):
+        for v in c:
+            comp_of[v] = k
+    cond = {(comp_of[s], comp_of[d]) for s, heads in enumerate(g.succ) for d in heads
+            if comp_of[s] != comp_of[d]}
+    verts = g.vertices
+    reach = g.input_reach()
+    return SccDecomposition(tuple(tuple(verts[v] for v in c) for c in comps),
+                            {v: comp_of[i] for i, v in enumerate(verts)},
+                            tuple(sorted(cond)),
+                            {v: bool(reach[i]) for i, v in enumerate(verts)})
 
 
-def _path_in_subset(adj, allowed: set, start: Vertex, goal: Vertex) -> Optional[list]:
+def _reach(g: StructureGraph, scc: Optional[SccDecomposition]):
+    return g.input_reach() if scc is None else [scc.input_reachable[v] for v in g.vertices]
+
+
+def _lambda_cycle_components(g: StructureGraph, scc: Optional[SccDecomposition]):
+    """Input-unreachable components that hold an internal lambda edge.
+
+    This is the one moving-mode criterion. Returns (comp, marked): comp maps
+    each unreachable vertex to a component label, and marked maps the label
+    of each such component to its first internal lambda edge in sorted edge
+    order. Labels sort in component order: a component's smallest vertex,
+    or its index in `scc`. Both endpoints of an internal edge share a
+    component, so the edge closes into a cycle.
+    """
+    reach = _reach(g, scc)
+    if not any(not reach[s] and not reach[d] for s, d in g.lam):
+        return {}, {}
+    if scc is None:
+        comps = _tarjan(g.succ, [v for v in range(len(reach)) if not reach[v]], reach)
+        comp = {v: min(c) for c in comps for v in c}
+    else:
+        comp = {i: scc.comp_of[v] for i, v in enumerate(g.vertices) if not reach[i]}
+    marked: dict[int, tuple[int, int]] = {}
+    for s, d in g.lam:
+        c = comp.get(s)
+        if c is not None and c == comp.get(d) and c not in marked:
+            marked[c] = (s, d)
+    return comp, marked
+
+
+def _path_in_subset(succ, allowed: set, start: int, goal: int) -> Optional[list]:
     """Shortest path start->goal using only allowed vertices (BFS, sorted ties)."""
     if start == goal:
         return [start]
@@ -184,7 +341,7 @@ def _path_in_subset(adj, allowed: set, start: Vertex, goal: Vertex) -> Optional[
     while frontier:
         nxt = []
         for v in frontier:
-            for w in adj[v]:
+            for w in succ[v]:
                 if w not in allowed or w in prev:
                     continue
                 prev[w] = v
@@ -198,28 +355,6 @@ def _path_in_subset(adj, allowed: set, start: Vertex, goal: Vertex) -> Optional[
     return None
 
 
-def _canonical_cycle(cycle: list) -> list:
-    k = cycle.index(min(cycle))
-    return cycle[k:] + cycle[:k]
-
-
-def _lambda_cycle_components(g: StructureGraph, scc: SccDecomposition) -> dict:
-    """Input-unreachable components that hold an internal lambda edge.
-
-    This is the one moving-mode criterion. Maps each such component index to
-    its first internal lambda edge in sorted edge order. Both endpoints of
-    an internal edge share a component, so the edge closes into a cycle.
-    """
-    marked: dict[int, Edge] = {}
-    for s, d, kind in sorted(g.edges):
-        if kind != "lambda":
-            continue
-        c = scc.comp_of[s]
-        if c == scc.comp_of[d] and c not in marked and not scc.component_reachable(c):
-            marked[c] = (s, d, kind)
-    return marked
-
-
 def find_input_unreachable_lambda_cycle(g: StructureGraph,
                                         scc: Optional[SccDecomposition] = None) -> Optional[list]:
     """Witness cycle through a frequency-dependent edge no input can reach.
@@ -227,35 +362,39 @@ def find_input_unreachable_lambda_cycle(g: StructureGraph,
     The first marked component (by component order) supplies the witness:
     its first internal lambda edge, closed by the shortest path back from the
     edge's head to its tail inside the component, rotated to start at the
-    smallest vertex.
+    smallest vertex. A decomposition of g already at hand may be passed as
+    `scc`; its reachability and components are then used.
     """
-    scc = scc if scc is not None else scc_decompose(g)
-    marked = _lambda_cycle_components(g, scc)
+    comp, marked = _lambda_cycle_components(g, scc)
     if not marked:
         return None
-    idx = min(marked)
-    s, d, _ = marked[idx]
-    back = _path_in_subset(g.successors(), set(scc.components[idx]), d, s)
-    return _canonical_cycle(back)
+    label = min(marked)
+    s, d = marked[label]
+    cycle = _path_in_subset(g.succ, {v for v, c in comp.items() if c == label}, d, s)
+    k = cycle.index(min(cycle))
+    verts = g.vertices
+    return [verts[v] for v in cycle[k:] + cycle[:k]]
 
 
 def find_input_unreachable_lambda_edge(g: StructureGraph,
                                        scc: Optional[SccDecomposition] = None) -> Optional[Edge]:
     """First frequency-dependent edge with both endpoints unreachable from inputs."""
-    scc = scc if scc is not None else scc_decompose(g)
-    for s, d, kind in sorted(g.edges):
-        if kind == "lambda" and not scc.input_reachable[s] and not scc.input_reachable[d]:
-            return (s, d, kind)
+    reach = _reach(g, scc)
+    for s, d in g.lam:
+        if not reach[s] and not reach[d]:
+            return (g.vertices[s], g.vertices[d], "lambda")
     return None
 
 
 def unreachable_source_sccs_with_lambda_edge(g: StructureGraph,
                                              scc: Optional[SccDecomposition] = None) -> list:
     """Input-unreachable components with no incoming edge and an internal lambda edge."""
-    scc = scc if scc is not None else scc_decompose(g)
-    has_incoming = {d for _, d in scc.condensation}
-    marked = _lambda_cycle_components(g, scc)
-    return [scc.components[idx] for idx in sorted(marked) if idx not in has_incoming]
+    comp, marked = _lambda_cycle_components(g, scc)
+    # an edge into an unreachable component starts at an unreachable vertex
+    has_incoming = {comp[d] for s, c in comp.items() for d in g.succ[s]
+                    if d in comp and comp[d] != c}
+    return [tuple(g.vertices[v] for v in sorted(comp) if comp[v] == c)
+            for c in sorted(marked) if c not in has_incoming]
 
 
 _SHAPES = {"u": "box", "v": "ellipse", "z": "diamond"}

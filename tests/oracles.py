@@ -22,7 +22,12 @@ a question the library settles another way:
   the lumped parameter pattern beside `NdsModel.P_pattern`;
 * the uncontrollable polynomial by a Fraction Kalman decomposition
   (`kalman_uncontrollable_polynomial`), beside the polynomial `realize`
-  lifts from its Krylov quotients mod primes.
+  lifts from its Krylov quotients mod primes;
+* the connection-graph queries on vertex tuples over the whole graph
+  (`scc_decompose`, `find_input_unreachable_lambda_cycle`,
+  `find_input_unreachable_lambda_edge`,
+  `unreachable_source_sccs_with_lambda_edge`), beside `structgraph`'s
+  integer ids and its input reachability first.
 
 Dense exact reference loops: they touch every entry, zeros included, and
 divide in `Fraction` at every step, so they share no code with the
@@ -45,7 +50,8 @@ from netctrl.exactla import RANK_TOL, Mat
 from netctrl.matroid import GenericPattern, IndependenceOracle, NumericColumns
 from netctrl.model import NdsModel, StructuredPattern, assemble_lumped
 from netctrl.ratfun import EntryClass, ModeData
-from netctrl.structgraph import StructureGraph, _class_edges, _graph
+from netctrl.structgraph import (Edge, SccDecomposition, StructureGraph, Vertex,
+                                 _class_edges, _graph)
 from netctrl.verify import ModeCheck
 
 
@@ -537,3 +543,161 @@ def minimal_rows_exhaustive(modes: list[ModeData], M_v: int,
             if dense_g_value(combo, modes, rank_tol) == target:
                 return list(combo)
     return None
+
+
+# --- connection-graph queries on vertex tuples -------------------------------
+
+def _tarjan(vertices, adj) -> list[list[Vertex]]:
+    index: dict[Vertex, int] = {}
+    low: dict[Vertex, int] = {}
+    on_stack: set = set()
+    stack: list[Vertex] = []
+    counter = [0]
+    comps: list[list[Vertex]] = []
+    for root in vertices:
+        if root in index:
+            continue
+        work = [(root, iter(adj[root]))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(adj[w])))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(comp)
+    return comps
+
+
+def scc_decompose(g: StructureGraph) -> SccDecomposition:
+    """Strongly connected components, condensation edges and input reachability."""
+    adj = g.successors()
+    comps = _tarjan(list(g.vertices), adj)
+    comps = sorted((tuple(sorted(c)) for c in comps), key=lambda c: c[0])
+    comp_of = {v: i for i, c in enumerate(comps) for v in c}
+    cond = set()
+    for s, d, _ in g.edges:
+        cs, cd = comp_of[s], comp_of[d]
+        if cs != cd:
+            cond.add((cs, cd))
+    reach: dict[Vertex, bool] = {v: False for v in g.vertices}
+    frontier = [v for v in g.vertices if v[0] == "u"]
+    for v in frontier:
+        reach[v] = True
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if not reach[w]:
+                    reach[w] = True
+                    nxt.append(w)
+        frontier = nxt
+    return SccDecomposition(tuple(comps), comp_of, tuple(sorted(cond)), reach)
+
+
+def _path_in_subset(adj, allowed: set, start: Vertex, goal: Vertex) -> Optional[list]:
+    """Shortest path start->goal using only allowed vertices (BFS, sorted ties)."""
+    if start == goal:
+        return [start]
+    prev = {start: None}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in allowed or w in prev:
+                    continue
+                prev[w] = v
+                if w == goal:
+                    path = [w]
+                    while prev[path[-1]] is not None:
+                        path.append(prev[path[-1]])
+                    return list(reversed(path))
+                nxt.append(w)
+        frontier = nxt
+    return None
+
+
+def _canonical_cycle(cycle: list) -> list:
+    k = cycle.index(min(cycle))
+    return cycle[k:] + cycle[:k]
+
+
+def _lambda_cycle_components(g: StructureGraph, scc: SccDecomposition) -> dict:
+    """Input-unreachable components that hold an internal lambda edge.
+
+    This is the one moving-mode criterion. Maps each such component index to
+    its first internal lambda edge in sorted edge order. Both endpoints of
+    an internal edge share a component, so the edge closes into a cycle.
+    """
+    marked: dict[int, Edge] = {}
+    for s, d, kind in sorted(g.edges):
+        if kind != "lambda":
+            continue
+        c = scc.comp_of[s]
+        if c == scc.comp_of[d] and c not in marked and not scc.component_reachable(c):
+            marked[c] = (s, d, kind)
+    return marked
+
+
+def find_input_unreachable_lambda_cycle(g: StructureGraph,
+                                        scc: Optional[SccDecomposition] = None) -> Optional[list]:
+    """Witness cycle through a frequency-dependent edge no input can reach.
+
+    The first marked component (by component order) supplies the witness:
+    its first internal lambda edge, closed by the shortest path back from the
+    edge's head to its tail inside the component, rotated to start at the
+    smallest vertex.
+    """
+    scc = scc if scc is not None else scc_decompose(g)
+    marked = _lambda_cycle_components(g, scc)
+    if not marked:
+        return None
+    idx = min(marked)
+    s, d, _ = marked[idx]
+    back = _path_in_subset(g.successors(), set(scc.components[idx]), d, s)
+    return _canonical_cycle(back)
+
+
+def find_input_unreachable_lambda_edge(g: StructureGraph,
+                                       scc: Optional[SccDecomposition] = None) -> Optional[Edge]:
+    """First frequency-dependent edge with both endpoints unreachable from inputs."""
+    scc = scc if scc is not None else scc_decompose(g)
+    for s, d, kind in sorted(g.edges):
+        if kind == "lambda" and not scc.input_reachable[s] and not scc.input_reachable[d]:
+            return (s, d, kind)
+    return None
+
+
+def unreachable_source_sccs_with_lambda_edge(g: StructureGraph,
+                                             scc: Optional[SccDecomposition] = None) -> list:
+    """Input-unreachable components with no incoming edge and an internal lambda edge."""
+    scc = scc if scc is not None else scc_decompose(g)
+    has_incoming = {d for _, d in scc.condensation}
+    marked = _lambda_cycle_components(g, scc)
+    return [scc.components[idx] for idx in sorted(marked) if idx not in has_incoming]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netctrl import exactla as ex
+from netctrl import ratfun
 from netctrl.cli import load_document
 from netctrl.data import sec7_path
 from netctrl.model import NdsModel, StructuredPattern, SubsystemModel
@@ -458,3 +459,24 @@ def test_pbh_stack_matches_per_value_loop():
         got, want = pbh_stack(a, b, values, dtype), _loop_pbh_stack(a, b, values, dtype)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), trial
+
+
+def test_spectrum_compares_distinct_values_only(monkeypatch):
+    # identical agents repeat the same eigenvalues: pooling compares only
+    # the distinct ones, so its pairwise tests do not grow with the agents
+    close = ratfun._close
+    calls = []
+
+    def counting(a, b, tol):
+        calls.append(1)
+        return close(a, b, tol)
+
+    monkeypatch.setattr(ratfun, "_close", counting)
+    counts = []
+    for agents in (2, 8, 32):
+        nds = _identical_agents(1, agents)
+        calls.clear()
+        spec = spectrum(nds)
+        counts.append(len(calls))
+        assert all(m == set(range(agents)) for m in spec.members)
+    assert counts[0] == counts[1] == counts[2]
