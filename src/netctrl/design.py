@@ -293,8 +293,9 @@ def eliminate_pdums(nds: NdsModel) -> list[dict]:
     Each qualifying source component receives one link from the smallest
     currently input-reachable output vertex to its smallest internal-input
     vertex; reachability is refreshed after every addition. A residual sweep
-    then wires each input-unreachable lambda cycle still left, with provenance
-    "residual-cycle". It fires when a lambda-cycle component lies downstream
+    then wires the component of each input-unreachable lambda cycle still
+    left, as the witness search finds it, with provenance "residual-cycle".
+    It fires when a lambda-cycle component lies downstream
     only of unreachable source components that hold no lambda edge: the
     source scan skips those, and the links it adds elsewhere do not reach it.
     """
@@ -325,12 +326,10 @@ def eliminate_pdums(nds: NdsModel) -> list[dict]:
     for idx, comp in enumerate(sorted(targets, key=lambda c: c[0])):
         graph = add_link(comp, graph, f"source-component-{idx + 1}")
     for _ in range(len(graph.vertices)):
-        cycle = structgraph.find_input_unreachable_lambda_cycle(graph)
-        if cycle is None:
+        found = structgraph._witness(graph)
+        if found is None:
             break
-        dec = structgraph.scc_decompose(graph)
-        comp = dec.components[dec.comp_of[cycle[0]]]
-        graph = add_link(comp, graph, "residual-cycle")
+        graph = add_link(found[1], graph, "residual-cycle")
     return added
 
 

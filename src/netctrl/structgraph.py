@@ -13,31 +13,31 @@ numbers; kind is "u", "v" or "z". Edges carry a kind tag: "const" and
 dependence) and "link" for routing entries.
 
 Inside, a graph numbers its vertices 0, 1, ... in the sorted order of their
-tuples, and keeps integer adjacency lists and its lambda edges on those ids.
+tuples, and keeps integer adjacency and its lambda edges on those ids.
 The networked graph numbers the u ports by their global index
 (`NdsModel.offsets`), then the v ports, then the z ports, which is exactly
 that order, so `build_nacg` fills the adjacency straight from the port map
-and the entry classes, and makes no tuple. A graph built from tuples numbers
-them by sorting. Since ids keep the tuple order, every order the queries
-promise (sorted edges, components by smallest vertex, sorted BFS ties, the
-witness's rotation) is the same on ids as on tuples. The tuple views
-(`vertices`, `edges`, `successors()` and the decomposition `scc_decompose`
-returns) are built when first asked for.
+and the entry classes, and makes no tuple edge. A graph built from tuples
+numbers them by sorting. Since ids keep the tuple order, every order the
+queries promise (sorted edges, components by smallest vertex, sorted BFS
+ties, the witness's rotation) is the same on ids as on tuples. The edge
+views (`edges`, `successors()`) and the tuple-keyed decomposition that
+`scc_decompose` returns are built only when asked for.
 
 The moving-mode queries compute input reachability first, with one search
 from the u vertices. A strongly connected component that holds an
 unreachable vertex holds only unreachable vertices, and no edge enters it
 from a reachable one. So components are sought among the unreachable
 vertices alone (Tarjan 1972), and not at all when no lambda edge has both
-ends unreachable.
+ends unreachable. The queries still accept a decomposition, and ignore it.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from functools import cache, cached_property
-from typing import Callable, Iterable, Optional
+from functools import cached_property
+from typing import Iterable, Optional
 
 from .model import AugmentedSubsystem, NdsModel
 from .model import assemble_lumped  # noqa: F401 -- perfbench/spans.py patches it here
@@ -59,10 +59,12 @@ def vertex_name(v: Vertex) -> str:
 class StructureGraph:
     """A connection digraph on vertex ids in sorted tuple order.
 
-    `StructureGraph(vertices, edges)` takes tuples. `succ[i]` lists the heads
+    `StructureGraph(vertices, edges)` takes tuples. `succ[i]` holds the heads
     of vertex i's edges in ascending order and `kinds[i]` their kinds; `lam`
     holds the (tail, head) id pairs of the lambda edges in sorted edge order.
-    The u vertices, which sort first, are the ids below `n_u`.
+    The u vertices, which sort first, are the ids below `n_u`. All of these
+    are tuples, so graphs derived by `with_edges` share them safely. Two
+    graphs are equal when their vertices and edges are.
     """
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Edge]):
@@ -77,22 +79,26 @@ class StructureGraph:
             kinds[i].append(kind)
             if kind == "lambda":
                 lam.append((i, j))
-        self._set(succ, kinds, lam, sum(v[0] == "u" for v in verts), lambda: verts)
+        self.vertices, self.n_u, self.lam = verts, sum(v[0] == "u" for v in verts), tuple(lam)
+        self.succ, self.kinds = tuple(map(tuple, succ)), tuple(map(tuple, kinds))
 
     @classmethod
-    def _from_ids(cls, succ, kinds, lam, n_u: int,
-                  make_vertices: Callable[[], tuple]) -> "StructureGraph":
+    def _from_ids(cls, vertices: tuple, succ: tuple, kinds: tuple, lam: tuple,
+                  n_u: int) -> "StructureGraph":
         g = cls.__new__(cls)
-        g._set(succ, kinds, lam, n_u, make_vertices)
+        g.vertices, g.succ, g.kinds, g.lam, g.n_u = vertices, succ, kinds, lam, n_u
         return g
 
-    def _set(self, succ, kinds, lam, n_u, make_vertices) -> None:
-        self.succ, self.kinds, self.lam, self.n_u = succ, kinds, lam, n_u
-        self._make_vertices = make_vertices
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StructureGraph):
+            return NotImplemented
+        return (self.vertices, self.succ, self.kinds) == (other.vertices, other.succ, other.kinds)
 
-    @cached_property
-    def vertices(self) -> tuple:
-        return self._make_vertices()
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.succ, self.kinds))
+
+    def __repr__(self) -> str:
+        return f"StructureGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     @cached_property
     def _ids(self) -> dict:
@@ -117,10 +123,11 @@ class StructureGraph:
             if (j, kind) in out:
                 continue
             insort(out, (j, kind))
-            succ[i], kinds[i] = [h for h, _ in out], [k for _, k in out]
+            succ[i], kinds[i] = tuple(h for h, _ in out), tuple(k for _, k in out)
             if kind == "lambda":
                 insort(lam, (i, j))
-        return StructureGraph._from_ids(succ, kinds, lam, self.n_u, lambda: self.vertices)
+        return StructureGraph._from_ids(self.vertices, tuple(succ), tuple(kinds), tuple(lam),
+                                        self.n_u)
 
     def input_reach(self) -> bytearray:
         """One flag per vertex, in `vertices` order: is it reachable from a u vertex?"""
@@ -171,17 +178,15 @@ def link_edges(nds: NdsModel, positions: Iterable[tuple[int, int]]) -> list[Edge
     return edges
 
 
-def _out_edges(classes: list, m_in: int) -> list[tuple[list, list, list]]:
+def _out_edges(classes: list, m_in: int) -> list[tuple[tuple, tuple, tuple]]:
     """Per input port p of one subsystem: the output ports q with a nonzero
     class classes[q][p], ascending, their edge kinds, and the lambda ones."""
-    out = [([], [], []) for _ in range(m_in)]
-    for q, row in enumerate(classes):
-        for (heads, kinds, lam), cls in zip(out, row):
-            if not cls.is_zero:
-                heads.append(q)
-                kinds.append("lambda" if cls.is_lambda else "const")
-                if cls.is_lambda:
-                    lam.append(q)
+    out = []
+    for p in range(m_in):
+        col = [(q, row[p]) for q, row in enumerate(classes) if not row[p].is_zero]
+        out.append((tuple(q for q, _ in col),
+                    tuple("lambda" if cls.is_lambda else "const" for _, cls in col),
+                    tuple(q for q, cls in col if cls.is_lambda)))
     return out
 
 
@@ -196,8 +201,8 @@ def build_nacg(nds: NdsModel, tfms: list) -> StructureGraph:
     off = nds.offsets
     base = {"u": 0, "v": nds.M_u, "z": nds.M_u + nds.M_v}
     n = base["z"] + nds.M_z
-    succ: list[list[int]] = [[] for _ in range(n)]
-    kinds: list[list[str]] = [[] for _ in range(n)]
+    succ: list = [()] * n
+    kinds: list = [()] * n
     lam: list[tuple[int, int]] = []
     local: dict[int, list] = {}
     for kind in "uv":
@@ -209,20 +214,20 @@ def build_nacg(nds: NdsModel, tfms: list) -> StructureGraph:
             z0 = base["z"] + off["z"][i]
             s = base[kind] + offs[i]
             for heads, ks, lam_heads in local[id(classes)]:
-                succ[s] = [z0 + q for q in heads]
+                succ[s] = tuple([z0 + q for q in heads])
                 kinds[s] = ks
                 lam.extend((s, z0 + q) for q in lam_heads)
                 s += 1
     z0, v0 = base["z"], base["v"]
+    links: list[list[int]] = [[] for _ in range(nds.M_z)]
     for r, c in nds.P_pattern.entries:
-        succ[z0 + c].append(v0 + r)
-    for z in range(z0, n):
-        succ[z].sort()
-        kinds[z] = ["link"] * len(succ[z])
-    counts = {kind: [b - a for a, b in zip(off[kind], off[kind][1:])] for kind in "uvz"}
-    make_vertices = cache(lambda: tuple((kind, i + 1, p + 1) for kind in "uvz"
-                                        for i, m in enumerate(counts[kind]) for p in range(m)))
-    return StructureGraph._from_ids(succ, kinds, lam, nds.M_u, make_vertices)
+        links[c].append(v0 + r)
+    for c, heads in enumerate(links):
+        succ[z0 + c] = tuple(sorted(heads))
+        kinds[z0 + c] = ("link",) * len(heads)
+    verts = tuple((kind, i + 1, p + 1) for kind in "uvz"
+                  for i, (a, b) in enumerate(zip(off[kind], off[kind][1:])) for p in range(b - a))
+    return StructureGraph._from_ids(verts, tuple(succ), tuple(kinds), tuple(lam), nds.M_u)
 
 
 @dataclass(frozen=True)
@@ -302,28 +307,20 @@ def scc_decompose(g: StructureGraph) -> SccDecomposition:
                             {v: bool(reach[i]) for i, v in enumerate(verts)})
 
 
-def _reach(g: StructureGraph, scc: Optional[SccDecomposition]):
-    return g.input_reach() if scc is None else [scc.input_reachable[v] for v in g.vertices]
-
-
-def _lambda_cycle_components(g: StructureGraph, scc: Optional[SccDecomposition]):
+def _lambda_cycle_components(g: StructureGraph):
     """Input-unreachable components that hold an internal lambda edge.
 
     This is the one moving-mode criterion. Returns (comp, marked): comp maps
-    each unreachable vertex to a component label, and marked maps the label
-    of each such component to its first internal lambda edge in sorted edge
-    order. Labels sort in component order: a component's smallest vertex,
-    or its index in `scc`. Both endpoints of an internal edge share a
-    component, so the edge closes into a cycle.
+    each unreachable vertex to its component's smallest vertex, and marked
+    maps each such label of a component to its first internal lambda edge in
+    sorted edge order. Both endpoints of an internal edge share a component,
+    so the edge closes into a cycle.
     """
-    reach = _reach(g, scc)
+    reach = g.input_reach()
     if not any(not reach[s] and not reach[d] for s, d in g.lam):
         return {}, {}
-    if scc is None:
-        comps = _tarjan(g.succ, [v for v in range(len(reach)) if not reach[v]], reach)
-        comp = {v: min(c) for c in comps for v in c}
-    else:
-        comp = {i: scc.comp_of[v] for i, v in enumerate(g.vertices) if not reach[i]}
+    comps = _tarjan(g.succ, [v for v in range(len(reach)) if not reach[v]], reach)
+    comp = {v: min(c) for c in comps for v in c}
     marked: dict[int, tuple[int, int]] = {}
     for s, d in g.lam:
         c = comp.get(s)
@@ -355,6 +352,24 @@ def _path_in_subset(succ, allowed: set, start: int, goal: int) -> Optional[list]
     return None
 
 
+def _witness(g: StructureGraph) -> Optional[tuple[list, tuple]]:
+    """The witness cycle of `find_input_unreachable_lambda_cycle` and the
+    sorted vertices of the component that holds it, or None."""
+    comp, marked = _lambda_cycle_components(g)
+    if not marked:
+        return None
+    label = min(marked)
+    s, d = marked[label]
+    members = sorted(v for v, c in comp.items() if c == label)
+    cycle = _path_in_subset(g.succ, set(members), d, s)
+    k = cycle.index(min(cycle))
+    verts = g.vertices
+    return [verts[v] for v in cycle[k:] + cycle[:k]], tuple(verts[v] for v in members)
+
+
+# Each query below takes an optional decomposition `scc`, accepted for
+# compatibility and ignored: it searches reachability and components itself.
+
 def find_input_unreachable_lambda_cycle(g: StructureGraph,
                                         scc: Optional[SccDecomposition] = None) -> Optional[list]:
     """Witness cycle through a frequency-dependent edge no input can reach.
@@ -362,24 +377,16 @@ def find_input_unreachable_lambda_cycle(g: StructureGraph,
     The first marked component (by component order) supplies the witness:
     its first internal lambda edge, closed by the shortest path back from the
     edge's head to its tail inside the component, rotated to start at the
-    smallest vertex. A decomposition of g already at hand may be passed as
-    `scc`; its reachability and components are then used.
+    smallest vertex.
     """
-    comp, marked = _lambda_cycle_components(g, scc)
-    if not marked:
-        return None
-    label = min(marked)
-    s, d = marked[label]
-    cycle = _path_in_subset(g.succ, {v for v, c in comp.items() if c == label}, d, s)
-    k = cycle.index(min(cycle))
-    verts = g.vertices
-    return [verts[v] for v in cycle[k:] + cycle[:k]]
+    found = _witness(g)
+    return None if found is None else found[0]
 
 
 def find_input_unreachable_lambda_edge(g: StructureGraph,
                                        scc: Optional[SccDecomposition] = None) -> Optional[Edge]:
     """First frequency-dependent edge with both endpoints unreachable from inputs."""
-    reach = _reach(g, scc)
+    reach = g.input_reach()
     for s, d in g.lam:
         if not reach[s] and not reach[d]:
             return (g.vertices[s], g.vertices[d], "lambda")
@@ -389,7 +396,7 @@ def find_input_unreachable_lambda_edge(g: StructureGraph,
 def unreachable_source_sccs_with_lambda_edge(g: StructureGraph,
                                              scc: Optional[SccDecomposition] = None) -> list:
     """Input-unreachable components with no incoming edge and an internal lambda edge."""
-    comp, marked = _lambda_cycle_components(g, scc)
+    comp, marked = _lambda_cycle_components(g)
     # an edge into an unreachable component starts at an unreachable vertex
     has_incoming = {comp[d] for s, c in comp.items() for d in g.succ[s]
                     if d in comp and comp[d] != c}
