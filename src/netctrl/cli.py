@@ -4,9 +4,10 @@ A system document is JSON: a list of subsystems with named rational
 matrices (numbers or "p/q" strings; floats are accepted with a warning and
 read as decimal literals), an optional LFT block per subsystem, the routing
 pattern as 1-based free positions (or "full"), and options. A load reads
-each matrix once: the parse returns the model together with its canonical
-document (`serialize_document`), and the report's `model_digest` hashes
-that document, so equal models share a digest however they are written.
+each matrix once, and a subsystem that repeats the one before it not at
+all: the parse returns the model together with its canonical document
+(`serialize_document`), and the report's `model_digest` hashes that
+document, so equal models share a digest however they are written.
 Reports are JSON with sorted keys so identical inputs, flags and seeds
 produce byte-identical output; exit codes are 0 for a positive verdict, 1
 for a negative one, 2 for usage or model errors and for an unwritable --out
@@ -24,6 +25,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Optional
 
 from . import design as design_mod
@@ -170,9 +172,83 @@ def _reject_output_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:
                                 "controllability; remove the key")
 
 
+_EXACT = frozenset({int, str})
+
+
+def _exact_entries(sraw: dict) -> bool:
+    """Whether every matrix entry and free position the parse reads from a
+    subsystem object is an int or a string.
+
+    JSON's 1, 1.0 and true compare equal; an int or a string equals no
+    value of another type. So an object of ints and strings that equals one
+    whose parse gave no warning (which holds neither floats nor booleans)
+    holds the same entries, of the same types, and reads the same.
+    """
+    mats = [sraw[key] for key in MATRIX_KEYS]
+    lft = sraw.get("lft")
+    if lft is not None:
+        param = lft["param"]
+        mats += [lft[key] for key in LFT_KEYS]
+        mats.append(param["fixed"] if "fixed" in param else param["free"])
+    return _EXACT.issuperset(map(type, chain.from_iterable(chain.from_iterable(mats))))
+
+
+def _read_subsystem(sraw: dict, i: int, name: str, warnings: list[str],
+                    ints: _IntFractions) -> tuple[SubsystemModel, tuple]:
+    """Subsystem i (0-based) and its canonical part (name, rows, lft), see
+    _canonical_document."""
+    where = f"subsystems[{i + 1}]"
+    mats, sub_rows = {}, {}
+    for key in MATRIX_KEYS:
+        if key not in sraw:
+            raise DocumentError(f"{where}: missing matrix {key}")
+        mats[f"{key}0"], sub_rows[key] = _parse_matrix(sraw[key], f"{where}.{key}",
+                                                       warnings, ints)
+    _reject_output_keys(sraw, ("C_yx", "C_yv", "D_yu"), where)
+    lft = sraw.get("lft")
+    param = canonical_lft = None
+    if lft is not None:
+        if not isinstance(lft, dict):
+            raise DocumentError(f"{where}.lft: expected an object")
+        lft_rows = {}
+        for key in LFT_KEYS:
+            if key not in lft:
+                raise DocumentError(f"{where}.lft: missing matrix {key}")
+            mats[key], lft_rows[key] = _parse_matrix(lft[key], f"{where}.lft.{key}",
+                                                     warnings, ints)
+        _reject_output_keys(lft, ("E3",), f"{where}.lft")
+        praw = lft.get("param")
+        if not isinstance(praw, dict):
+            raise DocumentError(f"{where}.lft.param: required object")
+        pr = len(mats["H"][0]) if mats["H"] else 0
+        pc = len(mats["H"])
+        if "fixed" in praw:
+            param, param_rows = _parse_matrix(praw["fixed"], f"{where}.lft.param.fixed",
+                                              warnings, ints)
+            canonical_lft = (lft_rows, param_rows)
+        elif "free" in praw:
+            pos = _parse_positions(praw["free"], pr, pc, f"{where}.lft.param.free")
+            param = StructuredPattern.from_positions(pr, pc, pos, f"p{i + 1}")
+            canonical_lft = (lft_rows, param)
+        else:
+            raise DocumentError(f"{where}.lft.param: needs 'fixed' or 'free'")
+    try:
+        sub = SubsystemModel(**mats, param_block=param, name=name)
+    except ModelError as e:
+        raise DocumentError(f"{where}: {e}") from None
+    return sub, (name, sub_rows, canonical_lft)
+
+
 def _read_document(data: dict) -> tuple[NdsModel, dict, list[str], dict]:
     """`parse_document`'s (model, options, warnings), and the model's
-    canonical document, assembled from the canonical rows the parse read."""
+    canonical document, assembled from the canonical rows the parse read.
+
+    A subsystem whose object equals the previous one's but for its name,
+    and holds only ints and strings (`_exact_entries`), repeats it when that
+    one's parse gave no warning: it is read once, and the repeat
+    (`SubsystemModel.repeat`) shares its matrices, canonical rows and
+    analysis form, under its own name and free-block parameter ids.
+    """
     warnings: list[str] = []
     ints = _IntFractions()
     if not isinstance(data, dict):
@@ -182,51 +258,24 @@ def _read_document(data: dict) -> tuple[NdsModel, dict, list[str], dict]:
         raise DocumentError("'subsystems' must be a non-empty list")
     subsystems = []
     parts = []  # per subsystem: (name, rows, lft), see _canonical_document
+    last = None  # (object without name, subsystem, part) of a repeatable subsystem
     for i, sraw in enumerate(subs_raw):
-        where = f"subsystems[{i + 1}]"
         if not isinstance(sraw, dict):
-            raise DocumentError(f"{where}: expected an object")
-        mats, sub_rows = {}, {}
-        for key in MATRIX_KEYS:
-            if key not in sraw:
-                raise DocumentError(f"{where}: missing matrix {key}")
-            mats[f"{key}0"], sub_rows[key] = _parse_matrix(sraw[key], f"{where}.{key}",
-                                                           warnings, ints)
-        _reject_output_keys(sraw, ("C_yx", "C_yv", "D_yu"), where)
-        lft = sraw.get("lft")
-        param = canonical_lft = None
-        if lft is not None:
-            if not isinstance(lft, dict):
-                raise DocumentError(f"{where}.lft: expected an object")
-            lft_rows = {}
-            for key in LFT_KEYS:
-                if key not in lft:
-                    raise DocumentError(f"{where}.lft: missing matrix {key}")
-                mats[key], lft_rows[key] = _parse_matrix(lft[key], f"{where}.lft.{key}",
-                                                         warnings, ints)
-            _reject_output_keys(lft, ("E3",), f"{where}.lft")
-            praw = lft.get("param")
-            if not isinstance(praw, dict):
-                raise DocumentError(f"{where}.lft.param: required object")
-            pr = len(mats["H"][0]) if mats["H"] else 0
-            pc = len(mats["H"])
-            if "fixed" in praw:
-                param, param_rows = _parse_matrix(praw["fixed"], f"{where}.lft.param.fixed",
-                                                  warnings, ints)
-                canonical_lft = (lft_rows, param_rows)
-            elif "free" in praw:
-                pos = _parse_positions(praw["free"], pr, pc, f"{where}.lft.param.free")
-                param = StructuredPattern(
-                    pr, pc, {(r, c): f"p{i + 1}_{r}_{c}" for r, c in pos})
-                canonical_lft = (lft_rows, param)
-            else:
-                raise DocumentError(f"{where}.lft.param: needs 'fixed' or 'free'")
+            raise DocumentError(f"subsystems[{i + 1}]: expected an object")
         name = str(sraw.get("name", f"subsystem{i + 1}"))
-        try:
-            subsystems.append(SubsystemModel(**mats, param_block=param, name=name))
-        except ModelError as e:
-            raise DocumentError(f"{where}: {e}") from None
-        parts.append((name, sub_rows, canonical_lft))
+        body = {k: v for k, v in sraw.items() if k != "name"}
+        if last is not None and body == last[0] and _exact_entries(sraw):
+            sub = last[1].repeat(name, f"p{i + 1}")
+            _, rows, lft = last[2]
+            if sub.has_free_params:
+                lft = (lft[0], sub.param_block)
+            part = (name, rows, lft)
+        else:
+            warned = len(warnings)
+            sub, part = _read_subsystem(sraw, i, name, warnings, ints)
+            last = (body, sub, part) if len(warnings) == warned else None
+        subsystems.append(sub)
+        parts.append(part)
     mv = sum(s.m_v0 for s in subsystems)
     mz = sum(s.m_z0 for s in subsystems)
     scm_raw = data.get("scm", {"free": []})

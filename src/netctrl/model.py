@@ -194,6 +194,25 @@ class SubsystemModel:
         Without a parameter block it holds this subsystem's own matrices."""
         return analysis_form(self)
 
+    def repeat(self, name: str, prefix: str) -> SubsystemModel:
+        """This subsystem under another name, its free block's parameter ids
+        made from `prefix` (`StructuredPattern.from_positions`).
+
+        The repeat shares this subsystem's matrices and its analysis form,
+        and with the form the form's record. The form depends on neither the
+        name nor the ids; it keeps the name of the subsystem that built it.
+        The shapes were checked when this subsystem was made, and are not
+        checked again.
+        """
+        twin = object.__new__(SubsystemModel)
+        # frozen: fill __dict__ directly, as cached_property does
+        twin.__dict__.update(self.__dict__, name=name, analysis=self.analysis)
+        if self.has_free_params:
+            p = self.param_block
+            twin.__dict__["param_block"] = StructuredPattern.from_positions(
+                p.rows, p.cols, p.entries, prefix)
+        return twin
+
 
 @dataclass
 class AugmentedSubsystem:

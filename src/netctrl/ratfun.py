@@ -366,9 +366,10 @@ class SubsystemAnalysis:
     the entry classes, each (eigenvalue, rank tolerance) factor of the mode
     matrix and the null-space block built from it, and each (eigenvalue,
     rank tolerance) deficiency of [lam I - A_xx, B_xu], on first use. The
-    record hangs on the form, and each SubsystemModel builds its form once,
-    so every NdsModel made from the same subsystem objects reads the same
-    record, and the record lives as long as they do. It keeps the form's
+    record hangs on the form, and each SubsystemModel builds its form once
+    (a repeat shares the form of the subsystem it repeats), so every
+    NdsModel made from the same subsystem objects reads the same record,
+    and the record lives as long as they do. It keeps the form's
     matrices rather than the form, so the two make no reference cycle and
     are freed as soon as the command drops its model.
     """
@@ -466,7 +467,8 @@ def analysis_records(augs: list[AugmentedSubsystem]) -> list[SubsystemAnalysis]:
     the same list, so identical agents in one network share one record.
     Forms are keyed on their entries' (numerator, denominator) pairs, which
     hash and compare as plain integers; a Fraction's hash takes a modular
-    inverse.
+    inverse. The repeats of a parsed subsystem share its form
+    (`SubsystemModel.repeat`), so they take its record with no key built.
     """
     if any(a.record is None for a in augs):
         shared = {a.record.content: a.record for a in augs if a.record is not None}

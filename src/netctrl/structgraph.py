@@ -29,7 +29,7 @@ from the u vertices. A strongly connected component that holds an
 unreachable vertex holds only unreachable vertices, and no edge enters it
 from a reachable one. So components are sought among the unreachable
 vertices alone (Tarjan 1972), and not at all when no lambda edge has both
-ends unreachable. The queries still accept a decomposition, and ignore it.
+ends unreachable.
 """
 
 from __future__ import annotations
@@ -148,10 +148,6 @@ def _class_edges(classes: list, src: str, dst: str, index: int) -> list[Edge]:
     class classes[q][p]: "lambda" when frequency dependent, else "const"."""
     return [((src, index, p + 1), (dst, index, q + 1), "lambda" if cls.is_lambda else "const")
             for q, row in enumerate(classes) for p, cls in enumerate(row) if not cls.is_zero]
-
-
-# tests/oracles.py builds its square-form graphs with `_class_edges` and `_graph`
-_graph = StructureGraph
 
 
 def build_subsystem_acg(index: int, aug: AugmentedSubsystem,
@@ -367,11 +363,7 @@ def _witness(g: StructureGraph) -> Optional[tuple[list, tuple]]:
     return [verts[v] for v in cycle[k:] + cycle[:k]], tuple(verts[v] for v in members)
 
 
-# Each query below takes an optional decomposition `scc`, accepted for
-# compatibility and ignored: it searches reachability and components itself.
-
-def find_input_unreachable_lambda_cycle(g: StructureGraph,
-                                        scc: Optional[SccDecomposition] = None) -> Optional[list]:
+def find_input_unreachable_lambda_cycle(g: StructureGraph) -> Optional[list]:
     """Witness cycle through a frequency-dependent edge no input can reach.
 
     The first marked component (by component order) supplies the witness:
@@ -383,8 +375,7 @@ def find_input_unreachable_lambda_cycle(g: StructureGraph,
     return None if found is None else found[0]
 
 
-def find_input_unreachable_lambda_edge(g: StructureGraph,
-                                       scc: Optional[SccDecomposition] = None) -> Optional[Edge]:
+def find_input_unreachable_lambda_edge(g: StructureGraph) -> Optional[Edge]:
     """First frequency-dependent edge with both endpoints unreachable from inputs."""
     reach = g.input_reach()
     for s, d in g.lam:
@@ -393,8 +384,7 @@ def find_input_unreachable_lambda_edge(g: StructureGraph,
     return None
 
 
-def unreachable_source_sccs_with_lambda_edge(g: StructureGraph,
-                                             scc: Optional[SccDecomposition] = None) -> list:
+def unreachable_source_sccs_with_lambda_edge(g: StructureGraph) -> list:
     """Input-unreachable components with no incoming edge and an internal lambda edge."""
     comp, marked = _lambda_cycle_components(g)
     # an edge into an unreachable component starts at an unreachable vertex

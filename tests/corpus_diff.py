@@ -24,6 +24,12 @@ each, and exits 1 if any call of any of them differs.
 
 runs that command line, instead of the workload's own command, on the
 workload's documents.
+
+    python3 tests/corpus_diff.py OLD NEW --documents DIR [--command CMD]
+
+runs the command (`check` unless --command is given) on every `*.json`
+in DIR, instead of the benchmark's documents; with --workload as well, it
+runs them beside the workload's.
 """
 
 from __future__ import annotations
@@ -123,16 +129,13 @@ def _without(stdout: str, keys: list[str]):
     return report
 
 
-def compare(old_tree: Path, new_tree: Path, workload: str, seeds: list[int],
-            ignore_key: list[str], command: Optional[list[str]] = None) -> int:
-    """Run one workload's command, or the given command line, in both trees
-    on the workload's documents; print each differing call and a summary
-    line; returns the number of differing calls."""
-    with tempfile.TemporaryDirectory() as tmp:
-        paths, own, verdicts = build_documents(workload, seeds, Path(tmp))
-        command = command or own
-        old = run_tree(old_tree.resolve(), command, paths)
-        new = run_tree(new_tree.resolve(), command, paths)
+def compare(old_tree: Path, new_tree: Path, paths: list[str], command: list[str],
+            ignore_key: list[str], source: str, verdicts: Optional[dict] = None) -> int:
+    """Run the command line in both trees on the documents; print each
+    differing call and a summary line naming the documents' `source`;
+    returns the number of differing calls."""
+    old = run_tree(old_tree.resolve(), command, paths)
+    new = run_tree(new_tree.resolve(), command, paths)
     differ = only_ignored = 0
     for path, a, b in zip(paths, old, new):
         fields = [name for name, x, y in zip(("exit", "stdout", "stderr"), a, b) if x != y]
@@ -145,14 +148,24 @@ def compare(old_tree: Path, new_tree: Path, workload: str, seeds: list[int],
             label = Path(path).stem
             print(f"{label}: {'/'.join(fields)} differ; "
                   f"old exit {a[0]} ({_summary(a[1])}), new exit {b[0]} ({_summary(b[1])}); "
-                  f"golden controllable {verdicts.get(label, 'unknown')}")
+                  f"golden controllable {(verdicts or {}).get(label, 'unknown')}")
     ignored = (f"; {only_ignored} more differ only in {', '.join(ignore_key)}"
                if ignore_key else "")
-    print(f"# {' '.join(command)} over {len(paths)} documents "
-          f"(workload {workload}, seeds {' '.join(map(str, seeds))}, sec7 "
-          f"{'in' if paths and Path(paths[-1]).stem == 'sec7' else 'out'}): "
+    print(f"# {' '.join(command)} over {len(paths)} documents ({source}): "
           f"{differ} calls differ{ignored}", flush=True)
     return differ
+
+
+def compare_workload(old_tree: Path, new_tree: Path, workload: str, seeds: list[int],
+                     ignore_key: list[str], command: Optional[list[str]] = None) -> int:
+    """`compare` on the documents of one workload at the given seeds, with
+    the workload's own command unless a command line is given."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths, own, verdicts = build_documents(workload, seeds, Path(tmp))
+        sec7 = "in" if paths and Path(paths[-1]).stem == "sec7" else "out"
+        return compare(old_tree, new_tree, paths, command or own, ignore_key,
+                       f"workload {workload}, seeds {' '.join(map(str, seeds))}, "
+                       f"sec7 {sec7}", verdicts)
 
 
 def main(argv=None) -> int:
@@ -160,23 +173,35 @@ def main(argv=None) -> int:
     p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("old", nargs="?", type=Path)
     p.add_argument("new", nargs="?", type=Path)
-    p.add_argument("--workload", default="realize",
-                   help="a workload of the benchmark, or all four")
+    p.add_argument("--workload",
+                   help="a workload of the benchmark, or all four (default: realize, "
+                        "unless --documents is given)")
     p.add_argument("--seeds", type=int, nargs="+", default=[1])
     p.add_argument("--ignore-key", action="append", default=[], metavar="KEY",
                    help="compare reports without this result key (repeatable)")
     p.add_argument("--command", type=shlex.split, metavar="CMD",
                    help="run this command line (e.g. \"feasible --modes all\") "
                         "instead of the workload's own command")
+    p.add_argument("--documents", type=Path, metavar="DIR",
+                   help="run the command (default: check) on every *.json in DIR, "
+                        "instead of the benchmark's documents or beside --workload's")
     args = p.parse_args(argv)
     if args.worker:
         run_worker(*json.load(sys.stdin))
         return 0
     if args.old is None or args.new is None:
         p.error("OLD_TREE and NEW_TREE are required")
-    names = list(_workloads().WORKLOADS) if args.workload == "all" else [args.workload]
-    differ = [compare(args.old, args.new, name, args.seeds, args.ignore_key, args.command)
-              for name in names]
+    workload = args.workload or (None if args.documents else "realize")
+    names = (list(_workloads().WORKLOADS) if workload == "all"
+             else [workload] if workload else [])
+    differ = [compare_workload(args.old, args.new, name, args.seeds, args.ignore_key,
+                               args.command) for name in names]
+    if args.documents:
+        paths = sorted(str(path) for path in args.documents.glob("*.json"))
+        if not paths:
+            p.error(f"no *.json documents in {args.documents}")
+        differ.append(compare(args.old, args.new, paths, args.command or ["check"],
+                              args.ignore_key, f"documents in {args.documents}"))
     return 1 if any(differ) else 0
 
 

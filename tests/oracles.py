@@ -51,7 +51,7 @@ from netctrl.matroid import GenericPattern, IndependenceOracle, NumericColumns
 from netctrl.model import NdsModel, StructuredPattern, assemble_lumped
 from netctrl.ratfun import EntryClass, ModeData
 from netctrl.structgraph import (Edge, SccDecomposition, StructureGraph, Vertex,
-                                 _class_edges, _graph)
+                                 _class_edges)
 from netctrl.verify import ModeCheck
 
 
@@ -422,7 +422,7 @@ def build_acg(gzv_classes: list, gzu_classes: list) -> StructureGraph:
     q_in = len(gzu_classes[0]) if gzu_classes else 0
     verts = [("z", 0, a + 1) for a in range(k)] + [("u", 0, j + 1) for j in range(q_in)]
     edges = _class_edges(gzv_classes, "z", "z", 0) + _class_edges(gzu_classes, "u", "z", 0)
-    return _graph(verts, edges)
+    return StructureGraph(verts, edges)
 
 
 def build_lumped_acg(nds: NdsModel, tfms: list) -> StructureGraph:

@@ -602,8 +602,8 @@ def test_unreachable_lambda_edge_without_cycle_has_fixed_mode(random_networks):
     for label, nds in random_networks:
         graph = structgraph.build_nacg(nds, ratfun.nds_tfms(nds))
         scc = structgraph.scc_decompose(graph)
-        cycle = structgraph.find_input_unreachable_lambda_cycle(graph, scc)
-        edge = structgraph.find_input_unreachable_lambda_edge(graph, scc)
+        cycle = structgraph.find_input_unreachable_lambda_cycle(graph)
+        edge = structgraph.find_input_unreachable_lambda_edge(graph)
         if cycle is not None:
             assert edge is not None, label
             assert _is_unreachable_lambda_cycle(cycle, graph, scc), label
