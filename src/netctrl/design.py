@@ -9,9 +9,12 @@ input-reachable region, one link each.
 Stage 1 works per subsystem. At every mode [Y_J | Z] is block-diagonal by
 subsystem, so its rank is the sum of the ranks of the blocks
 [y_i,J | z_i], and adding a row or a port changes only its owner's term.
-Each block is ranked alone, at its own cutoff tol * max(1, s0) (as the
-fixed-mode intersection ranks [Y Z]); a block with no rows, or already at
-full row rank, gains nothing and takes no SVD. No dense [Y Z] is built.
+Each block is ranked alone, at its own cutoff tol * max(1, s0), through
+`matroid.BlockRanks`, the cache the fixed-mode intersection ranks [Y Z]
+through; a block with no rows, or already at full row rank, gains nothing
+and takes no SVD. No dense [Y Z] is built. The exhaustive search orders
+its modes by owner deficiency (`ratfun.owner_deficiencies`), which is
+M_r - rank Z at every mode.
 
 Ground elements inside this module are 0-based column indices of the
 per-mode matrices [Y_i Z_i]: indices below M_v are internal-input rows,
@@ -25,11 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from . import exactla as ex
 from . import ratfun, structgraph, verify
-from .matroid import GenericPattern, NumericColumns, matroid_intersection_rank
+from .matroid import BlockRanks, GenericPattern, NumericColumns, matroid_intersection_rank
 from .model import NdsModel, StructuredPattern, SubsystemModel
 from .ratfun import ModeData
 from .verify import FeasibilityReport
@@ -42,20 +42,18 @@ class InfeasibleDesignError(RuntimeError):
 
 
 class _BlockRanks:
-    """Ranks of column sets of [Y Z] at each mode, one subsystem block at a time.
+    """Stage 1's view of [Y Z] at each mode, one subsystem block at a time.
 
     At every mode [Y Z] is block-diagonal by subsystem, so a column set's
     rank is the sum of its parts' ranks in the blocks [y_i z_i] they fall
-    in (`ModeData.column_blocks`). Each part is ranked alone, at its own
-    cutoff tol * max(1, s0). A part with no rows or no columns has rank 0
-    and takes no SVD. Ranks are cached by (block object, local columns), so
-    identical agents, which share one block, share their ranks; the misses
-    of one `ranks` call go to one stacked `exactla.float_rank` per matrix
-    shape and dtype.
+    in (`ModeData.column_blocks`). `ranks` ranks (block, local columns)
+    queries through one `matroid.BlockRanks`: each part alone, at its own
+    cutoff, identical agents sharing their block's ranks, and the misses of
+    one call stacked per shape and dtype.
     """
 
     def __init__(self, modes: list[ModeData], tol: float):
-        self.tol = tol
+        self.ranks = BlockRanks(tol).ranks
         # parts[m][p]: block p of mode m; the blocks' columns are the same at every mode
         self.parts = [[s.yz for s in md.per_sub] for md in modes]
         columns = [cols for _, cols in modes[0].column_blocks()] if modes else []
@@ -64,24 +62,6 @@ class _BlockRanks:
                       for j, c in enumerate(cols)}  # column of [Y Z] -> (block, local column)
         self.z_ports = [frozenset(j for j, c in enumerate(cols) if c >= m_v)
                         for cols in columns]
-        self._cache: dict[tuple[int, frozenset], int] = {}
-
-    def ranks(self, queries: list[tuple[np.ndarray, frozenset]]) -> list[int]:
-        """The rank of each (block, local column set) of queries."""
-        cache = self._cache
-        missing: dict[tuple, dict] = {}
-        for block, cols in queries:
-            key = (id(block), cols)
-            if key not in cache:
-                if block.shape[0] == 0 or not cols:
-                    cache[key] = 0
-                else:
-                    shape = (block.shape[0], len(cols), block.dtype)
-                    missing.setdefault(shape, {})[key] = block[:, sorted(cols)]
-        for group in missing.values():
-            stack = np.stack(list(group.values()))
-            cache.update(zip(group, ex.float_rank(stack, self.tol).tolist()))
-        return [cache[(id(block), cols)] for block, cols in queries]
 
     def stage1_columns(self, j_set) -> list[frozenset]:
         """Each block's local columns in [Y_J | Z]: its z ports and its rows in J."""
@@ -481,11 +461,9 @@ def brute_force_min_topology(subsystems: list[SubsystemModel],
     cap = min(max_links if max_links is not None else n_pos, n_pos)
     spec = ratfun.spectrum(nds0, eig_tol)
     modes = ratfun.modes(nds0, spec.values, rank_tol)
-    # hardest modes first: larger outstanding deficiency fails faster
-    stage1 = _BlockRanks(modes, rank_tol)
-    base_rank = [sum(r) for r in stage1.block_ranks(stage1.stage1_columns(()))]
-    mode_order = sorted(range(len(modes)),
-                        key=lambda i: (base_rank[i] - modes[i].M_r, i))
+    # hardest modes first: a larger owner deficiency (M_r - rank Z) fails faster
+    deficiency = ratfun.owner_deficiencies(nds0, spec, rank_tol)
+    mode_order = sorted(range(len(modes)), key=lambda i: (-deficiency[i], i))
     modes = [modes[i] for i in mode_order]
     q2_oracles = [NumericColumns.direct_sum(md.column_blocks(), rank_tol) for md in modes]
     tfms = ratfun.nds_tfms(nds0)

@@ -11,10 +11,11 @@ The intersection asks each oracle one batched question per step of its
 exchange-graph search (`swaps`): is current - x + y independent, for a list
 of (x, y) pairs. The float column oracle is a direct sum of row blocks, as
 [Y Z] is of the subsystems' [y_i z_i] at every mode: a pair asks only its
-y's block, and the uncached local sets of one (block, size) go to one
-stacked SVD. The pattern oracle takes one maximum matching of each current
-set it is asked about and answers every pair of one y from one alternating
-search.
+y's block. Block ranks come from `BlockRanks`, the one cache of
+(block, local columns) ranks, which design's stage 1 ranks through too; the
+uncached sets of one question go to one stacked SVD per shape and dtype.
+The pattern oracle takes one maximum matching of each current set it is
+asked about and answers every pair of one y from one alternating search.
 """
 
 from __future__ import annotations
@@ -53,6 +54,48 @@ class IndependenceOracle:
         return [self.independent(_swap(current, x, y)) for x, y in pairs]
 
 
+class BlockRanks:
+    """Ranks of column sets of blocks, cached by (block object, local columns).
+
+    Each (block, local column set) is ranked alone, `exactla.float_rank` of
+    the block's chosen columns in sorted order, so its cutoff is
+    tol * max(1, s0) of that matrix. A block with no rows, or an empty
+    column set, has rank 0 and takes no SVD. Keys hold the block's id, so
+    one array object, such as identical agents' [y_i z_i], shares its ranks
+    under every key; the cache keeps each keyed block alive, so an id is
+    never reused while its ranks are kept. The misses of one `ranks` call go
+    to one stacked `float_rank` per matrix shape and dtype (LAPACK factors
+    each matrix of a stack as it would alone).
+    """
+
+    def __init__(self, tol: float = RANK_TOL):
+        self.tol = tol
+        self._cache: dict[tuple[int, frozenset], int] = {}
+        self._held: dict[int, np.ndarray] = {}  # id -> block, for every cached key
+
+    def ranks(self, queries: list[tuple[np.ndarray, frozenset]]) -> list[int]:
+        """The rank of each (block, local column set) of queries."""
+        cache = self._cache
+        keys = [(id(block), cols) for block, cols in queries]
+        try:  # most calls of an intersection ask only cached sets
+            return [cache[key] for key in keys]
+        except KeyError:
+            pass
+        new = {k: q for k, q in zip(keys, queries) if k not in cache}
+        missing: dict[tuple, dict] = {}
+        for key, (block, cols) in new.items():
+            self._held[key[0]] = block
+            if len(block) == 0 or not cols:
+                cache[key] = 0
+            else:
+                shape = (len(block), len(cols), block.dtype)
+                missing.setdefault(shape, {})[key] = block[:, sorted(cols)]
+        for group in missing.values():
+            stack = np.stack(list(group.values()))
+            cache.update(zip(group, ex.float_rank(stack, self.tol).tolist()))
+        return [cache[key] for key in keys]
+
+
 class NumericColumns(IndependenceOracle):
     """Independence = the chosen columns of a float or complex matrix have
     full column rank, read from singular values at tolerance tol.
@@ -61,10 +104,9 @@ class NumericColumns(IndependenceOracle):
     its own columns, and a dense matrix is the one-block case. A column set
     is independent exactly when each block's part of it is independent in
     that block, and its rank is the sum of those parts' ranks. Each part is
-    ranked alone (`exactla.float_rank` of the block's chosen columns), so
-    its cutoff is tol * max(1, s0) of the part, not of the whole set.
-    Parts that are one array object, such as identical agents' blocks,
-    share one rank cache, keyed by (block, local column set).
+    ranked alone by the oracle's `BlockRanks`, at the cutoff of the part,
+    not of the whole set. Parts that are one array object, such as
+    identical agents' blocks, share their ranks.
     """
 
     def __init__(self, matrix, tol: float = RANK_TOL):
@@ -81,55 +123,30 @@ class NumericColumns(IndependenceOracle):
         return oracle
 
     def _setup(self, parts: list, tol: float) -> None:
-        self.tol = tol
-        self.blocks: list[np.ndarray] = []
-        number: dict[int, int] = {}  # id(block) -> its index in blocks
-        where: dict[int, tuple[int, int, int]] = {}  # element -> (part, block, local column)
+        self._ranks = BlockRanks(tol)
+        where: dict[int, tuple] = {}  # element -> (part, block, local column)
         for p, (block, columns) in enumerate(parts):
-            if id(block) not in number:
-                number[id(block)] = len(self.blocks)
-                self.blocks.append(block)
-            where.update((c, (p, number[id(block)], j)) for j, c in enumerate(columns))
+            where.update((c, (p, block, j)) for j, c in enumerate(columns))
         self.ground_size = len(where)
         self._where = [where[c] for c in range(self.ground_size)]
-        self._block_rows = [block.shape[0] for block in self.blocks]
-        self._ranks: dict[tuple[int, frozenset], int] = {}
 
-    def _keys(self, subset: Iterable[int]) -> dict[int, tuple[int, frozenset]]:
+    def _keys(self, subset: Iterable[int]) -> dict[int, tuple[np.ndarray, frozenset]]:
         """part -> (its block, its local columns), for each part subset meets."""
-        local: dict[int, tuple[int, set]] = {}
+        local: dict[int, tuple[np.ndarray, set]] = {}
         for c in subset:
-            p, b, j = self._where[c]
-            local.setdefault(p, (b, set()))[1].add(j)
-        return {p: (b, frozenset(cols)) for p, (b, cols) in local.items()}
-
-    def _rank_missing(self, keys) -> None:
-        """Rank the uncached (block, local column set) keys: those of one
-        (block, size) with one stacked `float_rank` call. LAPACK factors
-        each matrix of a stack as it would alone, so every rank is the one
-        `float_rank` gives the block's columns, sorted."""
-        by_shape: dict[tuple[int, int], dict] = {}
-        for key in keys:
-            if key not in self._ranks:
-                by_shape.setdefault((key[0], len(key[1])), {})[key] = None
-        for (b, _), group in by_shape.items():
-            stack = np.moveaxis(self.blocks[b][:, [sorted(s) for _, s in group]], 1, 0)
-            self._ranks.update(zip(group, ex.float_rank(stack, self.tol).tolist()))
+            p, block, j = self._where[c]
+            local.setdefault(p, (block, set()))[1].add(j)
+        return {p: (block, frozenset(cols)) for p, (block, cols) in local.items()}
 
     def _independence(self, keys: list) -> list[bool]:
         """Whether each (block, local column set) of keys is independent. A
         set with more columns than its block has rows is dependent without
         a rank."""
-        rows, ranks = self._block_rows, self._ranks
-        missing = [k for k in keys if k not in ranks and len(k[1]) <= rows[k[0]]]
-        if missing:
-            self._rank_missing(missing)
-        return [len(cols) <= rows[b] and ranks[(b, cols)] == len(cols) for b, cols in keys]
+        ranks = iter(self._ranks.ranks([k for k in keys if len(k[1]) <= len(k[0])]))
+        return [len(cols) <= len(block) and next(ranks) == len(cols) for block, cols in keys]
 
     def rank_of(self, subset: Iterable[int]) -> int:
-        keys = list(self._keys(subset).values())
-        self._rank_missing(keys)
-        return sum(self._ranks[key] for key in keys)
+        return sum(self._ranks.ranks(list(self._keys(subset).values())))
 
     def independent(self, subset: Iterable[int]) -> bool:
         return all(self._independence(list(self._keys(subset).values())))
@@ -138,20 +155,19 @@ class NumericColumns(IndependenceOracle):
         """With current independent, current - x + y is independent exactly
         when y's part of it is: every other part keeps current's columns or
         loses x. So each pair asks one (block, local column set), and the
-        uncached ones of one (block, size) go to one stacked SVD. A
-        dependent current, which the intersection never passes, is asked
-        set by set."""
+        uncached ones go to one stacked SVD per shape. A dependent current,
+        which the intersection never passes, is asked set by set."""
         parts = self._keys(current)
         if not all(self._independence(list(parts.values()))):
             return super().swaps(current, pairs)
         where, keys = self._where, []
         empty = frozenset()
         for x, y in pairs:
-            p, b, j = where[y]
+            p, block, j = where[y]
             cols = parts[p][1] if p in parts else empty
             if x is not None and where[x][0] == p:
                 cols = cols - {where[x][2]}
-            keys.append((b, cols | {j}))
+            keys.append((block, cols | {j}))
         return self._independence(keys)
 
 

@@ -79,15 +79,11 @@ class StructuredPattern:
         return StructuredPattern(rows, cols, entries)
 
 
-def _dims(m: Mat) -> tuple[int, int]:
-    return ex.shape(m)
-
-
 def _shape_ok(m: Mat, want: tuple[int, int]) -> bool:
     # zero-row matrices degrade to (0, 0) in the list representation
     if want[0] == 0:
         return len(m) == 0
-    return _dims(m) == want
+    return ex.shape(m) == want
 
 
 def _cols(*block_column: Mat) -> int:
@@ -137,7 +133,7 @@ class SubsystemModel:
         for label, m, want in checks:
             if not _shape_ok(m, want):
                 raise ModelError(f"{self.name or 'subsystem'}: {label} has shape "
-                                 f"{_dims(m)}, expected {want}")
+                                 f"{ex.shape(m)}, expected {want}")
         if self.param_block is not None:
             pr, pc = self.param_shape
             lft_checks = [
@@ -151,7 +147,7 @@ class SubsystemModel:
             for label, m, want in lft_checks:
                 if not _shape_ok(m, want):
                     raise ModelError(f"{self.name or 'subsystem'}: {label} has shape "
-                                     f"{_dims(m)}, expected {want}")
+                                     f"{ex.shape(m)}, expected {want}")
             if not self.has_free_params:
                 try:  # closing the loop builds the analysis form, or fails
                     self.analysis
@@ -181,7 +177,7 @@ class SubsystemModel:
             return (0, 0)
         if isinstance(self.param_block, StructuredPattern):
             return (self.param_block.rows, self.param_block.cols)
-        return _dims(self.param_block)
+        return ex.shape(self.param_block)
 
     @property
     def has_free_params(self) -> bool:

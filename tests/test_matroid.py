@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -216,7 +217,7 @@ def test_block_oracle_matches_dense(sec7, sec7_designed2, sec7_designed3):
             assert rank_of(q1, outside) + r2 == best.certified_rank
             seen["modes"] += 1
             seen["complex"] += complex(md.lam).imag != 0
-            seen["shared"] += len(q2.blocks) < len(md.per_sub)
+            seen["shared"] += len({id(b) for b, _ in md.column_blocks()}) < len(md.per_sub)
             seen["short"] += best.certified_rank < md.M_r
     assert all(seen.values()), seen
 
@@ -252,9 +253,54 @@ def test_block_oracle_shares_identical_agents(monkeypatch):
     assert checked >= 9
 
 
-def test_direct_sum_swaps_match_dense():
+def test_block_ranks_cache_and_stacks(monkeypatch):
+    # random real and complex blocks of mixed shapes, zero-row ones among
+    # them, asked about random local column sets (empty ones included), and
+    # one block object under two keys
+    calls = []
+    float_rank = ex.float_rank
+    monkeypatch.setattr(ex, "float_rank", lambda m, tol=ex.RANK_TOL: calls.append(
+        (*m.shape, m.dtype)) or float_rank(m, tol))
+    rng = random.Random(29)
+    nrng = np.random.default_rng(29)
+    checked = set()
+    for _ in range(40):
+        blocks = []
+        for _ in range(rng.randint(1, 5)):
+            rows, cols, k = rng.randint(0, 4), rng.randint(1, 5), rng.randint(1, 3)
+            b = nrng.standard_normal((rows, k)) @ nrng.standard_normal((k, cols))
+            if rng.random() < 0.5:
+                b = b + 1j * (nrng.standard_normal((rows, k)) @ nrng.standard_normal((k, cols)))
+            blocks.append(b)
+        queries = []
+        for _ in range(rng.randint(1, 12)):
+            b = rng.choice(blocks)
+            queries.append((b, frozenset(rng.sample(range(b.shape[1]),
+                                                    rng.randint(0, b.shape[1])))))
+        b = rng.choice(blocks)
+        queries += [(b, frozenset({0})), (b, frozenset(range(b.shape[1])))]
+        ranks = matroid.BlockRanks()
+        calls.clear()
+        got = ranks.ranks(queries)
+        assert got == [float_rank(b[:, sorted(cols)]) for b, cols in queries]
+        # one stack per (rows, ncols, dtype), of that shape's distinct keys
+        misses = {(id(b), cols): (len(b), len(cols), b.dtype) for b, cols in queries
+                  if len(b) and cols}
+        stacks = [(n, *shape) for shape, n in Counter(misses.values()).items()]
+        assert sorted(calls, key=str) == sorted(stacks, key=str)
+        calls.clear()
+        assert ranks.ranks(queries) == got and calls == []
+        checked |= {(b.dtype.kind, len(b) == 0, not cols) for b, cols in queries}
+    assert {("f", True, False), ("c", False, False), ("f", False, True)} <= checked, checked
+
+
+def test_direct_sum_swaps_match_dense(monkeypatch):
     # random block-diagonal matrices, some blocks one shared object, asked
     # from random current sets, dependent ones included
+    ranked = []
+    float_rank = ex.float_rank
+    monkeypatch.setattr(ex, "float_rank", lambda m, tol=ex.RANK_TOL: ranked.append(
+        int(np.prod(np.shape(m)[:-2]))) or float_rank(m, tol))
     rng = random.Random(53)
     nrng = np.random.default_rng(53)
     for _ in range(60):
@@ -271,8 +317,12 @@ def test_direct_sum_swaps_match_dense():
             dense[r0:r0 + b.shape[0], cols] = b
             r0 += b.shape[0]
         oracle = NumericColumns.direct_sum(parts)
-        assert oracle.ground_size == ground and len(oracle.blocks) == len(
-            {id(b) for b in blocks})
+        # each part's whole column set: a block object shared by parts is ranked once
+        whole = [float_rank(b) for b in blocks]
+        ranked.clear()
+        assert oracle.ground_size == ground and [
+            oracle.rank_of(cols) for _, cols in parts] == whole
+        assert sum(ranked) == len({id(b) for b in blocks if len(b)})
         current = set(rng.sample(range(ground), rng.randint(0, ground - 1)))
         pairs = _pairs(rng, current, ground)
         want = [ex.float_rank(dense[:, sorted(_swapped(current, x, y))])

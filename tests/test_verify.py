@@ -111,15 +111,21 @@ def _agents(seed, n):
 
 
 def test_owner_pbh_rule_is_sound(sec7, sec7_designed3):
-    # every mode the rule settles has rank Z = M_r, and its exact
-    # intersection rank is M_r, as reported (sec7 has an owner deficient at
-    # each of its values, so there the rule settles nothing)
+    # at every pooled mode the blocks' ranks of Z sum to M_r less the owner
+    # deficiency; every mode the rule settles has rank Z = M_r, and its
+    # exact intersection rank is M_r, as reported (sec7 has an owner
+    # deficient at each of its values, so there the rule settles nothing)
     hetero = [random_nds(seed, 4, max_state=4, max_port=3, lft_prob=0.5) for seed in range(40)]
     homog = [_agents(seed, n) for seed in range(12) for n in (2, 4)]
     settled = {"sec7": 0, "free blocks": 0, "agents": 0}
+    deficient = dict.fromkeys(settled, 0)
     for label, nds in ([("sec7", sec7), ("sec7", sec7_designed3)]
                        + [("free blocks", nds) for nds in hetero]
                        + [("agents", nds) for nds in homog]):
+        spec = ratfun.spectrum(nds)
+        for md, d in zip(ratfun.modes(nds, spec.values), ratfun.owner_deficiencies(nds, spec)):
+            assert sum(ex.float_rank(s.z) for s in md.per_sub) == md.M_r - d
+            deficient[label] += d > 0
         q1 = GenericPattern(verify.routing_pattern_q1(nds.P_pattern))
         reported = {mc.lam: mc.achieved for mc in check_fum_networked(nds)}
         for lam in _settled(nds):
@@ -131,6 +137,7 @@ def test_owner_pbh_rule_is_sound(sec7, sec7_designed3):
             if label != "free blocks" or any(s.has_free_params for s in nds.subsystems):
                 settled[label] += 1
     assert settled["sec7"] == 0 and settled["free blocks"] and settled["agents"], settled
+    assert all(deficient.values()), deficient
 
 
 def _planted(positions):
