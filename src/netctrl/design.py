@@ -465,7 +465,7 @@ def brute_force_min_topology(subsystems: list[SubsystemModel],
     deficiency = ratfun.owner_deficiencies(nds0, spec, rank_tol)
     mode_order = sorted(range(len(modes)), key=lambda i: (-deficiency[i], i))
     modes = [modes[i] for i in mode_order]
-    q2_oracles = [NumericColumns.direct_sum(md.column_blocks(), rank_tol) for md in modes]
+    q2_oracles = [NumericColumns(md.column_blocks(), rank_tol) for md in modes]
     tfms = ratfun.nds_tfms(nds0)
     base_graph = structgraph.build_nacg(nds0, tfms)
     all_positions = [(r, c) for r in range(nds0.M_v) for c in range(nds0.M_z)]

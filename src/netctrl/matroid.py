@@ -7,21 +7,23 @@ by maximum bipartite matching, which is exact when every free entry is an
 independent unknown. The exact column oracle and the union ranks of the
 lumped fixed-mode route are test-suite references (tests/oracles.py).
 
-The intersection asks each oracle one batched question per step of its
-exchange-graph search (`swaps`): is current - x + y independent, for a list
-of (x, y) pairs. The float column oracle is a direct sum of row blocks, as
-[Y Z] is of the subsystems' [y_i z_i] at every mode: a pair asks only its
-y's block. Block ranks come from `BlockRanks`, the one cache of
-(block, local columns) ranks, which design's stage 1 ranks through too; the
-uncached sets of one question go to one stacked SVD per shape and dtype.
-The pattern oracle takes one maximum matching of each current set it is
-asked about and answers every pair of one y from one alternating search.
+The intersection binds each oracle to its current set once per
+augmentation (`exchanges`) and asks the bound oracle one batched question
+per step of its exchange-graph search: is current - x + y independent, for
+a list of (x, y) pairs. The float column oracle is a direct sum of row
+blocks, as [Y Z] is of the subsystems' [y_i z_i] at every mode: it splits
+the current set by block once, and a pair asks only its y's block. Block
+ranks come from `BlockRanks`, the one cache of (block, local columns)
+ranks, which design's stage 1 ranks through too; the uncached sets of one
+question go to one stacked SVD per shape and dtype. The pattern oracle
+takes one maximum matching of the current set and answers every pair of
+one y from one alternating search, kept for the whole augmentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -29,17 +31,15 @@ from . import exactla as ex
 from .exactla import RANK_TOL
 from .model import StructuredPattern
 
-
-def _swap(current: set, x: Optional[int], y: int) -> set:
-    """current - x + y, or current + y when x is None."""
-    return current | {y} if x is None else current - {x} | {y}
+# An oracle bound to a current set: (x, y) pairs -> is current - x + y independent
+Exchanges = Callable[[list], list[bool]]
 
 
 class IndependenceOracle:
     """An independence oracle over the ground set range(ground_size).
 
-    Subclasses define `independent`; `swaps` asks it once per pair unless a
-    subclass answers a whole batch at once.
+    Subclasses define `independent`; the exchanges of `exchanges` ask it
+    once per pair unless a subclass answers a whole batch at once.
     """
 
     ground_size: int
@@ -47,11 +47,15 @@ class IndependenceOracle:
     def independent(self, subset: Iterable[int]) -> bool:
         raise NotImplementedError
 
-    def swaps(self, current: set, pairs: list) -> list[bool]:
-        """Whether current - x + y is independent, for each (x, y) of pairs;
-        x None asks for current + y. The intersection passes an independent
-        current, x inside it and y outside it."""
-        return [self.independent(_swap(current, x, y)) for x, y in pairs]
+    def exchanges(self, current: frozenset) -> Exchanges:
+        """The oracle bound to current: a function of a list of (x, y) pairs
+        telling whether current - x + y is independent for each; x None asks
+        for current + y. The intersection binds an independent current once
+        per augmentation and asks x inside it and y outside it."""
+        def ask(pairs: list) -> list[bool]:
+            return [self.independent(current | {y} if x is None else current - {x} | {y})
+                    for x, y in pairs]
+        return ask
 
 
 class BlockRanks:
@@ -97,32 +101,19 @@ class BlockRanks:
 
 
 class NumericColumns(IndependenceOracle):
-    """Independence = the chosen columns of a float or complex matrix have
-    full column rank, read from singular values at tolerance tol.
-
-    The matrix is a direct sum of row blocks (`direct_sum`), each filling
-    its own columns, and a dense matrix is the one-block case. A column set
-    is independent exactly when each block's part of it is independent in
+    """Independence = the chosen columns of a block-diagonal float or
+    complex matrix have full column rank, read from singular values at
+    tolerance tol. The matrix is given as (block, columns) parts: the
+    block's local column j is ground element columns[j], and the parts'
+    columns together are range(ground_size). A column set is
+    independent exactly when each block's part of it is independent in
     that block, and its rank is the sum of those parts' ranks. Each part is
     ranked alone by the oracle's `BlockRanks`, at the cutoff of the part,
     not of the whole set. Parts that are one array object, such as
     identical agents' blocks, share their ranks.
     """
 
-    def __init__(self, matrix, tol: float = RANK_TOL):
-        matrix = np.asarray(matrix)
-        self._setup([(matrix, range(matrix.shape[1]))], tol)
-
-    @classmethod
-    def direct_sum(cls, parts: list, tol: float = RANK_TOL) -> NumericColumns:
-        """The oracle of a block-diagonal matrix given as (block, columns)
-        parts: the block's local column j is ground element columns[j], and
-        the parts' columns together are range(ground_size)."""
-        oracle = cls.__new__(cls)
-        oracle._setup(parts, tol)
-        return oracle
-
-    def _setup(self, parts: list, tol: float) -> None:
+    def __init__(self, parts: list, tol: float = RANK_TOL):
         self._ranks = BlockRanks(tol)
         where: dict[int, tuple] = {}  # element -> (part, block, local column)
         for p, (block, columns) in enumerate(parts):
@@ -151,24 +142,28 @@ class NumericColumns(IndependenceOracle):
     def independent(self, subset: Iterable[int]) -> bool:
         return all(self._independence(list(self._keys(subset).values())))
 
-    def swaps(self, current: set, pairs: list) -> list[bool]:
+    def exchanges(self, current: frozenset) -> Exchanges:
         """With current independent, current - x + y is independent exactly
         when y's part of it is: every other part keeps current's columns or
-        loses x. So each pair asks one (block, local column set), and the
-        uncached ones go to one stacked SVD per shape. A dependent current,
-        which the intersection never passes, is asked set by set."""
+        loses x. So current is split by part once, each pair asks one
+        (block, local column set), and the uncached sets of one question go
+        to one stacked SVD per shape. Raises ValueError for a dependent
+        current set."""
         parts = self._keys(current)
         if not all(self._independence(list(parts.values()))):
-            return super().swaps(current, pairs)
-        where, keys = self._where, []
-        empty = frozenset()
-        for x, y in pairs:
-            p, block, j = where[y]
-            cols = parts[p][1] if p in parts else empty
-            if x is not None and where[x][0] == p:
-                cols = cols - {where[x][2]}
-            keys.append((block, cols | {j}))
-        return self._independence(keys)
+            raise ValueError("exchanges needs an independent current set")
+        where, empty = self._where, frozenset()
+
+        def ask(pairs: list) -> list[bool]:
+            keys = []
+            for x, y in pairs:
+                p, block, j = where[y]
+                cols = parts[p][1] if p in parts else empty
+                if x is not None and where[x][0] == p:
+                    cols = cols - {where[x][2]}
+                keys.append((block, cols | {j}))
+            return self._independence(keys)
+        return ask
 
 
 class GenericPattern(IndependenceOracle):
@@ -189,9 +184,6 @@ class GenericPattern(IndependenceOracle):
             by_col.setdefault(c, []).append(r)
         for c, rows in by_col.items():
             self._col_rows[c] = tuple(sorted(rows))
-        # the last current set `swaps` was asked about, with its matching
-        # (column -> row) and that matching's inverse (row -> column)
-        self._last: tuple[frozenset, dict, dict] = (frozenset(), {}, {})
 
     def _matching(self, subset: Iterable[int]) -> dict:
         return _max_matching({c: self._col_rows[c] for c in set(subset)})
@@ -200,37 +192,31 @@ class GenericPattern(IndependenceOracle):
         cols = set(subset)
         return len(self._matching(cols)) == len(cols)
 
-    def swaps(self, current: set, pairs: list) -> list[bool]:
+    def exchanges(self, current: frozenset) -> Exchanges:
         """Transversal exchange arcs from one maximum matching M of current.
 
         An alternating search from y (y to its rows, a matched row to its
         column's rows) reaches the rows R(y). current + y is independent iff
         R(y) holds a free row; current - x + y iff R(y) holds a free row or
         x's matched row, since a path into x's column passes that row first.
-
-        The intersection changes its current set only when it augments, so
-        M is kept for the last current set asked about and taken again
-        while that set stands. `_max_matching` is deterministic, so a kept
-        M is the one a fresh call would give.
+        M is taken once, and each R(y) once, for every question asked of
+        the bound oracle. Raises ValueError for a dependent current set.
         """
-        if not pairs:
-            return []
-        key, row_of, col_of = self._last
-        if key != current:
-            key = frozenset(current)
-            row_of = self._matching(key)
-            col_of = {r: c for c, r in row_of.items()}
-            self._last = (key, row_of, col_of)
+        row_of = self._matching(current)
         if len(row_of) != len(current):
-            raise ValueError("swaps needs an independent current set")
+            raise ValueError("exchanges needs an independent current set")
+        col_of = {r: c for c, r in row_of.items()}
         reach: dict[int, Optional[set]] = {}
-        out = []
-        for x, y in pairs:
-            if y not in reach:
-                reach[y] = self._alternating_rows(y, col_of)
-            rows = reach[y]
-            out.append(rows is None or (x is not None and row_of[x] in rows))
-        return out
+
+        def ask(pairs: list) -> list[bool]:
+            out = []
+            for x, y in pairs:
+                if y not in reach:
+                    reach[y] = self._alternating_rows(y, col_of)
+                rows = reach[y]
+                out.append(rows is None or (x is not None and row_of[x] in rows))
+            return out
+        return ask
 
     def _alternating_rows(self, y: int, col_of: dict) -> Optional[set]:
         """Rows an alternating search from column y reaches under the
@@ -249,23 +235,33 @@ class GenericPattern(IndependenceOracle):
 
 def _max_matching(adj: dict) -> dict:
     """Maximum matching (left -> right) of a bipartite graph given as left ->
-    rights: one augmenting-path search per left vertex, in sorted order. The
-    recursion depth is at most the size of the matching."""
+    rights: one augmenting-path search per left vertex, in sorted order,
+    depth first through each left's rights in the order given. The search
+    keeps its own stack, so a path may be as long as the matching."""
     match_l: dict = {}
     match_r: dict = {}
-
-    def augment(l, seen: set) -> bool:
-        for r in adj[l]:
-            if r not in seen:
+    for root in sorted(adj):
+        seen: set = set()
+        stack = [(root, iter(adj[root]))]  # the lefts of the path, with their untried rights
+        taken: list = []  # taken[i]: the right from stack[i]'s left to stack[i + 1]'s
+        while stack:
+            for r in stack[-1][1]:
+                if r in seen:
+                    continue
                 seen.add(r)
-                if r not in match_r or augment(match_r[r], seen):
-                    match_l[l] = r
-                    match_r[r] = l
-                    return True
-        return False
-
-    for l in sorted(adj):
-        augment(l, set())
+                taken.append(r)
+                if r in match_r:
+                    stack.append((match_r[r], iter(adj[match_r[r]])))
+                else:  # a free right: flip the path, deepest left first
+                    for (l, _), r_l in zip(reversed(stack), reversed(taken)):
+                        match_l[l] = r_l
+                        match_r[r_l] = l
+                    stack = []
+                break
+            else:  # every right of the deepest left tried
+                stack.pop()
+                if taken:
+                    taken.pop()
     return match_l
 
 
@@ -292,21 +288,25 @@ def matroid_intersection_rank(o1: IndependenceOracle,
     first matroid independent) and y->x (swap keeps the second independent);
     augmenting along a shortest path from the first-matroid-free elements to
     the second-matroid-free elements grows the set by one until optimal.
-    Each search step asks its oracle one `swaps` batch: the source test, the
-    sink test, and each frontier vertex's unvisited candidates.
+    Each augmentation binds each oracle to the current set once
+    (`exchanges`), and each search step asks its bound oracle one batch:
+    the source test, the sink test, and each frontier vertex's unvisited
+    candidates.
     """
     n = o1.ground_size
     if o2.ground_size != n:
         raise ValueError("oracles must share one ground set")
-    current: set[int] = set()
+    current: frozenset[int] = frozenset()
     while True:
         outside = [y for y in range(n) if y not in current]
         adds = [(None, y) for y in outside]
-        sources = [y for y, ok in zip(outside, o1.swaps(current, adds)) if ok]
+        ask1 = o1.exchanges(current)
+        sources = [y for y, ok in zip(outside, ask1(adds)) if ok]
         if not sources:
             reach = frozenset()
             break
-        sinks = {y for y, ok in zip(outside, o2.swaps(current, adds)) if ok}
+        ask2 = o2.exchanges(current)
+        sinks = {y for y, ok in zip(outside, ask2(adds)) if ok}
         if not sinks:
             reach = frozenset(range(n))
             break
@@ -318,10 +318,10 @@ def matroid_intersection_rank(o1: IndependenceOracle,
             for v in frontier:
                 if v in current:
                     pairs = [(v, y) for y in outside if y not in prev]
-                    cands = [y for (_, y), ok in zip(pairs, o1.swaps(current, pairs)) if ok]
+                    cands = [y for (_, y), ok in zip(pairs, ask1(pairs)) if ok]
                 else:
                     pairs = [(x, v) for x in sorted(current) if x not in prev]
-                    cands = [x for (x, _), ok in zip(pairs, o2.swaps(current, pairs)) if ok]
+                    cands = [x for (x, _), ok in zip(pairs, ask2(pairs)) if ok]
                 for w in cands:
                     prev[w] = v
                     if w not in current and w in sinks:
@@ -337,6 +337,6 @@ def matroid_intersection_rank(o1: IndependenceOracle,
         path = [found]
         while prev[path[-1]] is not None:
             path.append(prev[path[-1]])
-        current ^= set(path)
-    return CommonIndependentSet(frozenset(current), len(current), reach)
+        current ^= frozenset(path)
+    return CommonIndependentSet(current, len(current), reach)
 

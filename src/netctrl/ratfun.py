@@ -251,22 +251,14 @@ class ModeData:
     """Left-null-space data of a network at one pooled eigenvalue.
 
     [Y Z] is block-diagonal by subsystem, and `column_blocks` hands it over
-    as its blocks [y_i z_i]: the fixed-mode intersection and design's
-    stage 1 rank those one block at a time. The dense Y and Z, which only
-    the product rank rank(Y P + Z) needs, are assembled on first use.
+    as its blocks [y_i z_i]: the product rank rank(Y P + Z), the fixed-mode
+    intersection and design's stage 1 all read those one block at a time,
+    and no dense Y or Z is built.
     """
 
     lam: complex
     per_sub: list  # list[SubsystemModeData]
     M_r: int
-
-    @cached_property
-    def z_all(self) -> np.ndarray:
-        return _block_diag_np([s.z for s in self.per_sub], _dtype(self.lam))
-
-    @cached_property
-    def y_all(self) -> np.ndarray:
-        return _block_diag_np([s.y for s in self.per_sub], _dtype(self.lam))
 
     def column_blocks(self) -> list[tuple[np.ndarray, list[int]]]:
         """[Y Z] as its diagonal blocks: each subsystem's [y_i z_i] with the
@@ -346,17 +338,6 @@ def _by_dtype(lams: list) -> dict[type, list[tuple[int, complex | float]]]:
         value = complex(lam) if dtype is complex else float(complex(lam).real)
         groups.setdefault(dtype, []).append((i, value))
     return groups
-
-
-def _block_diag_np(blocks: list, dtype) -> np.ndarray:
-    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)),
-                   dtype=dtype)
-    r0 = c0 = 0
-    for b in blocks:
-        out[r0:r0 + b.shape[0], c0:c0 + b.shape[1]] = b
-        r0 += b.shape[0]
-        c0 += b.shape[1]
-    return out
 
 
 class SubsystemAnalysis:

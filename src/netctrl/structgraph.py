@@ -397,9 +397,9 @@ def unreachable_source_sccs_with_lambda_edge(g: StructureGraph) -> list:
 _SHAPES = {"u": "box", "v": "ellipse", "z": "diamond"}
 
 
-def to_dot(g: StructureGraph, name: str = "nacg") -> str:
-    """Graphviz rendering: dashed lambda edges, bold link edges."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+def to_dot(g: StructureGraph) -> str:
+    """Graphviz rendering of digraph nacg: dashed lambda edges, bold link edges."""
+    lines = ["digraph nacg {", "  rankdir=LR;"]
     for v in g.vertices:
         lines.append(f'  "{vertex_name(v)}" [shape={_SHAPES[v[0]]}];')
     for s, d, kind in g.edges:

@@ -17,7 +17,9 @@ cheapest of three ranks that can prove it:
   at P = 0, no substituted rank exceeds the generic rank, and the generic
   rank, the intersection rank, is at most M_r: such a mode is not fixed.
 - One product rank rank(Y P + Z) at a routing matrix P whose free entries
-  are unit-scale Gaussians from a fixed-seed generator.
+  are unit-scale Gaussians from a fixed-seed generator, read from the
+  subsystems' blocks: Y P + Z = [Y Z] [P; I] stacks one row block
+  [y_i z_i] [P; I] per subsystem.
 - The exact matroid intersection of [P^T I] with [Y Z], for a mode the
   draw leaves short of its target. [Y Z] is block-diagonal by subsystem,
   so its column matroid is the direct sum of the subsystems' [y_i z_i]
@@ -79,17 +81,20 @@ def mode_rank(md: ratfun.ModeData, pattern: StructuredPattern, q1: GenericPatter
     By Cauchy-Binet, rank(Y P + Z) at any real P is at most the generic rank,
     which equals the intersection rank. So one draw of P reaching the target
     M_r settles the mode; a shortfall runs the exact intersection, with
-    [Y Z] ranked block by block (`NumericColumns.direct_sum`). The draw is
-    unit-scale Gaussian: large integer draws make the float rank read low.
+    [Y Z] ranked block by block (`NumericColumns`). Y P + Z = [Y Z] [P; I]
+    is read from the blocks [y_i z_i] of [Y Z], one row block each. The
+    draw is unit-scale Gaussian: large integer draws make the float rank
+    read low.
     """
-    p = np.zeros((pattern.rows, pattern.cols))
+    q = np.vstack([np.zeros((pattern.rows, pattern.cols)), np.eye(pattern.cols)])
     if pattern.entries:
         rows, cols = zip(*pattern.entries)
-        p[rows, cols] = rng.standard_normal(len(rows))
-    if ex.float_rank(md.y_all @ p + md.z_all, rank_tol) == md.M_r:
+        q[rows, cols] = rng.standard_normal(len(rows))
+    blocks = md.column_blocks()
+    if ex.float_rank(np.vstack([block @ q[cols] for block, cols in blocks]),
+                     rank_tol) == md.M_r:
         return md.M_r
-    q2 = NumericColumns.direct_sum(md.column_blocks(), rank_tol)
-    return matroid_intersection_rank(q1, q2).certified_rank
+    return matroid_intersection_rank(q1, NumericColumns(blocks, rank_tol)).certified_rank
 
 
 def check_fum_networked(nds: NdsModel, spec: Optional[ratfun.Spectrum] = None,

@@ -6,7 +6,9 @@ a question the library settles another way:
 * dense exact loops for the `exactla` kernels and the loop closure, and the
   per-value loop that `ratfun.pbh_stack` replaces with one broadcast;
 * `ExactColumns`, a column matroid ranked by exact elimination, beside the
-  float-only `matroid.NumericColumns`;
+  float-only `matroid.NumericColumns`, and the dense Y, Z and one-block
+  column oracle of a mode (`dense_y`, `dense_z`, `dense_columns`), beside
+  the library's blocks [y_i z_i];
 * the lumped fixed-mode route: the union rank of the transposed plant
   matroid with the two-diagonal parameter pattern of the diagonalized
   lumped plant (`check_fum_lumped`), and the square-form connection graph
@@ -18,7 +20,8 @@ a question the library settles another way:
 * design's stage 1 on the dense [Y Z] of each mode (`dense_g_value`,
   `dense_greedy_link_rows`, `dense_extract_cover_sets`), one global rank
   at one cutoff per matrix, beside the library's per-block ranks;
-* Hopcroft-Karp matching beside `matroid._max_matching`, and the layout of
+* Hopcroft-Karp matching, and the recursive augmenting-path search
+  (`recursive_max_matching`), beside `matroid._max_matching`, and the layout of
   the lumped parameter pattern beside `NdsModel.P_pattern`;
 * the uncontrollable polynomial by a Fraction Kalman decomposition
   (`kalman_uncontrollable_polynomial`), beside the polynomial `realize`
@@ -183,7 +186,7 @@ def _loop_pbh_stack(a, b, values, dtype):
 
 class ExactColumns(IndependenceOracle):
     """Independence = the chosen columns of a rational matrix have full
-    column rank, by exact elimination; `swaps` asks once per pair."""
+    column rank, by exact elimination; its `exchanges` ask once per pair."""
 
     def __init__(self, matrix: Mat):
         self.matrix = matrix
@@ -255,7 +258,7 @@ def exhaustive_union_rank(numeric_part, generic_pattern: StructuredPattern,
     when 2**|E| subsets are affordable.
     """
     o1 = (ExactColumns(numeric_part) if isinstance(numeric_part, list)
-          else NumericColumns(numeric_part, tol))
+          else dense_columns(numeric_part, tol))
     o2 = GenericPattern(generic_pattern)
     n = o1.ground_size
     if o2.ground_size != n:
@@ -321,6 +324,29 @@ def _hopcroft_karp(adj: dict) -> dict:
         for l in lefts:
             if l not in match_l:
                 dfs(l)
+    return match_l
+
+
+def recursive_max_matching(adj: dict) -> dict:
+    """Maximum matching (left -> right) of a bipartite graph given as left ->
+    rights: one recursive augmenting-path search per left vertex, in sorted
+    order. The recursion depth is the length of the path, so Python's
+    recursion limit bounds it."""
+    match_l: dict = {}
+    match_r: dict = {}
+
+    def augment(l, seen: set) -> bool:
+        for r in adj[l]:
+            if r not in seen:
+                seen.add(r)
+                if r not in match_r or augment(match_r[r], seen):
+                    match_l[l] = r
+                    match_r[r] = l
+                    return True
+        return False
+
+    for l in sorted(adj):
+        augment(l, set())
     return match_l
 
 
@@ -449,8 +475,35 @@ def build_lumped_acg(nds: NdsModel, tfms: list) -> StructureGraph:
 
 # --- design's stage 1 on the dense [Y Z] -------------------------------------
 
+def _block_diag(blocks: list, dtype) -> np.ndarray:
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)),
+                   dtype=dtype)
+    r0 = c0 = 0
+    for b in blocks:
+        out[r0:r0 + b.shape[0], c0:c0 + b.shape[1]] = b
+        r0 += b.shape[0]
+        c0 += b.shape[1]
+    return out
+
+
+def dense_y(md: ModeData) -> np.ndarray:
+    """The dense Y of a mode: the subsystems' y_i on the block diagonal."""
+    return _block_diag([s.y for s in md.per_sub], ratfun._dtype(md.lam))
+
+
+def dense_z(md: ModeData) -> np.ndarray:
+    """The dense Z of a mode: the subsystems' z_i on the block diagonal."""
+    return _block_diag([s.z for s in md.per_sub], ratfun._dtype(md.lam))
+
+
+def dense_columns(matrix, tol: float = RANK_TOL) -> NumericColumns:
+    """The column oracle of a dense matrix: `NumericColumns` of one block."""
+    matrix = np.asarray(matrix)
+    return NumericColumns([(matrix, range(matrix.shape[1]))], tol)
+
+
 def _q2_matrix(md: ModeData) -> np.ndarray:
-    return np.hstack([md.y_all, md.z_all])
+    return np.hstack([dense_y(md), dense_z(md)])
 
 
 def dense_g_value(j_set, modes: list[ModeData], rank_tol: float = RANK_TOL) -> int:
@@ -458,7 +511,7 @@ def dense_g_value(j_set, modes: list[ModeData], rank_tol: float = RANK_TOL) -> i
     cols = sorted(j_set)
     total = 0
     for md in modes:
-        sub = np.hstack([md.y_all[:, cols], md.z_all]) if cols else md.z_all
+        sub = np.hstack([dense_y(md)[:, cols], dense_z(md)]) if cols else dense_z(md)
         total += ex.float_rank(sub, rank_tol)
     return total
 
@@ -483,8 +536,9 @@ def dense_greedy_link_rows(modes: list[ModeData], M_v: int,
         if cands:
             cols = np.array([sorted(chosen + [a]) for a in cands])
             for md in modes:
-                ys = np.moveaxis(md.y_all[:, cols], 1, 0)
-                zs = np.broadcast_to(md.z_all, (len(cands),) + md.z_all.shape)
+                z = dense_z(md)
+                ys = np.moveaxis(dense_y(md)[:, cols], 1, 0)
+                zs = np.broadcast_to(z, (len(cands),) + z.shape)
                 totals += ex.float_rank(np.concatenate([ys, zs], axis=2), rank_tol)
         if not cands or totals.max() <= current:
             raise InfeasibleDesignError(

@@ -87,3 +87,16 @@ def design_network(n: int, seed: int = 1) -> list[SubsystemModel]:
         if check_feasibility([sub]).feasible:
             subs.append(sub)
     return subs
+
+
+def check_network(n: int, seed: int = 1) -> NdsModel:
+    """n subsystems `random_subsystem(rng, i, 4, 3, 0.3)` from one generator,
+    routed at density 6 / (2.5 n) by the same generator: the check and
+    realize networks of the size table in ROADMAP.md (M_x = 73 at n = 32)."""
+    rng = random.Random(seed)
+    subs = [random_subsystem(rng, i + 1, 4, 3, 0.3) for i in range(n)]
+    mv = sum(s.m_v0 for s in subs)
+    mz = sum(s.m_z0 for s in subs)
+    density = 6 / (2.5 * n)
+    free = [(r, c) for r in range(mv) for c in range(mz) if rng.random() < density]
+    return NdsModel(subs, StructuredPattern(mv, mz, {(r, c): f"phi_{r}_{c}" for r, c in free}))

@@ -21,14 +21,14 @@ from netctrl.cli import main
 from netctrl.data import sec7_path
 from netctrl.design import (InfeasibleDesignError, brute_force_min_topology,
                             design_topology, g_value, greedy_link_rows)
-from netctrl.matroid import GenericPattern, NumericColumns, matroid_intersection_rank
+from netctrl.matroid import GenericPattern, matroid_intersection_rank
 from netctrl.model import NdsModel, StructuredPattern, assemble_lumped
 from netctrl.verify import (check_fum_networked, check_structural_controllability,
                             randomized_realization_check)
 
 from conftest import ACCEPTANCE_LINES
-from oracles import (check_fum_lumped, exhaustive_union_rank, matroid_union_rank,
-                     minimal_rows_exhaustive)
+from oracles import (check_fum_lumped, dense_columns, dense_y, dense_z, exhaustive_union_rank,
+                     matroid_union_rank, minimal_rows_exhaustive)
 from randgen import random_fixed_subsystems, random_nds
 
 N_INSTANCES = 100
@@ -151,7 +151,7 @@ def test_criterion_5b_intersection_equals_product_rank(instances, instance_check
                 vals = {pid: Fraction(rng.randint(1, bound))
                         for pid in pat.entries.values()}
                 pv = ex.to_float(pat.substitute(vals))
-                prod = md.y_all @ pv + md.z_all
+                prod = dense_y(md) @ pv + dense_z(md)
                 best = max(best, ex.float_rank(prod, 1e-9))
                 if best == mc.achieved:
                     break
@@ -174,7 +174,7 @@ def test_product_rank_matches_intersection(instances, instance_checks):
         assert [mc.lam for mc in checks] == spec.values
         for mc in checks:
             md = ratfun.mode_data(nds, mc.lam)
-            q2 = NumericColumns(np.hstack([md.y_all, md.z_all]))
+            q2 = dense_columns(np.hstack([dense_y(md), dense_z(md)]))
             want = matroid_intersection_rank(q1, q2).certified_rank if md.M_r else 0
             assert mc.achieved == want, f"case {i}, mode {mc.lam}"
 

@@ -14,9 +14,10 @@ from netctrl.matroid import (GenericPattern, IndependenceOracle, NumericColumns,
 from netctrl.model import (ModelError, NdsModel, StructuredPattern, assemble_lumped,
                            check_well_posedness)
 
-from oracles import (ExactColumns, _hopcroft_karp, exhaustive_union_rank, eye,
-                     matroid_union_rank, rank_of)
-from randgen import random_nds, random_subsystem
+from oracles import (ExactColumns, _hopcroft_karp, dense_columns, dense_y, dense_z,
+                     exhaustive_union_rank, eye, matroid_union_rank, rank_of,
+                     recursive_max_matching)
+from randgen import check_network, random_nds, random_subsystem
 
 
 def _pattern(rows, cols, positions, prefix="g"):
@@ -25,8 +26,8 @@ def _pattern(rows, cols, positions, prefix="g"):
 
 
 def test_numeric_independent_basics():
-    assert NumericColumns(np.eye(3)).independent({0, 1})
-    dup = NumericColumns(ex.to_float(ex.mat([[1, 1], [2, 2]])))
+    assert dense_columns(np.eye(3)).independent({0, 1})
+    dup = dense_columns(ex.to_float(ex.mat([[1, 1], [2, 2]])))
     assert not dup.independent({0, 1})
     assert dup.independent({0})
 
@@ -35,7 +36,7 @@ def test_numeric_exact_and_float_agree():
     rng = random.Random(7)
     m = [[Fraction(rng.randint(-3, 3)) for _ in range(8)] for _ in range(6)]
     exact = ExactColumns(m)
-    approx = NumericColumns(ex.to_float(m))
+    approx = dense_columns(ex.to_float(m))
     for _ in range(100):
         k = rng.randint(0, 6)
         subset = frozenset(rng.sample(range(8), k))
@@ -177,11 +178,28 @@ def test_dual_certificate_on_every_mode(sec7):
         for md in ratfun.modes(nds, ratfun.spectrum(nds).values):
             if md.M_r == 0:
                 continue
-            q2 = NumericColumns(np.hstack([md.y_all, md.z_all]))
+            q2 = dense_columns(np.hstack([dense_y(md), dense_z(md)]))
             best = matroid_intersection_rank(q1, q2)
             _assert_dual_certificate(q1, q2, best)
             shortfalls += best.certified_rank < md.M_r
     assert shortfalls > 0
+
+
+def test_dual_certificate_on_check_network():
+    # every mode with a target of the n = 32 size-table network, fixed
+    # modes among them, against the direct-sum oracle of its blocks
+    nds = check_network(32)
+    q1 = GenericPattern(verify.routing_pattern_q1(nds.P_pattern))
+    intersected = shortfalls = 0
+    for md in ratfun.modes(nds, ratfun.spectrum(nds).values):
+        if md.M_r == 0:
+            continue
+        q2 = NumericColumns(md.column_blocks())
+        best = matroid_intersection_rank(q1, q2)
+        _assert_dual_certificate(q1, q2, best)
+        intersected += 1
+        shortfalls += best.certified_rank < md.M_r
+    assert nds.M_x == 73 and intersected == 32 and shortfalls > 0
 
 
 def _block_rank(md, subset):
@@ -205,8 +223,8 @@ def test_block_oracle_matches_dense(sec7, sec7_designed2, sec7_designed3):
             if md.M_r == 0:
                 continue
             dense = matroid_intersection_rank(
-                q1, NumericColumns(np.hstack([md.y_all, md.z_all])))
-            q2 = NumericColumns.direct_sum(md.column_blocks())
+                q1, dense_columns(np.hstack([dense_y(md), dense_z(md)])))
+            q2 = NumericColumns(md.column_blocks())
             best = matroid_intersection_rank(q1, q2)
             assert (best.indices, best.reach, best.certified_rank) == \
                 (dense.indices, dense.reach, dense.certified_rank)
@@ -244,7 +262,7 @@ def test_block_oracle_shares_identical_agents(monkeypatch):
                     continue
                 block = md.per_sub[0].yz
                 assert all(s.yz is block for s in md.per_sub)
-                q2 = NumericColumns.direct_sum(md.column_blocks())
+                q2 = NumericColumns(md.column_blocks())
                 rows, cols = block.shape
                 ranked.clear()
                 matroid_intersection_rank(q1, q2)
@@ -296,7 +314,7 @@ def test_block_ranks_cache_and_stacks(monkeypatch):
 
 def test_direct_sum_swaps_match_dense(monkeypatch):
     # random block-diagonal matrices, some blocks one shared object, asked
-    # from random current sets, dependent ones included
+    # from random independent current sets
     ranked = []
     float_rank = ex.float_rank
     monkeypatch.setattr(ex, "float_rank", lambda m, tol=ex.RANK_TOL: ranked.append(
@@ -316,18 +334,19 @@ def test_direct_sum_swaps_match_dense(monkeypatch):
             parts.append((b, cols))
             dense[r0:r0 + b.shape[0], cols] = b
             r0 += b.shape[0]
-        oracle = NumericColumns.direct_sum(parts)
+        oracle = NumericColumns(parts)
         # each part's whole column set: a block object shared by parts is ranked once
         whole = [float_rank(b) for b in blocks]
         ranked.clear()
         assert oracle.ground_size == ground and [
             oracle.rank_of(cols) for _, cols in parts] == whole
         assert sum(ranked) == len({id(b) for b in blocks if len(b)})
-        current = set(rng.sample(range(ground), rng.randint(0, ground - 1)))
+        current = _independent_subset(
+            rng, ground, lambda s: float_rank(dense[:, sorted(s)]) == len(s))
         pairs = _pairs(rng, current, ground)
         want = [ex.float_rank(dense[:, sorted(_swapped(current, x, y))])
                 for x, y in pairs]
-        assert oracle.swaps(current, pairs) == [
+        assert oracle.exchanges(frozenset(current))(pairs) == [
             r == len(_swapped(current, x, y)) for r, (x, y) in zip(want, pairs)]
         assert [oracle.rank_of(_swapped(current, x, y)) for x, y in pairs] == want
 
@@ -335,11 +354,11 @@ def test_direct_sum_swaps_match_dense(monkeypatch):
 def test_dual_certificate_edge_cases():
     # no source: R is empty; no sink: R is the whole ground set
     n = 4
-    no_source = matroid_intersection_rank(NumericColumns(np.zeros((2, n))),
-                                          NumericColumns(np.eye(n)))
+    no_source = matroid_intersection_rank(dense_columns(np.zeros((2, n))),
+                                          dense_columns(np.eye(n)))
     assert no_source.certified_rank == 0 and no_source.reach == frozenset()
-    no_sink = matroid_intersection_rank(NumericColumns(np.eye(n)),
-                                        NumericColumns(np.zeros((0, n))))
+    no_sink = matroid_intersection_rank(dense_columns(np.eye(n)),
+                                        dense_columns(np.zeros((0, n))))
     assert no_sink.certified_rank == 0 and no_sink.reach == frozenset(range(n))
 
 
@@ -379,26 +398,38 @@ def test_generic_swaps_match_per_set_matching():
 
         current = _independent_subset(rng, cols, matched)
         pairs = _pairs(rng, current, cols)
-        assert oracle.swaps(current, pairs) == [matched(_swapped(current, x, y))
-                                                for x, y in pairs]
+        assert oracle.exchanges(frozenset(current))(pairs) == [
+            matched(_swapped(current, x, y)) for x, y in pairs]
         checked += len(pairs)
     assert checked > 1000
-    # the batched answer is read off one matching, so the set must be independent
+
+
+def test_exchanges_reject_dependent_current():
+    # the batched answers are read off one matching or one split of an
+    # independent set, so both oracles refuse a dependent one
     with pytest.raises(ValueError):
-        GenericPattern(_pattern(1, 3, [(0, 0), (0, 1)])).swaps({0, 1}, [(None, 2)])
+        GenericPattern(_pattern(1, 3, [(0, 0), (0, 1)])).exchanges(frozenset({0, 1}))
+    dup = ex.to_float(ex.mat([[1, 2, 0], [2, 4, 1]]))
+    parts = [(dup, [0, 2, 4]), (np.eye(1), [3]), (np.zeros((0, 1)), [1])]
+    for current in ({0, 2}, {3, 4, 1}, {1}):
+        with pytest.raises(ValueError):
+            NumericColumns(parts).exchanges(frozenset(current))
+    assert NumericColumns(parts).exchanges(frozenset({0, 4, 3}))([(None, 2), (0, 2)]) == [
+        False, True]
 
 
 class _FreshMatching(GenericPattern):
-    """A pattern oracle that takes a fresh matching on every `swaps` call."""
+    """A pattern oracle that takes a fresh matching for every question."""
 
-    def swaps(self, current, pairs):
-        self._last = (None, {}, {})
-        return super().swaps(current, pairs)
+    def exchanges(self, current):
+        return lambda pairs: GenericPattern.exchanges(self, current)(pairs)
 
 
 def test_generic_swaps_match_once_per_current_set(monkeypatch, sec7):
-    # the intersection changes its current set only when it augments, and
-    # the pattern oracle takes one matching per current set it is asked about
+    # the intersection binds the pattern oracle once per augmentation, and
+    # the bound oracle takes one matching of its current set however many
+    # questions it is asked: as the first oracle it is bound at every
+    # augmentation and once more, as the second only where a source exists
     matched = []
 
     def counting(adj):
@@ -414,31 +445,58 @@ def test_generic_swaps_match_once_per_current_set(monkeypatch, sec7):
         for md in ratfun.modes(nds, ratfun.spectrum(nds).values):
             if md.M_r == 0:
                 continue
-            q2 = NumericColumns.direct_sum(md.column_blocks())
+            q2 = NumericColumns(md.column_blocks())
             q1 = GenericPattern(pattern)
             asked_here = []
-            swaps = q1.swaps
-            monkeypatch.setattr(q1, "swaps", lambda c, p: asked_here.append(1) or swaps(c, p))
-            matched.clear()
-            best = matroid_intersection_rank(q1, q2)
-            assert len(matched) == len(set(matched)) <= best.certified_rank + 1
+            exchanges = q1.exchanges
+
+            def counting_exchanges(current, exchanges=exchanges, asked_here=asked_here):
+                ask = exchanges(current)
+                return lambda pairs: asked_here.append(1) or ask(pairs)
+
+            monkeypatch.setattr(q1, "exchanges", counting_exchanges)
+            for first in (True, False):
+                matched.clear()
+                best = matroid_intersection_rank(*((q1, q2) if first else (q2, q1)))
+                assert len(matched) == len(set(matched))
+                if first:
+                    assert len(matched) == best.certified_rank + 1
+                else:
+                    assert len(matched) <= best.certified_rank + 1
+                matchings += len(matched)
+                fresh = _FreshMatching(pattern)
+                assert best == matroid_intersection_rank(*((fresh, q2) if first else (q2, fresh)))
             asked += len(asked_here)
-            matchings += len(matched)
-            assert best == matroid_intersection_rank(_FreshMatching(pattern), q2)
     assert asked > matchings > 0
 
 
 def test_max_matching_is_maximum():
     rng = random.Random(47)
-    for _ in range(300):
+    for trial in range(300):
         lefts, rights = rng.randint(0, 8), rng.randint(0, 8)
         density = rng.choice((0.0, 0.2, 0.4, 0.7))
-        adj = {l: tuple(r for r in range(rights) if rng.random() < density)
+        adj = {l: [r for r in range(rights) if rng.random() < density]
                for l in rng.sample(range(12), lefts)}
+        if trial % 2:  # rights out of order: the search follows the given order
+            for rs in adj.values():
+                rng.shuffle(rs)
         matching = _max_matching(adj)
         assert all(r in adj[l] for l, r in matching.items())
         assert len(set(matching.values())) == len(matching)
         assert len(matching) == len(_hopcroft_karp(adj))
+        # the same augmenting paths as the recursive search, found in the same order
+        reference = recursive_max_matching(adj)
+        assert list(matching.items()) == list(reference.items())
+
+
+def test_max_matching_long_augmenting_path():
+    # left k reaches right k only through the chain k-1, ..., 0: the search
+    # from left k walks k lefts deep, past Python's recursion limit
+    n = 3000
+    adj = {0: (0,), **{k: (k - 1, k) for k in range(1, n)}}
+    matching = _max_matching(adj)
+    assert len(matching) == len(_hopcroft_karp(adj)) == n
+    assert matching == {k: k for k in range(n)}
 
 
 def test_numeric_swaps_match_float_rank():
@@ -451,20 +509,21 @@ def test_numeric_swaps_match_float_rank():
         if trial % 2:
             matrix = matrix + 1j * (nrng.standard_normal((rows, k))
                                     @ nrng.standard_normal((k, cols)))
-        oracle = NumericColumns(matrix)
-        current = set(rng.sample(range(cols), rng.randint(0, cols - 1)))
+        oracle = dense_columns(matrix)
+        current = _independent_subset(
+            rng, cols, lambda s: ex.float_rank(matrix[:, sorted(s)]) == len(s))
         pairs = _pairs(rng, current, cols)
         for x, y in rng.sample(pairs, len(pairs) // 3):  # cache hits from rank_of
             oracle.rank_of(_swapped(current, x, y))
         want = [ex.float_rank(matrix[:, sorted(_swapped(current, x, y))])
                 for x, y in pairs]
         for _ in range(2):  # the second call is answered from the cache
-            assert oracle.swaps(current, pairs) == [
+            assert oracle.exchanges(frozenset(current))(pairs) == [
                 r == len(_swapped(current, x, y)) for r, (x, y) in zip(want, pairs)]
         assert [oracle.rank_of(_swapped(current, x, y)) for x, y in pairs] == want
     # a 0-row matrix ranks 0: no column is independent
-    empty = NumericColumns(np.zeros((0, 3)))
-    assert empty.swaps(set(), [(None, 1), (None, 2), (None, 1)]) == [False] * 3
+    empty = dense_columns(np.zeros((0, 3)))
+    assert empty.exchanges(frozenset())([(None, 1), (None, 2), (None, 1)]) == [False] * 3
     assert empty.rank_of({1}) == 0
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from netctrl import exactla as ex
 from netctrl import cli, ratfun, structgraph, verify
 from netctrl.design import design_topology
-from netctrl.matroid import GenericPattern, NumericColumns, matroid_intersection_rank
+from netctrl.matroid import GenericPattern, matroid_intersection_rank
 from netctrl.model import (NdsModel, OpenLoop, StructuredPattern, SubsystemModel,
                            assemble_lumped)
 from netctrl.structgraph import vertex_name
@@ -18,7 +19,8 @@ from netctrl.verify import (check_feasibility, check_fum_networked,
                             randomized_realization_check, realize_numeric,
                             uncontrollable_modes)
 
-from oracles import _dense_close_loop, check_fum_lumped, kalman_uncontrollable_polynomial
+from oracles import (_dense_close_loop, check_fum_lumped, dense_columns, dense_y, dense_z,
+                     kalman_uncontrollable_polynomial)
 from randgen import random_fixed_subsystems, random_nds, random_subsystem
 
 
@@ -130,14 +132,51 @@ def test_owner_pbh_rule_is_sound(sec7, sec7_designed3):
         reported = {mc.lam: mc.achieved for mc in check_fum_networked(nds)}
         for lam in _settled(nds):
             md = ratfun.mode_data(nds, lam)
-            assert ex.float_rank(md.z_all) == md.M_r
-            q2 = NumericColumns(np.hstack([md.y_all, md.z_all]))
+            assert ex.float_rank(dense_z(md)) == md.M_r
+            q2 = dense_columns(np.hstack([dense_y(md), dense_z(md)]))
             assert matroid_intersection_rank(q1, q2).certified_rank == md.M_r
             assert reported[lam] == md.M_r
             if label != "free blocks" or any(s.has_free_params for s in nds.subsystems):
                 settled[label] += 1
     assert settled["sec7"] == 0 and settled["free blocks"] and settled["agents"], settled
     assert all(deficient.values()), deficient
+
+
+def test_product_rank_reads_the_blocks(monkeypatch):
+    # mode_rank stacks [y_i z_i] [P; I] over the subsystems; at the same draw
+    # of P that matrix is the dense Y P + Z and ranks the same
+    products = []
+    float_rank = ex.float_rank
+    monkeypatch.setattr(ex, "float_rank", lambda m, tol=ex.RANK_TOL: (
+        products.append(m) if np.ndim(m) == 2 else None) or float_rank(m, tol))
+    networks = [random_nds(seed, max_sub, max_state=4, max_port=3)
+                for max_sub, seeds in ((3, range(1, 31)), (8, range(1, 11)), (16, range(1, 4)))
+                for seed in seeds]
+    seen = {"modes": 0, "complex": 0, "short": 0}
+    for nds in networks:
+        pattern = nds.P_pattern
+        q1 = GenericPattern(verify.routing_pattern_q1(pattern))
+        rng = np.random.default_rng(0)
+        for md in ratfun.modes(nds, ratfun.spectrum(nds).values):
+            if md.M_r == 0:
+                continue
+            p = np.zeros((pattern.rows, pattern.cols))
+            if pattern.entries:
+                rows, cols = zip(*pattern.entries)
+                p[rows, cols] = copy.deepcopy(rng).standard_normal(len(rows))
+            products.clear()
+            achieved = verify.mode_rank(md, pattern, q1, rng)
+            dense = dense_y(md) @ p + dense_z(md)
+            product = products[0]
+            # the block products skip the zero columns of Y and Z, so they
+            # sum in another order: entries of order one agree to roundoff
+            assert product.dtype == dense.dtype and np.allclose(product, dense, rtol=0,
+                                                                atol=1e-12)
+            assert float_rank(product) == float_rank(dense)
+            seen["modes"] += 1
+            seen["complex"] += complex(md.lam).imag != 0
+            seen["short"] += achieved < md.M_r
+    assert all(seen.values()), seen
 
 
 def _planted(positions):
