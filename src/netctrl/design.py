@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import ratfun, structgraph, verify
-from .matroid import BlockRanks, GenericPattern, NumericColumns, matroid_intersection_rank
+from .matroid import (BlockRanks, GenericPattern, NumericColumns, matroid_intersection_rank,
+                      scan_blocks)
 from .model import NdsModel, StructuredPattern, SubsystemModel
 from .ratfun import ModeData
 from .verify import FeasibilityReport
@@ -87,8 +88,8 @@ def g_value(j_set, modes: list[ModeData], rank_tol: float = ratfun.RANK_TOL) -> 
     return sum(map(sum, ranks.block_ranks(ranks.stage1_columns(j_set))))
 
 
-def greedy_link_rows(modes: list[ModeData], M_v: int,
-                     rank_tol: float = ratfun.RANK_TOL) -> tuple[list[int], list[int]]:
+def greedy_link_rows(modes: list[ModeData], M_v: int, rank_tol: float = ratfun.RANK_TOL,
+                     ranks: Optional[_BlockRanks] = None) -> tuple[list[int], list[int]]:
     """Greedy row selection until the coverage function hits its ceiling.
 
     Returns the selected rows in insertion order together with the trace of
@@ -101,9 +102,10 @@ def greedy_link_rows(modes: list[ModeData], M_v: int,
     over the modes; a block with no rows or already at full row rank gains
     nothing and takes no SVD. Gains are kept between steps: a step changes
     only the chosen row's blocks, so only the candidates of its subsystem
-    are ranked again.
+    are ranked again. A caller that ranks the same modes again passes its
+    `_BlockRanks` of them as `ranks`.
     """
-    ranks = _BlockRanks(modes, rank_tol)
+    ranks = ranks or _BlockRanks(modes, rank_tol)
     local = ranks.stage1_columns(())
     now = ranks.block_ranks(local)
     gain: dict[int, int] = {}
@@ -146,7 +148,8 @@ def greedy_link_rows(modes: list[ModeData], M_v: int,
 
 
 def extract_cover_sets(j_grd: list[int], modes: list[ModeData], M_v: int, M_z: int,
-                       rank_tol: float = ratfun.RANK_TOL) -> list[list[int]]:
+                       rank_tol: float = ratfun.RANK_TOL,
+                       ranks: Optional[_BlockRanks] = None) -> list[list[int]]:
     """Per-mode column covers: output ports first, then selected rows.
 
     Port columns are taken greedily on positive rank gain. Selected rows are
@@ -160,43 +163,35 @@ def extract_cover_sets(j_grd: list[int], modes: list[ModeData], M_v: int, M_z: i
     depends only on the earlier tests in that block. A block with no rows
     or already at full row rank gains nothing and takes no SVD; the target
     is met exactly when every block is at full row rank. So the blocks of
-    all modes scan their own ports and rows side by side, and each round of
-    their next tests is one `ranks` call.
+    all modes scan their own ports and rows side by side (`scan_blocks`),
+    and each round of their next tests is one `ranks` call. `ranks` is as
+    in `greedy_link_rows`.
     """
     if not modes:
         return []
-    ranks = _BlockRanks(modes, rank_tol)
+    ranks = ranks or _BlockRanks(modes, rank_tol)
     scan = [*range(M_v, M_v + M_z), *sorted(j_grd)]
     chain: list[list[tuple[int, int]]] = [[] for _ in ranks.z_ports]
     for pos, s in enumerate(scan):  # each block's (scan position, local column)
         p, j = ranks.where[s]
         chain[p].append((pos, j))
-    taken: list[list[int]] = [[] for _ in modes]  # scan positions taken on a gain
-    full_at = [-1] * len(modes)  # scan position at which the last block filled
-    local = [[frozenset()] * len(blocks) for blocks in ranks.parts]
-    now = [[0] * len(blocks) for blocks in ranks.parts]
-    pending = [(m, p) for m, blocks in enumerate(ranks.parts)
-               for p, block in enumerate(blocks) if block.shape[0] and chain[p]]
-    k = 0  # each pending block's next test is its chain[p][k]
-    while pending:
-        queries = [(ranks.parts[m][p], local[m][p] | {chain[p][k][1]}) for m, p in pending]
-        for (m, p), (block, cols), r in zip(pending, queries, ranks.ranks(queries)):
-            if r > now[m][p]:
-                pos = chain[p][k][0]
-                taken[m].append(pos)
-                local[m][p], now[m][p] = cols, r
-                if r == block.shape[0]:
-                    full_at[m] = max(full_at[m], pos)
-        k += 1
-        pending = [(m, p) for m, p in pending
-                   if now[m][p] < ranks.parts[m][p].shape[0] and k < len(chain[p])]
+    kept = iter(scan_blocks(ranks.ranks, [(block, [j for _, j in chain[p]])
+                                          for blocks in ranks.parts
+                                          for p, block in enumerate(blocks)]))
     covers = []
-    for m, md in enumerate(modes):
-        if sum(now[m]) != md.M_r:
+    for md, blocks in zip(modes, ranks.parts):
+        taken: list[int] = []  # scan positions taken on a gain
+        full_at = -1  # scan position at which the last block filled
+        for p, block in enumerate(blocks):
+            ks = next(kept)
+            taken += [chain[p][k][0] for k in ks]
+            if ks and len(ks) == len(block):
+                full_at = max(full_at, chain[p][ks[-1]][0])
+        if len(taken) != md.M_r:
             raise InfeasibleDesignError(
-                f"cover extraction stalled at rank {sum(now[m])} < {md.M_r}")
-        absorbed = range(max(M_z, full_at[m] + 1), len(scan))
-        covers.append(sorted(scan[pos] for pos in [*taken[m], *absorbed]))
+                f"cover extraction stalled at rank {len(taken)} < {md.M_r}")
+        absorbed = range(max(M_z, full_at + 1), len(scan))
+        covers.append(sorted(scan[pos] for pos in [*taken, *absorbed]))
     return covers
 
 
@@ -383,8 +378,9 @@ def design_topology(subsystems: list[SubsystemModel], mode_filter: str = "all",
     lams = kept.values
     modes = ratfun.modes(nds0, lams, rank_tol)
     M_v, M_z = nds0.M_v, nds0.M_z
-    j_grd, _ = greedy_link_rows(modes, M_v, rank_tol)
-    covers = extract_cover_sets(j_grd, modes, M_v, M_z, rank_tol)
+    ranks = _BlockRanks(modes, rank_tol)  # stage 1's one rank cache
+    j_grd, _ = greedy_link_rows(modes, M_v, rank_tol, ranks)
+    covers = extract_cover_sets(j_grd, modes, M_v, M_z, rank_tol, ranks)
     coloring, stage1_pos = greedy_color(covers, M_v, M_z, [md.M_r for md in modes])
     stage1_links = [{"position": pos, "provenance": "coloring"} for pos in stage1_pos]
     phi1 = StructuredPattern.from_positions(M_v, M_z, stage1_pos, "phi")
@@ -422,7 +418,7 @@ def design_topology(subsystems: list[SubsystemModel], mode_filter: str = "all",
 
 
 def _structurally_controllable_fixed(positions, base_graph, nds0, modes, q2_oracles,
-                                     rank_tol) -> bool:
+                                     starts) -> bool:
     """Candidate test shared by the exhaustive search; positions are 0-based."""
     graph = base_graph.with_edges(structgraph.link_edges(nds0, positions))
     # An unreachable lambda edge is a moving mode on a cycle and comes with a
@@ -433,10 +429,10 @@ def _structurally_controllable_fixed(positions, base_graph, nds0, modes, q2_orac
     # pattern is the whole parameter pattern
     pattern = StructuredPattern.from_positions(nds0.M_v, nds0.M_z, positions, "phi")
     q1 = GenericPattern(verify.routing_pattern_q1(pattern))
-    for md, q2 in zip(modes, q2_oracles):
+    for md, q2, start in zip(modes, q2_oracles, starts):
         if md.M_r == 0:
             continue
-        best = matroid_intersection_rank(q1, q2)
+        best = matroid_intersection_rank(q1, q2, start)
         if best.certified_rank < md.M_r:
             return False
     return True
@@ -466,13 +462,17 @@ def brute_force_min_topology(subsystems: list[SubsystemModel],
     mode_order = sorted(range(len(modes)), key=lambda i: (-deficiency[i], i))
     modes = [modes[i] for i in mode_order]
     q2_oracles = [NumericColumns(md.column_blocks(), rank_tol) for md in modes]
+    # a basis of Z starts every candidate's intersection, as in
+    # `verify.mode_rank`: it does not depend on the pattern
+    z_ports = range(nds0.M_v, nds0.M_v + nds0.M_z)
+    starts = [q2.basis(z_ports) for q2 in q2_oracles]
     tfms = ratfun.nds_tfms(nds0)
     base_graph = structgraph.build_nacg(nds0, tfms)
     all_positions = [(r, c) for r in range(nds0.M_v) for c in range(nds0.M_z)]
     for size in range(cap + 1):
         for combo in itertools.combinations(all_positions, size):
             if _structurally_controllable_fixed(list(combo), base_graph, nds0,
-                                                modes, q2_oracles, rank_tol):
+                                                modes, q2_oracles, starts):
                 return StructuredPattern.from_positions(nds0.M_v, nds0.M_z,
                                                         list(combo), "phi")
     return None

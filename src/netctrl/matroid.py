@@ -51,7 +51,11 @@ class IndependenceOracle:
         """The oracle bound to current: a function of a list of (x, y) pairs
         telling whether current - x + y is independent for each; x None asks
         for current + y. The intersection binds an independent current once
-        per augmentation and asks x inside it and y outside it."""
+        per augmentation and asks x inside it and y outside it. Raises
+        ValueError for a dependent current set."""
+        if not self.independent(current):
+            raise ValueError("exchanges needs an independent current set")
+
         def ask(pairs: list) -> list[bool]:
             return [self.independent(current | {y} if x is None else current - {x} | {y})
                     for x, y in pairs]
@@ -100,6 +104,34 @@ class BlockRanks:
         return [cache[key] for key in keys]
 
 
+def scan_blocks(ranks: Callable[[list], list[int]],
+                chains: list[tuple[np.ndarray, list[int]]]) -> list[list[int]]:
+    """A greedy basis of each (block, chain of its local columns): the chain
+    is walked in order, a column is kept when it raises the rank of the
+    block's kept columns, and a block stops at full row rank. Each round
+    asks every unfinished block's next column in one `ranks` call (a
+    `BlockRanks.ranks`). Returns the positions each chain keeps, in order.
+
+    A column raises a block's rank by at most one, as the singular values of
+    the block's columns interlace with those one column more, and the cutoff
+    tol * max(1, s0) does not fall. So a block's rank is the count it keeps.
+    """
+    kept: list[list[int]] = [[] for _ in chains]
+    local = [frozenset()] * len(chains)
+    pending = [i for i, (block, chain) in enumerate(chains) if len(block) and chain]
+    k = 0  # each pending chain's next test is its chain[k]
+    while pending:
+        queries = [(chains[i][0], local[i] | {chains[i][1][k]}) for i in pending]
+        for i, (_, cols), r in zip(pending, queries, ranks(queries)):
+            if r > len(kept[i]):
+                kept[i].append(k)
+                local[i] = cols
+        k += 1
+        pending = [i for i in pending
+                   if len(kept[i]) < len(chains[i][0]) and k < len(chains[i][1])]
+    return kept
+
+
 class NumericColumns(IndependenceOracle):
     """Independence = the chosen columns of a block-diagonal float or
     complex matrix have full column rank, read from singular values at
@@ -120,6 +152,7 @@ class NumericColumns(IndependenceOracle):
             where.update((c, (p, block, j)) for j, c in enumerate(columns))
         self.ground_size = len(where)
         self._where = [where[c] for c in range(self.ground_size)]
+        self._columns = [list(columns) for _, columns in parts]
 
     def _keys(self, subset: Iterable[int]) -> dict[int, tuple[np.ndarray, frozenset]]:
         """part -> (its block, its local columns), for each part subset meets."""
@@ -136,8 +169,23 @@ class NumericColumns(IndependenceOracle):
         ranks = iter(self._ranks.ranks([k for k in keys if len(k[1]) <= len(k[0])]))
         return [len(cols) <= len(block) and next(ranks) == len(cols) for block, cols in keys]
 
-    def rank_of(self, subset: Iterable[int]) -> int:
-        return sum(self._ranks.ranks(list(self._keys(subset).values())))
+    def basis(self, elements: Iterable[int]) -> frozenset:
+        """A basis of the given elements. Each part takes all of its
+        elements when they are independent, and else the greedy basis of
+        them in the order given (`scan_blocks`); the tests of all parts go
+        through the oracle's own rank cache, one stacked call per round."""
+        chains: dict[int, tuple[np.ndarray, list]] = {}  # part -> (block, local columns)
+        for c in elements:
+            p, block, j = self._where[c]
+            chains.setdefault(p, (block, []))[1].append(j)
+        whole = self._independence([(block, frozenset(cols)) for block, cols in chains.values()])
+        scanned = iter(scan_blocks(self._ranks.ranks, [
+            chain for chain, ok in zip(chains.values(), whole) if not ok]))
+        basis = []
+        for (p, (_, cols)), ok in zip(chains.items(), whole):
+            basis += [self._columns[p][j] for j in cols] if ok else [
+                self._columns[p][cols[k]] for k in next(scanned)]
+        return frozenset(basis)
 
     def independent(self, subset: Iterable[int]) -> bool:
         return all(self._independence(list(self._keys(subset).values())))
@@ -280,23 +328,27 @@ class CommonIndependentSet:
     reach: frozenset
 
 
-def matroid_intersection_rank(o1: IndependenceOracle,
-                              o2: IndependenceOracle) -> CommonIndependentSet:
+def matroid_intersection_rank(o1: IndependenceOracle, o2: IndependenceOracle,
+                              start: frozenset = frozenset()) -> CommonIndependentSet:
     """Largest common independent set by shortest augmenting paths.
 
     The exchange digraph has arcs x->y (x inside, y outside, swap keeps the
     first matroid independent) and y->x (swap keeps the second independent);
     augmenting along a shortest path from the first-matroid-free elements to
     the second-matroid-free elements grows the set by one until optimal.
-    Each augmentation binds each oracle to the current set once
-    (`exchanges`), and each search step asks its bound oracle one batch:
-    the source test, the sink test, and each frontier vertex's unvisited
-    candidates.
+    The search starts from `start`, which must be independent in both
+    matroids (ValueError otherwise), so it makes at most r - |start|
+    augmentations, r the size of a largest common independent set. Each
+    augmentation binds each oracle to the current set once (`exchanges`),
+    and each search step asks its bound oracle one batch: the source test,
+    the sink test, and each frontier vertex's unvisited candidates.
     """
     n = o1.ground_size
     if o2.ground_size != n:
         raise ValueError("oracles must share one ground set")
-    current: frozenset[int] = frozenset()
+    current = frozenset(start)
+    # binding checks independence, so a start is bound to both at once
+    ask2 = o2.exchanges(current) if current else None
     while True:
         outside = [y for y in range(n) if y not in current]
         adds = [(None, y) for y in outside]
@@ -305,7 +357,7 @@ def matroid_intersection_rank(o1: IndependenceOracle,
         if not sources:
             reach = frozenset()
             break
-        ask2 = o2.exchanges(current)
+        ask2 = ask2 or o2.exchanges(current)
         sinks = {y for y, ok in zip(outside, ask2(adds)) if ok}
         if not sinks:
             reach = frozenset(range(n))
@@ -338,5 +390,6 @@ def matroid_intersection_rank(o1: IndependenceOracle,
         while prev[path[-1]] is not None:
             path.append(prev[path[-1]])
         current ^= frozenset(path)
+        ask2 = None
     return CommonIndependentSet(current, len(current), reach)
 

@@ -24,7 +24,11 @@ cheapest of three ranks that can prove it:
   draw leaves short of its target. [Y Z] is block-diagonal by subsystem,
   so its column matroid is the direct sum of the subsystems' [y_i z_i]
   (`ratfun.ModeData.column_blocks`), and each independence question is
-  ranked in the one block it touches, at that block's own cutoff.
+  ranked in the one block it touches, at that block's own cutoff. A z
+  port's column of [P^T I] is an identity column, so a basis of Z is
+  independent in both matroids; the intersection starts there, and by the
+  owners' PBH identity it has M_r - d columns, d the mode's owner
+  deficiency, so at most d augmentations remain.
 """
 
 from __future__ import annotations
@@ -80,11 +84,15 @@ def mode_rank(md: ratfun.ModeData, pattern: StructuredPattern, q1: GenericPatter
 
     By Cauchy-Binet, rank(Y P + Z) at any real P is at most the generic rank,
     which equals the intersection rank. So one draw of P reaching the target
-    M_r settles the mode; a shortfall runs the exact intersection, with
-    [Y Z] ranked block by block (`NumericColumns`). Y P + Z = [Y Z] [P; I]
-    is read from the blocks [y_i z_i] of [Y Z], one row block each. The
-    draw is unit-scale Gaussian: large integer draws make the float rank
-    read low.
+    M_r settles the mode. Y P + Z = [Y Z] [P; I] is read from the blocks
+    [y_i z_i] of [Y Z], one row block each. The draw is unit-scale
+    Gaussian: large integer draws make the float rank read low.
+
+    A shortfall runs the exact intersection, with [Y Z] ranked block by
+    block (`NumericColumns`), from a basis of Z (`NumericColumns.basis` of
+    the z ports, the columns after Y's): its columns of [P^T I] are identity
+    columns, so it is independent in both matroids, and at most the owner
+    deficiency d of augmentations remain.
     """
     q = np.vstack([np.zeros((pattern.rows, pattern.cols)), np.eye(pattern.cols)])
     if pattern.entries:
@@ -94,7 +102,9 @@ def mode_rank(md: ratfun.ModeData, pattern: StructuredPattern, q1: GenericPatter
     if ex.float_rank(np.vstack([block @ q[cols] for block, cols in blocks]),
                      rank_tol) == md.M_r:
         return md.M_r
-    return matroid_intersection_rank(q1, NumericColumns(blocks, rank_tol)).certified_rank
+    q2 = NumericColumns(blocks, rank_tol)
+    z_ports = range(pattern.rows, pattern.rows + pattern.cols)
+    return matroid_intersection_rank(q1, q2, q2.basis(z_ports)).certified_rank
 
 
 def check_fum_networked(nds: NdsModel, spec: Optional[ratfun.Spectrum] = None,

@@ -209,11 +209,14 @@ class ExactColumns(IndependenceOracle):
 
 
 def rank_of(oracle: IndependenceOracle, subset: Iterable[int]) -> int:
-    """The rank of a subset: for a `GenericPattern`, the size of a maximum
-    matching of its columns, which the intersection never asks for; for a
-    column oracle, its own cached `rank_of`."""
+    """The rank of a subset, which the intersection never asks for: for a
+    `GenericPattern`, the size of a maximum matching of its columns; for a
+    `NumericColumns`, the sum of its parts' ranks, through the oracle's own
+    `BlockRanks`; for an `ExactColumns`, its own cached `rank_of`."""
     if isinstance(oracle, GenericPattern):
         return len(oracle._matching(subset))
+    if isinstance(oracle, NumericColumns):
+        return sum(oracle._ranks.ranks(list(oracle._keys(subset).values())))
     return oracle.rank_of(subset)
 
 
@@ -269,7 +272,7 @@ def exhaustive_union_rank(numeric_part, generic_pattern: StructuredPattern,
     best = n
     for mask in range(1 << n):
         subset = [e for e in elements if mask >> e & 1]
-        value = (n - len(subset)) + o1.rank_of(subset) + rank_of(o2, subset)
+        value = (n - len(subset)) + rank_of(o1, subset) + rank_of(o2, subset)
         if value < best:
             best = value
     return best

@@ -413,9 +413,9 @@ def test_brute_force_rejects_unreachable_lambda_edge_first(monkeypatch, sec7):
     exact = design.matroid_intersection_rank
     calls = []
 
-    def counting(o1, o2):
+    def counting(o1, o2, start=frozenset()):
         calls.append(1)
-        return exact(o1, o2)
+        return exact(o1, o2, start)
 
     monkeypatch.setattr(design, "matroid_intersection_rank", counting)
     best = brute_force_min_topology(sec7.subsystems, max_links=3)

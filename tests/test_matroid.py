@@ -202,6 +202,117 @@ def test_dual_certificate_on_check_network():
     assert nds.M_x == 73 and intersected == 32 and shortfalls > 0
 
 
+def test_dual_certificate_from_a_start(sec7):
+    # Edmonds' identity holds for an intersection started from a common
+    # independent set, which reaches the rank the empty start does: from
+    # the basis of Z on every mode of sec7 with a target, and from random
+    # common independent sets of random block-diagonal matrices
+    q1 = GenericPattern(verify.routing_pattern_q1(sec7.P_pattern))
+    z_ports = range(sec7.M_v, sec7.M_v + sec7.M_z)
+    for md in ratfun.modes(sec7, ratfun.spectrum(sec7).values):
+        if md.M_r == 0:
+            continue
+        q2 = NumericColumns(md.column_blocks())
+        best = matroid_intersection_rank(q1, q2, q2.basis(z_ports))
+        _assert_dual_certificate(q1, q2, best)
+        assert best.certified_rank == matroid_intersection_rank(q1, q2).certified_rank
+    rng = random.Random(59)
+    nrng = np.random.default_rng(59)
+    started = 0
+    for _ in range(80):
+        parts, ground = _random_parts(rng, nrng)
+        q2 = NumericColumns(parts)
+        positions = [(r, c) for r in range(rng.randint(1, 4)) for c in range(ground)
+                     if rng.random() < 0.3]
+        q1 = GenericPattern(_pattern(max(r for r, _ in positions) + 1 if positions else 0,
+                                     ground, positions))
+        start = frozenset(_independent_subset(
+            rng, ground, lambda s: q1.independent(s) and q2.independent(s)))
+        best = matroid_intersection_rank(q1, q2, start)
+        _assert_dual_certificate(q1, q2, best)
+        assert best.certified_rank == matroid_intersection_rank(q1, q2).certified_rank
+        started += bool(start)
+    assert started > 40
+
+
+def test_intersection_rejects_dependent_start():
+    # a start must be independent in both matroids, whichever comes first:
+    # the pattern and column oracles refuse it when they bind it, a
+    # base-class oracle by its own independence test
+    dup = ex.mat([[1, 2, 0], [2, 4, 1]])
+    free = dense_columns(np.eye(3))
+    for oracle in (GenericPattern(_pattern(1, 3, [(0, 0), (0, 1), (0, 2)])),
+                   dense_columns(ex.to_float(dup)), ExactColumns(dup)):
+        for pair in ((oracle, free), (free, oracle)):
+            with pytest.raises(ValueError):
+                matroid_intersection_rank(*pair, frozenset({0, 1}))
+            assert matroid_intersection_rank(*pair, frozenset({1})).certified_rank == \
+                matroid_intersection_rank(*pair).certified_rank
+
+
+def _random_parts(rng, nrng):
+    """Random (block, columns) parts of a block-diagonal matrix, some of
+    low rank, some blocks one shared object, and their ground size."""
+    kinds = [nrng.standard_normal((rng.randint(0, 3), 2))
+             @ nrng.standard_normal((2, rng.randint(1, 4))) * 10.0 ** rng.randint(-2, 3)
+             for _ in range(rng.randint(1, 3))]
+    blocks = [rng.choice(kinds) for _ in range(rng.randint(1, 4))]
+    ground = sum(b.shape[1] for b in blocks)
+    order = rng.sample(range(ground), ground)
+    parts = []
+    for b in blocks:
+        parts.append((b, order[:b.shape[1]]))
+        order = order[b.shape[1]:]
+    return parts, ground
+
+
+def test_basis_is_a_greedy_basis(monkeypatch):
+    # a basis of any elements, in any order, of a block-diagonal matrix: each
+    # part whole when independent, else the greedy basis in the given order,
+    # with one stacked rank call for the whole parts and one per round
+    rng = random.Random(61)
+    nrng = np.random.default_rng(61)
+    whole = scanned = 0
+    for _ in range(80):
+        parts, ground = _random_parts(rng, nrng)
+        oracle = NumericColumns(parts)
+        elements = rng.sample(range(ground), rng.randint(0, ground))
+        calls = []
+        ranks = oracle._ranks.ranks
+        monkeypatch.setattr(oracle._ranks, "ranks", lambda q: calls.append(q) or ranks(q))
+        basis = oracle.basis(elements)
+        monkeypatch.undo()
+        want = set()
+        for block, cols in parts:
+            mine = [c for c in elements if c in cols]
+            if oracle.independent(mine):
+                want |= set(mine)
+                whole += bool(mine)
+                continue
+            kept = []
+            for c in mine:
+                if kept and len(kept) == len(block):
+                    break
+                if rank_of(oracle, kept + [c]) > len(kept):
+                    kept.append(c)
+            want |= set(kept)
+            scanned += 1
+        assert basis == want and oracle.independent(basis)
+        assert len(basis) == rank_of(oracle, elements)
+        assert len(calls) <= 1 + max((len(cols) for _, cols in parts), default=0)
+    assert whole and scanned
+
+
+def test_scan_blocks_keeps_rank_gains():
+    # each chain keeps the positions whose column raises its block's rank,
+    # and stops at full row rank; empty blocks and chains keep nothing
+    block = np.array([[1.0, 2.0, 0.0, 1.0, 5.0], [0.0, 0.0, 0.0, 1.0, 1.0]])
+    ranks = matroid.BlockRanks().ranks
+    chains = [(block, [0, 1, 2, 3, 4]), (block, [2, 4, 0]), (block, []),
+              (np.zeros((0, 3)), [0, 1]), (block, [1, 0, 4])]
+    assert matroid.scan_blocks(ranks, chains) == [[0, 3], [1, 2], [], [], [0, 2]]
+
+
 def _block_rank(md, subset):
     """r2 of a column set of [Y Z] summed over the subsystems' blocks, each
     block's chosen columns ranked alone."""
@@ -231,7 +342,7 @@ def test_block_oracle_matches_dense(sec7, sec7_designed2, sec7_designed3):
             # Edmonds: r1(E - R) + r2(R) = |I|, r2 summed over the blocks
             outside = [e for e in range(q1.ground_size) if e not in best.reach]
             r2 = _block_rank(md, best.reach)
-            assert q2.rank_of(best.reach) == r2
+            assert rank_of(q2, best.reach) == r2
             assert rank_of(q1, outside) + r2 == best.certified_rank
             seen["modes"] += 1
             seen["complex"] += complex(md.lam).imag != 0
@@ -339,7 +450,7 @@ def test_direct_sum_swaps_match_dense(monkeypatch):
         whole = [float_rank(b) for b in blocks]
         ranked.clear()
         assert oracle.ground_size == ground and [
-            oracle.rank_of(cols) for _, cols in parts] == whole
+            rank_of(oracle, cols) for _, cols in parts] == whole
         assert sum(ranked) == len({id(b) for b in blocks if len(b)})
         current = _independent_subset(
             rng, ground, lambda s: float_rank(dense[:, sorted(s)]) == len(s))
@@ -348,7 +459,7 @@ def test_direct_sum_swaps_match_dense(monkeypatch):
                 for x, y in pairs]
         assert oracle.exchanges(frozenset(current))(pairs) == [
             r == len(_swapped(current, x, y)) for r, (x, y) in zip(want, pairs)]
-        assert [oracle.rank_of(_swapped(current, x, y)) for x, y in pairs] == want
+        assert [rank_of(oracle, _swapped(current, x, y)) for x, y in pairs] == want
 
 
 def test_dual_certificate_edge_cases():
@@ -514,17 +625,17 @@ def test_numeric_swaps_match_float_rank():
             rng, cols, lambda s: ex.float_rank(matrix[:, sorted(s)]) == len(s))
         pairs = _pairs(rng, current, cols)
         for x, y in rng.sample(pairs, len(pairs) // 3):  # cache hits from rank_of
-            oracle.rank_of(_swapped(current, x, y))
+            rank_of(oracle, _swapped(current, x, y))
         want = [ex.float_rank(matrix[:, sorted(_swapped(current, x, y))])
                 for x, y in pairs]
         for _ in range(2):  # the second call is answered from the cache
             assert oracle.exchanges(frozenset(current))(pairs) == [
                 r == len(_swapped(current, x, y)) for r, (x, y) in zip(want, pairs)]
-        assert [oracle.rank_of(_swapped(current, x, y)) for x, y in pairs] == want
+        assert [rank_of(oracle, _swapped(current, x, y)) for x, y in pairs] == want
     # a 0-row matrix ranks 0: no column is independent
     empty = dense_columns(np.zeros((0, 3)))
     assert empty.exchanges(frozenset())([(None, 1), (None, 2), (None, 1)]) == [False] * 3
-    assert empty.rank_of({1}) == 0
+    assert rank_of(empty, {1}) == 0
 
 
 def test_intersection_monotone_in_free_entries():

@@ -21,7 +21,7 @@ from netctrl.verify import (check_feasibility, check_fum_networked,
 
 from oracles import (_dense_close_loop, check_fum_lumped, dense_columns, dense_y, dense_z,
                      kalman_uncontrollable_polynomial)
-from randgen import random_fixed_subsystems, random_nds, random_subsystem
+from randgen import check_network, random_fixed_subsystems, random_nds, random_subsystem
 
 
 def _names(seq):
@@ -72,8 +72,8 @@ def test_intersection_runs_only_on_shortfall(monkeypatch, sec7, sec7_designed2,
     exact = verify.matroid_intersection_rank
     ranks = []
 
-    def counting(o1, o2):
-        best = exact(o1, o2)
+    def counting(o1, o2, start=frozenset()):
+        best = exact(o1, o2, start)
         ranks.append(best.certified_rank)
         return best
 
@@ -83,6 +83,70 @@ def test_intersection_runs_only_on_shortfall(monkeypatch, sec7, sec7_designed2,
         fums = fums_of(check_fum_networked(nds))
         assert [complex(mc.lam) for mc in fums] == fum_lams
         assert ranks == [mc.achieved for mc in fums]
+
+
+def _bound(o1, o2, start=frozenset()):
+    """The intersection of o1 and o2 from start, and how many times it bound
+    o1 (`exchanges`): once per augmentation and once more."""
+    bindings = []
+    exchanges = o1.exchanges
+    o1.exchanges = lambda current: bindings.append(current) or exchanges(current)
+    try:
+        return matroid_intersection_rank(o1, o2, start), len(bindings)
+    finally:
+        del o1.exchanges
+
+
+def _intersections(monkeypatch, nds):
+    """Each exact intersection `check_fum_networked(nds)` runs, as (mode,
+    first oracle, second oracle, start, bindings of the first oracle)."""
+    rank_mode = verify.mode_rank
+    calls, mode = [], []
+
+    def recording_mode_rank(md, *args):
+        mode[:] = [md]
+        return rank_mode(md, *args)
+
+    def counting(o1, o2, start=frozenset()):
+        best, bindings = _bound(o1, o2, start)
+        calls.append((mode[0], o1, o2, start, bindings))
+        return best
+
+    monkeypatch.setattr(verify, "mode_rank", recording_mode_rank)
+    monkeypatch.setattr(verify, "matroid_intersection_rank", counting)
+    check_fum_networked(nds)
+    monkeypatch.undo()
+    return calls
+
+
+def test_z_start_leaves_at_most_the_owner_deficiency(monkeypatch):
+    # each intersected mode starts from a basis of Z, M_r - d columns by the
+    # owners' PBH identity, and so binds its first oracle at most d + 1
+    # times; from the empty set some of the same modes bind it more often
+    nds = check_network(64)
+    spec = ratfun.spectrum(nds)
+    deficiency = dict(zip(spec.values, ratfun.owner_deficiencies(nds, spec)))
+    calls = _intersections(monkeypatch, nds)
+    assert calls
+    over = 0
+    for md, q1, q2, start, bindings in calls:
+        d = deficiency[md.lam]
+        assert len(start) == md.M_r - d and q2.independent(start)
+        assert start <= set(range(nds.M_v, nds.M_v + nds.M_z))
+        assert bindings <= d + 1
+        over += _bound(q1, q2)[1] > d + 1
+    assert over
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_z_start_keeps_certified_rank(monkeypatch, n):
+    # every intersected mode of the size-table network reaches the same
+    # rank from the basis of Z as from the empty set
+    calls = _intersections(monkeypatch, check_network(n))
+    assert calls
+    for _, q1, q2, start, _ in calls:
+        assert matroid_intersection_rank(q1, q2, start).certified_rank == \
+            matroid_intersection_rank(q1, q2).certified_rank
 
 
 def test_fum_networked_skips_covered_modes():
