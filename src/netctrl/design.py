@@ -2,7 +2,8 @@
 
 Stage 1 picks internal-input rows by a submodular greedy until every
 per-mode rank target is reachable, extracts per-mode cover sets, and turns
-them into concrete routing entries by greedy clique coloring. Stage 2 wires
+them into concrete routing entries by a greedy coloring in which two
+columns clash when a cover holds both (`greedy_color`). Stage 2 wires
 any remaining unreachable frequency-dependent source components to the
 input-reachable region, one link each.
 
@@ -205,57 +206,52 @@ class ColoringGraph:
 
 def greedy_color(cover_sets: list[list[int]], M_v: int, M_z: int,
                  mode_targets: list[int]) -> tuple[ColoringGraph, list[tuple[int, int]]]:
-    """Color the clique-union graph and read routing entries off the colors.
+    """Color the covers' clique-union graph and read routing entries off the colors.
 
-    Port vertices carry their own column as a fixed color. Among uncolored
-    vertices the one seeing the most distinct neighbor colors goes first
-    (ties to the larger index). A vertex facing all M_z colors receives the
-    largest target of the covers containing it as a block of distinct colors
-    and its colored edges are removed for good; otherwise it gets one color,
-    preferring the smallest already-open color that does not clash, else the
-    smallest fresh one. Row vertex v with color c maps to routing entry
-    (v, c).
+    Two vertices are adjacent when one cover holds both. Port vertices carry
+    their own column as a fixed color. Among uncolored vertices the one
+    seeing the most distinct neighbor colors goes first (ties to the larger
+    index). A vertex facing all M_z colors receives the largest target of
+    the covers containing it as a block of distinct colors and its colored
+    edges are removed for good; otherwise it gets one color, preferring the
+    smallest already-open color that does not clash, else the smallest fresh
+    one. Row vertex v with color c maps to routing entry (v, c).
+
+    No graph is built; this is DSatur's bookkeeping (Brelaz 1979) on the
+    covers. A removed edge joins two colored vertices, so an uncolored
+    vertex never meets one, and the colors it sees are those of the colored
+    vertices that share a cover with it. Each uncolored row keeps that set:
+    its covers' port colors up front, then each cover-mate's colors as it is
+    colored.
     """
     vertices = sorted(set().union(*cover_sets)) if cover_sets else []
-    adj: dict[int, set[int]] = {v: set() for v in vertices}
-    for cover in cover_sets:
-        for a, b in itertools.combinations(sorted(cover), 2):
-            adj[a].add(b)
-            adj[b].add(a)
-    colors: dict[int, set[int]] = {}
-    for v in vertices:
-        if v >= M_v:
-            colors[v] = {v - M_v}
+    colors: dict[int, set[int]] = {v: {v - M_v} for v in vertices if v >= M_v}
+    used = {v - M_v for v in colors}
+    seen: dict[int, set[int]] = {v: set() for v in vertices if v < M_v}  # uncolored rows
+    covers_of: dict[int, list[int]] = {v: [] for v in seen}
+    rows = [[v for v in cover if v < M_v] for cover in cover_sets]
+    for i, cover in enumerate(cover_sets):
+        ports = {u - M_v for u in cover if u >= M_v}
+        for v in rows[i]:
+            seen[v] |= ports
+            covers_of[v].append(i)
     removed: set[frozenset] = set()
     order: list[int] = []
-    uncolored = [v for v in vertices if v not in colors]
-
-    def neighbor_colors(v: int) -> set[int]:
-        out: set[int] = set()
-        for u in adj[v]:
-            if u in colors and frozenset((u, v)) not in removed:
-                out |= colors[u]
-        return out
-
-    while uncolored:
-        ranked = sorted(uncolored, key=lambda v: (len(neighbor_colors(v)), v))
-        v_star = ranked[-1]
-        seen = neighbor_colors(v_star)
-        if len(seen) >= M_z:
-            k_max = max(mode_targets[i] for i, cover in enumerate(cover_sets)
-                        if v_star in cover)
-            colors[v_star] = set(range(k_max))
-            for u in adj[v_star]:
-                if u in colors:
-                    removed.add(frozenset((u, v_star)))
-        else:
-            used = set().union(*colors.values()) if colors else set()
-            pick = next((c for c in sorted(used) if c not in seen), None)
-            if pick is None:
-                pick = next(c for c in range(M_z) if c not in used)
-            colors[v_star] = {pick}
+    while seen:
+        v_star = max(seen, key=lambda v: (len(seen[v]), v))
+        sat = seen.pop(v_star)
+        if len(sat) >= M_z:
+            colors[v_star] = set(range(max(mode_targets[i] for i in covers_of[v_star])))
+            removed.update(frozenset((u, v_star)) for i in covers_of[v_star]
+                           for u in cover_sets[i] if u != v_star and u not in seen)
+        else:  # the smallest open color that does not clash, else the smallest fresh one
+            colors[v_star] = {min(used - sat or set(range(M_z)) - used)}
+        used |= colors[v_star]
         order.append(v_star)
-        uncolored.remove(v_star)
+        for i in covers_of[v_star]:
+            for u in rows[i]:
+                if u in seen:
+                    seen[u] |= colors[v_star]
     graph = ColoringGraph(tuple(vertices), {v: frozenset(c) for v, c in colors.items()},
                           tuple(order), frozenset(removed))
     positions = sorted((v, c) for v, cs in colors.items() if v < M_v for c in cs)

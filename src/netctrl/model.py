@@ -53,7 +53,7 @@ class StructuredPattern:
                                  f"for {self.rows}x{self.cols}")
         ids = list(self.entries.values())
         if len(set(ids)) != len(ids):
-            raise ModelError("repeated parameter id inside one pattern")
+            raise ModelError("parameter ids must be globally distinct")
 
     @property
     def num_free(self) -> int:
@@ -491,8 +491,7 @@ class NdsModel:
                 r0, c0 = v_off[i] + s.m_v0, z_off[i] + s.m_z0
                 entries.update(((r0 + r, c0 + c), pid)
                                for (r, c), pid in s.param_block.entries.items())
-        if len(set(entries.values())) != len(entries):
-            raise ModelError("parameter ids must be globally distinct")
+        # the pattern rejects a repeated id, routing's and the blocks' alike
         self.P_pattern = StructuredPattern(self.M_v, self.M_z, entries)
 
     @classmethod

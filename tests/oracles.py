@@ -20,6 +20,9 @@ a question the library settles another way:
 * design's stage 1 on the dense [Y Z] of each mode (`dense_g_value`,
   `dense_greedy_link_rows`, `dense_extract_cover_sets`), one global rank
   at one cutoff per matrix, beside the library's per-block ranks;
+* design's coloring on the clique-union graph of the covers, every edge
+  built and every saturation recounted at each step (`clique_union_color`),
+  beside `design.greedy_color`, which keeps each row's seen colors;
 * Hopcroft-Karp matching, and the recursive augmenting-path search
   (`recursive_max_matching`), beside `matroid._max_matching`, and the layout of
   the lumped parameter pattern beside `NdsModel.P_pattern`;
@@ -48,7 +51,7 @@ import numpy as np
 
 from netctrl import exactla as ex
 from netctrl import ratfun
-from netctrl.design import InfeasibleDesignError
+from netctrl.design import ColoringGraph, InfeasibleDesignError
 from netctrl.exactla import RANK_TOL, Mat
 from netctrl.matroid import GenericPattern, IndependenceOracle, NumericColumns
 from netctrl.model import NdsModel, StructuredPattern, assemble_lumped
@@ -587,6 +590,67 @@ def dense_extract_cover_sets(j_grd: list[int], modes: list[ModeData], M_v: int, 
                 f"cover extraction stalled at rank {rank_now} < {md.M_r}")
         covers.append(sorted(cover))
     return covers
+
+
+# --- design's coloring on the clique-union graph -----------------------------
+
+def clique_union_color(cover_sets: list[list[int]], M_v: int, M_z: int,
+                       mode_targets: list[int]) -> tuple[ColoringGraph, list[tuple[int, int]]]:
+    """Color the clique-union graph and read routing entries off the colors.
+
+    Port vertices carry their own column as a fixed color. Among uncolored
+    vertices the one seeing the most distinct neighbor colors goes first
+    (ties to the larger index). A vertex facing all M_z colors receives the
+    largest target of the covers containing it as a block of distinct colors
+    and its colored edges are removed for good; otherwise it gets one color,
+    preferring the smallest already-open color that does not clash, else the
+    smallest fresh one. Row vertex v with color c maps to routing entry
+    (v, c).
+    """
+    vertices = sorted(set().union(*cover_sets)) if cover_sets else []
+    adj: dict[int, set[int]] = {v: set() for v in vertices}
+    for cover in cover_sets:
+        for a, b in itertools.combinations(sorted(cover), 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    colors: dict[int, set[int]] = {}
+    for v in vertices:
+        if v >= M_v:
+            colors[v] = {v - M_v}
+    removed: set[frozenset] = set()
+    order: list[int] = []
+    uncolored = [v for v in vertices if v not in colors]
+
+    def neighbor_colors(v: int) -> set[int]:
+        out: set[int] = set()
+        for u in adj[v]:
+            if u in colors and frozenset((u, v)) not in removed:
+                out |= colors[u]
+        return out
+
+    while uncolored:
+        ranked = sorted(uncolored, key=lambda v: (len(neighbor_colors(v)), v))
+        v_star = ranked[-1]
+        seen = neighbor_colors(v_star)
+        if len(seen) >= M_z:
+            k_max = max(mode_targets[i] for i, cover in enumerate(cover_sets)
+                        if v_star in cover)
+            colors[v_star] = set(range(k_max))
+            for u in adj[v_star]:
+                if u in colors:
+                    removed.add(frozenset((u, v_star)))
+        else:
+            used = set().union(*colors.values()) if colors else set()
+            pick = next((c for c in sorted(used) if c not in seen), None)
+            if pick is None:
+                pick = next(c for c in range(M_z) if c not in used)
+            colors[v_star] = {pick}
+        order.append(v_star)
+        uncolored.remove(v_star)
+    graph = ColoringGraph(tuple(vertices), {v: frozenset(c) for v, c in colors.items()},
+                          tuple(order), frozenset(removed))
+    positions = sorted((v, c) for v, cs in colors.items() if v < M_v for c in cs)
+    return graph, positions
 
 
 # --- exhaustive row search ---------------------------------------------------

@@ -15,8 +15,8 @@ from netctrl.model import NdsModel, StructuredPattern, SubsystemModel
 from netctrl.structgraph import (build_nacg, find_input_unreachable_lambda_cycle,
                                  unreachable_source_sccs_with_lambda_edge)
 
-from oracles import (dense_extract_cover_sets, dense_g_value, dense_greedy_link_rows,
-                     minimal_rows_exhaustive)
+from oracles import (clique_union_color, dense_extract_cover_sets, dense_g_value,
+                     dense_greedy_link_rows, minimal_rows_exhaustive)
 from randgen import design_network, random_fixed_subsystems, random_subsystem
 
 
@@ -290,6 +290,37 @@ def test_greedy_color_saturated_vertex_gets_color_block():
     assert positions == [(0, 0), (0, 1)]
     assert frozenset((0, 1)) in graph.removed_edges
     assert frozenset((0, 2)) in graph.removed_edges
+
+
+def test_greedy_color_matches_clique_union_random():
+    # the cover bookkeeping against the clique-union graph, on seeded covers
+    rng = random.Random(7)
+    cases = Counter()
+    for _ in range(2000):
+        M_v, M_z = rng.randint(0, 8), rng.randint(1, 6)
+        ground = range(M_v + M_z)
+        covers = [sorted(rng.sample(ground, rng.randint(0, len(ground))))
+                  for _ in range(rng.randint(0, 6))]
+        targets = [rng.randint(1, M_z) for _ in covers]
+        want = clique_union_color(covers, M_v, M_z, targets)
+        assert greedy_color(covers, M_v, M_z, targets) == want, (covers, M_v, M_z, targets)
+        cases["no covers"] += not covers
+        cases["port-only cover"] += any(c and min(c) >= M_v for c in covers)
+        cases["row in no port's cover"] += any(
+            all(max(c) < M_v for c in covers if v in c) for v in want[0].vertices if v < M_v)
+        cases["saturated"] += bool(want[0].removed_edges)
+    assert len(cases) == 4 and min(cases.values()) >= 50, cases
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_greedy_color_matches_clique_union_design_networks(n):
+    nds = NdsModel.unrouted(design_network(n))
+    modes = ratfun.modes(nds, ratfun.spectrum(nds).values)
+    rows, _ = greedy_link_rows(modes, nds.M_v)
+    covers = extract_cover_sets(rows, modes, nds.M_v, nds.M_z)
+    targets = [md.M_r for md in modes]
+    assert (greedy_color(covers, nds.M_v, nds.M_z, targets)
+            == clique_union_color(covers, nds.M_v, nds.M_z, targets))
 
 
 def _cycle_sub(name):

@@ -37,6 +37,18 @@ def test_pattern_validation():
     assert vals == ex.mat([[0, 3, 0], [0, 0, "1/2"]])
 
 
+def test_pattern_rejects_out_of_bounds_entry():
+    with pytest.raises(ModelError, match=r"pattern position \(2,0\) out of bounds for 2x3"):
+        StructuredPattern(2, 3, {(0, 0): "a", (2, 0): "b"})
+    with pytest.raises(ModelError, match=r"pattern position \(0,-1\) out of bounds for 2x3"):
+        StructuredPattern(2, 3, {(0, -1): "a"})
+
+
+def test_pattern_rejects_repeated_id():
+    with pytest.raises(ModelError, match="parameter ids must be globally distinct"):
+        StructuredPattern(2, 3, {(0, 0): "a", (1, 2): "a"})
+
+
 def test_augment_without_block_is_identity(sec7):
     sub = sec7.subsystems[0]
     aug = analysis_form(sub)
