@@ -385,7 +385,9 @@ def load_document(path: str) -> tuple[NdsModel, dict, list[str], str]:
     except json.JSONDecodeError as e:
         raise DocumentError(f"{path}: invalid JSON ({e})") from None
     model, options, warnings, canonical = _read_document(data)
-    digest = hashlib.sha256(json.dumps(canonical, sort_keys=True).encode()).hexdigest()[:16]
+    # the parse builds the canonical tree acyclic: no circular check needed
+    digest = hashlib.sha256(json.dumps(canonical, sort_keys=True,
+                                       check_circular=False).encode()).hexdigest()[:16]
     return model, options, warnings, digest
 
 
@@ -423,7 +425,8 @@ def _render_text(value, indent: int = 0) -> list[str]:
 
 def _emit(report: dict, fmt: str, out: Optional[str], wall_ms: float) -> None:
     if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        # `to_dict` builds the report acyclic: no circular check needed
+        text = json.dumps(report, indent=2, sort_keys=True, check_circular=False) + "\n"
     else:
         text = "\n".join(_render_text(report)) + f"\n# wall time: {wall_ms:.1f} ms\n"
     _write_output(text, out)

@@ -2,7 +2,7 @@
 
 Matrices are plain lists of rows holding `fractions.Fraction` entries; all
 routines in this module are exact. The modular kernels take residues mod a
-prime (`PRIME` unless given) in numpy int64 arrays: `mod_rows`,
+prime (`PRIME` unless given) in numpy int64 arrays: `mod_matrix`,
 `mod_matmul`, `solve_mod` (Gauss-Jordan), `krylov_spans_mod` (the Krylov
 span's echelon basis; a rank it finds full is full over the rationals too)
 and `uncontrollable_charpoly_mod` (the characteristic polynomial on the
@@ -33,7 +33,7 @@ Cramer's rule keeps integral; a Fraction is made only for each output
 entry (Y / det). `model.OpenLoop` builds its loop straight into integer
 rows and solves them with `int_solve`; its closure mod a prime runs that
 solve itself wherever `solve_mod` or the residues give up, and reduces
-the exact closed loop with `int_rows` and `mod_rows`.
+the exact closed loop with `mod_matrix`.
 
 The exact kernels skip zero operands: `mmul` multiplies only nonzero
 pairs, and the elimination updates a row only where its entry in the
@@ -363,19 +363,15 @@ PRIME = 67108859
 _MOD_CHUNK = 2047
 
 
-def mod_rows(rows: list[list[int]], dens: list[int], p: int = PRIME):
-    """Integer rows over per-row denominators (row i / dens[i]) as an int64
-    array of residues mod p, or None when p divides a denominator."""
-    out = np.zeros((len(rows), len(rows[0]) if rows else 0), np.int64)
-    for i, (row, den) in enumerate(zip(rows, dens)):
-        if any(row):
-            d = den % p
-            if not d:
-                return None
-            out[i] = [x % p for x in row]
-            if d != 1:
-                out[i] = out[i] * pow(d, -1, p) % p
-    return out
+def mod_matrix(m: Mat, p: int = PRIME) -> Optional[np.ndarray]:
+    """A rational matrix's entries mod p as an int64 array of shape `shape(m)`,
+    or None when p divides a denominator."""
+    try:
+        rows = [[x.numerator % p if x.denominator == 1
+                 else x.numerator * pow(x.denominator, -1, p) % p for x in row] for row in m]
+    except ValueError:  # pow: the denominator is not invertible mod p
+        return None
+    return np.array(rows, np.int64).reshape(shape(m))
 
 
 def mod_matmul(a: np.ndarray, b: np.ndarray, p: int = PRIME) -> np.ndarray:
@@ -389,18 +385,23 @@ def mod_matmul(a: np.ndarray, b: np.ndarray, p: int = PRIME) -> np.ndarray:
     return out
 
 
-def _eliminate_mod(m: np.ndarray, row: np.ndarray, j: int, p: int) -> None:
-    """Subtract from each row of m its entry in column j times row, mod p,
-    in place; only the rows with a nonzero entry there are touched."""
+def _clear_pivot(m: np.ndarray, i: int, j: int, p: int) -> None:
+    """Scale row i of m, mod p and in place, to a unit pivot in column j,
+    and clear column j from every other row by one update over the rows
+    that hold it, on the columns from j on: row i is zero before j."""
+    row = m[i, j:]
+    if row[0] != 1:
+        row[:] = row * pow(int(row[0]), -1, p) % p
     rows = m[:, j].nonzero()[0]
+    rows = rows[rows != i]
     if rows.size:
-        m[rows] = (m[rows] - m[rows, j, None] * row) % p
+        m[rows, j:] = (m[rows, j:] - m[rows, j, None] * row) % p
 
 
 def solve_mod(a: np.ndarray, b: np.ndarray, p: int = PRIME) -> Optional[np.ndarray]:
     """X with a X = b mod p, for int64 residues a (n x n) and b (n x k), by
-    Gauss-Jordan elimination of [a | b]; None when a is singular mod p.
-    A column that already holds only its unit pivot costs no update."""
+    Gauss-Jordan elimination of [a | b] (`_clear_pivot`); None when a is
+    singular mod p."""
     n = a.shape[0]
     aug = np.concatenate([a, b], axis=1)
     for j in range(n):
@@ -409,13 +410,7 @@ def solve_mod(a: np.ndarray, b: np.ndarray, p: int = PRIME) -> Optional[np.ndarr
             return None
         if i != j:
             aug[[i, j]] = aug[[j, i]]
-        row = aug[j]
-        if row[j] != 1:
-            row[:] = row * pow(int(row[j]), -1, p) % p
-        pivot = row.copy()
-        row[:] = 0  # the pivot row sits out its own elimination
-        _eliminate_mod(aug, pivot, j, p)
-        aug[j] = pivot
+        _clear_pivot(aug, j, j, p)
     return aug[:, n:]
 
 
@@ -431,33 +426,37 @@ def krylov_spans_mod(a: np.ndarray, b: np.ndarray,
     b's columns come first, then each round the rows the last round added,
     times a. Each basis row's pivot column is zero in every other basis
     row, so one `mod_matmul` reduces a round's candidates against the
-    basis. A round that adds no row leaves an a-invariant span: the Krylov
-    space. The build stops as soon as the span is all of F_p^n.
+    basis. A round then works on one array, the basis rows and then its
+    candidates: a candidate's first nonzero column is its pivot, and one
+    update over the rows holding that column (`_clear_pivot`) clears it
+    from every other row, basis and later candidates alike. A round that
+    adds no row leaves an a-invariant span: the Krylov space.
+    The build stops as soon as the span is all of F_p^n.
     """
     n = a.shape[0]
     at = np.ascontiguousarray(a.T)
-    basis = np.zeros((n, n), np.int64)
+    basis = np.zeros((0, n), np.int64)
     pivots: list[int] = []
     cand = np.ascontiguousarray(b.T)
     while cand.shape[0] and len(pivots) < n:
         r0 = len(pivots)
         if r0:
-            cand = (cand - mod_matmul(cand[:, pivots], basis[:r0], p)) % p
-        for i in range(cand.shape[0]):
-            row = cand[i]
-            j = int(np.argmax(row != 0))
-            if not row[j]:
+            cand = (cand - mod_matmul(cand[:, pivots], basis, p)) % p
+        work = np.concatenate([basis, cand])
+        kept = list(range(r0))
+        for i in range(r0, work.shape[0]):
+            nonzero = work[i].nonzero()[0]
+            if not nonzero.size:
                 continue
-            row = row * pow(int(row[j]), -1, p) % p
-            r = len(pivots)
-            _eliminate_mod(basis[:r], row, j, p)
-            _eliminate_mod(cand[i + 1:], row, j, p)
-            basis[r] = row
+            j = int(nonzero[0])
+            _clear_pivot(work, i, j, p)
+            kept.append(i)
             pivots.append(j)
-            if r + 1 == n:
-                return basis, pivots
-        cand = mod_matmul(basis[r0:len(pivots)], at, p)
-    return basis[:len(pivots)], pivots
+            if len(pivots) == n:
+                return work[kept], pivots
+        basis = work[kept]
+        cand = mod_matmul(basis[r0:], at, p)
+    return basis, pivots
 
 
 def charpoly_mod(a: np.ndarray, p: int = PRIME) -> list[int]:

@@ -281,8 +281,9 @@ class OpenLoop:
     closing the loop at another p rescans none of them. `close_rows` is its
     integer core, on a block in integers (`_integer_block`), and `close`
     builds Fractions from it. Realization closes it mod a prime instead
-    (`close_mod`), from the residues of the same rows; only `close_mod`
-    tells an ill-posed loop from an unlucky prime.
+    (`close_mod`), from the residues of the same rows, which `NetworkLoop`
+    reads per subsystem instead; only `close_mod` tells an ill-posed loop
+    from an unlucky prime.
     """
 
     def __init__(self, m: Mat, e: Mat, h: Mat, f: Mat):
@@ -374,15 +375,20 @@ class OpenLoop:
         """m + e p (I - h p)^-1 f mod prime, for a block p of integers given
         by its nonzero entries {(row, col): value}, as an int64 array.
 
-        [I - h p | f] is built mod prime from the residues of the loop's
-        rows (`residues`) and solved by `exactla.solve_mod`; a nonzero
-        determinant mod prime is a nonzero determinant over the rationals,
-        so that result proves the loop well-posed. When I - h p is singular
-        mod prime, or the prime divides a row's denominator, the exact
-        `close_rows` runs instead: it raises exactla.SingularMatrixError for
-        an ill-posed loop; otherwise the prime is unlucky, and the result is
-        the exact closed loop's residues, or None when the prime divides the
-        denominator of one of its entries.
+        The loop is solved mod prime from the residues of its rows
+        (`residues`), on its loop rows S only: the rows of h with a nonzero
+        residue. Every other row of I - h p is an identity row, so there
+        y = (I - h p)^-1 f is f's row, and on S (I - h_S p_S) y_S =
+        f_S + h_S p_R f_R, R the other rows and p_S, p_R the columns of p
+        they index (`exactla.solve_mod`). I - h p is block-triangular in
+        (S, R), so its determinant is that of I - h_S p_S; a nonzero one mod
+        prime is a nonzero one over the rationals, so the result proves the
+        loop well-posed. When I - h_S p_S is singular mod prime, or the
+        prime divides a row's denominator, the exact `close_rows` runs
+        instead (`_close_exact_mod`): it raises exactla.SingularMatrixError
+        for an ill-posed loop; otherwise the prime is unlucky, and the result
+        is the exact closed loop's residues, or None when the prime divides
+        the denominator of one of its entries.
         """
         res = self.residues(prime)
         if res is not None:
@@ -390,17 +396,29 @@ class OpenLoop:
             if not p:
                 return m.copy()
             block = np.zeros((self.p_rows, self.n), np.int64)
-            for (r, c), x in p.items():
-                block[r, c] = x % prime
-            lhs = -ex.mod_matmul(h, block, prime) % prime
-            lhs[np.diag_indices(self.n)] += 1
-            y = ex.solve_mod(lhs % prime, f, prime)
-            if y is not None:
+            rows, cols = np.array(list(p), np.int64).T
+            block[rows, cols] = [x % prime for x in p.values()]
+            on_loop = h.any(axis=1)
+            loop, rest = np.flatnonzero(on_loop), np.flatnonzero(~on_loop)
+            hp = ex.mod_matmul(h[loop], block, prime)
+            lhs = -hp[:, loop] % prime
+            lhs[np.diag_indices(loop.size)] += 1
+            rhs = (f[loop] + ex.mod_matmul(hp[:, rest], f[rest], prime)) % prime
+            y_loop = ex.solve_mod(lhs % prime, rhs, prime)
+            if y_loop is not None:
+                y = f.copy()
+                y[loop] = y_loop
                 return (m + ex.mod_matmul(ex.mod_matmul(e, block, prime), y, prime)) % prime
+        return self._close_exact_mod(p, prime)
+
+    def _close_exact_mod(self, p: dict[tuple[int, int], int], prime: int) -> Optional[np.ndarray]:
+        """`close_mod`'s fallback: the exact closed loop at the integer block
+        p (`close_rows`) mod prime, or None when prime divides one of its
+        denominators."""
         rows = [[] for _ in range(self.p_rows)]
         for (r, c), x in p.items():
             rows[r].append((c, x))
-        return ex.mod_rows(*ex.int_rows(self._fractions(*self.close_rows((rows, 1)))), prime)
+        return ex.mod_matrix(self._fractions(*self.close_rows((rows, 1))), prime)
 
     def close(self, p: Mat) -> Mat:
         """m + e p (I - h p)^-1 f, exactly: `close_rows` at
@@ -546,6 +564,67 @@ def assemble_lumped(nds: NdsModel) -> LumpedPlant:
         A_zv=ex.block_diag([a.A_zv for a in augs], widths["v"]),
         B_zu=ex.block_diag([a.B_zu for a in augs], widths["u"]),
         P_pattern=nds.P_pattern)
+
+
+class NetworkLoop(OpenLoop):
+    """The network's loop, the lumped plant's `LumpedPlant.loop` m + e P
+    (I - h P)^-1 f with m = [A_xx B_xu], e = A_xv, h = A_zv and
+    f = [A_zx B_zu], closed mod a prime (`close_mod`) without the plant.
+
+    Its residues are read per subsystem (`_reduce`): each analysis form's
+    six blocks mod the prime, placed by the port map `NdsModel.offsets`.
+    The lumped plant and its exact `OpenLoop` (`exact`) are built only when
+    `close_mod` falls back to the exact closure; this loop closes mod a
+    prime only.
+    """
+
+    def __init__(self, nds: NdsModel):
+        self.nds = nds
+        self.n, self.p_rows = nds.M_z, nds.M_v
+        self._residues = {}
+
+    @cached_property
+    def exact(self) -> OpenLoop:
+        """The lumped plant's exact loop, assembled on first use."""
+        return assemble_lumped(self.nds).loop
+
+    def _reduce(self, prime: int) -> Optional[tuple]:
+        """(m, h, f, e) mod prime from the subsystems' analysis forms, each
+        form's block rows [A_xx A_xv B_xu] and [A_zx A_zv B_zu] reduced at
+        once, and once however many subsystems share the form; None when
+        the prime divides a denominator in any form."""
+        nds = self.nds
+        mx = nds.M_x
+        width = mx + nds.M_u
+        m = np.zeros((mx, width), np.int64)
+        e = np.zeros((mx, nds.M_v), np.int64)
+        h = np.zeros((nds.M_z, nds.M_v), np.int64)
+        f = np.zeros((nds.M_z, width), np.int64)
+        x_off, u_off, v_off, z_off = (nds.offsets[kind] for kind in "xuvz")
+        reduced: dict[int, np.ndarray] = {}
+        for i, a in enumerate(nds.analysis):
+            if not (a.m_x or a.m_z):
+                continue  # inputs only: no row to place
+            res = reduced.get(id(a))
+            if res is None:
+                res = ex.mod_matrix([xx + xv + xu for xx, xv, xu in zip(a.A_xx, a.A_xv, a.B_xu)]
+                                    + [zx + zv + zu for zx, zv, zu in zip(a.A_zx, a.A_zv, a.B_zu)],
+                                    prime)
+                if res is None:
+                    return None
+                reduced[id(a)] = res
+            ax, av = a.m_x, a.m_x + a.m_v
+            top, bottom = res[:ax], res[ax:]
+            x = slice(x_off[i], x_off[i + 1])
+            u = slice(mx + u_off[i], mx + u_off[i + 1])
+            v = slice(v_off[i], v_off[i + 1])
+            z = slice(z_off[i], z_off[i + 1])
+            m[x, x], e[x, v], m[x, u] = top[:, :ax], top[:, ax:av], top[:, av:]
+            f[z, x], h[z, v], f[z, u] = bottom[:, :ax], bottom[:, ax:av], bottom[:, av:]
+        return m, h, f, e
+
+    def _close_exact_mod(self, p: dict[tuple[int, int], int], prime: int) -> Optional[np.ndarray]:
+        return self.exact._close_exact_mod(p, prime)
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,9 @@ import numpy as np
 from . import exactla as ex
 from . import ratfun, structgraph
 from .matroid import GenericPattern, NumericColumns, matroid_intersection_rank
-from .model import LumpedPlant, NdsModel, StructuredPattern, SubsystemModel, assemble_lumped
-from .model import check_well_posedness  # noqa: F401 -- perfbench/spans.py patches it here
+from .model import LumpedPlant, NdsModel, NetworkLoop, StructuredPattern, SubsystemModel
+# perfbench/spans.py patches these two here
+from .model import assemble_lumped, check_well_posedness  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -334,15 +335,15 @@ class RealizationResult:
         }
 
 
-def _closures(plant: LumpedPlant, values: dict):
-    """The plant's loop closed at a draw mod `exactla.PRIME`, then mod each
+def _closures(loop: NetworkLoop, values: dict):
+    """The network's loop closed at a draw mod `exactla.PRIME`, then mod each
     next prime below it (`OpenLoop.close_mod`), each as (prime, closed loop,
     its `exactla.krylov_spans_mod`), or (prime, None, None). The first
     raises exactla.SingularMatrixError for an ill-posed draw."""
-    block = {pos: values[pid] for pos, pid in plant.P_pattern.entries.items()}
-    n, prime = len(plant.A_xx), ex.PRIME
+    block = {pos: values[pid] for pos, pid in loop.nds.P_pattern.entries.items()}
+    n, prime = loop.nds.M_x, ex.PRIME
     while True:
-        ab = plant.loop.close_mod(block, prime)
+        ab = loop.close_mod(block, prime)
         yield prime, ab, None if ab is None else ex.krylov_spans_mod(ab[:, :n], ab[:, n:], prime)
         prime = ex.prev_prime(prime)
 
@@ -370,8 +371,8 @@ def _lift(n: int, closures) -> list[Fraction]:
             lifted = now
 
 
-def uncontrollable_polynomial(plant: LumpedPlant, values: dict) -> list[Fraction]:
-    """The uncontrollable polynomial of the plant's closed loop at one draw:
+def uncontrollable_polynomial(nds: NdsModel, values: dict) -> list[Fraction]:
+    """The uncontrollable polynomial of the network's closed loop at one draw:
     the characteristic polynomial of A on the quotient of the state space by
     the Krylov span of B, from the constant term up (monic). Its roots are
     the loop's uncontrollable modes, with their multiplicities; it is 1 when
@@ -388,7 +389,7 @@ def uncontrollable_polynomial(plant: LumpedPlant, values: dict) -> list[Fraction
     Raises exactla.SingularMatrixError when the draw makes the loop
     ill-posed.
     """
-    return _lift(len(plant.A_xx), _closures(plant, values))
+    return _lift(nds.M_x, _closures(NetworkLoop(nds), values))
 
 
 def polynomial_modes(c: list) -> list[complex]:
@@ -409,7 +410,8 @@ def randomized_realization_check(nds: NdsModel, seed: int = 0,
 
     Each trial substitutes parameter values drawn from an integer set whose
     size bounds the failure probability by 1/2 per draw (`value_set_size`),
-    closes the loop mod the prime `exactla.PRIME` (`OpenLoop.close_mod`) and
+    closes the network's loop mod the prime `exactla.PRIME` from the
+    subsystems' own blocks (`model.NetworkLoop`, `OpenLoop.close_mod`) and
     takes the Kalman rank of the closed loop there
     (`exactla.krylov_spans_mod`). A rank n mod p is a rank n over the
     rationals, so a witness proves structural controllability. `close_mod`
@@ -428,8 +430,9 @@ def randomized_realization_check(nds: NdsModel, seed: int = 0,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    plant = assemble_lumped(nds)
-    k = plant.P_pattern.num_free
+    loop = NetworkLoop(nds)
+    pattern = nds.P_pattern
+    k = pattern.num_free
     n = max(1, nds.M_x)
     # Without output feedthrough the controllability certificate is a
     # polynomial of total degree <= min(k*n, n^2) and twice that many values
@@ -437,7 +440,7 @@ def randomized_realization_check(nds: NdsModel, seed: int = 0,
     # determinant of degree <= d_loop out of every matrix entry, inflating the
     # certificate degree by the factor (1 + d_loop) plus the well-posedness
     # factor itself.
-    feedthrough = any(x != 0 for row in plant.A_zv for x in row)
+    feedthrough = any(x for a in nds.analysis for row in a.A_zv for x in row)
     d_loop = min(k, nds.M_z, nds.M_v) if (k and feedthrough) else 0
     if d_loop == 0:
         vsize = min(2 * k * n, 2 * n * n) if k else 1
@@ -449,8 +452,8 @@ def randomized_realization_check(nds: NdsModel, seed: int = 0,
     redraws = 0
     for t in range(1, trials + 1):
         for _ in range(50):
-            values = plant.P_pattern.draw(rng, vsize)
-            closures = _closures(plant, values)
+            values = pattern.draw(rng, vsize)
+            closures = _closures(loop, values)
             try:
                 _, ab, spans = first = next(closures)
                 break

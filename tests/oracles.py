@@ -29,6 +29,11 @@ a question the library settles another way:
 * the uncontrollable polynomial by a Fraction Kalman decomposition
   (`kalman_uncontrollable_polynomial`), beside the polynomial `realize`
   lifts from its Krylov quotients mod primes;
+* the modular kernels eliminating row by row (`solve_mod`, Gauss-Jordan
+  with the pivot row set aside, and `krylov_spans_mod`, each pivot
+  cleared from the basis and the later candidates by two separate
+  updates), beside `exactla.solve_mod` and `exactla.krylov_spans_mod`,
+  which clear each pivot by one update over the rows holding its column;
 * the connection-graph queries on vertex tuples over the whole graph
   (`scc_decompose`, `find_input_unreachable_lambda_cycle`,
   `find_input_unreachable_lambda_edge`,
@@ -183,6 +188,72 @@ def _loop_pbh_stack(a, b, values, dtype):
     for out, lam in zip(stack, values):
         out[:, :n] = lam * eye - a
     return stack
+
+
+# --- the modular kernels, eliminating row by row ----------------------------
+
+def _eliminate_mod(m: np.ndarray, row: np.ndarray, j: int, p: int) -> None:
+    """Subtract from each row of m its entry in column j times row, mod p,
+    in place; only the rows with a nonzero entry there are touched."""
+    rows = m[:, j].nonzero()[0]
+    if rows.size:
+        m[rows] = (m[rows] - m[rows, j, None] * row) % p
+
+
+def solve_mod(a: np.ndarray, b: np.ndarray, p: int = ex.PRIME) -> Optional[np.ndarray]:
+    """X with a X = b mod p, for int64 residues a (n x n) and b (n x k), by
+    Gauss-Jordan elimination of [a | b]; None when a is singular mod p.
+    A column that already holds only its unit pivot costs no update."""
+    n = a.shape[0]
+    aug = np.concatenate([a, b], axis=1)
+    for j in range(n):
+        i = j + int(np.argmax(aug[j:, j] != 0))
+        if not aug[i, j]:
+            return None
+        if i != j:
+            aug[[i, j]] = aug[[j, i]]
+        row = aug[j]
+        if row[j] != 1:
+            row[:] = row * pow(int(row[j]), -1, p) % p
+        pivot = row.copy()
+        row[:] = 0  # the pivot row sits out its own elimination
+        _eliminate_mod(aug, pivot, j, p)
+        aug[j] = pivot
+    return aug[:, n:]
+
+
+def krylov_spans_mod(a: np.ndarray, b: np.ndarray,
+                     p: int = ex.PRIME) -> tuple[np.ndarray, list[int]]:
+    """The Krylov span of b under a mod p as (basis, pivots), a reduced
+    row-echelon basis of the span as row vectors and each basis row's pivot
+    column, built round by round: b's columns first, then each round the
+    rows the last round added, times a, reduced against the basis by one
+    `exactla.mod_matmul`. Each new pivot row is cleared from the basis rows
+    and from the round's later candidates by two separate updates."""
+    n = a.shape[0]
+    at = np.ascontiguousarray(a.T)
+    basis = np.zeros((n, n), np.int64)
+    pivots: list[int] = []
+    cand = np.ascontiguousarray(b.T)
+    while cand.shape[0] and len(pivots) < n:
+        r0 = len(pivots)
+        if r0:
+            cand = (cand - ex.mod_matmul(cand[:, pivots], basis[:r0], p)) % p
+        for i in range(cand.shape[0]):
+            row = cand[i]
+            j = int(np.argmax(row != 0))
+            if not row[j]:
+                continue
+            row = row * pow(int(row[j]), -1, p) % p
+            r = len(pivots)
+            _eliminate_mod(basis[:r], row, j, p)
+            _eliminate_mod(cand[i + 1:], row, j, p)
+            basis[r] = row
+            pivots.append(j)
+            if r + 1 == n:
+                return basis, pivots
+        cand = ex.mod_matmul(basis[r0:len(pivots)], at, p)
+    return basis[:len(pivots)], pivots
 
 
 # --- exact column matroid and union rank -------------------------------------

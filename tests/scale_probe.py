@@ -1,4 +1,4 @@
-"""Time the fixed-mode test and the design on the size-table networks.
+"""Time the fixed-mode test, realization and the design on the size-table networks.
 
     PYTHONPATH=src python3 tests/scale_probe.py 128 256 [--repeat 3]
 
@@ -9,6 +9,10 @@ how many times they bound their first oracle (`exchanges`), which is once
 per augmentation and once more per intersection. It then times --repeat
 more runs and prints their median, in seconds, with the records warm.
 Every run must give the same mode checks.
+
+It then runs `verify.randomized_realization_check` on the same network
+once more, to warm it, and prints the median of --repeat more timed runs,
+in seconds. Every run must give the same report (`to_dict()`).
 
 It also times --repeat runs of `design.design_topology` on
 `randgen.design_network(N)`, each on freshly built subsystems, so with
@@ -91,7 +95,7 @@ def main(argv=None) -> int:
     p.add_argument("--repeat", type=int, default=1, help="timed runs per N (default 1)")
     args = p.parse_args(argv)
     print("N\tM_x\tintersections\tbindings\tcheck_fum_networked_s"
-          "\tdesign_topology_s\tgreedy_color_s")
+          "\trealize_s\tdesign_topology_s\tgreedy_color_s")
     for n in args.sizes:
         nds = check_network(n)
         checks, intersections, bindings = _counted(nds)
@@ -102,13 +106,22 @@ def main(argv=None) -> int:
             times.append(time.perf_counter() - t0)
             if again != checks:
                 raise RuntimeError(f"N = {n}: a timed run gave other mode checks")
+        realized = verify.randomized_realization_check(nds).to_dict()
+        realize_times = []
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            again = verify.randomized_realization_check(nds).to_dict()
+            realize_times.append(time.perf_counter() - t0)
+            if again != realized:
+                raise RuntimeError(f"N = {n}: a timed run gave another realization")
         designs = [_timed_design(n) for _ in range(args.repeat)]
         if any(positions != designs[0][2] for _, _, positions in designs):
             raise RuntimeError(f"N = {n}: the design runs designed other positions")
         design_s = statistics.median(t for t, _, _ in designs)
         color_s = statistics.median(t for _, t, _ in designs)
         print(f"{n}\t{nds.M_x}\t{intersections}\t{bindings}\t{statistics.median(times):.3f}"
-              f"\t{design_s:.3f}\t{color_s:.3f}", flush=True)
+              f"\t{statistics.median(realize_times):.3f}\t{design_s:.3f}\t{color_s:.3f}",
+              flush=True)
     return 0
 
 

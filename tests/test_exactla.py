@@ -6,6 +6,7 @@ import pytest
 
 from netctrl import exactla as ex
 
+import oracles
 from oracles import (_dense_mmul, _dense_rank_det, _dense_solve, kalman_uncontrollable_polynomial,
                      transpose)
 
@@ -471,17 +472,6 @@ def test_mod_matmul_chunks_a_long_inner_dimension():
     assert ex.mod_matmul(top, top.T).tolist() == [[5000 * (p - 1) ** 2 % p] * 2] * 2
 
 
-def test_mod_rows_reduces_rows_over_denominators():
-    p = 13
-    got = ex.mod_rows([[3, -1, 0], [0, 0, 0], [26, 5, 1]], [2, 13, 4], p)
-    # 3/2, -1/2; a zero row needs no inverse; 26/4, 5/4, 1/4
-    inv2, inv4 = pow(2, -1, p), pow(4, -1, p)
-    assert got.tolist() == [[3 * inv2 % p, -inv2 % p, 0], [0, 0, 0],
-                            [0, 5 * inv4 % p, inv4]]
-    assert ex.mod_rows([[1, 2]], [26], p) is None
-    assert ex.mod_rows([], [], p).shape == (0, 0)
-
-
 def _mod_fraction(x, p):
     return x.numerator * pow(x.denominator, -1, p) % p
 
@@ -544,6 +534,88 @@ def test_krylov_basis_is_reduced_echelon():
         basis, pivots = ex.krylov_spans_mod(_residues(a), _residues(b))
         assert len(pivots) == _kalman_rank(a, b)
         assert basis[:, pivots].tolist() == np.eye(len(pivots), dtype=int).tolist()
+
+
+def _random_residues(rng, rows, cols, p, density):
+    return np.array([[rng.randrange(1, p) if rng.random() < density else 0
+                      for _ in range(cols)] for _ in range(rows)], np.int64).reshape(rows, cols)
+
+
+@pytest.mark.parametrize("p", [101, ex.PRIME])
+def test_krylov_spans_mod_matches_row_by_row_reference(p):
+    # one work array per round gives the reference's basis and pivots, on
+    # full-rank and rank-deficient pairs, b without columns, n = 0 and n = 1;
+    # neither input is written
+    rng = random.Random(27)
+    seen = {"full": 0, "deficient": 0, "no input": 0, "n = 0": 0, "n = 1": 0}
+    for trial in range(300):
+        n = trial % 3 if trial < 30 else rng.randint(2, 8)
+        m = rng.randint(0, 3)
+        if trial % 3 == 2 and n:  # b inside a planted a-invariant subspace
+            a, b = _planted(rng, n, max(m, 1))
+            a, b = _residues(a, p), _residues(b, p)
+        else:
+            density = rng.choice([0.2, 0.5, 1.0])
+            a, b = _random_residues(rng, n, n, p, density), _random_residues(rng, n, m, p, density)
+        a_in, b_in = a.copy(), b.copy()
+        basis, pivots = ex.krylov_spans_mod(a, b, p)
+        want_basis, want_pivots = oracles.krylov_spans_mod(a_in.copy(), b_in.copy(), p)
+        assert pivots == want_pivots, f"trial {trial}"
+        assert basis.shape == want_basis.shape and basis.tolist() == want_basis.tolist()
+        assert a.tolist() == a_in.tolist() and b.tolist() == b_in.tolist()
+        seen["full" if len(pivots) == n else "deficient"] += 1
+        seen["no input"] += not b.shape[1]
+        seen["n = 0"] += n == 0
+        seen["n = 1"] += n == 1
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("p", [101, ex.PRIME])
+def test_solve_mod_matches_row_by_row_reference(p):
+    # one update per pivot over the rows holding its column gives the
+    # reference's solution, and None on the same singular systems, also
+    # for b without columns and n = 0 or 1; neither input is written
+    rng = random.Random(28)
+    seen = {"solved": 0, "singular": 0, "no columns": 0, "n = 0": 0, "n = 1": 0}
+    for trial in range(300):
+        n = trial % 3 if trial < 30 else rng.randint(2, 7)
+        k = rng.randint(0, 3)
+        a = _random_residues(rng, n, n, p, rng.choice([0.2, 0.5, 1.0]))
+        if trial % 2:  # mostly identity plus sparse terms, as a loop I - h p
+            a = (a + np.eye(n, dtype=np.int64)) % p
+        if trial % 5 == 4 and n:  # a row that repeats a multiple of another
+            r, s = rng.randrange(n), rng.randrange(n)
+            a[r] = a[s] * rng.randrange(p) % p if r != s else 0
+        b = _random_residues(rng, n, k, p, 0.7)
+        a_in, b_in = a.copy(), b.copy()
+        got = ex.solve_mod(a, b, p)
+        want = oracles.solve_mod(a_in.copy(), b_in.copy(), p)
+        assert a.tolist() == a_in.tolist() and b.tolist() == b_in.tolist()
+        if want is None:
+            seen["singular"] += 1
+            assert got is None, f"trial {trial}"
+        else:
+            seen["solved"] += 1
+            assert got.shape == want.shape and got.tolist() == want.tolist(), f"trial {trial}"
+        seen["no columns"] += not k
+        seen["n = 0"] += n == 0
+        seen["n = 1"] += n == 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_mod_matrix_reduces_rational_entries():
+    p = 13
+    m = ex.mat([[3, "-1/2", 0], [0, 0, 0], ["27/4", "5/4", -27]])
+    inv2, inv4 = pow(2, -1, p), pow(4, -1, p)
+    got = ex.mod_matrix(m, p)
+    # a zero entry needs no inverse
+    assert got.dtype == np.int64 and got.tolist() == [
+        [3, -inv2 % p, 0], [0, 0, 0], [27 * inv4 % p, 5 * inv4 % p, -27 % p]]
+    assert ex.mod_matrix(ex.mat([[1, "2/13"]]), p) is None
+    assert ex.mod_matrix(ex.mat([[1, 2], [0, "1/26"]]), p) is None
+    assert ex.mod_matrix(ex.mat([[0, "13/2"]]), p).tolist() == [[0, 0]]
+    assert ex.mod_matrix([], p).shape == (0, 0)
+    assert ex.mod_matrix([[], []], p).shape == (2, 0)
 
 
 def test_rational_reconstruction_round_trip():

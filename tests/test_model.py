@@ -20,6 +20,7 @@ from netctrl.model import (ModelError, NdsModel, StructuredPattern, SubsystemMod
 from oracles import (_dense_close_loop, _dense_mmul, _dense_rank_det, _dense_solve,
                      diagonalize_parameters,
                      transpose)
+from randgen import random_nds
 
 
 def _pattern(rows, cols, positions, prefix="s"):
@@ -340,16 +341,22 @@ def test_open_loop_closes_at_many_blocks(monkeypatch):
     assert closed >= 100 and singular >= 20
 
 
-def test_close_mod_matches_exact_closure():
+def test_close_mod_matches_exact_closure(monkeypatch):
     # the closure mod a prime at an integer block: an ill-posed loop raises;
     # otherwise it gives the exact closed loop's residues, also where the
     # modular solve gives up (the prime divides the loop's determinant or
     # the denominator of a nonzero row), and None exactly when the prime
-    # divides a denominator of the exact closed loop
+    # divides a denominator of the exact closed loop. The modular solve
+    # takes only the loop rows, the rows of h with a nonzero residue: none
+    # when h is all zero, fewer than h's when some of its rows are zero
     rng = random.Random(6)
     prime = 101
-    agree = singular = unlucky = divides = 0
-    for _ in range(400):
+    agree = singular = unlucky = divides = no_loop = zero_rows = 0
+    solved = []
+    solve_mod = ex.solve_mod
+    monkeypatch.setattr(ex, "solve_mod",
+                        lambda a, b, p: solved.append(a.shape[0]) or solve_mod(a, b, p))
+    for _ in range(600):
         rows, cols = rng.randint(0, 5), rng.randint(1, 5)
         pr, pc = rng.randint(1, 4), rng.randint(1, 4)
         density = rng.choice([0.3, 0.6, 1.0])
@@ -368,6 +375,14 @@ def test_close_mod_matches_exact_closure():
             block[(k, 0)] = x
             h[0] = [Fraction(0)] * pr
             h[0][k] = Fraction(1, x)
+        elif kind < 0.35:  # no feedthrough: h all zero
+            h = ex.zeros(pc, pr)
+        elif kind < 0.5:  # some rows of h zero, one kept nonzero
+            kept = rng.randrange(pc)
+            h[kept][rng.randrange(pr)] = Fraction(rng.choice([-3, -1, 2]), rng.choice([1, 7]))
+            for r in range(pc):
+                if r != kept and rng.random() < 0.6:
+                    h[r] = [Fraction(0)] * pr
         p = ex.zeros(pr, pc)
         for (r, c), x in block.items():
             p[r][c] = Fraction(x)
@@ -378,7 +393,13 @@ def test_close_mod_matches_exact_closure():
             with pytest.raises(ex.SingularMatrixError):
                 loop.close_mod(block, prime)
             continue
+        solved.clear()
         got = loop.close_mod(block, prime)
+        loop_rows = sum(1 for row in h if any(x.numerator % prime for x in row))
+        if block and all(x.denominator % prime for row in m + e + h + f for x in row):
+            assert solved == [loop_rows]
+            no_loop += not loop_rows
+            zero_rows += 0 < loop_rows < pc
         hp = _dense_mmul(h, p)
         lhs = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(hp)]
         scaled = [[x * row_scale for x in row] for row, row_scale in
@@ -396,6 +417,51 @@ def test_close_mod_matches_exact_closure():
         else:
             agree += 1
     assert agree >= 150 and singular >= 20 and unlucky >= 20 and divides >= 10
+    assert no_loop >= 40 and zero_rows >= 40
+
+
+def _fixed_blocks(nds, k):
+    """nds with each free parameter block fixed at k / 3 (never 1 / H, as H
+    is -1, 0 or 1), so the closed forms carry denominators."""
+    subs = [dataclasses.replace(s, param_block=[[Fraction(k, 3)]]) if s.has_free_params else s
+            for s in nds.subsystems]
+    return NdsModel(subs, nds.scm)
+
+
+def _with_entry(nds, index, key, value):
+    """nds with entry (0, 0) of subsystem `index`'s matrix `key` set to value."""
+    subs = list(nds.subsystems)
+    rows = [row[:] for row in getattr(subs[index], key)]
+    rows[0][0] = value
+    subs[index] = dataclasses.replace(subs[index], **{key: rows})
+    return NdsModel(subs, nds.scm)
+
+
+def test_network_loop_residues_match_the_lumped_plant(sec7):
+    # the residues read per subsystem block are the lumped plant's loop
+    # residues, and None at the same primes: sec7, random networks with free
+    # and with fixed parameter blocks, and networks whose prime divides a
+    # denominator in one subsystem's block
+    networks = [sec7]
+    for seed in range(40):
+        nds = random_nds(seed, 4, lft_prob=0.6)
+        networks.append(nds)
+        if any(s.has_free_params for s in nds.subsystems):
+            networks.append(_fixed_blocks(nds, [1, 2, 4, 5][seed % 4]))
+    networks += [_with_entry(sec7, 1, "A_zv0", Fraction(1, 101)),
+                 _with_entry(sec7, 2, "B_xu0", Fraction(3, 707))]
+    seen = {True: 0, False: 0}
+    for nds in networks:
+        loop, exact = model.NetworkLoop(nds), assemble_lumped(nds).loop
+        for prime in (ex.PRIME, 101, 7, 3, 2):
+            got, want = loop.residues(prime), exact.residues(prime)
+            seen[want is None] += 1
+            if want is None:
+                assert got is None
+            else:
+                assert [a.shape for a in got] == [a.shape for a in want]
+                assert [a.tolist() for a in got] == [a.tolist() for a in want]
+    assert seen[True] >= 20 and seen[False] >= 100, seen
 
 
 def test_close_loop_singular_loop():

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from netctrl import exactla as ex
-from netctrl import cli, ratfun, structgraph, verify
+from netctrl import cli, model, ratfun, structgraph, verify
 from netctrl.design import design_topology
 from netctrl.matroid import GenericPattern, matroid_intersection_rank
-from netctrl.model import (NdsModel, OpenLoop, StructuredPattern, SubsystemModel,
-                           assemble_lumped)
+from netctrl.model import (NdsModel, NetworkLoop, OpenLoop, StructuredPattern,
+                           SubsystemModel, assemble_lumped)
 from netctrl.structgraph import vertex_name
 from netctrl.verify import (check_feasibility, check_fum_networked,
                             check_structural_controllability, fums_of,
@@ -482,18 +482,32 @@ def test_realize_numeric_matches_dense_closure(max_sub):
 
 
 def test_realization_reads_the_plant_once(monkeypatch, sec7):
-    # every draw closes the plant's one OpenLoop
-    built = []
-    original = OpenLoop.__init__
+    # every draw closes the network's one loop, which reads the subsystems'
+    # blocks once per prime; the lumped plant and its exact OpenLoop are
+    # built once, and only when a draw falls back to the exact closure
+    built, reduced, assembled = [], [], []
+    original, reduce = OpenLoop.__init__, NetworkLoop._reduce
 
     def counting(self, *args):
         built.append(args)
         original(self, *args)
 
+    def reducing(self, prime):
+        reduced.append(prime)
+        return reduce(self, prime)
+
     monkeypatch.setattr(OpenLoop, "__init__", counting)
+    monkeypatch.setattr(NetworkLoop, "_reduce", reducing)
+    monkeypatch.setattr(model, "assemble_lumped",
+                        lambda nds: assembled.append(nds) or assemble_lumped(nds))
     res = randomized_realization_check(sec7, seed=0, trials=5)
     assert not res.controllable_witness and res.trials_used == 5
-    assert len(built) == 1
+    assert built == assembled == []
+    assert reduced[0] == ex.PRIME and len(reduced) == len(set(reduced)) > 1
+    _exact_fallback(monkeypatch)
+    res = randomized_realization_check(sec7, seed=0, trials=5)
+    assert not res.controllable_witness and res.trials_used == 5
+    assert len(built) == len(assembled) == 1
 
 
 def _exact_fallback(monkeypatch):
@@ -587,8 +601,8 @@ def test_realization_denominator_divisible_by_the_prime(monkeypatch, max_sub, se
     # with the prime q the first draw's closed loop has no residues, though
     # the plant itself has: the modular closure gives up, and the exact
     # fallback inside close_mod finds the loop well-posed but gives no witness
-    assert ex.mod_rows(*ex.int_rows(exact), q) is None
-    assert ex.mod_rows(*ex.int_rows(loop.m), q) is not None
+    assert ex.mod_matrix(exact, q) is None
+    assert ex.mod_matrix(loop.m, q) is not None
     assert close_mod(loop, block, q) is None
     monkeypatch.setattr(ex, "PRIME", q)
     values = {pid: block[pos] for pos, pid in plant.P_pattern.entries.items()}
@@ -599,7 +613,7 @@ def test_realization_denominator_divisible_by_the_prime(monkeypatch, max_sub, se
         # the primes below the real PRIME
         assert next(closures) == (q, None, None)
         monkeypatch.undo()
-        return lift(n, verify._closures(plant, values))
+        return lift(n, verify._closures(NetworkLoop(nds), values))
 
     monkeypatch.setattr(verify, "_lift", at_the_prime)
     solved = []
@@ -610,7 +624,7 @@ def test_realization_denominator_divisible_by_the_prime(monkeypatch, max_sub, se
     assert closed[0] == (block, None) and solved == [loop.n]
     assert not res.controllable_witness and res.trials_used == 1 and res.redraws == 0
     assert res.last_uncontrollable_modes == verify.polynomial_modes(
-        verify.uncontrollable_polynomial(plant, values))
+        verify.uncontrollable_polynomial(nds, values))
 
 
 def test_realization_without_parameters_immediate():
@@ -634,7 +648,7 @@ def test_realization_without_free_parameters_runs_one_trial(sec7_empty):
     a_m, b_m = realize_numeric(plant, {})
     want = kalman_uncontrollable_polynomial(a_m, b_m)
     assert want == [0, 1, 0, -2, 0, 1]
-    assert verify.uncontrollable_polynomial(plant, {}) == want
+    assert verify.uncontrollable_polynomial(sec7_empty, {}) == want
     assert res.last_uncontrollable_modes == [1, 1, 0, -1, -1]
 
 
@@ -737,14 +751,15 @@ def _root_multiplicity(c, r):
     return count
 
 
-def _assert_matches_kalman_oracle(plant, values, n):
+def _assert_matches_kalman_oracle(nds, values):
     """realize's lifted polynomial and listed modes against the Fraction
-    Kalman decomposition of the same closed loop; returns the oracle's
-    polynomial."""
+    Kalman decomposition of the same closed loop, closed exactly on the
+    lumped plant; returns the oracle's polynomial."""
+    plant, n = assemble_lumped(nds), nds.M_x
     closed = plant.loop.close(plant.P_pattern.substitute(values))
     want = kalman_uncontrollable_polynomial([row[:n] for row in closed],
                                             [row[n:] for row in closed])
-    got = verify.uncontrollable_polynomial(plant, values)
+    got = verify.uncontrollable_polynomial(nds, values)
     assert got == want
     modes = verify.polynomial_modes(got)
     assert len(modes) == len(want) - 1
@@ -762,14 +777,13 @@ def test_uncontrollable_polynomial_matches_kalman_decomposition(
     networks = ([sec7, sec7_designed3, sec7_designed2, sec7_empty]
                 + [random_nds(seed, 3, lft_prob=0.5) for seed in range(40)])
     for i, nds in enumerate(networks):
-        plant = assemble_lumped(nds)
         for seed in range(3):
-            values = plant.P_pattern.draw(random.Random(100 * i + seed), 6)
+            values = nds.P_pattern.draw(random.Random(100 * i + seed), 6)
             try:
-                degrees.append(len(_assert_matches_kalman_oracle(plant, values, nds.M_x)) - 1)
+                degrees.append(len(_assert_matches_kalman_oracle(nds, values)) - 1)
             except ex.SingularMatrixError:  # an ill-posed draw, which realize redraws
                 with pytest.raises(ex.SingularMatrixError):
-                    verify.uncontrollable_polynomial(plant, values)
+                    verify.uncontrollable_polynomial(nds, values)
     # controllable draws, single and repeated modes are all exercised
     assert 0 in degrees and 1 in degrees and max(degrees) >= 3
 
@@ -778,9 +792,9 @@ def test_realization_fill_in_matches_kalman_decomposition(monkeypatch, sec7, sec
     draws, lifts = [], []
     closures, lift = verify._closures, verify._lift
 
-    def drawing(plant, values):
-        draws.append((plant, values))
-        return closures(plant, values)
+    def drawing(loop, values):
+        draws.append((loop, values))
+        return closures(loop, values)
 
     def lifting(n, closed):
         lifts.append(n)
@@ -796,8 +810,9 @@ def test_realization_fill_in_matches_kalman_decomposition(monkeypatch, sec7, sec
             assert not lifts
             continue
         assert lifts == [nds.M_x]
-        plant, values = draws[-1]  # the fill-in lifts the last draw
-        want = _assert_matches_kalman_oracle(plant, values, nds.M_x)
+        loop, values = draws[-1]  # the fill-in lifts the last draw
+        assert loop.nds is nds
+        want = _assert_matches_kalman_oracle(nds, values)
         assert res.last_uncontrollable_modes == verify.polynomial_modes(want)
 
 
