@@ -472,6 +472,26 @@ def test_mod_matmul_chunks_a_long_inner_dimension():
     assert ex.mod_matmul(top, top.T).tolist() == [[5000 * (p - 1) ** 2 % p] * 2] * 2
 
 
+def test_mod_rows_reduces_rows_over_denominators():
+    # integer rows over per-row denominators, as `int_rows` returns them,
+    # reduce through `mod_matrix` to the same residues as row / denominator
+    p = 13
+
+    def mod_rows(rows, dens):
+        return ex.mod_matrix([[Fraction(x, d) for x in row] for row, d in zip(rows, dens)], p)
+
+    got = mod_rows([[3, -1, 0], [0, 0, 0], [26, 5, 1]], [2, 13, 4])
+    # 3/2, -1/2; a zero row needs no inverse; 26/4, 5/4, 1/4
+    inv2, inv4 = pow(2, -1, p), pow(4, -1, p)
+    assert got.tolist() == [[3 * inv2 % p, -inv2 % p, 0], [0, 0, 0],
+                            [0, 5 * inv4 % p, inv4]]
+    assert mod_rows([[1, 2]], [26]) is None
+    assert mod_rows([], []).shape == (0, 0)
+    m = ex.mat([["3/2", "-1/2", 0], [0, 0, 0], ["13/2", "5/4", "1/4"]])
+    rows, dens = ex.int_rows(m)
+    assert mod_rows(rows, dens).tolist() == got.tolist() == ex.mod_matrix(m, p).tolist()
+
+
 def _mod_fraction(x, p):
     return x.numerator * pow(x.denominator, -1, p) % p
 
