@@ -12,9 +12,9 @@ from .model import (AugmentedSubsystem, LumpedPlant, ModelError, NdsModel,
                     StructuredPattern, SubsystemModel, analysis_form,
                     assemble_lumped, check_well_posedness)
 from .ratfun import (EntryClass, ModeData, Spectrum, entry_classes, mode_data,
-                     nds_tfms, spectrum, subsystem_tfms)
+                     nds_tfms, spectrum)
 from .structgraph import (SccDecomposition, StructureGraph, build_nacg,
-                          build_subsystem_acg, find_input_unreachable_lambda_cycle,
+                          find_input_unreachable_lambda_cycle,
                           find_input_unreachable_lambda_edge, scc_decompose, to_dot,
                           unreachable_source_sccs_with_lambda_edge, vertex_name)
 from .verify import (FeasibilityReport, ModeCheck, RealizationResult, Verdict,

@@ -31,9 +31,10 @@ each Sylvester update divides exactly by the previous pivot, so entries
 stay integral minors. `int_solve` back-substitutes on Y = det * X, which
 Cramer's rule keeps integral; a Fraction is made only for each output
 entry (Y / det). `model.OpenLoop` builds its loop straight into integer
-rows and solves them with `int_solve`; its closure mod a prime runs that
-solve itself wherever `solve_mod` or the residues give up, and reduces
-the exact closed loop with `mod_matrix`.
+rows and solves them with `int_solve`. `model.NetworkLoop` closes the
+network's loop mod a prime with `solve_mod`, and wherever that or the
+residues give up, runs the exact `OpenLoop` solve itself and reduces the
+exact closed loop with `mod_matrix`.
 
 The exact kernels skip zero operands: `mmul` multiplies only nonzero
 pairs, and the elimination updates a row only where its entry in the
@@ -320,7 +321,7 @@ def int_solve(a: list[list[int]], n: int) -> tuple[list[list[int]], int]:
     """
     cols, pivots, _ = _eliminate(a)
     if cols[:n] != list(range(n)):
-        raise SingularMatrixError("singular system in exact_solve")
+        raise SingularMatrixError("singular system")
     d = pivots[n - 1]
     y: list[list[int]] = [[]] * n
     y_nonzeros: list = [[]] * n

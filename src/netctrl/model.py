@@ -280,10 +280,10 @@ class OpenLoop:
     closure. The rows of h, f and e are read once into integer nonzeros, so
     closing the loop at another p rescans none of them. `close_rows` is its
     integer core, on a block in integers (`_integer_block`), and `close`
-    builds Fractions from it. Realization closes it mod a prime instead
-    (`close_mod`), from the residues of the same rows, which `NetworkLoop`
-    reads per subsystem instead; only `close_mod` tells an ill-posed loop
-    from an unlucky prime.
+    builds Fractions from it. It closes the fixed parameter blocks
+    (`analysis_form`), builds the loops `check_well_posedness` tests, and is
+    the lumped plant's loop (`LumpedPlant.loop`), on which `NetworkLoop`
+    falls back; the closure mod a prime is `NetworkLoop.close_mod`.
     """
 
     def __init__(self, m: Mat, e: Mat, h: Mat, f: Mat):
@@ -295,7 +295,6 @@ class OpenLoop:
         self.loop = [_scaled_nonzeros(h_row, f[r] if f else [])
                      for r, h_row in enumerate(h)]
         self.out = [_scaled_nonzeros(e_row) for e_row in e]
-        self._residues: dict[int, Optional[tuple]] = {}
 
     def loop_rows(self, block: tuple[list, int]) -> list[list[int]]:
         """[I - h p | f] as integer rows: row r scaled by s t, with p = P / s
@@ -340,85 +339,6 @@ class OpenLoop:
             adds.append(add)
             dens.append(sd * t)
         return adds, dens
-
-    def residues(self, prime: int) -> Optional[tuple]:
-        """(m, h, f, e) mod prime as int64 arrays, read from m and from the
-        scaled nonzeros of the loop's rows, once per prime; None when the
-        prime divides the denominator of a nonzero row."""
-        if prime not in self._residues:
-            self._residues[prime] = self._reduce(prime)
-        return self._residues[prime]
-
-    def _reduce(self, prime: int) -> Optional[tuple]:
-        m = np.zeros((len(self.m), len(self.m[0]) if self.m else self.f_cols), np.int64)
-        for r, row in enumerate(self.m):
-            for k, x in enumerate(row):
-                if x:
-                    if not x.denominator % prime:
-                        return None
-                    m[r, k] = x.numerator * pow(x.denominator, -1, prime) % prime
-        hf = np.zeros((self.n, self.p_rows + self.f_cols), np.int64)
-        e = np.zeros((len(self.out), self.p_rows), np.int64)
-        for rows, out, offsets in ((self.loop, hf, (0, self.p_rows)), (self.out, e, (0,))):
-            for r, (parts, t) in enumerate(rows):
-                if not any(parts):
-                    continue
-                if not t % prime:
-                    return None
-                inv = pow(t, -1, prime)
-                for nonzeros, offset in zip(parts, offsets):
-                    for k, x in nonzeros:
-                        out[r, offset + k] = x * inv % prime
-        return m, hf[:, :self.p_rows], hf[:, self.p_rows:], e
-
-    def close_mod(self, p: dict[tuple[int, int], int], prime: int) -> Optional[np.ndarray]:
-        """m + e p (I - h p)^-1 f mod prime, for a block p of integers given
-        by its nonzero entries {(row, col): value}, as an int64 array.
-
-        The loop is solved mod prime from the residues of its rows
-        (`residues`), on its loop rows S only: the rows of h with a nonzero
-        residue. Every other row of I - h p is an identity row, so there
-        y = (I - h p)^-1 f is f's row, and on S (I - h_S p_S) y_S =
-        f_S + h_S p_R f_R, R the other rows and p_S, p_R the columns of p
-        they index (`exactla.solve_mod`). I - h p is block-triangular in
-        (S, R), so its determinant is that of I - h_S p_S; a nonzero one mod
-        prime is a nonzero one over the rationals, so the result proves the
-        loop well-posed. When I - h_S p_S is singular mod prime, or the
-        prime divides a row's denominator, the exact `close_rows` runs
-        instead (`_close_exact_mod`): it raises exactla.SingularMatrixError
-        for an ill-posed loop; otherwise the prime is unlucky, and the result
-        is the exact closed loop's residues, or None when the prime divides
-        the denominator of one of its entries.
-        """
-        res = self.residues(prime)
-        if res is not None:
-            m, h, f, e = res
-            if not p:
-                return m.copy()
-            block = np.zeros((self.p_rows, self.n), np.int64)
-            rows, cols = np.array(list(p), np.int64).T
-            block[rows, cols] = [x % prime for x in p.values()]
-            on_loop = h.any(axis=1)
-            loop, rest = np.flatnonzero(on_loop), np.flatnonzero(~on_loop)
-            hp = ex.mod_matmul(h[loop], block, prime)
-            lhs = -hp[:, loop] % prime
-            lhs[np.diag_indices(loop.size)] += 1
-            rhs = (f[loop] + ex.mod_matmul(hp[:, rest], f[rest], prime)) % prime
-            y_loop = ex.solve_mod(lhs % prime, rhs, prime)
-            if y_loop is not None:
-                y = f.copy()
-                y[loop] = y_loop
-                return (m + ex.mod_matmul(ex.mod_matmul(e, block, prime), y, prime)) % prime
-        return self._close_exact_mod(p, prime)
-
-    def _close_exact_mod(self, p: dict[tuple[int, int], int], prime: int) -> Optional[np.ndarray]:
-        """`close_mod`'s fallback: the exact closed loop at the integer block
-        p (`close_rows`) mod prime, or None when prime divides one of its
-        denominators."""
-        rows = [[] for _ in range(self.p_rows)]
-        for (r, c), x in p.items():
-            rows[r].append((c, x))
-        return ex.mod_matrix(self._fractions(*self.close_rows((rows, 1))), prime)
 
     def close(self, p: Mat) -> Mat:
         """m + e p (I - h p)^-1 f, exactly: `close_rows` at
@@ -566,27 +486,32 @@ def assemble_lumped(nds: NdsModel) -> LumpedPlant:
         P_pattern=nds.P_pattern)
 
 
-class NetworkLoop(OpenLoop):
-    """The network's loop, the lumped plant's `LumpedPlant.loop` m + e P
-    (I - h P)^-1 f with m = [A_xx B_xu], e = A_xv, h = A_zv and
-    f = [A_zx B_zu], closed mod a prime (`close_mod`) without the plant.
+class NetworkLoop:
+    """The network's loop m + e P (I - h P)^-1 f, with m = [A_xx B_xu],
+    e = A_xv, h = A_zv and f = [A_zx B_zu] of the lumped plant, closed mod a
+    prime (`close_mod`) without the plant: realization's one modular closure.
 
     Its residues are read per subsystem (`_reduce`): each analysis form's
-    six blocks mod the prime, placed by the port map `NdsModel.offsets`.
-    The lumped plant and its exact `OpenLoop` (`exact`) are built only when
-    `close_mod` falls back to the exact closure; this loop closes mod a
-    prime only.
+    six blocks mod the prime, placed by the port map `NdsModel.offsets`,
+    once per prime (`residues`). The lumped plant and its exact `OpenLoop`
+    (`exact`) are built only when `close_mod` falls back to the exact
+    closure.
     """
 
     def __init__(self, nds: NdsModel):
         self.nds = nds
-        self.n, self.p_rows = nds.M_z, nds.M_v
-        self._residues = {}
+        self._residues: dict[int, Optional[tuple]] = {}
 
     @cached_property
     def exact(self) -> OpenLoop:
         """The lumped plant's exact loop, assembled on first use."""
         return assemble_lumped(self.nds).loop
+
+    def residues(self, prime: int) -> Optional[tuple]:
+        """(m, h, f, e) mod prime as int64 arrays (`_reduce`), once per prime."""
+        if prime not in self._residues:
+            self._residues[prime] = self._reduce(prime)
+        return self._residues[prime]
 
     def _reduce(self, prime: int) -> Optional[tuple]:
         """(m, h, f, e) mod prime from the subsystems' analysis forms, each
@@ -623,8 +548,51 @@ class NetworkLoop(OpenLoop):
             f[z, x], h[z, v], f[z, u] = bottom[:, :ax], bottom[:, ax:av], bottom[:, av:]
         return m, h, f, e
 
-    def _close_exact_mod(self, p: dict[tuple[int, int], int], prime: int) -> Optional[np.ndarray]:
-        return self.exact._close_exact_mod(p, prime)
+    def close_mod(self, p: dict[tuple[int, int], int], prime: int) -> Optional[np.ndarray]:
+        """m + e p (I - h p)^-1 f mod prime, for a block p of integers given
+        by its nonzero entries {(row, col): value}, as an int64 array.
+
+        The loop is solved mod prime from the residues of its rows
+        (`residues`), on its loop rows S only: the rows of h with a nonzero
+        residue. Every other row of I - h p is an identity row, so there
+        y = (I - h p)^-1 f is f's row, and on S (I - h_S p_S) y_S =
+        f_S + h_S p_R f_R, R the other rows and p_S, p_R the columns of p
+        they index (`exactla.solve_mod`). I - h p is block-triangular in
+        (S, R), so its determinant is that of I - h_S p_S; a nonzero one mod
+        prime is a nonzero one over the rationals, so the result proves the
+        loop well-posed. When I - h_S p_S is singular mod prime, or the
+        prime divides a denominator of a form, the exact loop (`exact`)
+        closes at p instead (`OpenLoop.close_rows`): it raises
+        exactla.SingularMatrixError for an ill-posed loop; otherwise the
+        prime is unlucky, and the result is the exact closed loop's residues
+        (`exactla.mod_matrix`), or None when the prime divides the
+        denominator of one of its entries.
+        """
+        nds = self.nds
+        res = self.residues(prime)
+        if res is not None:
+            m, h, f, e = res
+            if not p:
+                return m.copy()
+            block = np.zeros((nds.M_v, nds.M_z), np.int64)
+            rows, cols = np.array(list(p), np.int64).T
+            block[rows, cols] = [x % prime for x in p.values()]
+            on_loop = h.any(axis=1)
+            loop, rest = np.flatnonzero(on_loop), np.flatnonzero(~on_loop)
+            hp = ex.mod_matmul(h[loop], block, prime)
+            lhs = -hp[:, loop] % prime
+            lhs[np.diag_indices(loop.size)] += 1
+            rhs = (f[loop] + ex.mod_matmul(hp[:, rest], f[rest], prime)) % prime
+            y_loop = ex.solve_mod(lhs % prime, rhs, prime)
+            if y_loop is not None:
+                y = f.copy()
+                y[loop] = y_loop
+                return (m + ex.mod_matmul(ex.mod_matmul(e, block, prime), y, prime)) % prime
+        block_rows = [[] for _ in range(nds.M_v)]
+        for (r, c), x in p.items():
+            block_rows[r].append((c, x))
+        exact = self.exact
+        return ex.mod_matrix(exact._fractions(*exact.close_rows((block_rows, 1))), prime)
 
 
 @dataclass(frozen=True)

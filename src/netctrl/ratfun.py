@@ -8,8 +8,8 @@ bases, which are generally irrational, are the only floating-point objects
 here.
 
 Everything here is computed per subsystem and kept in one analysis record
-per analysis form (`SubsystemAnalysis`): `subsystem_tfms`, `nds_tfms`,
-`spectrum` and `modes` only assemble their results from the records, and
+per analysis form (`SubsystemAnalysis`): `nds_tfms`, `spectrum` and
+`modes` only assemble their results from the records, and
 `modes` is the one assembler of per-mode data (`mode_data` is `modes` at
 one eigenvalue) and `mode_targets` the one assembler of per-mode targets.
 A record factors its mode matrices in stacks, one SVD for all its missing
@@ -105,11 +105,6 @@ class SubsystemTfms:
 
     gzv_classes: list
     gzu_classes: list
-
-
-def subsystem_tfms(aug: AugmentedSubsystem) -> SubsystemTfms:
-    """Entry classes of the transfers from internal/external inputs to internal outputs."""
-    return analysis_records([aug])[0].tfms
 
 
 def nds_tfms(nds: NdsModel) -> list[SubsystemTfms]:

@@ -21,8 +21,8 @@ and the entry classes, and makes no tuple edge. A graph built from tuples
 numbers them by sorting. Since ids keep the tuple order, every order the
 queries promise (sorted edges, components by smallest vertex, sorted BFS
 ties, the witness's rotation) is the same on ids as on tuples. The edge
-views (`edges`, `successors()`) and the tuple-keyed decomposition that
-`scc_decompose` returns are built only when asked for.
+view (`edges`) and the tuple-keyed decomposition that `scc_decompose`
+returns are built only when asked for.
 
 The moving-mode queries compute input reachability first, with one search
 from the u vertices. A strongly connected component that holds an
@@ -39,9 +39,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .model import AugmentedSubsystem, NdsModel
+from .model import NdsModel
 from .model import assemble_lumped  # noqa: F401 -- perfbench/spans.py patches it here
-from .ratfun import SubsystemTfms
 
 Vertex = tuple[str, int, int]
 Edge = tuple[Vertex, Vertex, str]
@@ -111,10 +110,6 @@ class StructureGraph:
                      for i, (heads, ks) in enumerate(zip(self.succ, self.kinds))
                      for j, k in zip(heads, ks))
 
-    def successors(self) -> dict:
-        verts = self.vertices
-        return {v: [verts[j] for j in heads] for v, heads in zip(verts, self.succ)}
-
     def with_edges(self, extra: Iterable[Edge]) -> "StructureGraph":
         succ, kinds, lam = list(self.succ), list(self.kinds), list(self.lam)
         for s, d, kind in extra:
@@ -141,27 +136,6 @@ class StructureGraph:
                     reach[w] = 1
                     stack.append(w)
         return reach
-
-
-def _class_edges(classes: list, src: str, dst: str, index: int) -> list[Edge]:
-    """Edge (src, index, p) -> (dst, index, q), 1-based ports, for each nonzero
-    class classes[q][p]: "lambda" when frequency dependent, else "const"."""
-    return [((src, index, p + 1), (dst, index, q + 1), "lambda" if cls.is_lambda else "const")
-            for q, row in enumerate(classes) for p, cls in enumerate(row) if not cls.is_zero]
-
-
-def build_subsystem_acg(index: int, aug: AugmentedSubsystem,
-                        tfms: SubsystemTfms) -> StructureGraph:
-    """Connection graph of one subsystem (1-based index) from its entry classes.
-
-    The vertices come from the form's port counts: a subsystem without
-    outputs has no class rows to carry its input count.
-    """
-    verts = [(kind, index, p + 1) for kind in "uvz"
-             for p in range(getattr(aug, f"m_{kind}"))]
-    edges = (_class_edges(tfms.gzv_classes, "v", "z", index)
-             + _class_edges(tfms.gzu_classes, "u", "z", index))
-    return StructureGraph(verts, edges)
 
 
 def link_edges(nds: NdsModel, positions: Iterable[tuple[int, int]]) -> list[Edge]:
@@ -232,9 +206,6 @@ class SccDecomposition:
     comp_of: dict           # Vertex -> component index
     condensation: tuple     # tuple[(int, int), ...] inter-component edges
     input_reachable: dict   # Vertex -> bool
-
-    def component_reachable(self, idx: int) -> bool:
-        return any(self.input_reachable[v] for v in self.components[idx])
 
 
 def _tarjan(succ: list, roots: Iterable[int], skip) -> list[list[int]]:

@@ -337,7 +337,7 @@ class RealizationResult:
 
 def _closures(loop: NetworkLoop, values: dict):
     """The network's loop closed at a draw mod `exactla.PRIME`, then mod each
-    next prime below it (`OpenLoop.close_mod`), each as (prime, closed loop,
+    next prime below it (`NetworkLoop.close_mod`), each as (prime, closed loop,
     its `exactla.krylov_spans_mod`), or (prime, None, None). The first
     raises exactla.SingularMatrixError for an ill-posed draw."""
     block = {pos: values[pid] for pos, pid in loop.nds.P_pattern.entries.items()}
@@ -411,7 +411,7 @@ def randomized_realization_check(nds: NdsModel, seed: int = 0,
     Each trial substitutes parameter values drawn from an integer set whose
     size bounds the failure probability by 1/2 per draw (`value_set_size`),
     closes the network's loop mod the prime `exactla.PRIME` from the
-    subsystems' own blocks (`model.NetworkLoop`, `OpenLoop.close_mod`) and
+    subsystems' own blocks (`model.NetworkLoop.close_mod`) and
     takes the Kalman rank of the closed loop there
     (`exactla.krylov_spans_mod`). A rank n mod p is a rank n over the
     rationals, so a witness proves structural controllability. `close_mod`

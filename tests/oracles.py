@@ -61,8 +61,7 @@ from netctrl.exactla import RANK_TOL, Mat
 from netctrl.matroid import GenericPattern, IndependenceOracle, NumericColumns
 from netctrl.model import NdsModel, StructuredPattern, assemble_lumped
 from netctrl.ratfun import EntryClass, ModeData
-from netctrl.structgraph import (Edge, SccDecomposition, StructureGraph, Vertex,
-                                 _class_edges)
+from netctrl.structgraph import Edge, SccDecomposition, StructureGraph, Vertex
 from netctrl.verify import ModeCheck
 
 
@@ -517,6 +516,13 @@ def check_fum_lumped(nds: NdsModel, modes: Optional[list] = None,
 _ZERO = EntryClass("zero")
 
 
+def _class_edges(classes: list, src: str, dst: str) -> list[Edge]:
+    """Edge (src, 0, p) -> (dst, 0, q), 1-based ports, for each nonzero class
+    classes[q][p]: "lambda" when frequency dependent, else "const"."""
+    return [((src, 0, p + 1), (dst, 0, q + 1), "lambda" if cls.is_lambda else "const")
+            for q, row in enumerate(classes) for p, cls in enumerate(row) if not cls.is_zero]
+
+
 def build_acg(gzv_classes: list, gzu_classes: list) -> StructureGraph:
     """Square-form connection graph: output-to-output and input-to-output edges."""
     k = len(gzv_classes)
@@ -524,7 +530,7 @@ def build_acg(gzv_classes: list, gzu_classes: list) -> StructureGraph:
         raise ValueError("square class matrix required")
     q_in = len(gzu_classes[0]) if gzu_classes else 0
     verts = [("z", 0, a + 1) for a in range(k)] + [("u", 0, j + 1) for j in range(q_in)]
-    edges = _class_edges(gzv_classes, "z", "z", 0) + _class_edges(gzu_classes, "u", "z", 0)
+    edges = _class_edges(gzv_classes, "z", "z") + _class_edges(gzu_classes, "u", "z")
     return StructureGraph(verts, edges)
 
 
@@ -786,9 +792,15 @@ def _tarjan(vertices, adj) -> list[list[Vertex]]:
     return comps
 
 
+def successors(g: StructureGraph) -> dict:
+    """Each vertex's heads, as tuples, in ascending order."""
+    verts = g.vertices
+    return {v: [verts[j] for j in heads] for v, heads in zip(verts, g.succ)}
+
+
 def scc_decompose(g: StructureGraph) -> SccDecomposition:
     """Strongly connected components, condensation edges and input reachability."""
-    adj = g.successors()
+    adj = successors(g)
     comps = _tarjan(list(g.vertices), adj)
     comps = sorted((tuple(sorted(c)) for c in comps), key=lambda c: c[0])
     comp_of = {v: i for i, c in enumerate(comps) for v in c}
@@ -852,7 +864,8 @@ def _lambda_cycle_components(g: StructureGraph, scc: SccDecomposition) -> dict:
         if kind != "lambda":
             continue
         c = scc.comp_of[s]
-        if c == scc.comp_of[d] and c not in marked and not scc.component_reachable(c):
+        if (c == scc.comp_of[d] and c not in marked
+                and not any(scc.input_reachable[v] for v in scc.components[c])):
             marked[c] = (s, d, kind)
     return marked
 
@@ -872,7 +885,7 @@ def find_input_unreachable_lambda_cycle(g: StructureGraph,
         return None
     idx = min(marked)
     s, d, _ = marked[idx]
-    back = _path_in_subset(g.successors(), set(scc.components[idx]), d, s)
+    back = _path_in_subset(successors(g), set(scc.components[idx]), d, s)
     return _canonical_cycle(back)
 
 

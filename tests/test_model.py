@@ -341,11 +341,26 @@ def test_open_loop_closes_at_many_blocks(monkeypatch):
     assert closed >= 100 and singular >= 20
 
 
+def _loop_blocks(rng, count, density):
+    """`count` subsystems' six analysis matrices [A_xx, A_xv, B_xu, A_zx,
+    A_zv, B_zu], rational, each with at least one v and one z port."""
+    blocks = []
+    for _ in range(count):
+        mx = rng.randint(0, 5 // count)
+        mv, mz = rng.randint(1, 4 // count), rng.randint(1, 4 // count)
+        mu = rng.randint(0 if mx else 1, 3)
+        blocks.append([_rational(rng, r, c, density) for r, c in
+                       ((mx, mx), (mx, mv), (mx, mu), (mz, mx), (mz, mv), (mz, mu))])
+    return blocks
+
+
 def test_close_mod_matches_exact_closure(monkeypatch):
-    # the closure mod a prime at an integer block: an ill-posed loop raises;
+    # the network's loop closed mod a prime at an integer block, on one- and
+    # two-subsystem networks (one gives m = [A_xx B_xu], e = A_xv, h = A_zv
+    # and f = [A_zx B_zu] of free shape): an ill-posed loop raises;
     # otherwise it gives the exact closed loop's residues, also where the
     # modular solve gives up (the prime divides the loop's determinant or
-    # the denominator of a nonzero row), and None exactly when the prime
+    # a denominator of a subsystem's block), and None exactly when the prime
     # divides a denominator of the exact closed loop. The modular solve
     # takes only the loop rows, the rows of h with a nonzero residue: none
     # when h is all zero, fewer than h's when some of its rows are zero
@@ -357,36 +372,47 @@ def test_close_mod_matches_exact_closure(monkeypatch):
     monkeypatch.setattr(ex, "solve_mod",
                         lambda a, b, p: solved.append(a.shape[0]) or solve_mod(a, b, p))
     for _ in range(600):
-        rows, cols = rng.randint(0, 5), rng.randint(1, 5)
-        pr, pc = rng.randint(1, 4), rng.randint(1, 4)
-        density = rng.choice([0.3, 0.6, 1.0])
-        m, e = _rational(rng, rows, cols, density), _rational(rng, rows, pr, density)
-        h, f = _rational(rng, pc, pr, density), _rational(rng, pc, cols, density)
+        blocks = _loop_blocks(rng, rng.choice([1, 2]), rng.choice([0.3, 0.6, 1.0]))
+        z_of = [i for i, b in enumerate(blocks) for _ in b[4]]  # z row -> subsystem
+        v0 = [0]
+        for b in blocks:
+            v0.append(v0[-1] + len(b[4][0]))
+        pr, pc = v0[-1], len(z_of)
         block = {(r, c): rng.randint(1, 3 * prime) for r in range(pr) for c in range(pc)
                  if rng.random() < 0.5}
+        i = rng.randrange(len(blocks))
+        a_xx, a_zv = blocks[i][0], blocks[i][4]
         kind = rng.random()
-        if kind < 0.05 and rows:  # a denominator of m the prime divides
-            m[0][0] = Fraction(1, prime)
+        if kind < 0.05 and a_xx:  # a denominator of m the prime divides
+            a_xx[0][0] = Fraction(1, prime)
         elif kind < 0.1:  # a denominator of h the prime divides
-            h[0][0] = Fraction(1, prime)
-        elif kind < 0.25:  # row 0 of I - h p made zero: h_0 p = e_0
-            k, x = rng.randrange(pr), rng.randint(1, 5)
-            block = {(r, c): v for (r, c), v in block.items() if c and r != k}
-            block[(k, 0)] = x
-            h[0] = [Fraction(0)] * pr
-            h[0][k] = Fraction(1, x)
+            a_zv[0][0] = Fraction(1, prime)
+        elif kind < 0.25:  # row z of I - h p made zero: h_z p = e_z
+            z, k, x = z_of.index(i), v0[i] + rng.randrange(len(a_zv[0])), rng.randint(1, 5)
+            block = {(r, c): v for (r, c), v in block.items() if c != z and r != k}
+            block[(k, z)] = x
+            a_zv[0] = [Fraction(0)] * len(a_zv[0])
+            a_zv[0][k - v0[i]] = Fraction(1, x)
         elif kind < 0.35:  # no feedthrough: h all zero
-            h = ex.zeros(pc, pr)
+            for b in blocks:
+                b[4] = ex.zeros(len(b[4]), len(b[4][0]))
         elif kind < 0.5:  # some rows of h zero, one kept nonzero
             kept = rng.randrange(pc)
-            h[kept][rng.randrange(pr)] = Fraction(rng.choice([-3, -1, 2]), rng.choice([1, 7]))
-            for r in range(pc):
-                if r != kept and rng.random() < 0.6:
-                    h[r] = [Fraction(0)] * pr
+            for z, j in enumerate(z_of):
+                row = blocks[j][4][z - z_of.index(j)]
+                if z == kept:
+                    row[rng.randrange(len(row))] = Fraction(rng.choice([-3, -1, 2]),
+                                                            rng.choice([1, 7]))
+                elif rng.random() < 0.6:
+                    row[:] = [Fraction(0)] * len(row)
+        nds = NdsModel.unrouted([SubsystemModel(*b) for b in blocks])
+        plant = assemble_lumped(nds)
+        m, e = ex.hstack([plant.A_xx, plant.B_xu]), plant.A_xv
+        h, f = plant.A_zv, ex.hstack([plant.A_zx, plant.B_zu])
         p = ex.zeros(pr, pc)
         for (r, c), x in block.items():
             p[r][c] = Fraction(x)
-        loop = OpenLoop(m, e, h, f)
+        loop = model.NetworkLoop(nds)
         want = _dense_close_loop(m, e, h, f, p)
         if want is None:
             singular += 1
@@ -438,10 +464,10 @@ def _with_entry(nds, index, key, value):
 
 
 def test_network_loop_residues_match_the_lumped_plant(sec7):
-    # the residues read per subsystem block are the lumped plant's loop
-    # residues, and None at the same primes: sec7, random networks with free
-    # and with fixed parameter blocks, and networks whose prime divides a
-    # denominator in one subsystem's block
+    # the residues read per subsystem block are those of the lumped plant's
+    # loop blocks (`exactla.mod_matrix`), and None at the same primes: sec7,
+    # random networks with free and with fixed parameter blocks, and
+    # networks whose prime divides a denominator in one subsystem's block
     networks = [sec7]
     for seed in range(40):
         nds = random_nds(seed, 4, lft_prob=0.6)
@@ -452,16 +478,21 @@ def test_network_loop_residues_match_the_lumped_plant(sec7):
                  _with_entry(sec7, 2, "B_xu0", Fraction(3, 707))]
     seen = {True: 0, False: 0}
     for nds in networks:
-        loop, exact = model.NetworkLoop(nds), assemble_lumped(nds).loop
+        loop, plant = model.NetworkLoop(nds), assemble_lumped(nds)
+        blocks = [ex.hstack([plant.A_xx, plant.B_xu]), plant.A_zv,
+                  ex.hstack([plant.A_zx, plant.B_zu]), plant.A_xv]
+        shapes = [(nds.M_x, nds.M_x + nds.M_u), (nds.M_z, nds.M_v),
+                  (nds.M_z, nds.M_x + nds.M_u), (nds.M_x, nds.M_v)]
         for prime in (ex.PRIME, 101, 7, 3, 2):
-            got, want = loop.residues(prime), exact.residues(prime)
-            seen[want is None] += 1
-            if want is None:
+            got, want = loop.residues(prime), [ex.mod_matrix(b, prime) for b in blocks]
+            reduced = all(w is not None for w in want)
+            seen[reduced] += 1
+            if not reduced:
                 assert got is None
             else:
-                assert [a.shape for a in got] == [a.shape for a in want]
+                assert [a.shape for a in got] == shapes
                 assert [a.tolist() for a in got] == [a.tolist() for a in want]
-    assert seen[True] >= 20 and seen[False] >= 100, seen
+    assert seen[False] >= 20 and seen[True] >= 100, seen
 
 
 def test_close_loop_singular_loop():

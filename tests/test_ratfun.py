@@ -15,7 +15,7 @@ from netctrl.data import sec7_path
 from netctrl.model import NdsModel, StructuredPattern, SubsystemModel
 from netctrl.ratfun import (EntryClass, SubsystemAnalysis, analysis_records,
                             entry_classes, filter_modes, mode_data, modes, nds_tfms,
-                            owner_deficiencies, pbh_stack, spectrum, subsystem_tfms)
+                            owner_deficiencies, pbh_stack, spectrum)
 
 from oracles import _dense_entry_classes, _loop_pbh_stack, eye, transpose
 from randgen import random_nds, random_subsystem
@@ -26,14 +26,14 @@ def _classes_kinds(classes):
 
 
 def test_sec7_subsystem1_classes(sec7):
-    t = subsystem_tfms(sec7.analysis[0])
+    t = analysis_records([sec7.analysis[0]])[0].tfms
     assert _classes_kinds(t.gzv_classes) == [["zero", "constant"], ["lambda", "zero"]]
     assert t.gzv_classes[0][1].value == Fraction(1)
     assert _classes_kinds(t.gzu_classes) == [["zero"], ["lambda"]]
 
 
 def test_sec7_subsystem2_external_transfer_vanishes(sec7):
-    t = subsystem_tfms(sec7.analysis[1])
+    t = analysis_records([sec7.analysis[1]])[0].tfms
     assert all(c.kind == "zero" for row in t.gzu_classes for c in row)
     assert _classes_kinds(t.gzv_classes) == [["lambda", "zero"]]
 
@@ -43,7 +43,7 @@ def test_zero_state_coupling_gives_constants():
         A_xx0=ex.mat([[1, 0], [0, 2]]), A_xv0=ex.mat([[1], [1]]),
         B_xu0=ex.mat([[1], [0]]), A_zx0=ex.mat([[0, 0]]),
         A_zv0=ex.mat([[7]]), B_zu0=ex.mat([[0]]))
-    t = subsystem_tfms(NdsModel([sub], StructuredPattern(1, 1, {})).analysis[0])
+    t = analysis_records(NdsModel([sub], StructuredPattern(1, 1, {})).analysis)[0].tfms
     assert _classes_kinds(t.gzv_classes) == [["constant"]]
     assert t.gzv_classes[0][0].value == Fraction(7)
     assert _classes_kinds(t.gzu_classes) == [["zero"]]

@@ -4,15 +4,15 @@ import pytest
 
 from netctrl import ratfun
 from netctrl.cli import parse_document
+from netctrl.model import NdsModel
 from netctrl.structgraph import (StructureGraph, build_nacg,
-                                 build_subsystem_acg,
                                  find_input_unreachable_lambda_cycle,
                                  find_input_unreachable_lambda_edge,
                                  scc_decompose, to_dot,
                                  unreachable_source_sccs_with_lambda_edge,
                                  vertex_name)
 
-from oracles import build_acg, build_lumped_acg
+from oracles import build_acg, build_lumped_acg, successors
 
 
 def _names(vertices):
@@ -28,9 +28,14 @@ Z = lambda i, p: ("z", i, p)
 U = lambda i, p: ("u", i, p)
 
 
+def _subsystem_graph(sub):
+    """The connection graph of one subsystem alone, numbered subsystem 1."""
+    nds = NdsModel.unrouted([sub])
+    return build_nacg(nds, ratfun.nds_tfms(nds))
+
+
 def test_subsystem_graph_sec7_first(sec7):
-    aug = sec7.analysis[0]
-    g = build_subsystem_acg(1, aug, ratfun.subsystem_tfms(aug))
+    g = _subsystem_graph(sec7.subsystems[0])
     assert set(g.edges) == {
         (V(1, 2), Z(1, 1), "const"),
         (V(1, 1), Z(1, 2), "lambda"),
@@ -44,13 +49,13 @@ def test_subsystem_graph_sec7_first(sec7):
         {"A_xx": [], "A_xv": [], "B_xu": [],
          "A_zx": [[]], "A_zv": [[0]], "B_zu": [[1]]}],
         "scm": {"free": [[1, 1]]}})
-    parts = [build_subsystem_acg(i + 1, aug, ratfun.subsystem_tfms(aug))
-             for i, aug in enumerate(oscillator.analysis)]
+    parts = [_subsystem_graph(sub) for sub in oscillator.subsystems]
     assert parts[0].vertices == (V(1, 1),) and parts[0].edges == ()
-    assert set(parts[1].vertices) == {V(2, 1), Z(2, 1), U(2, 1)}
-    assert parts[1].edges == ((U(2, 1), Z(2, 1), "const"),)
+    assert set(parts[1].vertices) == {V(1, 1), Z(1, 1), U(1, 1)}
+    assert parts[1].edges == ((U(1, 1), Z(1, 1), "const"),)
     nacg = build_nacg(oscillator, ratfun.nds_tfms(oscillator))
-    assert set(nacg.vertices) == set(parts[0].vertices) | set(parts[1].vertices)
+    assert set(nacg.vertices) == {(kind, i + 1, port) for i, part in enumerate(parts)
+                                  for kind, _, port in part.vertices}
 
 
 def test_build_acg_rejects_nonsquare():
@@ -118,7 +123,7 @@ def test_scc_matches_mutual_reachability_oracle():
                  if a != b and rng.random() < 0.25]
         g = _mk(verts, edges)
         dec = scc_decompose(g)
-        adj = g.successors()
+        adj = successors(g)
 
         def reach(a):
             seen = {a}
@@ -144,7 +149,7 @@ def test_sec7_six_vertex_unreachable_component(sec7):
     dec = scc_decompose(g)
     big = max(dec.components, key=len)
     assert sorted(_names(big)) == ["v12", "v21", "v32", "z11", "z21", "z32"]
-    assert not dec.component_reachable(dec.comp_of[big[0]])
+    assert not any(dec.input_reachable[v] for v in big)
 
 
 def test_witness_cycle_sec7(sec7):

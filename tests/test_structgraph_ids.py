@@ -56,7 +56,7 @@ def test_networked_and_lumped_graphs_match_reference(sec7, sec7_designed3, sec7_
         # the integer graph's tuple views are the graph built from its tuples
         rebuilt = StructureGraph(nacg.vertices, nacg.edges)
         assert rebuilt.vertices == nacg.vertices and rebuilt.edges == nacg.edges, label
-        assert rebuilt.successors() == nacg.successors(), label
+        assert rebuilt.succ == nacg.succ and rebuilt.lam == nacg.lam, label
         assert rebuilt == nacg and hash(rebuilt) == hash(nacg), label
         _assert_matches_reference(nacg, label)
         _assert_matches_reference(oracles.build_lumped_acg(model, tfms), label)

@@ -1,9 +1,10 @@
 """The benchmark's traced and imported names resolve against the library.
 
 The span recorder in perfbench/spans.py patches each (owner, attribute)
-pair of its TRACED list, and perfbench/workloads.py imports the library
-names it builds its documents with; renaming one of those would otherwise
-surface only when the benchmark runs.
+pair of its TRACED list, perfbench/workloads.py imports the library names
+it builds its documents with, and perfbench/record_golden.py reads a few
+more; renaming one of those would otherwise surface only when the
+benchmark runs.
 """
 
 import runpy
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from netctrl import ratfun
+from netctrl import cli, ratfun
+from netctrl.model import NdsModel
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACED = runpy.run_path(str(PERFBENCH / "spans.py"))["TRACED"]
@@ -27,3 +29,7 @@ def test_workload_imports_resolve():
     runpy.run_path(str(PERFBENCH / "workloads.py"))
     # perfbench/record_golden.py takes each design instance's largest target from it
     assert callable(getattr(ratfun, "mode_data", None))
+    # and parses each document, reading its size and its pooled spectrum
+    assert callable(getattr(cli, "parse_document", None))
+    assert isinstance(getattr(NdsModel, "n_sub", None), property)
+    assert callable(getattr(ratfun, "spectrum", None))

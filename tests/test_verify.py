@@ -524,7 +524,7 @@ def test_realization_redraws_only_singular_loops(monkeypatch, sec7_designed3):
     def singular_once(rows, n):
         calls.append(n)
         if len(calls) == 1:
-            raise ex.SingularMatrixError("singular system in exact_solve")
+            raise ex.SingularMatrixError("singular system")
         return real(rows, n)
 
     monkeypatch.setattr(ex, "int_solve", singular_once)
@@ -580,13 +580,13 @@ def _smallest_prime_factor(x):
 def test_realization_denominator_divisible_by_the_prime(monkeypatch, max_sub, seed):
     nds = _hetero(seed, max_sub)
     closed = []
-    close_mod = OpenLoop.close_mod
+    close_mod = NetworkLoop.close_mod
 
     def recording(self, p, prime):
         closed.append((p, close_mod(self, p, prime)))
         return closed[-1][1]
 
-    monkeypatch.setattr(OpenLoop, "close_mod", recording)
+    monkeypatch.setattr(NetworkLoop, "close_mod", recording)
     randomized_realization_check(nds, seed=0, trials=1)
     block, residues = closed[0]
     assert residues is not None  # the modular closure decided the first draw
@@ -603,7 +603,7 @@ def test_realization_denominator_divisible_by_the_prime(monkeypatch, max_sub, se
     # fallback inside close_mod finds the loop well-posed but gives no witness
     assert ex.mod_matrix(exact, q) is None
     assert ex.mod_matrix(loop.m, q) is not None
-    assert close_mod(loop, block, q) is None
+    assert NetworkLoop(nds).close_mod(block, q) is None
     monkeypatch.setattr(ex, "PRIME", q)
     values = {pid: block[pos] for pos, pid in plant.P_pattern.entries.items()}
     lift = verify._lift
@@ -862,13 +862,13 @@ def test_realization_closes_each_draw_once_at_the_prime(monkeypatch, sec7):
     # the fill-in lifts from the last trial's closure at PRIME, then closes
     # the same draw only mod the primes below it
     primes = []
-    close_mod = OpenLoop.close_mod
+    close_mod = NetworkLoop.close_mod
 
     def recording(self, p, prime):
         primes.append(prime)
         return close_mod(self, p, prime)
 
-    monkeypatch.setattr(OpenLoop, "close_mod", recording)
+    monkeypatch.setattr(NetworkLoop, "close_mod", recording)
     res = randomized_realization_check(sec7, seed=0, trials=5)
     assert not res.controllable_witness and res.last_uncontrollable_modes
     assert primes.count(ex.PRIME) == res.trials_used + res.redraws
