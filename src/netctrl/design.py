@@ -1,4 +1,4 @@
-"""Two-stage minimal interconnection design plus a guarded exhaustive search.
+"""Two-stage minimal interconnection design.
 
 Stage 1 picks internal-input rows by a submodular greedy until every
 per-mode rank target is reachable, extracts per-mode cover sets, and turns
@@ -13,9 +13,9 @@ subsystem, so its rank is the sum of the ranks of the blocks
 Each block is ranked alone, at its own cutoff tol * max(1, s0), through
 `matroid.BlockRanks`, the cache the fixed-mode intersection ranks [Y Z]
 through; a block with no rows, or already at full row rank, gains nothing
-and takes no SVD. No dense [Y Z] is built. The exhaustive search orders
-its modes by owner deficiency (`ratfun.owner_deficiencies`), which is
-M_r - rank Z at every mode.
+and takes no SVD. No dense [Y Z] is built. The guarded exhaustive search
+that checks the design's minimality on small instances is a test
+reference (tests/oracles.py).
 
 Ground elements inside this module are 0-based column indices of the
 per-mode matrices [Y_i Z_i]: indices below M_v are internal-input rows,
@@ -24,14 +24,14 @@ the rest are output-port columns. Reported results are 1-based.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 from . import ratfun, structgraph, verify
-from .matroid import (BlockRanks, GenericPattern, NumericColumns, matroid_intersection_rank,
-                      scan_blocks)
+from .matroid import BlockRanks, scan_blocks
+# perfbench/spans.py patches it here
+from .matroid import matroid_intersection_rank  # noqa: F401
 from .model import NdsModel, StructuredPattern, SubsystemModel
 from .ratfun import ModeData
 from .verify import FeasibilityReport
@@ -50,8 +50,8 @@ class _BlockRanks:
     rank is the sum of its parts' ranks in the blocks [y_i z_i] they fall
     in (`ModeData.column_blocks`). `ranks` ranks (block, local columns)
     queries through one `matroid.BlockRanks`: each part alone, at its own
-    cutoff, identical agents sharing their block's ranks, and the misses of
-    one call stacked per shape and dtype.
+    cutoff, agents that share a form sharing their block's ranks, and the
+    misses of one call stacked per shape and dtype.
     """
 
     def __init__(self, modes: list[ModeData], tol: float):
@@ -412,63 +412,3 @@ def design_topology(subsystems: list[SubsystemModel], mode_filter: str = "all",
                         bound_report=bound_report, verified=verified,
                         verdict=verdict)
 
-
-def _structurally_controllable_fixed(positions, base_graph, nds0, modes, q2_oracles,
-                                     starts) -> bool:
-    """Candidate test shared by the exhaustive search; positions are 0-based."""
-    graph = base_graph.with_edges(structgraph.link_edges(nds0, positions))
-    # An unreachable lambda edge is a moving mode on a cycle and comes with a
-    # fixed mode off every cycle, so it rejects before any intersection.
-    if structgraph.find_input_unreachable_lambda_edge(graph) is not None:
-        return False
-    # design instances carry no free subsystem blocks, so the routing
-    # pattern is the whole parameter pattern
-    pattern = StructuredPattern.from_positions(nds0.M_v, nds0.M_z, positions, "phi")
-    q1 = GenericPattern(verify.routing_pattern_q1(pattern))
-    for md, q2, start in zip(modes, q2_oracles, starts):
-        if md.M_r == 0:
-            continue
-        best = matroid_intersection_rank(q1, q2, start)
-        if best.certified_rank < md.M_r:
-            return False
-    return True
-
-
-def brute_force_min_topology(subsystems: list[SubsystemModel],
-                             max_links: Optional[int] = None,
-                             rank_tol: float = ratfun.RANK_TOL,
-                             eig_tol: float = ratfun.EIG_TOL) -> Optional[StructuredPattern]:
-    """First structurally controllable pattern in levelwise canonical order.
-
-    Guarded: without an explicit link cap the search refuses grids with more
-    than 36 candidate positions.
-    """
-    if any(s.has_free_params for s in subsystems):
-        raise InfeasibleDesignError("exhaustive search expects fixed parameter blocks")
-    nds0 = NdsModel.unrouted(subsystems)
-    n_pos = nds0.M_v * nds0.M_z
-    if max_links is None and n_pos > 36:
-        raise InfeasibleDesignError(
-            f"search space has {n_pos} positions (> 36); pass max_links to cap it")
-    cap = min(max_links if max_links is not None else n_pos, n_pos)
-    spec = ratfun.spectrum(nds0, eig_tol)
-    modes = ratfun.modes(nds0, spec.values, rank_tol)
-    # hardest modes first: a larger owner deficiency (M_r - rank Z) fails faster
-    deficiency = ratfun.owner_deficiencies(nds0, spec, rank_tol)
-    mode_order = sorted(range(len(modes)), key=lambda i: (-deficiency[i], i))
-    modes = [modes[i] for i in mode_order]
-    q2_oracles = [NumericColumns(md.column_blocks(), rank_tol) for md in modes]
-    # a basis of Z starts every candidate's intersection, as in
-    # `verify.mode_rank`: it does not depend on the pattern
-    z_ports = range(nds0.M_v, nds0.M_v + nds0.M_z)
-    starts = [q2.basis(z_ports) for q2 in q2_oracles]
-    tfms = ratfun.nds_tfms(nds0)
-    base_graph = structgraph.build_nacg(nds0, tfms)
-    all_positions = [(r, c) for r in range(nds0.M_v) for c in range(nds0.M_z)]
-    for size in range(cap + 1):
-        for combo in itertools.combinations(all_positions, size):
-            if _structurally_controllable_fixed(list(combo), base_graph, nds0,
-                                                modes, q2_oracles, starts):
-                return StructuredPattern.from_positions(nds0.M_v, nds0.M_z,
-                                                        list(combo), "phi")
-    return None

@@ -88,6 +88,15 @@ def shape(m: Mat) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
 
 
+def block_cols(*block_column: Mat) -> int:
+    """Column count of a block column, read off its first matrix with rows
+    (a zero-row matrix has lost its column count)."""
+    for m in block_column:
+        if m:
+            return len(m[0])
+    return 0
+
+
 def zeros(r: int, c: int) -> Mat:
     return [[ZERO] * c for _ in range(r)]
 

@@ -69,9 +69,9 @@ class BlockRanks:
     the block's chosen columns in sorted order, so its cutoff is
     tol * max(1, s0) of that matrix. A block with no rows, or an empty
     column set, has rank 0 and takes no SVD. Keys hold the block's id, so
-    one array object, such as identical agents' [y_i z_i], shares its ranks
-    under every key; the cache keeps each keyed block alive, so an id is
-    never reused while its ranks are kept. The misses of one `ranks` call go
+    one array object, such as the [y_i z_i] of agents that share a form,
+    shares its ranks under every key; the cache keeps each keyed block
+    alive, so an id is never reused while its ranks are kept. The misses of one `ranks` call go
     to one stacked `float_rank` per matrix shape and dtype (LAPACK factors
     each matrix of a stack as it would alone).
     """
@@ -141,8 +141,8 @@ class NumericColumns(IndependenceOracle):
     independent exactly when each block's part of it is independent in
     that block, and its rank is the sum of those parts' ranks. Each part is
     ranked alone by the oracle's `BlockRanks`, at the cutoff of the part,
-    not of the whole set. Parts that are one array object, such as
-    identical agents' blocks, share their ranks.
+    not of the whole set. Parts that are one array object, such as the
+    blocks of agents that share a form, share their ranks.
     """
 
     def __init__(self, parts: list, tol: float = RANK_TOL):

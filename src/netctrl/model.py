@@ -11,7 +11,8 @@ parameter block can be
 * a fixed matrix    -- known values; the feedback loop is closed in exact
                        arithmetic.
 
-`analysis_form` is the one builder of the parameter-free form for all three.
+`analysis_form` is the one builder of the parameter-free form for all three;
+the form, with everything computed from it, is `ratfun.AugmentedSubsystem`.
 
 The interconnection pattern routes internal outputs to internal inputs; its
 free entries are the design variables of the topology problem.
@@ -32,6 +33,7 @@ import numpy as np
 
 from . import exactla as ex
 from .exactla import Mat
+from .ratfun import AugmentedSubsystem
 
 
 class ModelError(ValueError):
@@ -84,15 +86,6 @@ def _shape_ok(m: Mat, want: tuple[int, int]) -> bool:
     if want[0] == 0:
         return len(m) == 0
     return ex.shape(m) == want
-
-
-def _cols(*block_column: Mat) -> int:
-    """Column count of a block column, read off its first matrix with rows
-    (a zero-row matrix has lost its column count)."""
-    for m in block_column:
-        if m:
-            return len(m[0])
-    return 0
 
 
 @dataclass(frozen=True)
@@ -161,11 +154,11 @@ class SubsystemModel:
 
     @property
     def m_u(self) -> int:
-        return _cols(self.B_xu0, self.B_zu0)
+        return ex.block_cols(self.B_xu0, self.B_zu0)
 
     @property
     def m_v0(self) -> int:
-        return _cols(self.A_xv0, self.A_zv0)
+        return ex.block_cols(self.A_xv0, self.A_zv0)
 
     @property
     def m_z0(self) -> int:
@@ -186,7 +179,7 @@ class SubsystemModel:
     @cached_property
     def analysis(self) -> AugmentedSubsystem:
         """The analysis form (`analysis_form`), built once per subsystem object,
-        so every NdsModel made from this object shares it and its record.
+        so every NdsModel made from this object shares it and its results.
         Without a parameter block it holds this subsystem's own matrices."""
         return analysis_form(self)
 
@@ -195,8 +188,8 @@ class SubsystemModel:
         made from `prefix` (`StructuredPattern.from_positions`).
 
         The repeat shares this subsystem's matrices and its analysis form,
-        and with the form the form's record. The form depends on neither the
-        name nor the ids; it keeps the name of the subsystem that built it.
+        and with the form the form's results. The form depends on neither
+        the name nor the ids; it keeps the name of the subsystem that built it.
         The shapes were checked when this subsystem was made, and are not
         checked again.
         """
@@ -208,40 +201,6 @@ class SubsystemModel:
             twin.__dict__["param_block"] = StructuredPattern.from_positions(
                 p.rows, p.cols, p.entries, prefix)
         return twin
-
-
-@dataclass
-class AugmentedSubsystem:
-    """Parameter-free analysis form of a subsystem (extra channels absorbed).
-
-    `record` is the form's analysis record (`ratfun.SubsystemAnalysis`),
-    made on first use and kept as long as the form.
-    """
-
-    A_xx: Mat
-    A_xv: Mat
-    B_xu: Mat
-    A_zx: Mat
-    A_zv: Mat
-    B_zu: Mat
-    name: str = ""
-    record: Optional[object] = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def m_x(self) -> int:
-        return len(self.A_xx)
-
-    @property
-    def m_u(self) -> int:
-        return _cols(self.B_xu, self.B_zu)
-
-    @property
-    def m_v(self) -> int:
-        return _cols(self.A_xv, self.A_zv)
-
-    @property
-    def m_z(self) -> int:
-        return len(self.A_zx)
 
 
 def _integer_block(p: Mat) -> tuple[list, int]:

@@ -7,17 +7,20 @@ numbers, not about floating-point residues. Eigenvalues and null-space
 bases, which are generally irrational, are the only floating-point objects
 here.
 
-Everything here is computed per subsystem and kept in one analysis record
-per analysis form (`SubsystemAnalysis`): `nds_tfms`, `spectrum` and
-`modes` only assemble their results from the records, and
+Everything here is computed per subsystem and kept on its analysis form
+(`AugmentedSubsystem`, which `model.analysis_form` builds): `nds_tfms`,
+`spectrum` and `modes` only assemble their results from the forms, and
 `modes` is the one assembler of per-mode data (`mode_data` is `modes` at
 one eigenvalue) and `mode_targets` the one assembler of per-mode targets.
-A record factors its mode matrices in stacks, one SVD for all its missing
+A form factors its mode matrices in stacks, one SVD for all its missing
 real eigenvalues and one for the complex ones; LAPACK factors each matrix
 of a stack as it would alone, so a factor does not depend on which others
-it was built with. A record keeps each factor (U and the rank): a target
+it was built with. A form keeps each factor (U and the rank): a target
 reads the rank alone, and a null-space block is built from U only when
-`modes` asks for it.
+`modes` asks for it. Forms are shared by identity only: subsystems share
+one when they are one object, or one repeats the other
+(`model.SubsystemModel.repeat`). `model` imports this module; this module
+imports `model` for type checking only.
 """
 
 from __future__ import annotations
@@ -26,14 +29,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import attrgetter
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from . import exactla as ex
 from .exactla import RANK_TOL, Mat
-from .model import AugmentedSubsystem, NdsModel
+
+if TYPE_CHECKING:
+    from .model import NdsModel
 
 EIG_TOL = 1e-6
 
@@ -108,7 +112,7 @@ class SubsystemTfms:
 
 
 def nds_tfms(nds: NdsModel) -> list[SubsystemTfms]:
-    return [r.tfms for r in analysis_records(nds.analysis)]
+    return [a.tfms for a in nds.analysis]
 
 
 @dataclass(frozen=True)
@@ -161,8 +165,8 @@ def spectrum(nds: NdsModel, tol: float = EIG_TOL) -> Spectrum:
     the imaginary part is below tolerance.
     """
     raw: list[tuple[complex, int]] = []
-    for j, rec in enumerate(analysis_records(nds.analysis)):
-        for lam in rec.eigvals:
+    for j, a in enumerate(nds.analysis):
+        for lam in a.eigvals:
             lam = complex(lam)
             if abs(lam.imag) <= tol * max(1.0, abs(lam)):
                 lam = complex(lam.real, 0.0)
@@ -258,7 +262,7 @@ class ModeData:
     def column_blocks(self) -> list[tuple[np.ndarray, list[int]]]:
         """[Y Z] as its diagonal blocks: each subsystem's [y_i z_i] with the
         columns of [Y Z] it fills, its v ports in Y and then its z ports in
-        Z. Identical agents hand over one block object."""
+        Z. Agents that share a form hand over one block object."""
         m_v = sum(s.y.shape[1] for s in self.per_sub)
         v0 = z0 = 0
         out = []
@@ -273,20 +277,20 @@ class ModeData:
 def modes(nds: NdsModel, lams: list, tol: float = RANK_TOL) -> list[ModeData]:
     """Per-subsystem left null spaces of the mode matrices at each eigenvalue.
 
-    Each subsystem record hands over its blocks at all of `lams` in one
+    Each subsystem's form hands over its blocks at all of `lams` in one
     `mode_blocks` call. A subsystem with full-row-rank mode matrix
     contributes zero rows; its state/output column slots still appear (as
     zero-row blocks) in [Y Z], keeping global column indices aligned.
     """
-    blocks = [rec.mode_blocks(lams, tol) for rec in analysis_records(nds.analysis)]
+    blocks = [a.mode_blocks(lams, tol) for a in nds.analysis]
     return [ModeData(lam=lam, per_sub=list(per), M_r=sum(s.m_r for s in per))
             for lam, per in zip(lams, zip(*blocks))]
 
 
 def mode_targets(nds: NdsModel, lams: list, tol: float = RANK_TOL) -> list[int]:
-    """M_r at each eigenvalue, the `modes` target, read off the records'
+    """M_r at each eigenvalue, the `modes` target, read off the forms'
     ranks without building a null-space basis."""
-    per_sub = [rec.null_dims(lams, tol) for rec in analysis_records(nds.analysis)]
+    per_sub = [a.null_dims(lams, tol) for a in nds.analysis]
     return [sum(dims) for dims in zip(*per_sub)]
 
 
@@ -296,20 +300,19 @@ def owner_deficiencies(nds: NdsModel, spec: Spectrum, tol: float = RANK_TOL) -> 
 
     The PBH matrix of a subsystem loses rank only at an eigenvalue of its
     A_xx, so a subsystem is ranked only at the values it owns. Subsystems
-    that share a record are ranked once: one `pbh_deficiencies` call per
-    distinct record, at every value one of them owns. The record keeps each
+    that share a form are ranked once: one `pbh_deficiencies` call per
+    distinct form, at every value one of them owns. The form keeps each
     deficiency, so a second call at the same values (design's `M_def` after
     its final verdict) stacks nothing.
     """
-    records = analysis_records(nds.analysis)
-    owners: dict[SubsystemAnalysis, dict[int, int]] = {}  # record -> value -> owner count
+    owners: dict[AugmentedSubsystem, dict[int, int]] = {}  # form -> value -> owner count
     for i, members in enumerate(spec.members):
         for j in members:
-            count = owners.setdefault(records[j], {})
+            count = owners.setdefault(nds.analysis[j], {})
             count[i] = count.get(i, 0) + 1
     out = [0] * spec.m
-    for rec, count in owners.items():
-        deficiencies = rec.pbh_deficiencies([spec.values[i] for i in count], tol)
+    for a, count in owners.items():
+        deficiencies = a.pbh_deficiencies([spec.values[i] for i in count], tol)
         for (i, n), d in zip(count.items(), deficiencies):
             out[i] += n * int(d)
     return out
@@ -335,53 +338,64 @@ def _by_dtype(lams: list) -> dict[type, list[tuple[int, complex | float]]]:
     return groups
 
 
-class SubsystemAnalysis:
-    """One analysis form's own results, each computed once.
+class AugmentedSubsystem:
+    """Parameter-free analysis form of one subsystem (extra channels
+    absorbed) and its own results, each computed once.
 
-    The float blocks are converted when the record is made; the eigenvalues,
+    The six exact blocks, the name and the port counts are set when the
+    form is made; the float blocks on first float use, so a command that
+    reads only the exact blocks (`realize`) converts none; the eigenvalues,
     the entry classes, each (eigenvalue, rank tolerance) factor of the mode
     matrix and the null-space block built from it, and each (eigenvalue,
-    rank tolerance) deficiency of [lam I - A_xx, B_xu], on first use. The
-    record hangs on the form, and each SubsystemModel builds its form once
-    (a repeat shares the form of the subsystem it repeats), so every
-    NdsModel made from the same subsystem objects reads the same record,
-    and the record lives as long as they do. It keeps the form's
-    matrices rather than the form, so the two make no reference cycle and
-    are freed as soon as the command drops its model.
+    rank tolerance) deficiency of [lam I - A_xx, B_xu], on first use. Each
+    SubsystemModel builds its form once (a repeat shares the form of the
+    subsystem it repeats), so every NdsModel made from the same subsystem
+    objects reads the same results, which live as long as those objects.
+    A form is hashed and compared by identity.
     """
 
-    def __init__(self, aug: AugmentedSubsystem, content: tuple):
-        self.content = content
-        self.exact_blocks = (aug.A_xx, aug.A_xv, aug.B_xu, aug.A_zx, aug.A_zv, aug.B_zu)
-        self.m_x, self.m_z = mx, mz = aug.m_x, aug.m_z
-        mv, mu = aug.m_v, aug.m_u
-        self.a_xx = ex.to_float(aug.A_xx)
-        self.a_xv = ex.to_float(aug.A_xv).reshape(mx, mv)
-        self.b_xu = ex.to_float(aug.B_xu).reshape(mx, mu)
-        self.a_zx = ex.to_float(aug.A_zx).reshape(mz, mx)
-        self.a_zv = ex.to_float(aug.A_zv).reshape(mz, mv)
-        self.b_zu = ex.to_float(aug.B_zu).reshape(mz, mu)
+    def __init__(self, A_xx: Mat, A_xv: Mat, B_xu: Mat, A_zx: Mat, A_zv: Mat,
+                 B_zu: Mat, name: str = ""):
+        self.A_xx, self.A_xv, self.B_xu = A_xx, A_xv, B_xu
+        self.A_zx, self.A_zv, self.B_zu = A_zx, A_zv, B_zu
+        self.name = name
+        self.m_x, self.m_z = len(A_xx), len(A_zx)
+        self.m_v, self.m_u = ex.block_cols(A_xv, A_zv), ex.block_cols(B_xu, B_zu)
         self.factors: dict[tuple[complex, float], tuple[np.ndarray, int]] = {}
         self.deficiencies: dict[tuple[complex, float], int] = {}
         self.blocks: dict[tuple[complex, float], SubsystemModeData] = {}
 
     @cached_property
+    def floats(self) -> tuple[np.ndarray, ...]:
+        """A_xx, A_xv, B_xu, A_zx, A_zv and B_zu as float arrays."""
+        mx, mv, mu, mz = self.m_x, self.m_v, self.m_u, self.m_z
+        return tuple(ex.to_float(m).reshape(shape) for m, shape in (
+            (self.A_xx, (mx, mx)), (self.A_xv, (mx, mv)), (self.B_xu, (mx, mu)),
+            (self.A_zx, (mz, mx)), (self.A_zv, (mz, mv)), (self.B_zu, (mz, mu))))
+
+    @cached_property
     def eigvals(self) -> np.ndarray:
-        return np.linalg.eigvals(self.a_xx)
+        return np.linalg.eigvals(self.floats[0])
 
     @cached_property
     def tfms(self) -> SubsystemTfms:
-        a_xx, a_xv, b_xu, a_zx, a_zv, b_zu = self.exact_blocks
-        return SubsystemTfms(entry_classes(a_zx, a_xx, a_xv, a_zv),
-                             entry_classes(a_zx, a_xx, b_xu, b_zu))
+        """Entry classes of G_zv and G_zu from one Markov sweep over
+        [A_xv B_xu] against [A_zv B_zu], split at the v ports: every scale,
+        zero test and constant is per column, so each column's class is the
+        one a sweep over its own transfer gives."""
+        classes = entry_classes(self.A_zx, self.A_xx, ex.hstack([self.A_xv, self.B_xu]),
+                                ex.hstack([self.A_zv, self.B_zu]))
+        mv = self.m_v
+        return SubsystemTfms([row[:mv] for row in classes], [row[mv:] for row in classes])
 
     def mode_matrices(self, values: list, dtype: type) -> np.ndarray:
         """Stack of [lam I - A_xx, B_xu; -A_zx, B_zu], one per value, in dtype."""
+        a_xx, _, b_xu, a_zx, _, b_zu = self.floats
         mx = self.m_x
-        stack = np.empty((len(values), mx + self.m_z, mx + self.b_xu.shape[1]), dtype)
-        stack[:, :mx] = pbh_stack(self.a_xx, self.b_xu, values, dtype)
-        stack[:, mx:, :mx] = -self.a_zx
-        stack[:, mx:, mx:] = self.b_zu
+        stack = np.empty((len(values), mx + self.m_z, mx + self.m_u), dtype)
+        stack[:, :mx] = pbh_stack(a_xx, b_xu, values, dtype)
+        stack[:, mx:, :mx] = -a_zx
+        stack[:, mx:, mx:] = b_zu
         return stack
 
     def mode_factors(self, lams: list, tol: float) -> list[tuple[np.ndarray, int]]:
@@ -403,6 +417,7 @@ class SubsystemAnalysis:
         """Left null space of the mode matrix and its payload at each
         eigenvalue, built from the stored factor on first use."""
         mx = self.m_x
+        _, a_xv, _, _, a_zv, _ = self.floats
         out = []
         for lam, (u, rank) in zip(lams, self.mode_factors(lams, tol)):
             key = (complex(lam), tol)
@@ -411,7 +426,7 @@ class SubsystemAnalysis:
                 basis = u[:, rank:].conj().T
                 t = basis[:, :mx]
                 z = basis[:, mx:]
-                y = t @ self.a_xv + z @ self.a_zv
+                y = t @ a_xv + z @ a_zv
                 yz = np.hstack([y, z])
                 for shared in (t, z, y, yz):  # every ModeData at this mode holds them
                     shared.flags.writeable = False
@@ -426,34 +441,10 @@ class SubsystemAnalysis:
         dtype."""
         keys = [(complex(lam), tol) for lam in lams]
         missing = list({k[0]: None for k in keys if k not in self.deficiencies})
+        a_xx, _, b_xu = self.floats[:3]
         for dtype, group in _by_dtype(missing).items():
-            pbh = pbh_stack(self.a_xx, self.b_xu, [v for _, v in group], dtype)
+            pbh = pbh_stack(a_xx, b_xu, [v for _, v in group], dtype)
             for (i, _), rank in zip(group, ex.float_rank(pbh, tol).tolist()):
                 self.deficiencies[(missing[i], tol)] = self.m_x - rank
         return np.array([self.deficiencies[k] for k in keys], dtype=int)
 
-
-_ratio = attrgetter("numerator", "denominator")
-
-
-def analysis_records(augs: list[AugmentedSubsystem]) -> list[SubsystemAnalysis]:
-    """The analysis record of each form, made on first use.
-
-    A form without a record takes the one of a form with equal matrices in
-    the same list, so identical agents in one network share one record.
-    Forms are keyed on their entries' (numerator, denominator) pairs, which
-    hash and compare as plain integers; a Fraction's hash takes a modular
-    inverse. The repeats of a parsed subsystem share its form
-    (`SubsystemModel.repeat`), so they take its record with no key built.
-    """
-    if any(a.record is None for a in augs):
-        shared = {a.record.content: a.record for a in augs if a.record is not None}
-        for a in augs:
-            if a.record is None:
-                content = (a.m_x, a.m_v, a.m_u, a.m_z) + tuple([
-                    _ratio(x) for m in (a.A_xx, a.A_xv, a.B_xu, a.A_zx, a.A_zv, a.B_zu)
-                    for row in m for x in row])
-                if content not in shared:
-                    shared[content] = SubsystemAnalysis(a, content)
-                a.record = shared[content]
-    return [a.record for a in augs]

@@ -138,16 +138,6 @@ class StructureGraph:
         return reach
 
 
-def link_edges(nds: NdsModel, positions: Iterable[tuple[int, int]]) -> list[Edge]:
-    """One routing-link edge z -> v per (input row, output column) position."""
-    edges = []
-    for r, c in positions:
-        j, q = nds.locate("v", r)
-        i, p = nds.locate("z", c)
-        edges.append((("z", i + 1, p + 1), ("v", j + 1, q + 1), "link"))
-    return edges
-
-
 def _out_edges(classes: list, m_in: int) -> list[tuple[tuple, tuple, tuple]]:
     """Per input port p of one subsystem: the output ports q with a nonzero
     class classes[q][p], ascending, their edge kinds, and the lambda ones."""
@@ -165,8 +155,8 @@ def build_nacg(nds: NdsModel, tfms: list) -> StructureGraph:
     entry of `NdsModel.P_pattern`.
 
     Vertex ids follow the port map: u ports, then v ports, then z ports, each
-    by global index. Identical agents share their class matrices, whose
-    per-port edges are read once.
+    by global index. Agents that share a form share their class matrices,
+    whose per-port edges are read once.
     """
     off = nds.offsets
     base = {"u": 0, "v": nds.M_u, "z": nds.M_u + nds.M_v}

@@ -36,8 +36,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import chain
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -79,8 +80,9 @@ def routing_pattern_q1(pattern: StructuredPattern) -> StructuredPattern:
 _PRODUCT_RANK_SEED = 0
 
 
-def mode_rank(md: ratfun.ModeData, pattern: StructuredPattern, q1: GenericPattern,
-              rng: np.random.Generator, rank_tol: float = ratfun.RANK_TOL) -> int:
+def mode_rank(md: ratfun.ModeData, pattern: StructuredPattern,
+              routing: Callable[[], GenericPattern], rng: np.random.Generator,
+              rank_tol: float = ratfun.RANK_TOL) -> int:
     """Largest common independent set of [P^T I] and [Y Z] at one mode.
 
     By Cauchy-Binet, rank(Y P + Z) at any real P is at most the generic rank,
@@ -89,9 +91,10 @@ def mode_rank(md: ratfun.ModeData, pattern: StructuredPattern, q1: GenericPatter
     [y_i z_i] of [Y Z], one row block each. The draw is unit-scale
     Gaussian: large integer draws make the float rank read low.
 
-    A shortfall runs the exact intersection, with [Y Z] ranked block by
-    block (`NumericColumns`), from a basis of Z (`NumericColumns.basis` of
-    the z ports, the columns after Y's): its columns of [P^T I] are identity
+    A shortfall runs the exact intersection of the oracle of [P^T I],
+    which `routing()` returns, with [Y Z], ranked block by block
+    (`NumericColumns`), from a basis of Z (`NumericColumns.basis` of the z
+    ports, the columns after Y's): its columns of [P^T I] are identity
     columns, so it is independent in both matroids, and at most the owner
     deficiency d of augmentations remain.
     """
@@ -105,7 +108,7 @@ def mode_rank(md: ratfun.ModeData, pattern: StructuredPattern, q1: GenericPatter
         return md.M_r
     q2 = NumericColumns(blocks, rank_tol)
     z_ports = range(pattern.rows, pattern.rows + pattern.cols)
-    return matroid_intersection_rank(q1, q2, q2.basis(z_ports)).certified_rank
+    return matroid_intersection_rank(routing(), q2, q2.basis(z_ports)).certified_rank
 
 
 def check_fum_networked(nds: NdsModel, spec: Optional[ratfun.Spectrum] = None,
@@ -133,7 +136,8 @@ def check_fum_networked(nds: NdsModel, spec: Optional[ratfun.Spectrum] = None,
     blocks = iter(ratfun.modes(nds, [lam for lam, target, d in modes if target and d],
                                rank_tol))
     pattern = nds.P_pattern
-    q1 = GenericPattern(routing_pattern_q1(pattern))
+    # [P^T I]'s oracle, built for the first mode the draw leaves short
+    routing = cache(lambda: GenericPattern(routing_pattern_q1(pattern)))
     rng = np.random.default_rng(_PRODUCT_RANK_SEED)
     out = []
     for lam, target, d in modes:
@@ -143,7 +147,7 @@ def check_fum_networked(nds: NdsModel, spec: Optional[ratfun.Spectrum] = None,
             rng.standard_normal(len(pattern.entries))  # the draw this mode skips
             out.append(ModeCheck(lam, target, target))
         else:
-            out.append(ModeCheck(lam, target, mode_rank(next(blocks), pattern, q1, rng,
+            out.append(ModeCheck(lam, target, mode_rank(next(blocks), pattern, routing, rng,
                                                         rank_tol)))
     return out
 
@@ -246,10 +250,11 @@ def check_feasibility(subsystems: list[SubsystemModel], mode_filter: str = "all"
     nds = NdsModel.unrouted(subsystems)
     cond_i = []
     detail = []
-    for idx, rec in enumerate(ratfun.analysis_records(nds.analysis)):
-        lams = ratfun.filter_modes(rec.eigvals, mode_filter)
-        pbh = ratfun.pbh_stack(rec.a_xx, np.hstack([rec.b_xu, rec.a_xv]), lams, complex)
-        failing = np.flatnonzero(ex.float_rank(pbh, rank_tol) < rec.m_x)
+    for idx, a in enumerate(nds.analysis):
+        lams = ratfun.filter_modes(a.eigvals, mode_filter)
+        a_xx, a_xv, b_xu = a.floats[:3]
+        pbh = ratfun.pbh_stack(a_xx, np.hstack([b_xu, a_xv]), lams, complex)
+        failing = np.flatnonzero(ex.float_rank(pbh, rank_tol) < a.m_x)
         if failing.size:
             # the eigenvalue as the spectrum holds it: a real one prints as a float
             detail.append(f"subsystem {idx + 1} uncontrollable at {lams[failing[0]]:.6g}")

@@ -15,8 +15,10 @@ a question the library settles another way:
   of that plant (`build_lumped_acg`, on the square-form builder
   `build_acg`), beside the paper's per-subsystem networked tests;
 * exhaustive searches: the union rank by its rank formula (a pattern's
-  rank is a maximum matching's size, `rank_of`) and the smallest covering
-  row set by levelwise enumeration;
+  rank is a maximum matching's size, `rank_of`), the smallest covering
+  row set by levelwise enumeration, and the first structurally
+  controllable routing pattern in levelwise order
+  (`brute_force_min_topology`), beside `design.design_topology`;
 * design's stage 1 on the dense [Y Z] of each mode (`dense_g_value`,
   `dense_greedy_link_rows`, `dense_extract_cover_sets`), one global rank
   at one cutoff per matrix, beside the library's per-block ranks;
@@ -55,11 +57,12 @@ from typing import Iterable, Optional
 import numpy as np
 
 from netctrl import exactla as ex
-from netctrl import ratfun
+from netctrl import ratfun, structgraph, verify
 from netctrl.design import ColoringGraph, InfeasibleDesignError
 from netctrl.exactla import RANK_TOL, Mat
-from netctrl.matroid import GenericPattern, IndependenceOracle, NumericColumns
-from netctrl.model import NdsModel, StructuredPattern, assemble_lumped
+from netctrl.matroid import (GenericPattern, IndependenceOracle, NumericColumns,
+                             matroid_intersection_rank)
+from netctrl.model import NdsModel, StructuredPattern, SubsystemModel, assemble_lumped
 from netctrl.ratfun import EntryClass, ModeData
 from netctrl.structgraph import Edge, SccDecomposition, StructureGraph, Vertex
 from netctrl.verify import ModeCheck
@@ -740,6 +743,79 @@ def minimal_rows_exhaustive(modes: list[ModeData], M_v: int,
         for combo in itertools.combinations(range(M_v), size):
             if dense_g_value(combo, modes, rank_tol) == target:
                 return list(combo)
+    return None
+
+
+# --- exhaustive topology search ----------------------------------------------
+
+def link_edges(nds: NdsModel, positions: Iterable[tuple[int, int]]) -> list[Edge]:
+    """One routing-link edge z -> v per (input row, output column) position."""
+    edges = []
+    for r, c in positions:
+        j, q = nds.locate("v", r)
+        i, p = nds.locate("z", c)
+        edges.append((("z", i + 1, p + 1), ("v", j + 1, q + 1), "link"))
+    return edges
+
+
+def _structurally_controllable_fixed(positions, base_graph, nds0, modes, q2_oracles,
+                                     starts) -> bool:
+    """Candidate test shared by the exhaustive search; positions are 0-based."""
+    graph = base_graph.with_edges(link_edges(nds0, positions))
+    # An unreachable lambda edge is a moving mode on a cycle and comes with a
+    # fixed mode off every cycle, so it rejects before any intersection.
+    if structgraph.find_input_unreachable_lambda_edge(graph) is not None:
+        return False
+    # design instances carry no free subsystem blocks, so the routing
+    # pattern is the whole parameter pattern
+    pattern = StructuredPattern.from_positions(nds0.M_v, nds0.M_z, positions, "phi")
+    q1 = GenericPattern(verify.routing_pattern_q1(pattern))
+    for md, q2, start in zip(modes, q2_oracles, starts):
+        if md.M_r == 0:
+            continue
+        best = matroid_intersection_rank(q1, q2, start)
+        if best.certified_rank < md.M_r:
+            return False
+    return True
+
+
+def brute_force_min_topology(subsystems: list[SubsystemModel],
+                             max_links: Optional[int] = None,
+                             rank_tol: float = ratfun.RANK_TOL,
+                             eig_tol: float = ratfun.EIG_TOL) -> Optional[StructuredPattern]:
+    """First structurally controllable pattern in levelwise canonical order.
+
+    Guarded: without an explicit link cap the search refuses grids with more
+    than 36 candidate positions.
+    """
+    if any(s.has_free_params for s in subsystems):
+        raise InfeasibleDesignError("exhaustive search expects fixed parameter blocks")
+    nds0 = NdsModel.unrouted(subsystems)
+    n_pos = nds0.M_v * nds0.M_z
+    if max_links is None and n_pos > 36:
+        raise InfeasibleDesignError(
+            f"search space has {n_pos} positions (> 36); pass max_links to cap it")
+    cap = min(max_links if max_links is not None else n_pos, n_pos)
+    spec = ratfun.spectrum(nds0, eig_tol)
+    modes = ratfun.modes(nds0, spec.values, rank_tol)
+    # hardest modes first: a larger owner deficiency (M_r - rank Z) fails faster
+    deficiency = ratfun.owner_deficiencies(nds0, spec, rank_tol)
+    mode_order = sorted(range(len(modes)), key=lambda i: (-deficiency[i], i))
+    modes = [modes[i] for i in mode_order]
+    q2_oracles = [NumericColumns(md.column_blocks(), rank_tol) for md in modes]
+    # a basis of Z starts every candidate's intersection, as in
+    # `verify.mode_rank`: it does not depend on the pattern
+    z_ports = range(nds0.M_v, nds0.M_v + nds0.M_z)
+    starts = [q2.basis(z_ports) for q2 in q2_oracles]
+    tfms = ratfun.nds_tfms(nds0)
+    base_graph = structgraph.build_nacg(nds0, tfms)
+    all_positions = [(r, c) for r in range(nds0.M_v) for c in range(nds0.M_z)]
+    for size in range(cap + 1):
+        for combo in itertools.combinations(all_positions, size):
+            if _structurally_controllable_fixed(list(combo), base_graph, nds0,
+                                                modes, q2_oracles, starts):
+                return StructuredPattern.from_positions(nds0.M_v, nds0.M_z,
+                                                        list(combo), "phi")
     return None
 
 

@@ -43,6 +43,14 @@ def random_subsystem(rng: random.Random, index: int, max_state: int = 3,
     return SubsystemModel(**kwargs)
 
 
+def identical_agents(seed: int, n: int, lft_prob: float = 0.5) -> list[SubsystemModel]:
+    """n agents `random_subsystem(random.Random(seed), i, lft_prob=lft_prob)`,
+    i = 1..n: the first one and n - 1 repeats of it (`SubsystemModel.repeat`),
+    which share its analysis form."""
+    first = random_subsystem(random.Random(seed), 1, lft_prob=lft_prob)
+    return [first] + [first.repeat(f"rnd{i}", f"p{i}") for i in range(2, n + 1)]
+
+
 def random_nds(seed: int, max_sub: int = 3, max_state: int = 3, max_port: int = 2,
                lft_prob: float = 0.3, scm_density: float = 0.35) -> NdsModel:
     """A well-posed random networked system; deterministic in the seed."""

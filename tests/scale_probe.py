@@ -4,10 +4,10 @@
 
 For each N, builds `randgen.check_network(N)` and runs
 `verify.check_fum_networked` on it once, which warms the subsystems'
-records and counts the work of the exact intersections: how many ran, and
-how many times they bound their first oracle (`exchanges`), which is once
-per augmentation and once more per intersection. It then times --repeat
-more runs and prints their median, in seconds, with the records warm.
+analysis forms and counts the work of the exact intersections: how many
+ran, and how many times they bound their first oracle (`exchanges`),
+which is once per augmentation and once more per intersection. It then times --repeat
+more runs and prints their median, in seconds, with the forms warm.
 Every run must give the same mode checks.
 
 It then runs `verify.randomized_realization_check` on the same network
@@ -16,8 +16,8 @@ in seconds. Every run must give the same report (`to_dict()`).
 
 It also times --repeat runs of `design.design_topology` on
 `randgen.design_network(N)`, each on freshly built subsystems, so with
-cold records as in a CLI call, and the `design.greedy_color` call inside
-each. It prints both medians, in seconds. Every run must design the same
+cold analysis forms as in a CLI call, and the `design.greedy_color` call
+inside each. It prints both medians, in seconds. Every run must design the same
 routing positions.
 
 This is a script, not a test: pytest does not collect it.

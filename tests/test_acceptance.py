@@ -19,16 +19,16 @@ from netctrl import exactla as ex
 from netctrl import ratfun, verify
 from netctrl.cli import main
 from netctrl.data import sec7_path
-from netctrl.design import (InfeasibleDesignError, brute_force_min_topology,
-                            design_topology, g_value, greedy_link_rows)
+from netctrl.design import InfeasibleDesignError, design_topology, g_value, greedy_link_rows
 from netctrl.matroid import GenericPattern, matroid_intersection_rank
 from netctrl.model import NdsModel, StructuredPattern, assemble_lumped
 from netctrl.verify import (check_fum_networked, check_structural_controllability,
                             randomized_realization_check)
 
 from conftest import ACCEPTANCE_LINES
-from oracles import (check_fum_lumped, dense_columns, dense_y, dense_z, exhaustive_union_rank,
-                     matroid_union_rank, minimal_rows_exhaustive)
+from oracles import (brute_force_min_topology, check_fum_lumped, dense_columns, dense_y,
+                     dense_z, exhaustive_union_rank, matroid_union_rank,
+                     minimal_rows_exhaustive)
 from randgen import random_fixed_subsystems, random_nds
 
 N_INSTANCES = 100

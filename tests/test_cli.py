@@ -6,9 +6,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from netctrl import ratfun
+from netctrl import exactla as ex
 from netctrl.cli import (COMMANDS, DocumentError, build_parser, main, parse_document,
                          serialize_document)
 from netctrl.data import sec7_path
@@ -87,18 +88,58 @@ def test_boolean_in_integer_matrix_is_positioned(sec7_doc):
         parse_document(doc)
 
 
-def test_equal_entries_share_a_record():
-    # 2 and "4/2" are one number, so the two forms share one analysis
-    # record; 1/2 and 1/3 are not
-    def doc(a, b):
-        sub = {"A_xx": [[1]], "A_xv": [[1]], "B_xu": [[0]], "A_zx": [[1]],
+def test_forms_are_shared_by_identity_only(tmp_path):
+    # a repeat shares its predecessor's analysis form; an equal subsystem
+    # parsed on its own ("4/2" against 2) gets a form of its own, and gives
+    # the same report
+    def doc(b):
+        sub = {"A_xx": [[2]], "A_xv": [[1]], "B_xu": [[0]], "A_zx": [[1]],
                "A_zv": [[0]], "B_zu": [[0]]}
-        return {"subsystems": [dict(sub, A_xx=[[a]]), dict(sub, A_xx=[[b]])]}
+        return {"subsystems": [sub, dict(sub, A_xx=[[b]])]}
 
-    for a, b, shared in ((2, "4/2", True), ("1/2", "1/3", False)):
-        model = parse_document(doc(a, b))[0]
-        first, second = ratfun.analysis_records(model.analysis)
+    reports = []
+    for b, shared in ((2, True), ("4/2", False)):
+        first, second = parse_document(doc(b))[0].analysis
         assert (first is second) == shared
+        out = tmp_path / "report.json"
+        assert main(["check", _write(tmp_path, doc(b)), "--out", str(out)]) == 1
+        reports.append(out.read_text(encoding="utf-8"))
+    assert reports[0] == reports[1]
+
+
+def test_realize_converts_no_float_block(sec7_doc, tmp_path, monkeypatch):
+    # realize reads only the forms' exact blocks: on sec7 and with a free
+    # parameter block it converts no block to floats and computes no
+    # subsystem eigenvalue; check, run on the same counters, does both
+    free = json.loads(json.dumps(sec7_doc))
+    free["subsystems"][0]["lft"] = {
+        "E1": [[1], [0]], "E2": [["1/2"], [0]],
+        "F1": [[1, 0]], "F2": [[0, 0]], "F3": [[0]], "H": [[0]],
+        "param": {"free": [[1, 1]]},
+    }
+    calls = []
+    to_float, eigvals = ex.to_float, np.linalg.eigvals
+    monkeypatch.setattr(ex, "to_float", lambda m: calls.append("to_float") or to_float(m))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append("eigvals") or eigvals(a))
+    out = str(tmp_path / "report.json")
+    for doc in (sec7_doc, free):
+        path = _write(tmp_path, doc)
+        assert main(["realize", path, "--out", out]) in (0, 1)
+        assert calls == []
+        assert main(["check", path, "--out", out]) in (0, 1)
+        assert {"to_float", "eigvals"} <= set(calls)
+        calls.clear()
+
+
+@pytest.mark.parametrize("module", ["netctrl.ratfun", "netctrl.model", "netctrl"])
+def test_each_module_imports_first(module):
+    # ratfun imports model for type checking only, so no import order can
+    # meet a half-initialised module
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", f"import {module}"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_integer_entries_shared_within_one_document_only(sec7_doc):

@@ -5,19 +5,19 @@ import numpy as np
 import pytest
 
 from netctrl import exactla as ex
-from netctrl import design, ratfun, verify
+from netctrl import ratfun, verify
 from netctrl.cli import load_document, main
 from netctrl.data import sec7_path
-from netctrl.design import (InfeasibleDesignError, brute_force_min_topology,
-                            design_topology, eliminate_pdums, extract_cover_sets,
-                            g_value, greedy_color, greedy_link_rows)
+from netctrl.design import (InfeasibleDesignError, design_topology, eliminate_pdums,
+                            extract_cover_sets, g_value, greedy_color, greedy_link_rows)
 from netctrl.model import NdsModel, StructuredPattern, SubsystemModel
 from netctrl.structgraph import (build_nacg, find_input_unreachable_lambda_cycle,
                                  unreachable_source_sccs_with_lambda_edge)
 
-from oracles import (clique_union_color, dense_extract_cover_sets, dense_g_value,
-                     dense_greedy_link_rows, minimal_rows_exhaustive)
-from randgen import design_network, random_fixed_subsystems, random_subsystem
+import oracles
+from oracles import (brute_force_min_topology, clique_union_color, dense_extract_cover_sets,
+                     dense_g_value, dense_greedy_link_rows, minimal_rows_exhaustive)
+from randgen import design_network, identical_agents, random_fixed_subsystems
 
 
 def _modes(nds, mode_filter="all"):
@@ -210,14 +210,13 @@ def test_greedy_reranks_only_the_chosen_subsystem(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 3, 8, 11])
 def test_greedy_ranks_within_one_agent(monkeypatch, seed):
-    # N identical agents share one block per mode and its ranks: every
-    # matrix stage 1 ranks is a column set of one agent's block, and the
-    # number ranked does not grow with N.
+    # N repeats of one agent share its form, so one block per mode and its
+    # ranks: every matrix stage 1 ranks is a column set of one agent's
+    # block, and the number ranked does not grow with N.
     ranked = _record_ranked(monkeypatch)
     counts = []
     for agents in (2, 4, 8):
-        subs = [random_subsystem(random.Random(seed), i + 1, 3, 2, lft_prob=0)
-                for i in range(agents)]
+        subs = identical_agents(seed, agents, lft_prob=0)
         nds = NdsModel.unrouted(subs)
         modes = _modes(nds)
         ranked.clear()
@@ -441,14 +440,14 @@ def test_brute_force_sec7_minimum(sec7):
 def test_brute_force_rejects_unreachable_lambda_edge_first(monkeypatch, sec7):
     # an unreachable lambda edge off every cycle comes with a fixed mode, so
     # the search rejects it before any intersection
-    exact = design.matroid_intersection_rank
+    exact = oracles.matroid_intersection_rank
     calls = []
 
     def counting(o1, o2, start=frozenset()):
         calls.append(1)
         return exact(o1, o2, start)
 
-    monkeypatch.setattr(design, "matroid_intersection_rank", counting)
+    monkeypatch.setattr(oracles, "matroid_intersection_rank", counting)
     best = brute_force_min_topology(sec7.subsystems, max_links=3)
     assert sorted(best.entries) == [(0, 1), (2, 1), (4, 3)]
     assert len(calls) <= 173
@@ -517,7 +516,7 @@ def _count_null_space_builds(monkeypatch) -> list:
 @pytest.mark.parametrize("instance", ["sec7", "random seed 12"])
 def test_each_block_built_once_per_command(monkeypatch, instance):
     # Feasibility, nds0, nds1 and the final verdict all read the subsystems'
-    # analysis records, so each (record, pooled eigenvalue) block is built once.
+    # analysis forms, so each (form, pooled eigenvalue) block is built once.
     if instance == "sec7":
         subs = load_document(sec7_path())[0].subsystems
     else:
@@ -525,11 +524,11 @@ def test_each_block_built_once_per_command(monkeypatch, instance):
     calls = _count_null_space_builds(monkeypatch)
     result = design_topology(subs, "all")
     assert result.verified
-    records = {id(s.analysis.record): s.analysis.record for s in subs}.values()
+    forms = {id(s.analysis): s.analysis for s in subs}.values()
     empty = StructuredPattern(sum(s.m_v0 for s in subs), sum(s.m_z0 for s in subs), {})
     pooled = ratfun.spectrum(NdsModel(subs, empty)).m
-    assert len(calls) == len(records) * pooled
-    assert all(len(r.blocks) == pooled for r in records)
+    assert len(calls) == len(forms) * pooled
+    assert all(len(a.blocks) == pooled for a in forms)
 
 
 def test_infeasible_design_builds_no_basis(monkeypatch):
@@ -539,9 +538,9 @@ def test_infeasible_design_builds_no_basis(monkeypatch):
     calls = _count_null_space_builds(monkeypatch)
     with pytest.raises(InfeasibleDesignError, match="uncontrollable at 2"):
         design_topology(subs, "all")
-    records = {id(s.analysis.record): s.analysis.record for s in subs}.values()
-    assert calls and all(not r.blocks for r in records)
-    assert len(calls) == sum(len(r.factors) for r in records)
+    forms = {id(s.analysis): s.analysis for s in subs}.values()
+    assert calls and all(not a.blocks for a in forms)
+    assert len(calls) == sum(len(a.factors) for a in forms)
 
 
 def _m_def_at_all_pooled(subs, mode_filter):
@@ -550,8 +549,7 @@ def _m_def_at_all_pooled(subs, mode_filter):
     at its own eigenvalues only."""
     nds = NdsModel.unrouted(subs)
     lams = ratfun.filter_modes(ratfun.spectrum(nds).values, mode_filter)
-    return sum(int(rec.pbh_deficiencies(lams, ratfun.RANK_TOL).sum())
-               for rec in ratfun.analysis_records(nds.analysis))
+    return sum(int(a.pbh_deficiencies(lams, ratfun.RANK_TOL).sum()) for a in nds.analysis)
 
 
 @pytest.mark.parametrize("mode_filter", ["all", "unstable"])
@@ -572,20 +570,20 @@ def test_m_def_matches_all_pooled_route(mode_filter):
 
 @pytest.mark.parametrize("instance", ["sec7", "random seed 12"])
 def test_owner_pbh_stacked_once_per_design(monkeypatch, instance):
-    # The final verdict's owner rule and M_def rank the same records at the
-    # same values, so each (record, value) goes into one PBH stack.
+    # The final verdict's owner rule and M_def rank the same forms at the
+    # same values, so each (form, value) goes into one PBH stack.
     if instance == "sec7":
         subs = load_document(sec7_path())[0].subsystems
     else:
         subs = random_fixed_subsystems(12, max_sub=4)
     asked, inside, stacked = [], [], []
-    deficiencies, pbh_stack = ratfun.SubsystemAnalysis.pbh_deficiencies, ratfun.pbh_stack
+    deficiencies, pbh_stack = ratfun.AugmentedSubsystem.pbh_deficiencies, ratfun.pbh_stack
 
-    def ranking(rec, lams, tol):
-        asked.append(id(rec))
-        inside.append(id(rec))
+    def ranking(a, lams, tol):
+        asked.append(id(a))
+        inside.append(id(a))
         try:
-            return deficiencies(rec, lams, tol)
+            return deficiencies(a, lams, tol)
         finally:
             inside.pop()
 
@@ -594,10 +592,10 @@ def test_owner_pbh_stacked_once_per_design(monkeypatch, instance):
             stacked.extend((inside[-1], complex(v)) for v in values)
         return pbh_stack(a, b, values, dtype)
 
-    monkeypatch.setattr(ratfun.SubsystemAnalysis, "pbh_deficiencies", ranking)
+    monkeypatch.setattr(ratfun.AugmentedSubsystem, "pbh_deficiencies", ranking)
     monkeypatch.setattr(ratfun, "pbh_stack", stacking)
     assert design_topology(subs, "all").verified
-    assert len(asked) > len(set(asked))  # some record is asked twice
+    assert len(asked) > len(set(asked))  # some form is asked twice
     assert stacked and len(stacked) == len(set(stacked))
 
 

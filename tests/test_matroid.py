@@ -17,7 +17,7 @@ from netctrl.model import (ModelError, NdsModel, StructuredPattern, assemble_lum
 from oracles import (ExactColumns, _hopcroft_karp, dense_columns, dense_y, dense_z,
                      exhaustive_union_rank, eye, matroid_union_rank, rank_of,
                      recursive_max_matching)
-from randgen import check_network, random_nds, random_subsystem
+from randgen import check_network, identical_agents, random_nds
 
 
 def _pattern(rows, cols, positions, prefix="g"):
@@ -149,9 +149,8 @@ def _assert_dual_certificate(o1, o2, best):
 
 
 def _homogeneous_nds(seed, agents):
-    """`agents` identical random subsystems under a random well-posed routing."""
-    subs = [random_subsystem(random.Random(seed), i + 1, lft_prob=0.5)
-            for i in range(agents)]
+    """`agents` repeats of one random subsystem under a random well-posed routing."""
+    subs = identical_agents(seed, agents)
     mv, mz = sum(s.m_v0 for s in subs), sum(s.m_z0 for s in subs)
     rng = random.Random(seed)
     for _ in range(64):

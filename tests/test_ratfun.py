@@ -13,12 +13,12 @@ from netctrl import ratfun
 from netctrl.cli import load_document
 from netctrl.data import sec7_path
 from netctrl.model import NdsModel, StructuredPattern, SubsystemModel
-from netctrl.ratfun import (EntryClass, SubsystemAnalysis, analysis_records,
-                            entry_classes, filter_modes, mode_data, modes, nds_tfms,
-                            owner_deficiencies, pbh_stack, spectrum)
+from netctrl.ratfun import (AugmentedSubsystem, EntryClass, entry_classes, filter_modes,
+                            mode_data, modes, nds_tfms, owner_deficiencies, pbh_stack,
+                            spectrum)
 
 from oracles import _dense_entry_classes, _loop_pbh_stack, eye, transpose
-from randgen import random_nds, random_subsystem
+from randgen import identical_agents, random_nds
 
 
 def _classes_kinds(classes):
@@ -26,14 +26,14 @@ def _classes_kinds(classes):
 
 
 def test_sec7_subsystem1_classes(sec7):
-    t = analysis_records([sec7.analysis[0]])[0].tfms
+    t = sec7.analysis[0].tfms
     assert _classes_kinds(t.gzv_classes) == [["zero", "constant"], ["lambda", "zero"]]
     assert t.gzv_classes[0][1].value == Fraction(1)
     assert _classes_kinds(t.gzu_classes) == [["zero"], ["lambda"]]
 
 
 def test_sec7_subsystem2_external_transfer_vanishes(sec7):
-    t = analysis_records([sec7.analysis[1]])[0].tfms
+    t = sec7.analysis[1].tfms
     assert all(c.kind == "zero" for row in t.gzu_classes for c in row)
     assert _classes_kinds(t.gzv_classes) == [["lambda", "zero"]]
 
@@ -43,7 +43,7 @@ def test_zero_state_coupling_gives_constants():
         A_xx0=ex.mat([[1, 0], [0, 2]]), A_xv0=ex.mat([[1], [1]]),
         B_xu0=ex.mat([[1], [0]]), A_zx0=ex.mat([[0, 0]]),
         A_zv0=ex.mat([[7]]), B_zu0=ex.mat([[0]]))
-    t = analysis_records(NdsModel([sub], StructuredPattern(1, 1, {})).analysis)[0].tfms
+    t = sub.analysis.tfms
     assert _classes_kinds(t.gzv_classes) == [["constant"]]
     assert t.gzv_classes[0][0].value == Fraction(7)
     assert _classes_kinds(t.gzu_classes) == [["zero"]]
@@ -242,8 +242,7 @@ def test_mode_data_sec7_targets(sec7):
     assert md0.M_r == 4
     mdm1 = mode_data(sec7, -1.0)
     assert mdm1.M_r == 5
-    deficiency = sum(rec.pbh_deficiencies([1.0, 0.0], 1e-9)
-                     for rec in analysis_records(sec7.analysis))
+    deficiency = sum(a.pbh_deficiencies([1.0, 0.0], 1e-9) for a in sec7.analysis)
     assert deficiency.tolist() == [2, 1]
 
 
@@ -254,18 +253,18 @@ def test_owner_deficiencies_rank_each_record_once(monkeypatch, sec7):
     spec = spectrum(sec7)
     assert [complex(v) for v in spec.values] == [1, 0, -1]
     assert owner_deficiencies(sec7, spec) == [2, 1, 2]
-    # identical agents share one record: one stacked call for all of them,
-    # and each value's deficiency counts once per owning agent
+    # one subsystem object used by four agents is one form: one stacked
+    # call for all of them, and each value's deficiency counts once per
+    # owning agent
     calls = []
-    pbh = SubsystemAnalysis.pbh_deficiencies
-    monkeypatch.setattr(SubsystemAnalysis, "pbh_deficiencies",
-                        lambda rec, lams, tol: calls.append(list(lams)) or pbh(rec, lams, tol))
+    pbh = AugmentedSubsystem.pbh_deficiencies
+    monkeypatch.setattr(AugmentedSubsystem, "pbh_deficiencies",
+                        lambda a, lams, tol: calls.append(list(lams)) or pbh(a, lams, tol))
     lost = SubsystemModel(
         A_xx0=ex.mat([[1, 0], [0, 2]]), A_xv0=ex.mat([[1], [1]]),
         B_xu0=ex.mat([[0], [1]]), A_zx0=ex.mat([[1, 1]]), A_zv0=ex.mat([[0]]),
         B_zu0=ex.mat([[0]]))
-    agents = NdsModel([lost] + [dataclasses.replace(lost) for _ in range(3)],
-                      StructuredPattern(4, 4, {}))
+    agents = NdsModel([lost] * 4, StructuredPattern(4, 4, {}))
     spec = spectrum(agents)
     assert spec.members == [{0, 1, 2, 3}] * 2
     assert owner_deficiencies(agents, spec) == [0, 4]
@@ -316,7 +315,7 @@ def test_mode_data_residuals_random():
 def test_mode_data_rank_identity_sec7(sec7):
     # per-subsystem: m_r - rank(Z block) equals the state-rows deficiency
     lams = spectrum(sec7).values
-    deficiencies = [aug.record.pbh_deficiencies(lams, 1e-9) for aug in sec7.analysis]
+    deficiencies = [aug.pbh_deficiencies(lams, 1e-9) for aug in sec7.analysis]
     for k, lam in enumerate(lams):
         md = mode_data(sec7, lam)
         for sd, deficiency in zip(md.per_sub, deficiencies):
@@ -351,8 +350,7 @@ def _reference_block(aug, lam, tol):
 
 
 def _identical_agents(seed, agents):
-    subs = [random_subsystem(random.Random(seed), i + 1, lft_prob=0.5)
-            for i in range(agents)]
+    subs = identical_agents(seed, agents)
     return NdsModel(subs, StructuredPattern(sum(s.m_v0 for s in subs),
                                             sum(s.m_z0 for s in subs), {}))
 
@@ -380,22 +378,22 @@ def test_analysis_table_matches_reference():
         A_xx0=ex.mat([[0, -1], [1, 0]]), A_xv0=ex.mat([[1], [0]]),
         B_xu0=ex.mat([[0], [0]]), A_zx0=ex.mat([[0, 1]]), A_zv0=ex.mat([[0]]),
         B_zu0=ex.mat([[0]]))
-    cases.append(NdsModel([rot, dataclasses.replace(rot)],
+    cases.append(NdsModel([rot, rot],
                           StructuredPattern(2, 2, {(0, 1): "a", (1, 0): "b"})))
     cases.append(_zero_width_blocks())
     saw_mixed = saw_shared = saw_empty = False
     for nds in cases:
         spec = spectrum(nds)
         for aug in nds.analysis:
-            assert np.array_equal(aug.record.eigvals,
+            assert np.array_equal(aug.eigvals,
                                   np.linalg.eigvals(ex.to_float(aug.A_xx)))
-        # One call builds every block of a record with one stacked SVD per
+        # One call builds every block of a form with one stacked SVD per
         # dtype: real and complex eigenvalues together, some of them twice.
         lams = spec.values + spec.values[::2]
         saw_mixed |= len({complex(lam).imag != 0 for lam in lams}) == 2
         mds = modes(nds, lams)
-        assert all(len(aug.record.blocks) == spec.m for aug in nds.analysis)
-        deficiencies = [aug.record.pbh_deficiencies(lams, 1e-9) for aug in nds.analysis]
+        assert all(len(aug.blocks) == spec.m for aug in nds.analysis)
+        deficiencies = [aug.pbh_deficiencies(lams, 1e-9) for aug in nds.analysis]
         for k, lam in enumerate(lams):
             ref = [_reference_block(aug, lam, 1e-9) for aug in nds.analysis]
             for md in (mds[k], mode_data(nds, lam)):
@@ -405,25 +403,26 @@ def test_analysis_table_matches_reference():
                     assert (sd.m_r, d[k]) == (m_r, deficiency)
                 assert md.M_r == sum(r[3] for r in ref)
         saw_empty |= any(aug.m_x == 0 for aug in nds.analysis)
-        # the pooled spectrum read from the records is the one fresh
+        # the pooled spectrum read from the forms is the one fresh
         # subsystem objects give
         fresh = NdsModel([dataclasses.replace(s) for s in nds.subsystems], nds.scm)
         again = spectrum(fresh)
         assert again.values == spec.values and again.members == spec.members
-        records = {id(a.record) for a in nds.analysis}
-        saw_shared |= len(nds.analysis) > 1 and len(records) == 1
+        forms = {id(a) for a in nds.analysis}
+        saw_shared |= len(nds.analysis) > 1 and len(forms) == 1
     assert saw_mixed and saw_shared and saw_empty
 
 
 def test_records_freed_with_their_model():
-    # Records hold no reference back to their forms, so dropping a parsed
-    # model frees them by reference counting alone, without the cycle collector.
+    # A form holds no reference back to its subsystem, so dropping a parsed
+    # model frees the forms and their results by reference counting alone,
+    # without the cycle collector.
     gc.disable()
     try:
         model = load_document(sec7_path())[0]
         mode_data(model, spectrum(model).values[0])
         nds_tfms(model)
-        refs = [weakref.ref(a.record) for a in model.analysis]
+        refs = [weakref.ref(a) for a in model.analysis]
         del model
         assert all(r() is None for r in refs)
     finally:

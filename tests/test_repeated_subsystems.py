@@ -145,7 +145,8 @@ def test_malformed_after_a_repeat(tmp_path, capsys, sub, message):
 
 @pytest.mark.parametrize("lft_prob", [0.0, 1.0])
 def test_work_does_not_grow_with_agents(monkeypatch, lft_prob):
-    # N identical agents cost one agent's parse, one analysis form and one record
+    # N identical agents cost one agent's parse, one analysis form and one
+    # Markov sweep
     sub = randgen.random_subsystem(random.Random(11), 1, lft_prob=lft_prob)
     assert sub.has_free_params == bool(lft_prob)
     agent = cli.serialize_document(NdsModel.unrouted([sub]),
@@ -161,18 +162,18 @@ def test_work_does_not_grow_with_agents(monkeypatch, lft_prob):
     monkeypatch.setattr(cli, "_parse_matrix", counted("parse", cli._parse_matrix))
     monkeypatch.setattr(model_mod, "analysis_form",
                         counted("form", model_mod.analysis_form))
-    monkeypatch.setattr(ratfun, "SubsystemAnalysis",
-                        counted("record", ratfun.SubsystemAnalysis))
+    monkeypatch.setattr(ratfun, "entry_classes",
+                        counted("classes", ratfun.entry_classes))
     per_agents = {}
     for n in (1, 2, 8, 32):
         counts.clear()
         doc = {"subsystems": [dict(agent, name=f"agent{i + 1}") for i in range(n)]}
         model = parse_document(doc)[0]
-        ratfun.analysis_records(model.analysis)
+        ratfun.nds_tfms(model)
         per_agents[n] = dict(counts)
         assert [s.name for s in model.subsystems] == [f"agent{i + 1}" for i in range(n)]
         if lft_prob:
             assert sorted(model.P_pattern.entries.values()) == sorted(
                 f"p{i + 1}_0_0" for i in range(n))
-    assert per_agents[1]["form"] == per_agents[1]["record"] == 1
+    assert per_agents[1]["form"] == per_agents[1]["classes"] == 1
     assert all(counts == per_agents[1] for counts in per_agents.values()), per_agents

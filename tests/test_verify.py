@@ -229,7 +229,7 @@ def test_product_rank_reads_the_blocks(monkeypatch):
                 rows, cols = zip(*pattern.entries)
                 p[rows, cols] = copy.deepcopy(rng).standard_normal(len(rows))
             products.clear()
-            achieved = verify.mode_rank(md, pattern, q1, rng)
+            achieved = verify.mode_rank(md, pattern, lambda: q1, rng)
             dense = dense_y(md) @ p + dense_z(md)
             product = products[0]
             # the block products skip the zero columns of Y and Z, so they
@@ -289,12 +289,12 @@ def test_only_unsettled_modes_get_blocks_and_draws(monkeypatch, sec7, sec7_desig
     # Each draw starts from the generator state it would have if every mode
     # with a target drew, settled ones included.
     blocks, drawn = [], []
-    mode_blocks, rank = ratfun.SubsystemAnalysis.mode_blocks, verify.mode_rank
-    monkeypatch.setattr(ratfun.SubsystemAnalysis, "mode_blocks",
-                        lambda rec, lams, tol: blocks.append(list(lams))
-                        or mode_blocks(rec, lams, tol))
-    monkeypatch.setattr(verify, "mode_rank", lambda md, pattern, q1, rng, tol: drawn.append(
-        (md.lam, rng.bit_generator.state)) or rank(md, pattern, q1, rng, tol))
+    mode_blocks, rank = ratfun.AugmentedSubsystem.mode_blocks, verify.mode_rank
+    monkeypatch.setattr(ratfun.AugmentedSubsystem, "mode_blocks",
+                        lambda a, lams, tol: blocks.append(list(lams))
+                        or mode_blocks(a, lams, tol))
+    monkeypatch.setattr(verify, "mode_rank", lambda md, pattern, routing, rng, tol: drawn.append(
+        (md.lam, rng.bit_generator.state)) or rank(md, pattern, routing, rng, tol))
     partly = 0
     for nds in ([sec7, sec7_designed2, sec7_designed3, _planted([(0, 1)])]
                 + [random_nds(seed, 4, max_state=4, max_port=3) for seed in range(10)]):
